@@ -70,25 +70,17 @@ class Decomposition:
 
 
 def decomposition_cost(d: Decomposition, pair: ComplementaryPair, *,
-                       validate: bool = True, all_luxemburg: bool = False) -> float:
-    """sum_i N_Phi(f_i) ||g_i||_Psi with sound upper-bound norm values.
-
-    ``all_luxemburg`` switches the g-side to N_Psi (a comparison knob,
-    never the default; the definition pairs Luxemburg with Orlicz).
-    """
+                       validate: bool = True) -> float:
+    """sum_i N_Phi(f_i) ||g_i||_Psi with sound upper-bound norm values."""
     if validate:
         d.validate()
     cost = 0.0
     # the mixed pairing: Luxemburg norm under Phi on f, Orlicz norm under
     # Psi on g (whose dual constraint set is the N_Phi unit ball)
     for f, g in d.terms:
-        if all_luxemburg:
-            cost += luxemburg(pair.phi, f).value * luxemburg(pair.psi, g).value
-            continue
         cost += luxemburg(pair.phi, f).value * orlicz_norm(pair.swap(), g).value
-    # Hoelder floor: sup|u| <= mixed cost (only half of it is guaranteed
-    # for the all-Luxemburg comparison variant)
-    floor = d.target.sup_norm() * (0.5 if all_luxemburg else 1.0)
+    # Hoelder floor: sup|u| <= mixed cost
+    floor = d.target.sup_norm()
     if cost < floor - RECONSTRUCTION_TOL:
         raise OrliczAlgebraError(
             f"cost {cost:g} fell below the sup-norm floor {floor:g}; "
@@ -161,16 +153,13 @@ def _is_indicator_like(u: GroupFunction) -> complex | None:
 
 
 def algebra_norm_upper(u: GroupFunction, pair: ComplementaryPair, *,
-                       budget: int = 3, seed: int = 0) -> NormBracket:
+                       budget: int = 3) -> NormBracket:
     """Best decomposition cost found within the move budget.
 
     budget 0 returns the atomic bound; higher budgets add the merged
     single pair, the cost-neutral rebalance, and single-pair plateau
-    restarts for indicator-like targets. Deterministic given budget and
-    seed (no randomness is currently consumed; the seed is part of the
-    interface for reproducibility of future stochastic moves).
+    restarts for indicator-like targets. Deterministic given the budget.
     """
-    del seed
     lower = u.sup_norm()
     if u.is_zero:
         empty = Decomposition(terms=(), target=u)
@@ -276,8 +265,9 @@ class PlateauCertificate:
     """Machine-checked clauses for a plateau function u built over (E, eps).
 
     Clauses: value 1 on E, range [0, 1], support containment in E V V^{-1},
-    the cost chain on the Phi side, and the mirrored chain certifying the
-    swapped-norm cost of the reflected function.
+    no window truncation (E V V^{-1} inside the carrier), the cost chain on
+    the Phi side, and the mirrored chain certifying the swapped-norm cost
+    of the reflected function.
     """
 
     epsilon: float
@@ -292,6 +282,7 @@ class PlateauCertificate:
     imag_error: float
     support_bound: tuple
     support_ok: bool
+    truncated: bool
     chain_phi: tuple[ChainStep, ...]
     chain_psi: tuple[ChainStep, ...]
     reflected_error: float
@@ -310,6 +301,8 @@ class PlateauCertificate:
             bad.append(f"imaginary residue {self.imag_error:g}")
         if not self.support_ok:
             bad.append("support escapes E V V^(-1)")
+        if self.truncated:
+            bad.append("the window truncates the plateau (E V V^(-1) exits it)")
         for label, chain, cost in (("phi", self.chain_phi, self.cost_phi),
                                    ("psi", self.chain_psi, self.cost_psi)):
             for step in chain:
@@ -387,8 +380,8 @@ def build_plateau(space: GroupSpace, plateau_set: Iterable, pair: ComplementaryP
         cost_phi=cost_phi, cost_psi=cost_psi, on_set_error=on_err,
         range_low=min(re_vals), range_high=max(re_vals), imag_error=im_err,
         support_bound=tuple(sorted(supp_bound, key=_sort_key(space))),
-        support_ok=support_ok, chain_phi=chain_phi, chain_psi=chain_psi,
-        reflected_error=reflected_err)
+        support_ok=support_ok, truncated=u.truncated, chain_phi=chain_phi,
+        chain_psi=chain_psi, reflected_error=reflected_err)
     return u, cert
 
 

@@ -281,7 +281,7 @@ def _run_aphi(args, cfg: RunConfig) -> Report:
     rep.add("nfunction", pair.phi.label)
     if args.aphi_verb == "bound":
         f = _function_arg(space, args.function)
-        bracket = algebra_norm_upper(f, pair, budget=args.budget, seed=cfg.seed)
+        bracket = algebra_norm_upper(f, pair, budget=args.budget)
         rep.add("budget", args.budget)
         rep.add("lower", bracket.lower)
         rep.add("upper", bracket.upper)
@@ -304,6 +304,7 @@ def _run_aphi(args, cfg: RunConfig) -> Report:
                   min(cert.range_low + cfg.tol_value,
                       1.0 + cfg.tol_value - cert.range_high))
         rep.check("support-containment", cert.support_ok, 0.0, "inside E V V^(-1)")
+        rep.check("not-truncated", not cert.truncated, 0.0, "window holds E V V^(-1)")
         for label, chain in (("phi", cert.chain_phi), ("psi", cert.chain_psi)):
             for step in chain:
                 rep.add(f"chain.{label}.{step.name}.bound", step.bound)

@@ -21,7 +21,10 @@ bound. The steps are concrete on a window:
    bumps with certified decomposition-cost at most 0.99 R/32 (upper
    bounds are sound for ball membership, so every probe genuinely lies
    inside), the g-side budget being the sum of both norm costs
-   (intersection norm),
+   (intersection norm). The bumps are one certified plateau over
+   {-1, 0, 1} moved by translation, which keeps values and costs bit for
+   bit under counting measure; so the window must hold the bump's support
+   at every probe position in [-hw, hw], hw = max(4, W // 4),
 6. for each probe, find x in V with sum_y |h(y)| |k(y - x)| > n. A probe
    that fails to violate is a contradiction of a proved statement and is
    raised, never suppressed.
@@ -33,10 +36,10 @@ simply records where the maximum lands.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from random import Random
-from typing import Iterable
 
 from .algebra import PlateauCertificate, build_plateau
 from .errors import (
@@ -45,7 +48,7 @@ from .errors import (
     ScopeError,
     TheoremContradictionError,
 )
-from .groups import GroupFunction, GroupSpace
+from .groups import GroupFunction, GroupSpace, translate_left
 from .nfunctions import ComplementaryPair
 from .norms import luxemburg, orlicz_norm
 
@@ -260,10 +263,7 @@ def build_witness(inst: PorosityInstance, pair: ComplementaryPair, *,
 
     # 3. plateau over K with epsilon = 1; both costs below 4, sum below 8
     u, cert = build_plateau(space, K, pair, 1.0)
-    if not cert.passed:
-        raise TheoremContradictionError(
-            "plateau certificate failed during witness construction",
-            state={"failures": cert.failures()})
+    _require_certified(space, cert, "plateau")
     if cert.cost_phi + cert.cost_psi > 8.0:
         raise TheoremContradictionError(
             f"plateau cost sum {cert.cost_phi + cert.cost_psi:g} exceeded 8",
@@ -282,22 +282,20 @@ def build_witness(inst: PorosityInstance, pair: ComplementaryPair, *,
     # 5 + 6. probes
     rng = Random(seed)
     kappa_phi, kappa_psi = _atom_costs(space, pair)
+    bump = build_plateau(space, range(-1, 2), pair, 1.0)
+    _require_certified(space, bump[1], "probe bump", shift=_probe_half_width)
     probes = []
     for idx in range(probe_count):
-        delta_f, df_fn = _draw_perturbation(space, pair, rng, R, kappa_phi, kappa_psi,
+        delta_f, df_fn = _draw_perturbation(space, *bump, rng, R, kappa_phi, kappa_psi,
                                             intersection=False)
-        delta_g, dg_fn = _draw_perturbation(space, pair, rng, R, kappa_phi, kappa_psi,
+        delta_g, dg_fn = _draw_perturbation(space, *bump, rng, R, kappa_phi, kappa_psi,
                                             intersection=True)
         h = f_tilde + df_fn
         k = g_tilde + dg_fn
         h_min = min(abs(h(x)) for x in K)
         k_min = min(abs(k(x)) for x in K)
         u_rad = _certified_neighborhood(space, k, K, R, r)
-        best_val, best_x = -math.inf, None
-        for x in _ball(space, r):
-            val = level_integral(h, k, x)
-            if val > best_val:
-                best_val, best_x = val, x
+        _, best_val, best_x = level_membership(h, k, n, r)
         record = ProbeRecord(index=idx, delta_f=delta_f, delta_g=delta_g,
                              budget_f=delta_f.cost_phi,
                              budget_g=delta_g.cost_phi + delta_g.cost_psi,
@@ -322,6 +320,23 @@ def build_witness(inst: PorosityInstance, pair: ComplementaryPair, *,
         probes=tuple(probes), seed=seed)
 
 
+def _require_certified(space: GroupSpace, cert: PlateauCertificate, what: str,
+                       shift=lambda w: 0) -> None:
+    """Certificate passes, and the window holds the plateau moved by up to shift(W)."""
+    w, reach = space.window_radius, max(abs(x) for x in cert.support_bound)
+    if shift(w) + reach > w:
+        need = next(m for m in itertools.count(w + 1) if shift(m) + reach <= m)
+        raise InfeasibleWindowError(f"the {what} needs window radius {need}", minimal_radius=need)
+    if not cert.passed:
+        raise TheoremContradictionError(f"{what} certificate failed during witness "
+                                        "construction", state={"failures": cert.failures()})
+
+
+def _probe_half_width(w: int) -> int:
+    """Plateau probes sit at positions in [-hw, hw] on a window of radius w."""
+    return max(4, w // 4)
+
+
 def _atom_costs(space: GroupSpace, pair: ComplementaryPair) -> tuple[float, float]:
     """Certified decomposition costs of a unit point mass, both norm sides.
 
@@ -338,14 +353,15 @@ def _atom_costs(space: GroupSpace, pair: ComplementaryPair) -> tuple[float, floa
     return k_phi, k_psi
 
 
-def _draw_perturbation(space: GroupSpace, pair: ComplementaryPair, rng: Random,
-                       R: float, kappa_phi: float, kappa_psi: float, *,
+def _draw_perturbation(space: GroupSpace, bump: GroupFunction, bump_cert: PlateauCertificate,
+                       rng: Random, R: float, kappa_phi: float, kappa_psi: float, *,
                        intersection: bool) -> tuple[Perturbation, GroupFunction]:
     """A certified-small random summand.
 
     The scale is chosen so that the certified cost bound (Phi side, or
     the sum of both sides for intersection budgets) is eta * R/32 with
     eta < BALL_SAFETY, which keeps the probe strictly inside the ball.
+    Plateau summands are ``bump`` moved to the drawn position, under ``bump_cert``.
     """
     w = space.window_radius
     eta = rng.uniform(0.0, BALL_SAFETY)
@@ -359,32 +375,24 @@ def _draw_perturbation(space: GroupSpace, pair: ComplementaryPair, rng: Random,
         return Perturbation(kind="atom", position=pos, amplitude=amp,
                             cost_phi=abs(amp) * kappa_phi,
                             cost_psi=abs(amp) * kappa_psi), fn
-    hw = max(4, w // 4)
-    pos = rng.randint(-hw, hw)
-    bump, bump_cert = build_plateau(space, range(pos - 1, pos + 2), pair, 1.0)
+    pos = rng.randint(-_probe_half_width(w), _probe_half_width(w))
+    moved = translate_left(pos, bump)
+    if moved.truncated:
+        raise InfeasibleWindowError(f"the probe bump at {pos} exits the window")
     unit_cost = (bump_cert.cost_phi + bump_cert.cost_psi) if intersection \
         else bump_cert.cost_phi
     amp = (budget / unit_cost) * phase
     return Perturbation(kind="plateau", position=pos, amplitude=amp,
                         cost_phi=abs(amp) * bump_cert.cost_phi,
-                        cost_psi=abs(amp) * bump_cert.cost_psi), bump.scale(amp)
+                        cost_psi=abs(amp) * bump_cert.cost_psi), moved.scale(amp)
 
 
-def _certified_neighborhood(space: GroupSpace, k: GroupFunction, K: Iterable,
+def _certified_neighborhood(space: GroupSpace, k: GroupFunction, K: tuple,
                             R: float, r: int) -> int:
     """Largest rho <= r with |k| > R/32 on [-rho, rho] + K (rho = 0 always
     holds when |k| > R/32 on K itself)."""
-    kk = tuple(K)
     for rho in range(r, -1, -1):
-        ok = True
-        for x in kk:
-            for j in range(-rho, rho + 1):
-                y = x + j
-                if abs(y) <= space.window_radius and abs(k(y)) <= R / 32.0:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
+        if all(abs(k(x + j)) > R / 32.0 for x in K for j in range(-rho, rho + 1)
+               if abs(x + j) <= space.window_radius):
             return rho
     return 0

@@ -319,9 +319,7 @@ def _verify_homomorphism(space: GroupSpace, c: Character) -> None:
                     f"character fails w(st) = w(s) w(t) at ({a!r}, {b!r})")
 
 
-def multiplicative_functional_search(space: GroupSpace,
-                                     pair: ComplementaryPair | None = None,
-                                     tolerance: float = 1e-9, *,
+def multiplicative_functional_search(space: GroupSpace, tolerance: float = 1e-9, *,
                                      verify_against_enumeration: bool = True) -> CharacterSet:
     """Independent oracle: exhaustive root-of-unity weight search.
 
@@ -329,13 +327,12 @@ def multiplicative_functional_search(space: GroupSpace,
     weight vector w over all pairs, which reduces (under normalized Haar
     weights) to w(st) = w(s) w(t) in exact exponent arithmetic. w(e) = 1
     is forced: delta_e * delta_e = delta_e / |G|, so a nonzero functional
-    cannot kill delta_e. ``pair`` is accepted for interface symmetry;
-    boundedness of the functionals is automatic at finite scale.
+    cannot kill delta_e. Boundedness of the functionals is automatic at
+    finite scale.
     ``tolerance`` gates a float spot-check of the convolution identity,
     and the result set is asserted equal to the generator-image route
     unless ``verify_against_enumeration`` is switched off.
     """
-    del pair
     _require_finite_abelian(space, "multiplicative functional search")
     L, _ = group_exponent(space)
     e_idx = space.index(space.identity)

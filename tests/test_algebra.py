@@ -187,6 +187,17 @@ def test_plateau_infeasible_window():
         build_plateau(tiny, range(-3, 4), pair_power(2.0), 0.1)
 
 
+def test_plateau_truncated_by_window_fails_certificate():
+    # E = [3, 5] gives V = [-1, 1]; the true support [1, 7] exits radius 6
+    u, cert = build_plateau(integer_window(6), [3, 4, 5], pair_power(2.0), 1.0)
+    assert u.truncated and cert.truncated
+    assert max(cert.support_bound) == 7
+    assert not cert.passed
+    assert any("truncates" in f for f in cert.failures())
+    _, whole = build_plateau(integer_window(7), [3, 4, 5], pair_power(2.0), 1.0)
+    assert not whole.truncated and whole.passed
+
+
 def test_submult_chain_random_pairs():
     z8 = cyclic(8)
     rng = Random(6)

@@ -150,6 +150,25 @@ def test_aphi_plateau_and_alias(capsys):
         assert "chain.phi.inverse-product-lower-bound.bound=3.0" in out
 
 
+def test_aphi_plateau_truncated_by_window_fails(capsys):
+    # E = [3, 5] gives V = [-1, 1], and E V V^(-1) = [1, 7] exits radius 6
+    code, out, _ = run_cli(capsys, "aphi", "plateau", "--group",
+                           '{"type": "Zwindow", "radius": 6}', "--nfunction", QUAD,
+                           "--set", "[3,4,5]", "--epsilon", "1")
+    assert code == 1
+    assert "check.not-truncated=FAIL" in out
+    assert "passed=false" in out
+
+
+@pytest.mark.parametrize("window", ["7", "8", "9"])
+def test_porosity_window_truncating_k_plateau_exits_3(capsys, window):
+    code, out, err = run_cli(capsys, "porosity", "witness", "--window", window,
+                             "--probes", "5", "--seed", "7")
+    assert code == 3
+    assert out == ""
+    assert "needs window radius 10" in err
+
+
 def test_aphi_bound_and_submult(capsys):
     fn = json.dumps([[x, 1, 0] for x in range(8)])
     code, out, _ = run_cli(capsys, "aphi", "bound", "--group", Z8,

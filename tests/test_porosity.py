@@ -1,18 +1,30 @@
 """Level-set membership and the avoidance-pair witness pipeline."""
 
+import dataclasses
+import math
 from random import Random
 
 import pytest
 
-from orliczalg.errors import InfeasibleWindowError, OrliczAlgebraError, ScopeError
-from orliczalg.groups import GroupFunction, cyclic, integer_window
+import orliczalg.porosity as porosity
+from orliczalg.algebra import build_plateau
+from orliczalg.errors import (
+    InfeasibleWindowError,
+    OrliczAlgebraError,
+    ScopeError,
+    TheoremContradictionError,
+)
+from orliczalg.groups import GroupFunction, cyclic, integer_window, translate_left
 from orliczalg.nfunctions import pair_from_name, pair_power
 from orliczalg.porosity import (
+    Perturbation,
     build_witness,
     level_integral,
     level_membership,
     make_instance,
 )
+
+CATALOG = ("power-2", "power-3", "entropy", "cosh")
 
 
 @pytest.fixture(scope="module")
@@ -143,3 +155,124 @@ def test_negative_quadrant_sign_flips(window):
     assert wit.all_probes_violate
     for probe in wit.probes:
         assert probe.h_min_on_k >= inst.radius / 16.0
+
+
+# -- the translated probe bump against fresh builds ---------------------------
+
+@pytest.fixture(scope="module")
+def fresh_bumps(window):
+    """(pair name, pos) -> build_plateau over {pos - 1, pos, pos + 1}, built anew."""
+    return {(name, pos): build_plateau(window, range(pos - 1, pos + 2),
+                                       pair_from_name(name), 1.0)
+            for name in CATALOG for pos in range(-64, 65)}
+
+
+@pytest.mark.parametrize("name", CATALOG)
+def test_translated_bump_matches_fresh_build(window, fresh_bumps, name):
+    bump, cert = build_plateau(window, range(-1, 2), pair_from_name(name), 1.0)
+    for pos in range(-64, 65):
+        fresh, fresh_cert = fresh_bumps[name, pos]
+        moved = translate_left(pos, bump)
+        assert not moved.truncated and not fresh.truncated
+        assert moved.support == fresh.support
+        assert moved.max_abs_diff(fresh) == 0.0
+        assert cert.cost_phi == fresh_cert.cost_phi
+        assert cert.cost_psi == fresh_cert.cost_psi
+
+
+@pytest.mark.parametrize("name", CATALOG)
+def test_plateau_probe_costs_equal_fresh_certificate(window, box, fresh_bumps, name):
+    inst = make_instance(box, box, 11, 32.0, 1)
+    wit = build_witness(inst, pair_from_name(name), probe_count=100, seed=13)
+    plateau_deltas = [d for p in wit.probes for d in (p.delta_f, p.delta_g)
+                      if d.kind == "plateau"]
+    assert plateau_deltas
+    for delta in plateau_deltas:
+        _, fresh_cert = fresh_bumps[name, delta.position]
+        assert delta.cost_phi == abs(delta.amplitude) * fresh_cert.cost_phi
+        assert delta.cost_psi == abs(delta.amplitude) * fresh_cert.cost_psi
+
+
+def _fresh_bump_draw(fresh_bumps, name):
+    """The per-probe draw with a plateau built anew at each position, as a reference."""
+    def draw(space, bump, bump_cert, rng, R, kappa_phi, kappa_psi, *, intersection):
+        w = space.window_radius
+        eta = rng.uniform(0.0, porosity.BALL_SAFETY)
+        a = rng.uniform(0.0, 2.0 * math.pi)
+        phase = complex(math.cos(a), math.sin(a))
+        budget = eta * R / 32.0
+        if rng.random() < 0.5:
+            pos = rng.randint(-w, w)
+            amp = (budget / ((kappa_phi + kappa_psi) if intersection else kappa_phi)) * phase
+            return (Perturbation("atom", pos, amp, abs(amp) * kappa_phi,
+                                 abs(amp) * kappa_psi), GroupFunction.delta(space, pos, amp))
+        pos = rng.randint(-max(4, w // 4), max(4, w // 4))
+        fresh, cert = fresh_bumps[name, pos]
+        amp = (budget / ((cert.cost_phi + cert.cost_psi) if intersection
+                         else cert.cost_phi)) * phase
+        return (Perturbation("plateau", pos, amp, abs(amp) * cert.cost_phi,
+                             abs(amp) * cert.cost_psi), fresh.scale(amp))
+    return draw
+
+
+@pytest.mark.parametrize("name", ["entropy", "cosh"])
+def test_witness_probes_equal_fresh_bump_path(window, box, fresh_bumps, monkeypatch, name):
+    inst = make_instance(box, box, 11, 32.0, 1)
+    pair = pair_from_name(name)
+    moved = build_witness(inst, pair, probe_count=100, seed=17)
+    monkeypatch.setattr(porosity, "_draw_perturbation", _fresh_bump_draw(fresh_bumps, name))
+    fresh = build_witness(inst, pair, probe_count=100, seed=17)
+    assert any(p.delta_g.kind == "plateau" for p in fresh.probes)
+    assert moved.probes == fresh.probes
+
+
+# -- windows that would truncate a plateau ------------------------------------
+
+@pytest.mark.parametrize("radius", [7, 8, 9])
+def test_truncated_k_plateau_is_infeasible(radius):
+    # K = [-1, 4] needs V = [-3, 3], so the plateau's support reaches 10
+    space = integer_window(radius)
+    box = GroupFunction.indicator(space, range(-5, 6))
+    inst = make_instance(box, box, 11, 32.0, 1)
+    with pytest.raises(InfeasibleWindowError) as err:
+        build_witness(inst, pair_power(2.0), probe_count=5, seed=7)
+    assert err.value.minimal_radius == 10
+
+
+def test_k_plateau_at_minimal_radius_is_whole():
+    space = integer_window(10)
+    box = GroupFunction.indicator(space, range(-5, 6))
+    wit = build_witness(make_instance(box, box, 11, 32.0, 1), pair_power(2.0),
+                        probe_count=5, seed=7)
+    assert not wit.u.truncated and wit.plateau_cert.passed
+
+
+def test_probe_bumps_must_fit_the_window():
+    # probes sit in [-4, 4] and the bump reaches 3 past its center
+    zero6 = GroupFunction.zero(integer_window(6))
+    with pytest.raises(InfeasibleWindowError) as err:
+        build_witness(make_instance(zero6, zero6, 1, 100.0, 1), pair_power(2.0),
+                      probe_count=20, seed=0)
+    assert err.value.minimal_radius == 7
+    zero7 = GroupFunction.zero(integer_window(7))
+    wit = build_witness(make_instance(zero7, zero7, 1, 100.0, 1), pair_power(2.0),
+                        probe_count=20, seed=0)
+    assert 4 in {abs(d.position) for p in wit.probes for d in (p.delta_f, p.delta_g)
+                 if d.kind == "plateau"}
+
+
+def test_failed_probe_bump_certificate_raises(window, box, monkeypatch):
+    real = porosity.build_plateau
+
+    def spoiled(space, plateau_set, pair, epsilon):
+        u, cert = real(space, plateau_set, pair, epsilon)
+        if isinstance(plateau_set, range):      # the probe bump, not K
+            cert = dataclasses.replace(cert, on_set_error=0.5)
+        return u, cert
+
+    monkeypatch.setattr(porosity, "build_plateau", spoiled)
+    inst = make_instance(box, box, 11, 32.0, 1)
+    with pytest.raises(TheoremContradictionError) as err:
+        build_witness(inst, pair_power(2.0), probe_count=5, seed=0)
+    assert "probe bump" in str(err.value)
+    assert any("u != 1" in f for f in err.value.state["failures"])
