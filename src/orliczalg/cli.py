@@ -63,7 +63,7 @@ from .nfunctions import (
     validate_pair,
     young_gap,
 )
-from .norms import char_fn_norm, luxemburg, modular, orlicz_norm
+from .norms import ORACLE_AGREEMENT_RTOL, char_fn_norm, luxemburg, modular, orlicz_norm
 from .numerics import geometric_grid
 from .porosity import build_witness, make_instance
 from .specio import (
@@ -122,6 +122,14 @@ def _parse_points(text: str) -> list[float]:
         return [float(t) for t in text.split(",") if t.strip()]
     except ValueError as exc:
         raise SpecFormatError(f"bad numeric list {text!r}") from exc
+
+
+def probe_count(text: str) -> int:
+    """Argument type of ``--probes``: an integer of at least 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def _named_group(name: str) -> GroupSpace:
@@ -227,7 +235,8 @@ def _run_norm(args, cfg: RunConfig) -> Report:
         rep.add("oracle-value", r.oracle_value)
         rep.add("provenance", "computed (minimization) vs computed (dual oracle)")
         rep.check("oracle-agreement", r.agreed,
-                  1e-6 * max(1.0, r.value) - abs(r.value - (r.oracle_value or 0.0)))
+                  ORACLE_AGREEMENT_RTOL * max(1.0, r.value)
+                  - abs(r.value - (r.oracle_value or 0.0)))
         n = luxemburg(pair.phi, f).value
         rep.check("norm-equivalence", n <= r.value + cfg.tol_slack
                   and r.value <= 2.0 * n + cfg.tol_slack,
@@ -499,7 +508,8 @@ def _run_suite(args, cfg: RunConfig) -> Report:
                 o = orlicz_norm(pair, f)
                 worst = min(worst, o.value + cfg.tol_slack - n,
                             2.0 * n + cfg.tol_slack - o.value,
-                            1e-6 * max(1.0, o.value) - abs(o.value - o.oracle_value))
+                            ORACLE_AGREEMENT_RTOL * max(1.0, o.value)
+                            - abs(o.value - o.oracle_value))
             entries.append((f"norm-equivalence.{gname}.{pname}",
                             worst >= 0.0, worst))
             sr = segal_report(space, pair, samples=max(4, args.samples // 2),
@@ -609,7 +619,7 @@ def _build_parser() -> argparse.ArgumentParser:
     pw.add_argument("--R", dest="ball_radius", type=float, default=32.0)
     pw.add_argument("--V-radius", "--v-radius", dest="v_radius", type=int, default=1)
     pw.add_argument("--window", type=int, default=256)
-    pw.add_argument("--probes", type=int, default=100)
+    pw.add_argument("--probes", type=probe_count, default=100)
     pw.add_argument("--f", default=None, help="left function data")
     pw.add_argument("--g", default=None, help="right function data")
 
@@ -636,7 +646,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="comma-separated names (default battery); '' for empty")
     suite.add_argument("--pairs", default=None)
     suite.add_argument("--samples", type=int, default=8)
-    suite.add_argument("--probes", type=int, default=20)
+    suite.add_argument("--probes", type=probe_count, default=20)
     return parser
 
 

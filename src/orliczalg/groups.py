@@ -279,8 +279,10 @@ def symmetric_group3() -> GroupSpace:
 class GroupFunction:
     """Finitely supported complex function; immutable by convention.
 
-    ``truncated`` marks results whose true value depends on mass outside
-    an integer window; it propagates through every operation.
+    Values are stored in carrier order at construction, so ``support``
+    and ``items()`` walk them without sorting. ``truncated`` marks results
+    whose true value depends on mass outside an integer window; it
+    propagates through every operation.
     """
 
     __slots__ = ("space", "_values", "truncated")
@@ -295,7 +297,7 @@ class GroupFunction:
             if c != 0:
                 vals[x] = c
         self.space = space
-        self._values = vals
+        self._values = {x: vals[x] for x in sorted(vals, key=space.index)}
         self.truncated = truncated
 
     # -- constructors ---------------------------------------------------
@@ -323,12 +325,11 @@ class GroupFunction:
 
     @property
     def support(self) -> tuple[Element, ...]:
-        return tuple(sorted(self._values, key=self.space.index))
+        return tuple(self._values)
 
     def items(self) -> Iterator[tuple[Element, complex]]:
         """(x, value) pairs in carrier order, for reproducible float sums."""
-        for x in self.support:
-            yield x, self._values[x]
+        return iter(self._values.items())
 
     @property
     def is_zero(self) -> bool:

@@ -1,10 +1,14 @@
 """Modular, Luxemburg-Nakano and Orlicz norms on finitely supported functions.
 
-The modular is rho_Phi(f) = sum_x Phi(|f(x)|) weight(x). The Luxemburg
-norm N_Phi(f) = inf{k > 0 : rho_Phi(f/k) <= 1} is found by a doubling
-bracket plus bisection on the strictly decreasing map k -> rho_Phi(f/k);
-the reported value is the upper bracket endpoint, so it is a sound upper
-bound for the true norm.
+The modular is rho_Phi(f) = sum_x Phi(|f(x)|) weight(x), summed in
+carrier order. ``modular(phi, f, c)`` is the single kernel for
+rho_Phi(c f): the root-finders below evaluate it at each step on f as
+given, without building a scaled function.
+
+The Luxemburg norm N_Phi(f) = inf{k > 0 : rho_Phi(f/k) <= 1} is found
+by a doubling bracket plus bisection on the strictly decreasing map
+k -> rho_Phi(f/k); the reported value is the upper bracket endpoint, so
+it is a sound upper bound for the true norm.
 
 The Orlicz norm, defined as sup{ sum |f g| dlam : rho_Psi(g) <= 1 }, is
 computed through the one-parameter minimization
@@ -15,7 +19,8 @@ which is unimodal in k, with golden-section search on a bracketing
 triple. The minimum over evaluated points again upper-bounds the true
 norm. An independent maximization oracle recovers the sup directly: the
 Lagrangian stationarity g_x = (Psi')^{-1}(|f_x| / mu) with mu chosen by
-root-finding on the active constraint rho_Psi(g) = 1, then a final
+root-finding on the active constraint rho_Psi(g) = 1 (the modular's
+Phi-sum on the values of g; g is built only at the final mu), then a final
 rescale by the Luxemburg norm of g so that feasibility is certified and
 the pairing sum is a sound lower bound. Primary value and oracle must
 agree or the report carries a disagreement flag, never a silent number.
@@ -60,16 +65,20 @@ class NormReport:
         return not any(f.startswith("oracle-") for f in self.flags)
 
 
-def modular(phi: NFunction, f: GroupFunction) -> float:
-    """rho_Phi(f) = sum_x Phi(|f(x)|) weight(x), in carrier order."""
+def _phi_sum(phi: NFunction, space: GroupSpace, pairs) -> float:
+    """sum Phi(a) weight(x) over (x, a) pairs with a >= 0, in the order given."""
     total = 0.0
-    for x, v in f.items():
-        a = abs(v)
+    for x, a in pairs:
         if a > phi.domain_cap:
             raise CapExceededError(
                 f"{phi.label}: |f({x!r})| = {a:g} exceeds the domain cap")
-        total += phi.evaluate(a) * f.space.weight_float(x)
+        total += phi.evaluate(a) * space.weight_float(x)
     return total
+
+
+def modular(phi: NFunction, f: GroupFunction, c: float = 1.0) -> float:
+    """rho_Phi(c f) = sum_x Phi(|c f(x)|) weight(x), in carrier order."""
+    return _phi_sum(phi, f.space, ((x, abs(c * v)) for x, v in f.items()))
 
 
 def luxemburg(phi: NFunction, f: GroupFunction, *, value_tol: float = 1e-12,
@@ -86,7 +95,7 @@ def luxemburg(phi: NFunction, f: GroupFunction, *, value_tol: float = 1e-12,
 
     def rho(k: float) -> float:
         try:
-            return modular(phi, f.scale(1.0 / k))
+            return modular(phi, f, 1.0 / k)
         except CapExceededError:
             return math.inf
 
@@ -145,8 +154,7 @@ def _oracle_maximizer(pair: ComplementaryPair, f: GroupFunction, *,
     space = f.space
     abs_f = [(x, abs(v)) for x, v in f.items()]
 
-    def g_of(mu: float) -> GroupFunction:
-        vals = {}
+    def g_values(mu: float):
         for x, a in abs_f:
             if a == 0.0:
                 continue
@@ -156,12 +164,11 @@ def _oracle_maximizer(pair: ComplementaryPair, f: GroupFunction, *,
             except CapExceededError:
                 y = psi.domain_cap
             if y > 0.0:
-                vals[x] = min(y, psi.domain_cap)
-        return GroupFunction(space, vals)
+                yield x, min(y, psi.domain_cap)
 
     def constraint(mu: float) -> float:
         try:
-            return modular(psi, g_of(mu))
+            return _phi_sum(psi, space, g_values(mu))
         except CapExceededError:
             return math.inf
 
@@ -184,12 +191,11 @@ def _oracle_maximizer(pair: ComplementaryPair, f: GroupFunction, *,
         else:
             hi = mid
         iters += 1
-    g = g_of(hi)  # rho_Psi(g) <= 1 at the upper endpoint
+    g = GroupFunction(space, dict(g_values(hi)))  # rho_Psi(g) <= 1 at the upper endpoint
     scale = luxemburg(psi, g).value
     if scale > 1.0:
         g = g.scale(1.0 / scale)
-    pairing = sum(abs(v) * abs(g(x)) * space.weight_float(x) for x, v in f.items())
-    return pairing, g, iters
+    return holder_pairing(f, g), g, iters
 
 
 def orlicz_norm(pair: ComplementaryPair, f: GroupFunction, *, cross_check: bool = True,
@@ -205,7 +211,7 @@ def orlicz_norm(pair: ComplementaryPair, f: GroupFunction, *, cross_check: bool 
         if k <= 0.0:
             return math.inf
         try:
-            return (1.0 + modular(phi, f.scale(k))) / k
+            return (1.0 + modular(phi, f, k)) / k
         except CapExceededError:
             return math.inf
 

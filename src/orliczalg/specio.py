@@ -31,6 +31,7 @@ rendering adds alignment and the wall-clock line.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Mapping, Sequence
@@ -173,7 +174,13 @@ def function_from_rows(space: GroupSpace, rows: Any) -> GroupFunction:
         x = _decode_element(row[0])
         if not space.contains(x):
             raise SpecFormatError(f"function data row {i}: {x!r} not in {space.name}")
-        vals[x] = complex(float(row[1]), float(row[2]))
+        try:
+            real, imag = float(row[1]), float(row[2])
+        except (TypeError, ValueError):
+            raise SpecFormatError(f"function data row {i}: values must be numbers") from None
+        if not (math.isfinite(real) and math.isfinite(imag)):
+            raise SpecFormatError(f"function data row {i}: non-finite value")
+        vals[x] = complex(real, imag)
     return GroupFunction(space, vals)
 
 
@@ -197,7 +204,12 @@ class Report:
         self.lines.append((key, _render_value(value)))
 
     def check(self, key: str, passed: bool, slack: float, detail: str = "") -> None:
-        """A check line: pass/fail, numeric slack, optional provenance."""
+        """A check line: pass/fail, numeric slack, optional provenance.
+
+        A check whose slack is not finite fails: NaN or an infinity means
+        the quantity it bounds was never computed as a number.
+        """
+        passed = passed and math.isfinite(slack)
         status = "pass" if passed else "FAIL"
         suffix = f" {detail}" if detail else ""
         self.lines.append((f"check.{key}", f"{status} slack={_render_value(slack)}{suffix}"))

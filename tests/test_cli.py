@@ -1,11 +1,13 @@
 """CLI behavior: verbs, exit codes, strict parsing, reproducible reports."""
 
 import json
+import math
 
 import pytest
 
 import orliczalg.cli as cli
 from orliczalg.errors import TheoremContradictionError
+from orliczalg.specio import Report
 
 Z8 = '{"type": "Zn", "n": 8}'
 QUAD = '{"kind": "power", "p": 2}'
@@ -241,3 +243,41 @@ def test_suite_forced_zero_tolerance_reports_float_slack(capsys):
                            "--tol-slack", "0")
     assert code == 1
     assert "check.inverse-product.power-2=FAIL" in out
+
+
+@pytest.mark.parametrize("verb", [("porosity", "witness"), ("suite",)])
+@pytest.mark.parametrize("probes", ["0", "-3"])
+def test_probe_count_below_one_exits_2_at_parse_time(capsys, verb, probes):
+    with pytest.raises(SystemExit) as exc:
+        cli.main([*verb, "--probes", probes])
+    assert exc.value.code == 2
+    assert "--probes: must be at least 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("norm_verb", ["modular", "luxemburg", "orlicz"])
+@pytest.mark.parametrize("row", ["[[0, NaN, 0]]", "[[0, Infinity, 0]]",
+                                 "[[1, 0.5, -Infinity]]"])
+def test_non_finite_function_data_exits_2(capsys, norm_verb, row):
+    code, out, err = run_cli(capsys, "norm", norm_verb, "--group", Z8,
+                             "--nfunction", QUAD, "--function", row)
+    assert code == 2
+    assert out == ""
+    assert "non-finite value" in err
+
+
+@pytest.mark.parametrize("row", ['[[0, "a", 0]]', "[[0, null, 0]]", "[[0, 1, [2]]]"])
+def test_non_numeric_function_data_exits_2(capsys, row):
+    code, out, err = run_cli(capsys, "norm", "luxemburg", "--group", Z8,
+                             "--nfunction", QUAD, "--function", row)
+    assert code == 2
+    assert out == ""
+    assert "values must be numbers" in err
+
+
+@pytest.mark.parametrize("slack", [math.nan, math.inf, -math.inf])
+def test_check_with_non_finite_slack_fails(slack):
+    rep = Report("probe")
+    rep.check("vacuous", True, slack)
+    assert rep.failures == ["vacuous"]
+    assert not rep.passed
+    assert "check.vacuous=FAIL" in rep.render()

@@ -1,0 +1,60 @@
+"""Machine reports compared byte for byte with committed golden files.
+
+The files under ``tests/golden/`` are the machine reports of a fixed set
+of runs. A change that is meant to keep every reported float (a
+speedup, a refactor) must keep this test passing unchanged. A change that
+moves floats on purpose regenerates the files and names the changed keys:
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+import io
+import json
+import sys
+from contextlib import redirect_stdout
+from pathlib import Path
+
+import pytest
+
+import orliczalg.cli as cli
+
+GOLDEN_DIR = Path(__file__).with_name("golden")
+
+PAIR_SPECS = {
+    "power-2": '{"kind": "power", "p": 2}',
+    "power-3": '{"kind": "power", "p": 3}',
+    "entropy": '{"kind": "entropy"}',
+    "cosh": '{"kind": "cosh"}',
+}
+Z8 = '{"type": "Zn", "n": 8}'
+Z8_FUNCTION = json.dumps([[0, 0.5, 0.25], [1, -1.25, 0.0], [3, 0.0, 2.0],
+                          [4, 0.125, 0.0], [6, 0.75, -0.5]])
+
+RUNS = {"suite-seed7": ("suite", "--seed", "7")}
+for _name, _spec in PAIR_SPECS.items():
+    RUNS[f"witness-{_name}-seed7"] = ("porosity", "witness", "--probes", "20",
+                                      "--seed", "7", "--nfunction", _spec)
+    for _verb in ("luxemburg", "orlicz", "modular"):
+        RUNS[f"norm-{_verb}-{_name}"] = ("norm", _verb, "--group", Z8,
+                                         "--nfunction", _spec, "--function", Z8_FUNCTION)
+
+
+def machine_report(argv) -> str:
+    buf = io.StringIO()
+    with redirect_stdout(buf):
+        code = cli.main(list(argv))
+    assert code == 0, argv
+    return buf.getvalue()
+
+
+@pytest.mark.parametrize("name", sorted(RUNS))
+def test_machine_report_matches_golden(name):
+    expected = (GOLDEN_DIR / f"{name}.txt").read_text(encoding="utf-8")
+    assert machine_report(RUNS[name]) == expected
+
+
+if __name__ == "__main__":
+    GOLDEN_DIR.mkdir(exist_ok=True)
+    for name, argv in sorted(RUNS.items()):
+        (GOLDEN_DIR / f"{name}.txt").write_text(machine_report(argv), encoding="utf-8")
+        print(f"wrote {name}.txt", file=sys.stderr)

@@ -247,3 +247,17 @@ def test_indicator_scale_add_roundtrip(values):
     f = GroupFunction(z6, {i: v for i, v in enumerate(values)})
     assert (f + (-f)).is_zero
     assert f.scale(2.0).max_abs_diff(f + f) <= 1e-12
+
+
+def test_values_are_kept_in_carrier_order(groups):
+    rng = Random(3)
+    for space in (*groups.values(), integer_window(16)):
+        values = {x: complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+                  for x in reversed(space.elements)}
+        f = GroupFunction(space, values)
+        assert f.support == space.elements
+        assert [x for x, _ in f.items()] == list(f.support)
+        assert [v for _, v in f.items()] == [values[x] for x in space.elements]
+        g = random_function(space, rng, support_size=space.size // 2)
+        assert list(g.support) == sorted(g.support, key=space.index)
+        assert [x for x, _ in g.items()] == list(g.support)

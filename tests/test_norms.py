@@ -7,9 +7,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from orliczalg.groups import GroupFunction, cyclic, random_function
+from orliczalg.errors import CapExceededError
+from orliczalg.groups import GroupFunction, cyclic, integer_window, random_function
 from orliczalg.nfunctions import CATALOG_PAIR_NAMES, pair_from_name, pair_power
-from orliczalg.norms import char_fn_norm, holder_pairing, luxemburg, modular, orlicz_norm
+from orliczalg.norms import (
+    _oracle_maximizer,
+    char_fn_norm,
+    holder_pairing,
+    luxemburg,
+    modular,
+    orlicz_norm,
+)
+from orliczalg.numerics import bracket_minimum, golden_min
 
 ALL_PAIRS = [pair_from_name(name) for name in CATALOG_PAIR_NAMES]
 
@@ -141,7 +150,6 @@ def test_quadratic_attains_equivalence_factor_two(z8):
 
 def test_holder_bound_for_oracle_witness(z8):
     # the oracle's maximizer g is feasible, so sum |f g| lam <= ||f||_Phi
-    from orliczalg.norms import _oracle_maximizer
     rng = Random(14)
     for pair in ALL_PAIRS:
         f = random_function(z8, rng)
@@ -160,3 +168,181 @@ def test_unit_ball_test_modular_iff_norm(z8):
         n = luxemburg(pair.phi, f).value
         rho = modular(pair.phi, f)
         assert (n <= 1.0 + 1e-12) == (rho <= 1.0 + 1e-9), (n, rho)
+
+
+# ---------------------------------------------------------------------------
+# independent oracles for the norm kernels
+# ---------------------------------------------------------------------------
+
+SCALES = [2.0 ** k for k in range(-30, 31)] + [1 / 3 * 2.0 ** k for k in range(-30, 31)]
+
+
+def _modular_or_cap(phi, f, *c):
+    try:
+        return modular(phi, f, *c)
+    except CapExceededError:
+        return "cap"
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.sampled_from([cyclic(8), integer_window(16)]), st.data())
+def test_modular_at_scale_equals_modular_of_scaled_function(space, data):
+    part = st.floats(-1e3, 1e3, allow_nan=False)  # subnormals included
+    values = data.draw(st.dictionaries(st.sampled_from(space.elements),
+                                       st.builds(complex, part, part),
+                                       min_size=1, max_size=8))
+    f = GroupFunction(space, values)
+    for pair in ALL_PAIRS:
+        for phi in (pair.phi, pair.psi):
+            for c in SCALES:
+                assert _modular_or_cap(phi, f, c) == _modular_or_cap(phi, f.scale(c)), \
+                    (phi.label, c)
+
+
+def _reference_modular(phi, f):
+    """rho_Phi(f) summed over the function object itself."""
+    total = 0.0
+    for x, v in f.items():
+        a = abs(v)
+        if a > phi.domain_cap:
+            raise CapExceededError(phi.label)
+        total += phi.evaluate(a) * f.space.weight_float(x)
+    return total
+
+
+def _reference_luxemburg(phi, f, value_tol=1e-12, max_iter=200):
+    """Bracket and bisection that build f/k as a function at every step."""
+    def rho(k):
+        try:
+            return _reference_modular(phi, f.scale(1.0 / k))
+        except CapExceededError:
+            return math.inf
+
+    hi = f.sup_norm()
+    iters = 0
+    while rho(hi) > 1.0:
+        hi *= 2.0
+        iters += 1
+    lo = hi
+    while rho(lo) <= 1.0 and lo > 1e-300:
+        lo *= 0.5
+        iters += 1
+    residual = abs(rho(hi) - 1.0)
+    while iters < max_iter:
+        mid = 0.5 * (lo + hi)
+        if mid <= lo or mid >= hi:
+            break
+        r = rho(mid)
+        if r <= 1.0:
+            hi = mid
+            residual = abs(r - 1.0)
+        else:
+            lo = mid
+        iters += 1
+        if residual <= value_tol:
+            break
+    return hi, residual, iters
+
+
+def _reference_oracle(pair, f, max_iter=200):
+    """The dual maximiser, building g_mu as a function at every step."""
+    psi = pair.psi
+    abs_f = [(x, abs(v)) for x, v in f.items()]
+
+    def g_of(mu):
+        vals = {}
+        for x, a in abs_f:
+            if a == 0.0:
+                continue
+            try:
+                y = psi.deriv_inverse(a / mu)
+            except CapExceededError:
+                y = psi.domain_cap
+            if y > 0.0:
+                vals[x] = min(y, psi.domain_cap)
+        return GroupFunction(f.space, vals)
+
+    def constraint(mu):
+        try:
+            return _reference_modular(psi, g_of(mu))
+        except CapExceededError:
+            return math.inf
+
+    lo = hi = 1.0
+    iters = 0
+    while constraint(hi) > 1.0:
+        hi *= 2.0
+        iters += 1
+    while constraint(lo) < 1.0 and lo > 1e-300:
+        lo *= 0.5
+        iters += 1
+    while iters < max_iter:
+        mid = 0.5 * (lo + hi)
+        if mid <= lo or mid >= hi:
+            break
+        if constraint(mid) >= 1.0:
+            lo = mid
+        else:
+            hi = mid
+        iters += 1
+    g = g_of(hi)
+    scale = _reference_luxemburg(psi, g)[0]
+    if scale > 1.0:
+        g = g.scale(1.0 / scale)
+    pairing = sum(abs(v) * abs(g(x)) * f.space.weight_float(x) for x, v in f.items())
+    return pairing, g, iters
+
+
+def _reference_orlicz(pair, f):
+    """Amemiya minimisation building k f as a function at every step."""
+    def objective(k):
+        if k <= 0.0:
+            return math.inf
+        try:
+            return (1.0 + _reference_modular(pair.phi, f.scale(k))) / k
+        except CapExceededError:
+            return math.inf
+
+    a, _, c = bracket_minimum(objective, 1.0 / f.sup_norm())
+    res = golden_min(objective, a, c, rel_tol=1e-12)
+    return res.value, res.iterations
+
+
+@pytest.mark.parametrize("pair_name", CATALOG_PAIR_NAMES)
+def test_norms_equal_per_step_scaled_reference(pair_name):
+    pair = pair_from_name(pair_name)
+    rng = Random(18)
+    for space in (cyclic(8), integer_window(16), cyclic(64)):
+        for _ in range(5):
+            f = random_function(space, rng, amplitude=3.0)
+            for phi in (pair.phi, pair.psi):
+                rep = luxemburg(phi, f)
+                assert (rep.value, rep.residual, rep.iterations) == \
+                    _reference_luxemburg(phi, f)
+            value, iterations = _reference_orlicz(pair, f)
+            pairing, g_ref, oracle_iters = _reference_oracle(pair, f)
+            plain = orlicz_norm(pair, f, cross_check=False)
+            assert (plain.value, plain.iterations) == (value, iterations)
+            rep = orlicz_norm(pair, f)
+            assert (rep.value, rep.oracle_value, rep.iterations) == \
+                (value, pairing, iterations + oracle_iters)
+            _, g, _ = _oracle_maximizer(pair, f)
+            assert g.support == g_ref.support
+            assert g.max_abs_diff(g_ref) == 0.0
+
+
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+def test_power_norms_match_rao_ren_closed_forms(p):
+    # Phi(x) = x^p/p: N_Phi(f) = p^(-1/p) ||f||_p and ||f||_Phi = q^(1/q) ||f||_p
+    pair = pair_power(p)
+    q = p / (p - 1.0)
+    rng = Random(20)
+    for space in (cyclic(8), integer_window(16), cyclic(64)):
+        for _ in range(5):
+            f = random_function(space, rng, amplitude=3.0)
+            lp = math.fsum(abs(v) ** p * space.weight_float(x)
+                           for x, v in f.items()) ** (1.0 / p)
+            assert luxemburg(pair.phi, f).value == pytest.approx(p ** (-1.0 / p) * lp,
+                                                                 rel=1e-9)
+            assert orlicz_norm(pair, f).value == pytest.approx(q ** (1.0 / q) * lp,
+                                                               rel=1e-9)
