@@ -37,6 +37,24 @@ for _name, _spec in PAIR_SPECS.items():
     for _verb in ("luxemburg", "orlicz", "modular"):
         RUNS[f"norm-{_verb}-{_name}"] = ("norm", _verb, "--group", Z8,
                                          "--nfunction", _spec, "--function", Z8_FUNCTION)
+RUNS.update({
+    "nfunc-check-entropy": ("nfunc", "check", "--nfunction", PAIR_SPECS["entropy"]),
+    "nfunc-conjugate-cosh": ("nfunc", "conjugate", "--nfunction", PAIR_SPECS["cosh"]),
+    "aphi-bound-budget1-power-3": ("aphi", "bound", "--budget", "1", "--group", Z8,
+                                   "--nfunction", PAIR_SPECS["power-3"],
+                                   "--function", Z8_FUNCTION),
+    "segal-report-Z6-entropy": ("segal", "report", "--group", '{"type": "Zn", "n": 6}',
+                                "--nfunction", PAIR_SPECS["entropy"], "--samples", "6",
+                                "--seed", "7"),
+    "unit-check-Z6-cosh": ("unit", "check", "--group", '{"type": "Zn", "n": 6}',
+                           "--nfunction", PAIR_SPECS["cosh"]),
+    "characters-brute-Z2xZ2": ("characters", "brute", "--group",
+                               '{"type": "product", "factors": '
+                               '[{"type": "Zn", "n": 2}, {"type": "Zn", "n": 2}]}'),
+    "group-check-S3": ("group", "check", "--group", '{"type": "S3"}'),
+    "group-check-Zwindow256-seed7": ("group", "check", "--group",
+                                     '{"type": "Zwindow", "radius": 256}', "--seed", "7"),
+})
 
 
 def machine_report(argv) -> str:
