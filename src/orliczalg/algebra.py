@@ -21,7 +21,6 @@ bound t < Phi^{-1}(t) Psi^{-1}(t). Every step carries its numeric slack.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -126,24 +125,6 @@ def merged_decomposition(u: GroupFunction) -> Decomposition:
                          target=u)
 
 
-def rebalanced(d: Decomposition, pair: ComplementaryPair) -> Decomposition:
-    """Scale each term so N_Phi(f_i) = ||g_i||_Psi.
-
-    Cost-neutral by 1-homogeneity of both norms; kept as a canonical form
-    so witnesses are stable under rescaling of their factors.
-    """
-    terms = []
-    for f, g in d.terms:
-        nf = luxemburg(pair.phi, f).value
-        ng = orlicz_norm(pair.swap(), g, cross_check=False).value
-        if nf > 0.0 and ng > 0.0:
-            s = math.sqrt(ng / nf)
-            terms.append((f.scale(s), g.scale(1.0 / s)))
-        else:
-            terms.append((f, g))
-    return Decomposition(terms=tuple(terms), target=d.target)
-
-
 def _is_indicator_like(u: GroupFunction) -> complex | None:
     """The common value when all nonzero values of u coincide, else None."""
     vals = {v for _, v in u.items()}
@@ -156,8 +137,8 @@ def algebra_norm_upper(u: GroupFunction, pair: ComplementaryPair, *,
                        budget: int = 3) -> NormBracket:
     """Best decomposition cost found within the move budget.
 
-    budget 0 returns the atomic bound; higher budgets add the merged
-    single pair, the cost-neutral rebalance, and single-pair plateau
+    budget 0 returns the atomic bound; budget 1 or 2 adds the merged
+    single pair, and budget 3 or more also tries single-pair plateau
     restarts for indicator-like targets. Deterministic given the budget.
     """
     lower = u.sup_norm()
@@ -190,9 +171,6 @@ def algebra_norm_upper(u: GroupFunction, pair: ComplementaryPair, *,
         if best is None or cost < best[0]:
             best = (cost, cand)
     cost, witness = best
-    if budget >= 2:
-        witness = rebalanced(witness, pair)
-        cost = min(cost, decomposition_cost(witness, pair, validate=False))
     return NormBracket(upper=cost, lower=lower, witness=witness)
 
 
@@ -417,7 +395,7 @@ class SubmultReport:
 
 
 def submultiplicativity_report(u: GroupFunction, v: GroupFunction,
-                               pair: ComplementaryPair, *, budget: int = 1) -> SubmultReport:
+                               pair: ComplementaryPair) -> SubmultReport:
     """Verify the closure chain on a finite normalized carrier.
 
     alpha = N_Phi(1_G) = 1 / Phi^{-1}(1) (closed form, cross-checked by
@@ -440,7 +418,7 @@ def submultiplicativity_report(u: GroupFunction, v: GroupFunction,
     given = Decomposition(terms=((u, reflect(v)),), target=w)
     given.validate()
     cost_given = decomposition_cost(given, pair, validate=False)
-    bracket = algebra_norm_upper(w, pair, budget=budget)
+    bracket = algebra_norm_upper(w, pair, budget=1)
     upper = min(cost_given, bracket.upper)
     middle = cost_given
     outer = alpha_closed * beta * u.sup_norm() * v.sup_norm()

@@ -124,8 +124,8 @@ def _parse_points(text: str) -> list[float]:
         raise SpecFormatError(f"bad numeric list {text!r}") from exc
 
 
-def probe_count(text: str) -> int:
-    """Argument type of ``--probes``: an integer of at least 1."""
+def positive_count(text: str) -> int:
+    """Argument type of ``--probes`` and ``--samples``: an integer of at least 1."""
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
@@ -195,10 +195,6 @@ def _run_nfunc_check(args, cfg: RunConfig) -> Report:
     return rep
 
 
-def _function_arg(space: GroupSpace, source: str) -> GroupFunction:
-    return function_from_rows(space, source)
-
-
 def _run_norm(args, cfg: RunConfig) -> Report:
     rep = Report(f"norm {args.norm_verb}")
     space = group_from_spec(args.group)
@@ -215,7 +211,7 @@ def _run_norm(args, cfg: RunConfig) -> Report:
         rep.check("closed-form-vs-bisection", abs(value - chk.value) <= 1e-10,
                   1e-10 - abs(value - chk.value))
         return rep
-    f = _function_arg(space, args.function)
+    f = function_from_rows(space, args.function)
     rep.add("support-size", len(f.support))
     if args.norm_verb == "modular":
         rep.add("value", modular(pair.phi, f))
@@ -258,8 +254,8 @@ def _run_group(args, cfg: RunConfig) -> Report:
         if not space.is_window:
             rep.check("normalized", space.total_mass() == 1, 0.0, "sum of weights = 1")
     elif args.group_verb == "convolve":
-        f = _function_arg(space, args.left)
-        g = _function_arg(space, args.right)
+        f = function_from_rows(space, args.left)
+        g = function_from_rows(space, args.right)
         out = convolve(f, g)
         rep.add("truncated", out.truncated)
         for x, v in out.items():
@@ -289,7 +285,7 @@ def _run_aphi(args, cfg: RunConfig) -> Report:
     rep.add("group", space.name)
     rep.add("nfunction", pair.phi.label)
     if args.aphi_verb == "bound":
-        f = _function_arg(space, args.function)
+        f = function_from_rows(space, args.function)
         bracket = algebra_norm_upper(f, pair, budget=args.budget)
         rep.add("budget", args.budget)
         rep.add("lower", bracket.lower)
@@ -323,8 +319,8 @@ def _run_aphi(args, cfg: RunConfig) -> Report:
             rep.check(f"cost-{label}-below-bound", cost < cert.cost_bound,
                       cert.cost_bound - cost)
     else:  # submult
-        u = _function_arg(space, args.left)
-        v = _function_arg(space, args.right)
+        u = function_from_rows(space, args.left)
+        v = function_from_rows(space, args.right)
         sub = submultiplicativity_report(u, v, pair)
         rep.add("alpha", sub.alpha)
         rep.add("beta", sub.beta)
@@ -348,8 +344,8 @@ def _run_porosity(args, cfg: RunConfig) -> Report:
     pair = pair_from_spec(args.nfunction)
     rep.add("window", args.window)
     rep.add("nfunction", pair.phi.label)
-    f = _function_arg(space, args.f) if args.f else _default_porosity_function(space)
-    g = _function_arg(space, args.g) if args.g else _default_porosity_function(space)
+    f = function_from_rows(space, args.f) if args.f else _default_porosity_function(space)
+    g = function_from_rows(space, args.g) if args.g else _default_porosity_function(space)
     if not args.f:
         rep.add("f", "indicator of [-5, 5] (default)")
     if not args.g:
@@ -619,7 +615,7 @@ def _build_parser() -> argparse.ArgumentParser:
     pw.add_argument("--R", dest="ball_radius", type=float, default=32.0)
     pw.add_argument("--V-radius", "--v-radius", dest="v_radius", type=int, default=1)
     pw.add_argument("--window", type=int, default=256)
-    pw.add_argument("--probes", type=probe_count, default=100)
+    pw.add_argument("--probes", type=positive_count, default=100)
     pw.add_argument("--f", default=None, help="left function data")
     pw.add_argument("--g", default=None, help="right function data")
 
@@ -627,7 +623,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sr = seg.add_parser("report", parents=[common])
     sr.add_argument("--group", required=True)
     sr.add_argument("--nfunction", required=True)
-    sr.add_argument("--samples", type=int, default=20)
+    sr.add_argument("--samples", type=positive_count, default=20)
 
     unit = tops.add_parser("unit").add_subparsers(dest="unit_verb", required=True)
     uc = unit.add_parser("check", parents=[common])
@@ -645,8 +641,8 @@ def _build_parser() -> argparse.ArgumentParser:
     suite.add_argument("--groups", default=None,
                        help="comma-separated names (default battery); '' for empty")
     suite.add_argument("--pairs", default=None)
-    suite.add_argument("--samples", type=int, default=8)
-    suite.add_argument("--probes", type=probe_count, default=20)
+    suite.add_argument("--samples", type=positive_count, default=8)
+    suite.add_argument("--probes", type=positive_count, default=20)
     return parser
 
 

@@ -112,8 +112,8 @@ class GroupSpace:
                     return (a, b)
         return None
 
-    def validate(self, *, sample_limit: int = 64, seed: int = 0) -> None:
-        """Group laws: exhaustive for small carriers, seeded sample beyond.
+    def validate(self, *, seed: int = 0) -> None:
+        """Group laws: exhaustive up to 64 elements, 512 seeded triples beyond.
 
         On windows, triples whose intermediate products exit are skipped
         (the law holds wherever both parenthesizations are defined).
@@ -127,7 +127,7 @@ class GroupSpace:
                 raise ScopeError(f"{self.name}: inverse of {x!r} not in carrier")
             if self.try_mul(xi, x) != e or self.try_mul(x, xi) != e:
                 raise ScopeError(f"{self.name}: inverse law fails at {x!r}")
-        if self.size <= sample_limit:
+        if self.size <= 64:
             triples: Iterable[tuple[Element, Element, Element]] = itertools.product(
                 self.elements, repeat=3)
         else:
@@ -535,7 +535,7 @@ def _key_for(space: GroupSpace, x: Element):
 
 
 def random_function(space: GroupSpace, rng: Random, *, support_size: int | None = None,
-                    amplitude: float = 1.0, complex_values: bool = True) -> GroupFunction:
+                    amplitude: float = 1.0) -> GroupFunction:
     """Seeded random function for sweeps and property tests."""
     if support_size is None:
         support_size = max(1, space.size // 2)
@@ -544,6 +544,6 @@ def random_function(space: GroupSpace, rng: Random, *, support_size: int | None 
     vals = {}
     for x in points:
         re = rng.uniform(-amplitude, amplitude)
-        im = rng.uniform(-amplitude, amplitude) if complex_values else 0.0
+        im = rng.uniform(-amplitude, amplitude)
         vals[x] = complex(re, im)
     return GroupFunction(space, vals)

@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
 
 from .errors import CapExceededError, InvalidNFunctionError
-from .numerics import bisect_increasing, expand_upward, geometric_grid, golden_max, solve_increasing
+from .numerics import geometric_grid, golden_max, solve_increasing
 
 # Values above this are treated as numeric overflow when locating domain caps.
 OVERFLOW_GUARD = 1e300
@@ -113,7 +113,7 @@ class NFunction:
             raise CapExceededError(
                 f"{self.label}: derivative stays below {y:g} up to the domain cap")
         res = solve_increasing(self.derivative, y, start=min(1.0, self.domain_cap),
-                               value_tol=ROOT_VALUE_TOL, prefer="best")
+                               value_tol=ROOT_VALUE_TOL)
         return res.x
 
     def inverse(self, t: float) -> float:
@@ -129,7 +129,7 @@ class NFunction:
         # Run to interval collapse: downstream ratio checks need far better
         # than the contractual 1e-12 (1+t) value residual at small t.
         res = solve_increasing(self.evaluate, t, start=min(1.0, self.domain_cap),
-                               value_tol=0.0, prefer="best")
+                               value_tol=0.0)
         return res.x
 
     def deriv_range_cap(self) -> float:
@@ -336,14 +336,10 @@ def conjugate_value(phi: NFunction, y: float) -> tuple[float, bool]:
     return res.value, False
 
 
-def conjugate(phi: NFunction, grid: Sequence[float] | None = None) -> NFunction:
+def conjugate(phi: NFunction) -> NFunction:
     """Numeric complementary N-function of phi.
 
-    Values are computed on demand and memoized (thread-safe); the
-    optional ``grid`` of positive ordinates is evaluated eagerly, which
-    also screens phi for convexity (the conjugate of any function is
-    convex, so non-convexity shows up as a failed Young check later, and
-    directly here as a decreasing increment pattern on the grid).
+    Values are computed on demand and memoized (thread-safe).
     """
     memo: dict[float, float] = {}
     lock = threading.Lock()
@@ -365,17 +361,8 @@ def conjugate(phi: NFunction, grid: Sequence[float] | None = None) -> NFunction:
     dv = None if phi.derivative is None else (lambda y: phi.deriv_inverse(y))
     dv_inv = None if phi.derivative is None else (lambda x: phi.derivative(x))
     cap = phi.deriv_range_cap()
-    psi = NFunction(kind="conjugate", label=f"conjugate({phi.label})", evaluate=ev,
-                    derivative=dv, domain_cap=cap, derivative_inverse=dv_inv)
-    if grid is not None:
-        values = [psi.evaluate(abs(y)) for y in grid]
-        finite = [v for v in values if math.isfinite(v)]
-        for a, b in zip(finite, finite[1:]):
-            if b < a - 1e-12 * (1.0 + abs(a)):
-                raise InvalidNFunctionError(
-                    f"conjugate of {phi.label} decreased along the grid; "
-                    "the source function violates convex N-type axioms")
-    return psi
+    return NFunction(kind="conjugate", label=f"conjugate({phi.label})", evaluate=ev,
+                     derivative=dv, domain_cap=cap, derivative_inverse=dv_inv)
 
 
 @dataclass(frozen=True)
@@ -390,8 +377,8 @@ class ComplementaryPair:
         return ComplementaryPair(phi=self.psi, psi=self.phi, construction=self.construction)
 
 
-def numeric_pair(phi: NFunction, grid: Sequence[float] | None = None) -> ComplementaryPair:
-    return ComplementaryPair(phi=phi, psi=conjugate(phi, grid), construction="numeric")
+def numeric_pair(phi: NFunction) -> ComplementaryPair:
+    return ComplementaryPair(phi=phi, psi=conjugate(phi), construction="numeric")
 
 
 def pair_power(p: float) -> ComplementaryPair:
@@ -443,14 +430,14 @@ def inverse_product_ratio(pair: ComplementaryPair, t: float) -> float:
     return pair.phi.inverse(t) * pair.psi.inverse(t) / t
 
 
-def default_grid(phi: NFunction) -> list[float]:
-    """Geometric sample of [1e-6, 1e6] clipped to the domain cap."""
-    hi = min(1e6, phi.domain_cap)
+def _capped_grid(lo: float, hi: float, cap: float, count: int) -> list[float]:
+    """count log-spaced points from lo to min(hi, cap), none above the cap."""
+    top = min(hi, cap)
     # exp/log round-tripping can overshoot the cap by one ulp
-    return [min(x, hi) for x in geometric_grid(1e-6, hi, 25)]
+    return [min(x, top) for x in geometric_grid(lo, top, count)]
 
 
-def validate_nfunction(phi: NFunction, *, convexity_tol: float = 1e-12) -> None:
+def validate_nfunction(phi: NFunction) -> None:
     """Desk-scale check of the N-function axioms on a geometric grid.
 
     Raises InvalidNFunctionError naming the first failed axiom. The limit
@@ -459,14 +446,14 @@ def validate_nfunction(phi: NFunction, *, convexity_tol: float = 1e-12) -> None:
     """
     if phi(0.0) != 0.0:
         raise InvalidNFunctionError(f"{phi.label}: Phi(0) = {phi(0.0):g} != 0")
-    grid = default_grid(phi)
+    grid = _capped_grid(1e-6, 1e6, phi.domain_cap, 25)
     vals = [phi(x) for x in grid]
     for (a, fa), (b, fb) in zip(zip(grid, vals), zip(grid[1:], vals[1:])):
         if not fa < fb:
             raise InvalidNFunctionError(
                 f"{phi.label}: not strictly increasing between {a:g} and {b:g}")
         mid = phi(0.5 * (a + b))
-        if mid > 0.5 * (fa + fb) + convexity_tol * (1.0 + fb):
+        if mid > 0.5 * (fa + fb) + 1e-12 * (1.0 + fb):
             raise InvalidNFunctionError(
                 f"{phi.label}: midpoint convexity fails between {a:g} and {b:g}")
     ratios = [v / x for x, v in zip(grid, vals)]
@@ -478,25 +465,24 @@ def validate_nfunction(phi: NFunction, *, convexity_tol: float = 1e-12) -> None:
         raise InvalidNFunctionError(f"{phi.label}: Phi(x)/x fails to grow toward the cap")
 
 
-def validate_pair(pair: ComplementaryPair, *, young_tol: float = 1e-9,
-                  biconjugacy_rtol: float = 1e-6) -> None:
+def validate_pair(pair: ComplementaryPair) -> None:
     """Young inequality on a grid square plus biconjugacy against phi."""
     validate_nfunction(pair.phi)
     validate_nfunction(pair.psi)
-    xs = geometric_grid(1e-3, min(1e2, pair.phi.domain_cap), 9)
-    ys = geometric_grid(1e-3, min(1e2, pair.psi.domain_cap), 9)
+    xs = _capped_grid(1e-3, 1e2, pair.phi.domain_cap, 9)
+    ys = _capped_grid(1e-3, 1e2, pair.psi.domain_cap, 9)
     for x in xs:
         for y in ys:
             gap = young_gap(pair, x, y)
-            if gap < -young_tol * (1.0 + pair.phi(x) + pair.psi(y)):
+            if gap < -1e-9 * (1.0 + pair.phi(x) + pair.psi(y)):
                 raise InvalidNFunctionError(
                     f"({pair.phi.label}, {pair.psi.label}): Young gap {gap:g} "
                     f"at ({x:g}, {y:g})")
     again = conjugate(pair.psi)
-    for x in geometric_grid(1e-2, min(1e2, pair.phi.domain_cap), 9):
+    for x in _capped_grid(1e-2, 1e2, pair.phi.domain_cap, 9):
         want = pair.phi(x)
         got = again(x)
-        if abs(got - want) > biconjugacy_rtol * (1.0 + abs(want)):
+        if abs(got - want) > 1e-6 * (1.0 + abs(want)):
             raise InvalidNFunctionError(
                 f"({pair.phi.label}, {pair.psi.label}): biconjugacy off at x = {x:g}: "
                 f"{got:g} vs {want:g}")

@@ -81,12 +81,12 @@ def modular(phi: NFunction, f: GroupFunction, c: float = 1.0) -> float:
     return _phi_sum(phi, f.space, ((x, abs(c * v)) for x, v in f.items()))
 
 
-def luxemburg(phi: NFunction, f: GroupFunction, *, value_tol: float = 1e-12,
-              max_iter: int = 200) -> NormReport:
+def luxemburg(phi: NFunction, f: GroupFunction) -> NormReport:
     """Luxemburg-Nakano norm by doubling bracket plus bisection.
 
     Returns the upper endpoint k with rho_Phi(f/k) <= 1 (sound upper
-    bound); residual is |rho_Phi(f/value) - 1|.
+    bound); residual is |rho_Phi(f/value) - 1|. Bisection stops at a
+    residual of 1e-12, at float collapse, or at 200 steps in all.
     """
     flags = ("truncated-input",) if f.truncated else ()
     if f.is_zero:
@@ -113,7 +113,7 @@ def luxemburg(phi: NFunction, f: GroupFunction, *, value_tol: float = 1e-12,
         iters += 1
     # Invariant: rho(f/lo) > 1 >= rho(f/hi); bisect to float collapse.
     residual = abs(rho(hi) - 1.0)
-    while iters < max_iter:
+    while iters < 200:
         mid = 0.5 * (lo + hi)
         if mid <= lo or mid >= hi:
             break
@@ -124,7 +124,7 @@ def luxemburg(phi: NFunction, f: GroupFunction, *, value_tol: float = 1e-12,
         else:
             lo = mid
         iters += 1
-        if residual <= value_tol:
+        if residual <= 1e-12:
             break
     return NormReport(value=hi, method="bisection", residual=residual,
                       iterations=iters, flags=flags)
@@ -142,8 +142,8 @@ def char_fn_norm(phi: NFunction, space: GroupSpace, subset) -> float:
     return 1.0 / phi.inverse(1.0 / lam)
 
 
-def _oracle_maximizer(pair: ComplementaryPair, f: GroupFunction, *,
-                      max_iter: int = 200) -> tuple[float, GroupFunction, int]:
+def _oracle_maximizer(pair: ComplementaryPair,
+                      f: GroupFunction) -> tuple[float, GroupFunction, int]:
     """Certified lower bound for the Orlicz norm via the dual program.
 
     Solves rho_Psi(g) = 1 over g_x = (Psi')^{-1}(|f_x| / mu) by monotone
@@ -182,7 +182,7 @@ def _oracle_maximizer(pair: ComplementaryPair, f: GroupFunction, *,
     while constraint(lo) < 1.0 and lo > 1e-300:
         lo *= 0.5
         iters += 1
-    while iters < max_iter:
+    while iters < 200:
         mid = 0.5 * (lo + hi)
         if mid <= lo or mid >= hi:
             break
@@ -198,8 +198,8 @@ def _oracle_maximizer(pair: ComplementaryPair, f: GroupFunction, *,
     return holder_pairing(f, g), g, iters
 
 
-def orlicz_norm(pair: ComplementaryPair, f: GroupFunction, *, cross_check: bool = True,
-                rel_tol: float = 1e-12) -> NormReport:
+def orlicz_norm(pair: ComplementaryPair, f: GroupFunction, *,
+                cross_check: bool = True) -> NormReport:
     """Orlicz norm by the one-parameter minimization, oracle cross-checked."""
     flags: tuple[str, ...] = ("truncated-input",) if f.truncated else ()
     if f.is_zero:
@@ -217,7 +217,7 @@ def orlicz_norm(pair: ComplementaryPair, f: GroupFunction, *, cross_check: bool 
 
     k0 = 1.0 / f.sup_norm()
     a, _, c = bracket_minimum(objective, k0)
-    res = golden_min(objective, a, c, rel_tol=rel_tol)
+    res = golden_min(objective, a, c)
     value, iterations = res.value, res.iterations
     oracle_value = None
     if cross_check:

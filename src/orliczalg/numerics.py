@@ -2,9 +2,8 @@
 
 Everything here is deterministic and allocation-free: doubling brackets,
 plain bisection with a function-value stopping rule, and golden-section
-search on a unimodal bracket. The callers need sound one-sided answers
-(e.g. an upper endpoint whose function value is certified on the right
-side of the target), so the kernels return both endpoints.
+search on a unimodal bracket. Root results carry the final bracket as
+well as the evaluated point of smallest residual.
 """
 
 from __future__ import annotations
@@ -20,9 +19,8 @@ _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 class RootResult:
     """Bracketed root of a monotone function.
 
-    ``lo``/``hi`` satisfy f(lo) <= target <= f(hi) for a nondecreasing f
-    (mirrored for nonincreasing). ``x`` is the endpoint the caller asked
-    to be on the safe side; ``residual`` is |f(x) - target|.
+    ``lo``/``hi`` satisfy f(lo) <= target <= f(hi) for a nondecreasing f.
+    ``x`` is the evaluated point with the smallest residual |f(x) - target|.
     """
 
     x: float
@@ -32,30 +30,27 @@ class RootResult:
     iterations: int
 
 
-def expand_upward(f: Callable[[float], float], target: float, start: float = 1.0,
-                  limit: float = 1e308) -> float:
+def expand_upward(f: Callable[[float], float], target: float, start: float = 1.0) -> float:
     """Smallest tested x with f(x) >= target, doubling from ``start``.
 
     f must be nondecreasing with f(x) -> sup f as x grows. Raises
-    OverflowError if the limit is hit first.
+    OverflowError if x passes 1e308 first.
     """
     x = start
     while f(x) < target:
         x *= 2.0
-        if x > limit:
-            raise OverflowError(f"no x <= {limit:g} with f(x) >= {target:g}")
+        if x > 1e308:
+            raise OverflowError(f"no x <= 1e+308 with f(x) >= {target:g}")
     return x
 
 
 def bisect_increasing(f: Callable[[float], float], target: float, lo: float, hi: float,
-                      *, value_tol: float = 1e-12, max_iter: int = 200,
-                      prefer: str = "hi") -> RootResult:
+                      *, value_tol: float = 1e-12) -> RootResult:
     """Solve f(x) = target for nondecreasing f on [lo, hi].
 
-    Stops when |f(mid) - target| <= value_tol * (1 + |target|) or the
-    interval collapses to adjacent floats. ``prefer`` selects which
-    endpoint is reported as ``x``: "hi" guarantees f(x) >= target - tol,
-    "lo" the mirror image, "best" the smaller residual.
+    Stops when |f(mid) - target| <= value_tol * (1 + |target|), the
+    interval collapses to adjacent floats, or after 200 steps. Reports as
+    ``x`` the evaluated point with the smallest residual.
     """
     scale = value_tol * (1.0 + abs(target))
     f_lo, f_hi = f(lo), f(hi)
@@ -65,7 +60,7 @@ def bisect_increasing(f: Callable[[float], float], target: float, lo: float, hi:
     best_x, best_r = (lo, abs(f_lo - target))
     if abs(f_hi - target) < best_r:
         best_x, best_r = hi, abs(f_hi - target)
-    while iters < max_iter:
+    while iters < 200:
         mid = 0.5 * (lo + hi)
         if mid <= lo or mid >= hi:
             break
@@ -74,31 +69,23 @@ def bisect_increasing(f: Callable[[float], float], target: float, lo: float, hi:
         if r < best_r:
             best_x, best_r = mid, r
         if f_mid < target:
-            lo, f_lo = mid, f_mid
+            lo = mid
         else:
-            hi, f_hi = mid, f_mid
+            hi = mid
         iters += 1
         if r <= scale:
             break
-    if prefer == "hi":
-        x, residual = hi, abs(f_hi - target)
-    elif prefer == "lo":
-        x, residual = lo, abs(f_lo - target)
-    else:
-        x, residual = best_x, best_r
-    return RootResult(x=x, lo=lo, hi=hi, residual=residual, iterations=iters)
+    return RootResult(x=best_x, lo=lo, hi=hi, residual=best_r, iterations=iters)
 
 
 def solve_increasing(f: Callable[[float], float], target: float, *,
-                     start: float = 1.0, value_tol: float = 1e-12,
-                     max_iter: int = 200, prefer: str = "best") -> RootResult:
+                     start: float = 1.0, value_tol: float = 1e-12) -> RootResult:
     """Doubling bracket plus bisection for nondecreasing f with f(0) <= target."""
     if f(0.0) > target:
         raise ValueError("f(0) already exceeds the target")
     hi = expand_upward(f, target, start=start)
     lo = 0.0 if hi == start else hi / 2.0
-    return bisect_increasing(f, target, lo, hi, value_tol=value_tol,
-                             max_iter=max_iter, prefer=prefer)
+    return bisect_increasing(f, target, lo, hi, value_tol=value_tol)
 
 
 @dataclass(frozen=True)
@@ -108,36 +95,36 @@ class MinResult:
     iterations: int
 
 
-def bracket_minimum(f: Callable[[float], float], x0: float, *, factor: float = 2.0,
-                    max_steps: int = 200) -> tuple[float, float, float]:
-    """Geometric scan around x0 > 0 for a unimodal triple a < b < c with
-    f(b) <= min(f(a), f(c)). Infinite values are treated as large."""
-    a, b, c = x0 / factor, x0, x0 * factor
+def bracket_minimum(f: Callable[[float], float], x0: float) -> tuple[float, float, float]:
+    """Doubling scan around x0 > 0 for a unimodal triple a < b < c with
+    f(b) <= min(f(a), f(c)), in at most 200 steps. Infinite values are
+    treated as large."""
+    a, b, c = x0 / 2.0, x0, x0 * 2.0
     fa, fb, fc = f(a), f(b), f(c)
     steps = 0
     while not (fb <= fa and fb <= fc):
         if fa < fb:
-            a, b, c = a / factor, a, b
+            a, b, c = a / 2.0, a, b
             fa, fb, fc = f(a), fa, fb
         else:
-            a, b, c = b, c, c * factor
+            a, b, c = b, c, c * 2.0
             fa, fb, fc = fb, fc, f(c)
         steps += 1
-        if steps > max_steps:
+        if steps > 200:
             raise ValueError("failed to bracket a minimum; function may not be unimodal")
     return a, b, c
 
 
 def golden_min(f: Callable[[float], float], lo: float, hi: float, *,
-               rel_tol: float = 1e-12, max_iter: int = 400) -> MinResult:
-    """Golden-section minimization of a unimodal f on [lo, hi]."""
+               rel_tol: float = 1e-12) -> MinResult:
+    """Golden-section minimization of a unimodal f on [lo, hi], at most 400 steps."""
     a, b = lo, hi
     x1 = b - _GOLDEN * (b - a)
     x2 = a + _GOLDEN * (b - a)
     f1, f2 = f(x1), f(x2)
     best_x, best_f = (x1, f1) if f1 <= f2 else (x2, f2)
     iters = 0
-    while (b - a) > rel_tol * (abs(a) + abs(b)) and iters < max_iter:
+    while (b - a) > rel_tol * (abs(a) + abs(b)) and iters < 400:
         if f1 <= f2:
             b, x2, f2 = x2, x1, f1
             x1 = b - _GOLDEN * (b - a)
@@ -155,8 +142,8 @@ def golden_min(f: Callable[[float], float], lo: float, hi: float, *,
 
 
 def golden_max(f: Callable[[float], float], lo: float, hi: float, *,
-               rel_tol: float = 1e-12, max_iter: int = 400) -> MinResult:
-    res = golden_min(lambda x: -f(x), lo, hi, rel_tol=rel_tol, max_iter=max_iter)
+               rel_tol: float = 1e-12) -> MinResult:
+    res = golden_min(lambda x: -f(x), lo, hi, rel_tol=rel_tol)
     return MinResult(x=res.x, value=-res.value, iterations=res.iterations)
 
 

@@ -34,7 +34,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Mapping, Sequence
+from typing import Any, Mapping
 
 from .errors import SpecFormatError
 from .groups import (
@@ -49,12 +49,13 @@ from .groups import (
 from .nfunctions import (
     ComplementaryPair,
     NFunction,
-    cosh_dual,
     cosh_minus_one,
     entropy,
-    entropy_dual,
     from_table,
     numeric_pair,
+    pair_cosh,
+    pair_entropy,
+    pair_power,
     power,
 )
 
@@ -151,15 +152,11 @@ def pair_from_spec(spec: Any) -> ComplementaryPair:
     if isinstance(spec, (str, Path)):
         spec = read_json(spec)
     phi = nfunction_from_spec(spec)
-    if spec.get("construction") == "numeric" or spec["kind"] == "custom":
+    if spec.get("construction") == "numeric" or phi.kind == "custom":
         return numeric_pair(phi)
-    if spec["kind"] == "power":
-        p = float(spec["p"])
-        return ComplementaryPair(phi=phi, psi=power(p / (p - 1.0)),
-                                 construction="closed-form")
-    if spec["kind"] == "entropy":
-        return ComplementaryPair(phi=phi, psi=entropy_dual(), construction="closed-form")
-    return ComplementaryPair(phi=phi, psi=cosh_dual(), construction="closed-form")
+    if phi.kind == "power":
+        return pair_power(phi.params["p"])
+    return pair_entropy() if phi.kind == "entropy" else pair_cosh()
 
 
 def function_from_rows(space: GroupSpace, rows: Any) -> GroupFunction:

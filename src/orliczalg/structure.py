@@ -13,8 +13,11 @@ functionals u -> sum_x u(x) w(x) lam(x) for group homomorphisms w into
 roots of unity. Two independent routes are provided: enumeration by
 generator images (consistency-checked over the full table) and an
 exhaustive search over root-of-unity weight vectors constrained only by
-multiplicativity on point masses. Both use exact exponent arithmetic
-modulo the group exponent; complex values appear only in reports.
+multiplicativity on point masses, whose result must equal the first
+route's. Both use exact exponent arithmetic modulo the group exponent;
+complex values appear only in reports. The search enumerates
+L^(|G|-1) weight vectors and refuses to start above
+BRUTE_SEARCH_LIMIT of them.
 """
 
 from __future__ import annotations
@@ -42,6 +45,8 @@ from .nfunctions import ComplementaryPair
 
 TRANSLATION_COST_TOL = 1e-12
 DOMINATION_TOL = 1e-9
+#: largest number of weight vectors the brute character search enumerates
+BRUTE_SEARCH_LIMIT = 2 ** 21
 
 
 @dataclass(frozen=True)
@@ -78,7 +83,7 @@ def _translated_decomposition(d: Decomposition, t, side: str) -> Decomposition:
 
 
 def segal_report(space: GroupSpace, pair: ComplementaryPair, *, samples: int = 20,
-                 seed: int = 0, budget: int = 1) -> SegalReport:
+                 seed: int = 0) -> SegalReport:
     """Machine check of the symmetric Segal axioms on a finite group."""
     space.require_normalized("Segal report")
     rng = Random(seed)
@@ -102,7 +107,7 @@ def segal_report(space: GroupSpace, pair: ComplementaryPair, *, samples: int = 2
     functions.append(GroupFunction.zero(space))
     brackets = []
     for f in functions:
-        br = algebra_norm_upper(f, pair, budget=budget)
+        br = algebra_norm_upper(f, pair, budget=1)
         brackets.append((f, br))
         worst_first = min(worst_first, f.sup_norm() - f.one_norm())
         worst_second = min(worst_second, br.upper - f.sup_norm())
@@ -164,7 +169,7 @@ class UnitReport:
 
 
 def convolution_unit(space: GroupSpace, pair: ComplementaryPair, *,
-                     epsilon: float = 1.0, budget: int = 1) -> UnitReport:
+                     epsilon: float = 1.0) -> UnitReport:
     """e = chi_e / lam({e}) with an exhaustive two-sided basis sweep.
 
     Also returns the pointwise unit 1_G produced as a certified plateau
@@ -180,7 +185,7 @@ def convolution_unit(space: GroupSpace, pair: ComplementaryPair, *,
         left = convolve(unit, d)
         right = convolve(d, unit)
         max_err = max(max_err, left.max_abs_diff(d), right.max_abs_diff(d))
-    bracket = algebra_norm_upper(unit, pair, budget=budget)
+    bracket = algebra_norm_upper(unit, pair, budget=1)
     one, cert = build_plateau(space, space.elements, pair, epsilon)
     return UnitReport(unit=unit, max_error=max_err, bracket=bracket,
                       pointwise_unit=one, pointwise_cert=cert)
@@ -319,8 +324,8 @@ def _verify_homomorphism(space: GroupSpace, c: Character) -> None:
                     f"character fails w(st) = w(s) w(t) at ({a!r}, {b!r})")
 
 
-def multiplicative_functional_search(space: GroupSpace, tolerance: float = 1e-9, *,
-                                     verify_against_enumeration: bool = True) -> CharacterSet:
+def multiplicative_functional_search(space: GroupSpace,
+                                     tolerance: float = 1e-9) -> CharacterSet:
     """Independent oracle: exhaustive root-of-unity weight search.
 
     Solves phi(delta_s * delta_t) = phi(delta_s) phi(delta_t) for a
@@ -330,13 +335,17 @@ def multiplicative_functional_search(space: GroupSpace, tolerance: float = 1e-9,
     cannot kill delta_e. Boundedness of the functionals is automatic at
     finite scale.
     ``tolerance`` gates a float spot-check of the convolution identity,
-    and the result set is asserted equal to the generator-image route
-    unless ``verify_against_enumeration`` is switched off.
+    and the result set is asserted equal to the generator-image route.
+    Raises ScopeError when L^(|G|-1) exceeds BRUTE_SEARCH_LIMIT.
     """
     _require_finite_abelian(space, "multiplicative functional search")
     L, _ = group_exponent(space)
     e_idx = space.index(space.identity)
     n = space.size
+    if L ** (n - 1) > BRUTE_SEARCH_LIMIT:
+        raise ScopeError(
+            f"multiplicative functional search on {space.name} would enumerate "
+            f"{L}^{n - 1} weight vectors, above the limit of {BRUTE_SEARCH_LIMIT}")
     mul_idx = [[space.index(space.mul(a, b)) for b in space.elements]
                for a in space.elements]
     positions = [i for i in range(n) if i != e_idx]
@@ -359,12 +368,11 @@ def multiplicative_functional_search(space: GroupSpace, tolerance: float = 1e-9,
             found.append(Character(order=L, exponents=tuple(expo)))
     found.sort(key=lambda c: c.exponents)
     result = CharacterSet(space_name=space.name, order=L, characters=tuple(found))
-    if verify_against_enumeration:
-        other = enumerate_characters(space)
-        if result.exponent_set() != other.exponent_set():
-            raise OrliczAlgebraError(
-                f"{space.name}: weight search found {len(result)} functionals, "
-                f"enumeration {len(other)}; the routes must agree exactly")
+    other = enumerate_characters(space)
+    if result.exponent_set() != other.exponent_set():
+        raise OrliczAlgebraError(
+            f"{space.name}: weight search found {len(result)} functionals, "
+            f"enumeration {len(other)}; the routes must agree exactly")
     # float spot-check: the pairing is multiplicative on point masses
     rng = Random(0)
     for c in result.characters:

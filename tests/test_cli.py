@@ -2,6 +2,7 @@
 
 import json
 import math
+import time
 
 import pytest
 
@@ -252,6 +253,34 @@ def test_probe_count_below_one_exits_2_at_parse_time(capsys, verb, probes):
         cli.main([*verb, "--probes", probes])
     assert exc.value.code == 2
     assert "--probes: must be at least 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("verb", [("suite",),
+                                  ("segal", "report", "--group", Z8, "--nfunction", QUAD)])
+@pytest.mark.parametrize("samples", ["0", "-3"])
+def test_sample_count_below_one_exits_2_at_parse_time(capsys, verb, samples):
+    with pytest.raises(SystemExit) as exc:
+        cli.main([*verb, "--samples", samples])
+    assert exc.value.code == 2
+    assert "--samples: must be at least 1" in capsys.readouterr().err
+
+
+def test_characters_brute_beyond_search_limit_exits_3_before_enumerating(capsys):
+    started = time.monotonic()
+    code, out, err = run_cli(capsys, "characters", "brute", "--group",
+                             '{"type": "Zn", "n": 10}')
+    assert time.monotonic() - started < 1.0
+    assert code == 3
+    assert out == ""
+    assert "10^9 weight vectors" in err
+
+
+def test_suite_with_a_group_beyond_the_search_limit_exits_3(capsys):
+    started = time.monotonic()
+    code, out, err = run_cli(capsys, "suite", "--groups", "Z10", "--pairs", "")
+    assert time.monotonic() - started < 1.0
+    assert code == 3
+    assert "10^9 weight vectors" in err
 
 
 @pytest.mark.parametrize("norm_verb", ["modular", "luxemburg", "orlicz"])

@@ -154,6 +154,13 @@ def test_tabulated_function_round_trip():
     assert pair.psi(1.0) == pytest.approx(0.5, rel=1e-10)
 
 
+def test_validate_pair_accepts_a_table_capped_below_the_grid_top():
+    # the cap 8 is below the 1e2 top of validate_pair's grids, whose last
+    # point must land on the cap rather than one ulp past it
+    rows = [[x, x * x / 2.0, x] for x in (0.0, 0.25, 0.5, 1.0, 2.0, 4.0, 8.0)]
+    validate_pair(numeric_pair(from_table(rows)))
+
+
 def test_tabulated_rejects_inconsistent_value_column():
     rows = [[0.0, 0.0, 0.0], [1.0, 0.9, 1.0], [2.0, 2.0, 2.0]]
     with pytest.raises(InvalidNFunctionError):

@@ -188,3 +188,13 @@ def test_character_verification_rejects_bad_exponents():
     bad = Character(order=4, exponents=(0, 1, 3, 2))
     with pytest.raises(OrliczAlgebraError):
         _verify_homomorphism(z4, bad)
+
+
+def test_search_runs_at_the_limit_and_refuses_one_above(monkeypatch):
+    import orliczalg.structure as structure
+    z4 = cyclic(4)  # exponent 4, so 4^3 = 64 weight vectors
+    monkeypatch.setattr(structure, "BRUTE_SEARCH_LIMIT", 64)
+    assert len(multiplicative_functional_search(z4)) == 4
+    monkeypatch.setattr(structure, "BRUTE_SEARCH_LIMIT", 63)
+    with pytest.raises(ScopeError, match=r"4\^3 weight vectors"):
+        multiplicative_functional_search(z4)
