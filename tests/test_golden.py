@@ -54,6 +54,22 @@ RUNS.update({
     "group-check-S3": ("group", "check", "--group", '{"type": "S3"}'),
     "group-check-Zwindow256-seed7": ("group", "check", "--group",
                                      '{"type": "Zwindow", "radius": 256}', "--seed", "7"),
+    "aphi-plateau-Zwindow64-entropy": ("aphi", "plateau", "--group",
+                                       '{"type": "Zwindow", "radius": 64}',
+                                       "--nfunction", PAIR_SPECS["entropy"],
+                                       "--set", "[-1,0,1]", "--epsilon", "0.5"),
+    "aphi-submult-Z8-power-3": ("aphi", "submult", "--group", Z8,
+                                "--nfunction", PAIR_SPECS["power-3"],
+                                "--left", Z8_FUNCTION, "--right", Z8_FUNCTION),
+    "norm-charfn-Z8-cosh": ("norm", "charfn", "--group", Z8,
+                            "--nfunction", PAIR_SPECS["cosh"], "--subset", "[0,1,3,4,6]"),
+    "characters-enumerate-Z6": ("characters", "enumerate", "--group",
+                                '{"type": "Zn", "n": 6}'),
+    "group-leptin-Zwindow128": ("group", "leptin", "--group",
+                                '{"type": "Zwindow", "radius": 128}',
+                                "--compact", "[-1,0,1]", "--epsilon", "0.5"),
+    "group-convolve-Z8": ("group", "convolve", "--group", Z8,
+                          "--left", Z8_FUNCTION, "--right", Z8_FUNCTION),
 })
 
 
