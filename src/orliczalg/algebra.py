@@ -390,9 +390,6 @@ class SubmultReport:
     def outer_slack(self) -> float:
         return self.outer - self.middle
 
-    def passed(self, tol: float = 1e-9) -> bool:
-        return self.inner_slack >= -tol and self.outer_slack >= -tol
-
 
 def submultiplicativity_report(u: GroupFunction, v: GroupFunction,
                                pair: ComplementaryPair) -> SubmultReport:

@@ -19,6 +19,12 @@ echoed, never silent. Exit codes: 0 all checks pass, 1 check failures,
 2 parse errors, 3 scope or window-infeasibility errors, 4 a violated
 must-hold inequality (with a state dump).
 
+Each check family is one ``_check_<family>`` function that writes its
+value and check lines into a report. A verb handler calls it on its own
+report; ``suite`` calls it on a throwaway report and folds that into one
+entry, which passes when every check passed and carries the smallest
+slack.
+
 The environment variable ORLICZALG_CONFIG may point to a JSON file with
 default overrides for {"seed", "format", "output", "tol_slack",
 "tol_value"}; command-line flags win.
@@ -27,7 +33,6 @@ default overrides for {"seed", "format", "output", "tol_slack",
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import sys
 import time
@@ -47,19 +52,16 @@ from .groups import (
     GroupFunction,
     GroupSpace,
     convolve,
-    cyclic,
-    direct_product,
     integer_window,
     leptin_search,
     random_function,
-    symmetric_group3,
 )
 from .nfunctions import (
     CATALOG_PAIR_NAMES,
+    _capped_grid,
     conjugate_value,
     inverse_product_ratio,
     pair_from_name,
-    validate_nfunction,
     validate_pair,
     young_gap,
 )
@@ -132,29 +134,206 @@ def positive_count(text: str) -> int:
     return value
 
 
-def _named_group(name: str) -> GroupSpace:
-    """Battery shorthand: Z8, Z2xZ2xZ3, S3, Zwindow256, or a spec path."""
+def _group_name_spec(name: str):
+    """Group spec of a battery name (Z8, Z2xZ2xZ3, S3, Zwindow256) or of a spec path."""
     if name.lstrip().startswith("{") or name.endswith(".json"):
-        return group_from_spec(name)
-    if name == "S3":
-        return symmetric_group3()
-    if name.startswith("Zwindow"):
-        return integer_window(int(name[len("Zwindow"):]))
+        return read_json(name)
     if "x" in name:
-        return direct_product(*(_named_group(part) for part in name.split("x")))
-    if name.startswith("Z"):
-        return cyclic(int(name[1:]))
+        return {"type": "product", "factors": [_group_name_spec(p) for p in name.split("x")]}
+    if name == "S3":
+        return {"type": "S3"}
+    for prefix, kind, key in (("Zwindow", "Zwindow", "radius"), ("Z", "Zn", "n")):
+        digits = name[len(prefix):]
+        if name.startswith(prefix) and digits.isdecimal():
+            return {"type": kind, key: int(digits)}
     raise SpecFormatError(f"unknown group name {name!r}")
+
+
+# ---------------------------------------------------------------------------
+# check families (see the module docstring)
+# ---------------------------------------------------------------------------
+
+def _grid(lo: float, hi: float, cap: float, count: int) -> list[float]:
+    """geometric_grid(lo, hi, count), clipped to cap only where the cap binds."""
+    return geometric_grid(lo, hi, count) if cap >= hi else _capped_grid(lo, hi, cap, count)
+
+
+def _check_pair_axioms(rep: Report, pair) -> None:
+    validate_pair(pair)
+    rep.check("axioms", True, 0.0, "convexity, limits, strict growth on grids")
+    rep.check("young-and-biconjugacy", True, 0.0, "grid square + double conjugate")
+
+
+def _check_young_equality(rep: Report, pair) -> None:
+    xs = _grid(1e-2, 1e1, pair.phi.domain_cap, 7)
+    gaps = [young_gap(pair, x, pair.phi.deriv(x)) for x in xs]
+    rep.check("young-equality-at-derivative", all(abs(g) <= 1e-8 for g in gaps),
+              1e-8 - max(abs(g) for g in gaps), "gap at (x, phi'(x))")
+
+
+def _check_inverse_product(rep: Report, pair, cfg: RunConfig) -> None:
+    top = min(1e3, pair.phi.evaluate(pair.phi.domain_cap),
+              pair.psi.evaluate(pair.psi.domain_cap))
+    ratios = [inverse_product_ratio(pair, t) for t in _grid(1e-3, 1e3, top, 41)]
+    rep.add("inverse-product.min", min(ratios))
+    rep.add("inverse-product.max", max(ratios))
+    rep.check("inverse-product-range",
+              min(ratios) > 1.0 and max(ratios) <= 2.0 + cfg.tol_slack,
+              2.0 + cfg.tol_slack - max(ratios),
+              f"t in [1e-3, {'1e3' if top >= 1e3 else f'{top:g}'}], 41 points")
+
+
+def _check_group_laws(rep: Report, space: GroupSpace, cfg: RunConfig) -> None:
+    space.validate(seed=cfg.seed)
+    rep.check("laws", True, 0.0, "associativity, identity, inverses (exhaustive <= 64)")
+    rep.add("abelian", space.is_abelian)
+    rep.add("weight", str(space.weight(space.identity)))
+    if not space.is_window:
+        rep.check("normalized", space.total_mass() == 1, 0.0, "sum of weights = 1")
+
+
+def _check_orlicz(rep: Report, r, lux: float, cfg: RunConfig) -> None:
+    """The Orlicz value r against its dual oracle and the Luxemburg value lux."""
+    rep.add("value", r.value)
+    rep.add("method", r.method)
+    rep.add("oracle-value", r.oracle_value)
+    rep.add("provenance", "computed (minimization) vs computed (dual oracle)")
+    rep.check("oracle-agreement", r.agreed,
+              ORACLE_AGREEMENT_RTOL * max(1.0, r.value)
+              - abs(r.value - (r.oracle_value or 0.0)))
+    rep.check("norm-equivalence", lux <= r.value + cfg.tol_slack
+              and r.value <= 2.0 * lux + cfg.tol_slack,
+              min(r.value + cfg.tol_slack - lux, 2.0 * lux + cfg.tol_slack - r.value))
+
+
+def _check_plateau(rep: Report, cert, cfg: RunConfig) -> None:
+    rep.add("leptin-ratio", float(cert.leptin.ratio))
+    rep.add("cost-bound", cert.cost_bound)
+    rep.add("cost-phi", cert.cost_phi)
+    rep.add("cost-psi", cert.cost_psi)
+    rep.check("value-one-on-set", cert.on_set_error <= cfg.tol_value,
+              cfg.tol_value - cert.on_set_error)
+    rep.check("range", cert.range_low >= -cfg.tol_value
+              and cert.range_high <= 1.0 + cfg.tol_value,
+              min(cert.range_low + cfg.tol_value,
+                  1.0 + cfg.tol_value - cert.range_high))
+    rep.check("support-containment", cert.support_ok, 0.0, "inside E V V^(-1)")
+    rep.check("not-truncated", not cert.truncated, 0.0, "window holds E V V^(-1)")
+    for label, chain, cost in (("phi", cert.chain_phi, cert.cost_phi),
+                               ("psi", cert.chain_psi, cert.cost_psi)):
+        for step in chain:
+            rep.add(f"chain.{label}.{step.name}.bound", step.bound)
+            rep.check(f"chain.{label}.{step.name}", step.ok, step.slack,
+                      f"guard={step.guard:g}")
+        rep.check(f"cost-{label}-below-bound", cost < cert.cost_bound,
+                  cert.cost_bound - cost)
+
+
+def _check_witness(rep: Report, inst, witness) -> None:
+    rep.add("quadrant", f"({witness.quadrant[0]},{witness.quadrant[1]})")
+    rep.add("m0", witness.m0)
+    rep.add("base-points", list(witness.base_points))
+    rep.add("collected-set", list(witness.collected))
+    rep.add("lam-k", witness.lam_k)
+    rep.add("threshold-512n-R2", witness.threshold)
+    rep.check("lam-k-exceeds-threshold", witness.lam_k > witness.threshold,
+              witness.lam_k - witness.threshold)
+    rep.add("guaranteed-integral", witness.guaranteed_integral)
+    rep.check("guaranteed-exceeds-n", witness.guaranteed_integral > inst.n,
+              witness.guaranteed_integral - inst.n, "(R^2/512) lam(K) > n")
+    cost_phi, cost_psi = witness.plateau_cert.cost_phi, witness.plateau_cert.cost_psi
+    rep.add("plateau-cost-phi", cost_phi)
+    rep.add("plateau-cost-psi", cost_psi)
+    rep.check("plateau-budget", cost_phi + cost_psi <= 8.0, 8.0 - cost_phi - cost_psi)
+    rep.add("dist-f-bound", witness.dist_f_bound)
+    rep.add("dist-g-bound", witness.dist_g_bound)
+    rep.check("ball-inclusion", witness.dist_f_bound <= inst.radius / 2.0
+              and witness.dist_g_bound <= inst.radius / 2.0,
+              inst.radius / 2.0 - max(witness.dist_f_bound, witness.dist_g_bound))
+    rep.add("probes", len(witness.probes))
+    violations = sum(1 for p in witness.probes if p.integral_value > inst.n)
+    rep.add("violations", violations)
+    rep.check("all-probes-violate", violations == len(witness.probes),
+              float(violations - len(witness.probes)))
+    rep.add("min-probe-integral", min(p.integral_value for p in witness.probes))
+    for p in witness.probes:
+        rep.add(f"probe.{p.index}",
+                f"df={p.delta_f.kind}@{p.delta_f.position} "
+                f"dg={p.delta_g.kind}@{p.delta_g.position} "
+                f"budget_f={p.budget_f!r} budget_g={p.budget_g!r} "
+                f"x={p.violating_x} integral={p.integral_value!r} "
+                f"hmin={p.h_min_on_k!r} kmin={p.k_min_on_k!r} urad={p.certified_u_radius}")
+
+
+def _check_segal(rep: Report, sr) -> None:
+    for c in sr.checks:
+        rep.check(c.name, c.passed, c.slack, c.detail)
+
+
+def _check_unit(rep: Report, ur, cfg: RunConfig) -> None:
+    rep.add("unit-amplitude", ur.unit.sup_norm())
+    rep.add("basis-sweep-error", ur.max_error)
+    rep.check("two-sided-unit", ur.max_error <= cfg.tol_value,
+              cfg.tol_value - ur.max_error,
+              f"exhaustive over {ur.unit.space.size} basis masses")
+    rep.add("norm-bracket", f"[{ur.bracket.lower!r}, {ur.bracket.upper!r}]")
+    cert = ur.pointwise_cert
+    rep.add("pointwise-unit-cost", cert.cost_phi)
+    rep.check("pointwise-unit-certified", cert.passed and cert.cost_phi < cert.cost_bound,
+              cert.cost_bound - cert.cost_phi, "1_G from the plateau over E = G")
+
+
+def _check_submult(rep: Report, sub, cfg: RunConfig) -> None:
+    rep.add("alpha", sub.alpha)
+    rep.add("beta", sub.beta)
+    rep.add("alpha-provenance", "closed-form 1/Phi^(-1)(1), agreement "
+            f"{sub.alpha_agreement:g}")
+    rep.add("upper", sub.upper)
+    rep.add("middle", sub.middle)
+    rep.add("outer", sub.outer)
+    rep.check("inner-chain", sub.inner_slack >= -cfg.tol_slack, sub.inner_slack)
+    rep.check("outer-chain", sub.outer_slack >= -cfg.tol_slack, sub.outer_slack)
+
+
+def _check_characters(rep: Report, space: GroupSpace, enumerated, searched=None) -> None:
+    """Completeness of the enumerated characters, or of searched ones that agree."""
+    chosen = enumerated
+    if searched is not None:
+        rep.check("routes-agree", searched.exponent_set() == enumerated.exponent_set(),
+                  0.0, "exhaustive weight search vs generator-image enumeration")
+        chosen = searched
+    rep.add("count", len(chosen))
+    rep.add("root-order", chosen.order)
+    rep.check("completeness", len(chosen) == space.size,
+              float(len(chosen) - space.size), "|characters| = |G|")
+    for i, c in enumerate(chosen.characters):
+        rep.add(f"character.{i}", list(c.exponents))
 
 
 # ---------------------------------------------------------------------------
 # verb handlers
 # ---------------------------------------------------------------------------
 
-def _run_nfunc_conjugate(args, cfg: RunConfig) -> Report:
-    rep = Report("nfunc conjugate")
+def _group_and_pair(rep: Report, args) -> tuple:
+    """Parse --group and --nfunction and echo both."""
+    space = group_from_spec(args.group)
+    pair = pair_from_spec(args.nfunction)
+    rep.add("group", space.name)
+    rep.add("nfunction", pair.phi.label)
+    return space, pair
+
+
+def _run_nfunc(args, cfg: RunConfig) -> Report:
+    rep = Report(f"nfunc {args.nfunc_verb}")
     pair = pair_from_spec(args.nfunction)
     rep.add("nfunction", pair.phi.label)
+    if args.nfunc_verb == "check":
+        rep.add("complement", pair.psi.label)
+        rep.add("construction", pair.construction)
+        _check_pair_axioms(rep, pair)
+        _check_inverse_product(rep, pair, cfg)
+        _check_young_equality(rep, pair)
+        return rep
     rep.add("construction", pair.construction)
     points = _parse_points(args.points) if args.points else geometric_grid(1e-2, 1e2, 9)
     if not args.points:
@@ -172,35 +351,9 @@ def _run_nfunc_conjugate(args, cfg: RunConfig) -> Report:
     return rep
 
 
-def _run_nfunc_check(args, cfg: RunConfig) -> Report:
-    rep = Report("nfunc check")
-    pair = pair_from_spec(args.nfunction)
-    rep.add("nfunction", pair.phi.label)
-    rep.add("complement", pair.psi.label)
-    rep.add("construction", pair.construction)
-    validate_nfunction(pair.phi)
-    validate_nfunction(pair.psi)
-    rep.check("axioms", True, 0.0, "convexity, limits, strict growth on grids")
-    validate_pair(pair)
-    rep.check("young-and-biconjugacy", True, 0.0, "grid square + double conjugate")
-    ratios = [inverse_product_ratio(pair, t) for t in geometric_grid(1e-3, 1e3, 41)]
-    rep.add("inverse-product.min", min(ratios))
-    rep.add("inverse-product.max", max(ratios))
-    rep.check("inverse-product-range",
-              min(ratios) > 1.0 and max(ratios) <= 2.0 + cfg.tol_slack,
-              2.0 + cfg.tol_slack - max(ratios), "t in [1e-3, 1e3], 41 points")
-    gaps = [young_gap(pair, x, pair.phi.deriv(x)) for x in geometric_grid(1e-2, 1e1, 7)]
-    rep.check("young-equality-at-derivative", all(abs(g) <= 1e-8 for g in gaps),
-              1e-8 - max(abs(g) for g in gaps), "gap at (x, phi'(x))")
-    return rep
-
-
 def _run_norm(args, cfg: RunConfig) -> Report:
     rep = Report(f"norm {args.norm_verb}")
-    space = group_from_spec(args.group)
-    rep.add("group", space.name)
-    pair = pair_from_spec(args.nfunction)
-    rep.add("nfunction", pair.phi.label)
+    space, pair = _group_and_pair(rep, args)
     if args.norm_verb == "charfn":
         subset = [_decode_element(x) for x in read_json(args.subset)]
         value = char_fn_norm(pair.phi, space, subset)
@@ -225,18 +378,7 @@ def _run_norm(args, cfg: RunConfig) -> Report:
         rep.check("modular-at-value", r.residual <= max(cfg.tol_value, 1e-10),
                   max(cfg.tol_value, 1e-10) - r.residual, "rho(f/k) = 1 residual")
     else:
-        r = orlicz_norm(pair, f)
-        rep.add("value", r.value)
-        rep.add("method", r.method)
-        rep.add("oracle-value", r.oracle_value)
-        rep.add("provenance", "computed (minimization) vs computed (dual oracle)")
-        rep.check("oracle-agreement", r.agreed,
-                  ORACLE_AGREEMENT_RTOL * max(1.0, r.value)
-                  - abs(r.value - (r.oracle_value or 0.0)))
-        n = luxemburg(pair.phi, f).value
-        rep.check("norm-equivalence", n <= r.value + cfg.tol_slack
-                  and r.value <= 2.0 * n + cfg.tol_slack,
-                  min(r.value + cfg.tol_slack - n, 2.0 * n + cfg.tol_slack - r.value))
+        _check_orlicz(rep, orlicz_norm(pair, f), luxemburg(pair.phi, f).value, cfg)
     return rep
 
 
@@ -246,13 +388,7 @@ def _run_group(args, cfg: RunConfig) -> Report:
     rep.add("group", space.name)
     rep.add("size", space.size)
     if args.group_verb == "check":
-        space.validate(seed=cfg.seed)
-        rep.check("laws", True, 0.0,
-                  "associativity, identity, inverses (exhaustive <= 64)")
-        rep.add("abelian", space.is_abelian)
-        rep.add("weight", str(space.weight(space.identity)))
-        if not space.is_window:
-            rep.check("normalized", space.total_mass() == 1, 0.0, "sum of weights = 1")
+        _check_group_laws(rep, space, cfg)
     elif args.group_verb == "convolve":
         f = function_from_rows(space, args.left)
         g = function_from_rows(space, args.right)
@@ -280,10 +416,7 @@ def _run_group(args, cfg: RunConfig) -> Report:
 
 def _run_aphi(args, cfg: RunConfig) -> Report:
     rep = Report(f"aphi {args.aphi_verb}")
-    space = group_from_spec(args.group)
-    pair = pair_from_spec(args.nfunction)
-    rep.add("group", space.name)
-    rep.add("nfunction", pair.phi.label)
+    space, pair = _group_and_pair(rep, args)
     if args.aphi_verb == "bound":
         f = function_from_rows(space, args.function)
         bracket = algebra_norm_upper(f, pair, budget=args.budget)
@@ -296,41 +429,13 @@ def _run_aphi(args, cfg: RunConfig) -> Report:
                   bracket.upper + cfg.tol_slack - bracket.lower)
     elif args.aphi_verb in ("plateau", "lemma-r"):
         plateau_set = [_decode_element(x) for x in read_json(args.set)]
-        u, cert = build_plateau(space, plateau_set, pair, args.epsilon)
+        _, cert = build_plateau(space, plateau_set, pair, args.epsilon)
         rep.add("epsilon", args.epsilon)
-        rep.add("leptin-ratio", float(cert.leptin.ratio))
-        rep.add("cost-bound", cert.cost_bound)
-        rep.add("cost-phi", cert.cost_phi)
-        rep.add("cost-psi", cert.cost_psi)
-        rep.check("value-one-on-set", cert.on_set_error <= cfg.tol_value,
-                  cfg.tol_value - cert.on_set_error)
-        rep.check("range", cert.range_low >= -cfg.tol_value
-                  and cert.range_high <= 1.0 + cfg.tol_value,
-                  min(cert.range_low + cfg.tol_value,
-                      1.0 + cfg.tol_value - cert.range_high))
-        rep.check("support-containment", cert.support_ok, 0.0, "inside E V V^(-1)")
-        rep.check("not-truncated", not cert.truncated, 0.0, "window holds E V V^(-1)")
-        for label, chain in (("phi", cert.chain_phi), ("psi", cert.chain_psi)):
-            for step in chain:
-                rep.add(f"chain.{label}.{step.name}.bound", step.bound)
-                rep.check(f"chain.{label}.{step.name}", step.ok, step.slack,
-                          f"guard={step.guard:g}")
-            cost = cert.cost_phi if label == "phi" else cert.cost_psi
-            rep.check(f"cost-{label}-below-bound", cost < cert.cost_bound,
-                      cert.cost_bound - cost)
+        _check_plateau(rep, cert, cfg)
     else:  # submult
         u = function_from_rows(space, args.left)
         v = function_from_rows(space, args.right)
-        sub = submultiplicativity_report(u, v, pair)
-        rep.add("alpha", sub.alpha)
-        rep.add("beta", sub.beta)
-        rep.add("alpha-provenance", "closed-form 1/Phi^(-1)(1), agreement "
-                f"{sub.alpha_agreement:g}")
-        rep.add("upper", sub.upper)
-        rep.add("middle", sub.middle)
-        rep.add("outer", sub.outer)
-        rep.check("inner-chain", sub.inner_slack >= -cfg.tol_slack, sub.inner_slack)
-        rep.check("outer-chain", sub.outer_slack >= -cfg.tol_slack, sub.outer_slack)
+        _check_submult(rep, submultiplicativity_report(u, v, pair), cfg)
     return rep
 
 
@@ -357,75 +462,22 @@ def _run_porosity(args, cfg: RunConfig) -> Report:
     rep.add("membership-max-integral", inst.max_integral)
     rep.add("boundary-flag", inst.boundary_flag)
     witness = build_witness(inst, pair, probe_count=args.probes, seed=cfg.seed)
-    rep.add("quadrant", f"({witness.quadrant[0]},{witness.quadrant[1]})")
-    rep.add("m0", witness.m0)
-    rep.add("base-points", list(witness.base_points))
-    rep.add("collected-set", list(witness.collected))
-    rep.add("lam-k", witness.lam_k)
-    rep.add("threshold-512n-R2", witness.threshold)
-    rep.check("lam-k-exceeds-threshold", witness.lam_k > witness.threshold,
-              witness.lam_k - witness.threshold)
-    rep.add("guaranteed-integral", witness.guaranteed_integral)
-    rep.check("guaranteed-exceeds-n", witness.guaranteed_integral > inst.n,
-              witness.guaranteed_integral - inst.n, "(R^2/512) lam(K) > n")
-    rep.add("plateau-cost-phi", witness.plateau_cert.cost_phi)
-    rep.add("plateau-cost-psi", witness.plateau_cert.cost_psi)
-    rep.check("plateau-budget",
-              witness.plateau_cert.cost_phi + witness.plateau_cert.cost_psi <= 8.0,
-              8.0 - witness.plateau_cert.cost_phi - witness.plateau_cert.cost_psi)
-    rep.add("dist-f-bound", witness.dist_f_bound)
-    rep.add("dist-g-bound", witness.dist_g_bound)
-    rep.check("ball-inclusion", witness.dist_f_bound <= inst.radius / 2.0
-              and witness.dist_g_bound <= inst.radius / 2.0,
-              inst.radius / 2.0 - max(witness.dist_f_bound, witness.dist_g_bound))
-    rep.add("probes", len(witness.probes))
-    violations = sum(1 for p in witness.probes if p.integral_value > inst.n)
-    rep.add("violations", violations)
-    rep.check("all-probes-violate", violations == len(witness.probes),
-              float(violations - len(witness.probes)))
-    worst = min(p.integral_value for p in witness.probes)
-    rep.add("min-probe-integral", worst)
-    for p in witness.probes:
-        rep.add(f"probe.{p.index}",
-                f"df={p.delta_f.kind}@{p.delta_f.position} "
-                f"dg={p.delta_g.kind}@{p.delta_g.position} "
-                f"budget_f={p.budget_f!r} budget_g={p.budget_g!r} "
-                f"x={p.violating_x} integral={p.integral_value!r} "
-                f"hmin={p.h_min_on_k!r} kmin={p.k_min_on_k!r} urad={p.certified_u_radius}")
+    _check_witness(rep, inst, witness)
     return rep
 
 
 def _run_segal(args, cfg: RunConfig) -> Report:
     rep = Report("segal report")
-    space = group_from_spec(args.group)
-    pair = pair_from_spec(args.nfunction)
-    rep.add("group", space.name)
-    rep.add("nfunction", pair.phi.label)
+    space, pair = _group_and_pair(rep, args)
     rep.add("samples", args.samples)
-    sr = segal_report(space, pair, samples=args.samples, seed=cfg.seed)
-    for c in sr.checks:
-        rep.check(c.name, c.passed, c.slack, c.detail)
+    _check_segal(rep, segal_report(space, pair, samples=args.samples, seed=cfg.seed))
     return rep
 
 
 def _run_unit(args, cfg: RunConfig) -> Report:
     rep = Report("unit check")
-    space = group_from_spec(args.group)
-    pair = pair_from_spec(args.nfunction)
-    rep.add("group", space.name)
-    rep.add("nfunction", pair.phi.label)
-    ur = convolution_unit(space, pair, epsilon=args.epsilon)
-    rep.add("unit-amplitude", ur.unit.sup_norm())
-    rep.add("basis-sweep-error", ur.max_error)
-    rep.check("two-sided-unit", ur.max_error <= cfg.tol_value,
-              cfg.tol_value - ur.max_error, f"exhaustive over {space.size} basis masses")
-    rep.add("norm-bracket", f"[{ur.bracket.lower!r}, {ur.bracket.upper!r}]")
-    rep.add("pointwise-unit-cost", ur.pointwise_cert.cost_phi)
-    rep.check("pointwise-unit-certified",
-              ur.pointwise_cert.passed
-              and ur.pointwise_cert.cost_phi < ur.pointwise_cert.cost_bound,
-              ur.pointwise_cert.cost_bound - ur.pointwise_cert.cost_phi,
-              "1_G from the plateau over E = G")
+    space, pair = _group_and_pair(rep, args)
+    _check_unit(rep, convolution_unit(space, pair, epsilon=args.epsilon), cfg)
     return rep
 
 
@@ -434,19 +486,9 @@ def _run_characters(args, cfg: RunConfig) -> Report:
     space = group_from_spec(args.group)
     rep.add("group", space.name)
     enumerated = enumerate_characters(space)
-    if args.characters_verb == "enumerate":
-        chosen = enumerated
-    else:
-        chosen = multiplicative_functional_search(space, tolerance=cfg.tol_slack)
-        rep.check("routes-agree",
-                  chosen.exponent_set() == enumerated.exponent_set(), 0.0,
-                  "exhaustive weight search vs generator-image enumeration")
-    rep.add("count", len(chosen))
-    rep.add("root-order", chosen.order)
-    rep.check("completeness", len(chosen) == space.size,
-              float(len(chosen) - space.size), "|characters| = |G|")
-    for i, c in enumerate(chosen.characters):
-        rep.add(f"character.{i}", list(c.exponents))
+    searched = (None if args.characters_verb == "enumerate"
+                else multiplicative_functional_search(space, tolerance=cfg.tol_slack))
+    _check_characters(rep, space, enumerated, searched)
     return rep
 
 
@@ -467,73 +509,56 @@ def _run_suite(args, cfg: RunConfig) -> Report:
     rep.add("pairs", ",".join(pair_names) if pair_names else "(empty)")
     rep.add("samples", args.samples)
     rep.add("probes", args.probes)
-    entries: list[tuple[str, bool, float]] = []
+    pairs = [(pname, pair_from_name(pname)) for pname in pair_names]
+    families: dict[str, Report] = {}
 
-    for pname in pair_names:
-        pair = pair_from_name(pname)
-        validate_pair(pair)
-        entries.append((f"pair-axioms.{pname}", True, 0.0))
-        ratios = [inverse_product_ratio(pair, t) for t in geometric_grid(1e-3, 1e3, 41)]
-        entries.append((f"inverse-product.{pname}",
-                        min(ratios) > 1.0 and max(ratios) <= 2.0 + cfg.tol_slack,
-                        2.0 + cfg.tol_slack - max(ratios)))
+    def family(name: str) -> Report:
+        return families.setdefault(name, Report(name))
+
+    for pname, pair in pairs:
+        _check_pair_axioms(family(f"pair-axioms.{pname}"), pair)
+        _check_young_equality(family(f"pair-axioms.{pname}"), pair)
+        _check_inverse_product(family(f"inverse-product.{pname}"), pair, cfg)
 
     for gname in group_names:
-        space = _named_group(gname)
-        space.validate(seed=cfg.seed)
-        entries.append((f"group-laws.{gname}", True, 0.0))
-        for pname in pair_names:
-            pair = pair_from_name(pname)
-            rng = Random(cfg.seed)
+        space = group_from_spec(_group_name_spec(gname))
+        _check_group_laws(family(f"group-laws.{gname}"), space, cfg)
+        for pname, pair in pairs:
+            key = f"{gname}.{pname}"
             if space.is_window:
-                u, cert = build_plateau(space, range(-1, 2), pair, 0.5)
-                entries.append((f"plateau.{gname}.{pname}", cert.passed,
-                                cert.cost_bound - cert.cost_phi))
+                _, cert = build_plateau(space, range(-1, 2), pair, 0.5)
+                _check_plateau(family(f"plateau.{key}"), cert, cfg)
                 inst = make_instance(_default_porosity_function(space),
                                      _default_porosity_function(space), 11, 32.0, 1)
                 witness = build_witness(inst, pair, probe_count=args.probes,
                                         seed=cfg.seed)
-                entries.append((f"porosity.{gname}.{pname}",
-                                witness.all_probes_violate,
-                                min(p.integral_value - inst.n for p in witness.probes)))
+                _check_witness(family(f"porosity.{key}"), inst, witness)
                 continue
-            worst = math.inf
+            rng = Random(cfg.seed)
             for _ in range(args.samples):
                 f = random_function(space, rng)
-                n = luxemburg(pair.phi, f).value
-                o = orlicz_norm(pair, f)
-                worst = min(worst, o.value + cfg.tol_slack - n,
-                            2.0 * n + cfg.tol_slack - o.value,
-                            ORACLE_AGREEMENT_RTOL * max(1.0, o.value)
-                            - abs(o.value - o.oracle_value))
-            entries.append((f"norm-equivalence.{gname}.{pname}",
-                            worst >= 0.0, worst))
-            sr = segal_report(space, pair, samples=max(4, args.samples // 2),
-                              seed=cfg.seed)
-            entries.append((f"segal.{gname}.{pname}", sr.passed,
-                            min(c.slack for c in sr.checks)))
-            ur = convolution_unit(space, pair)
-            entries.append((f"unit.{gname}.{pname}",
-                            ur.max_error <= cfg.tol_value,
-                            cfg.tol_value - ur.max_error))
-            uu, vv = random_function(space, rng), random_function(space, rng)
-            sub = submultiplicativity_report(uu, vv, pair)
-            entries.append((f"submult.{gname}.{pname}",
-                            sub.passed(cfg.tol_slack),
-                            min(sub.inner_slack, sub.outer_slack)))
+                _check_orlicz(family(f"norm-equivalence.{key}"), orlicz_norm(pair, f),
+                              luxemburg(pair.phi, f).value, cfg)
+            _check_segal(family(f"segal.{key}"),
+                         segal_report(space, pair, samples=max(4, args.samples // 2),
+                                      seed=cfg.seed))
+            _check_unit(family(f"unit.{key}"), convolution_unit(space, pair), cfg)
+            u, v = random_function(space, rng), random_function(space, rng)
+            _check_submult(family(f"submult.{key}"),
+                           submultiplicativity_report(u, v, pair), cfg)
         if not space.is_window and space.is_abelian:
-            a = enumerate_characters(space)
-            b = multiplicative_functional_search(space)
-            entries.append((f"characters.{gname}",
-                            len(a) == space.size
-                            and a.exponent_set() == b.exponent_set(), 0.0))
+            _check_characters(family(f"characters.{gname}"), space,
+                              enumerate_characters(space),
+                              multiplicative_functional_search(space,
+                                                               tolerance=cfg.tol_slack))
 
-    entries.sort(key=lambda e: e[0])
-    slacks = sorted(s for _, _, s in entries)
-    for name, ok, slack in entries:
-        rep.check(name, ok if cfg.tol_slack > 0 else ok and slack >= 0.0, slack)
-    rep.add("checks-total", len(entries))
+    folded = sorted((name, fam.passed, min(c.slack for c in fam.checks))
+                    for name, fam in families.items())
+    for name, ok, slack in folded:
+        rep.check(name, ok, slack)
+    rep.add("checks-total", len(folded))
     rep.add("checks-failed", len(rep.failures))
+    slacks = sorted(slack for _, _, slack in folded)
     if slacks:
         rep.add("slack.min", slacks[0])
         rep.add("slack.p50", slacks[len(slacks) // 2])
@@ -544,6 +569,31 @@ def _run_suite(args, cfg: RunConfig) -> Report:
 # ---------------------------------------------------------------------------
 # argument wiring
 # ---------------------------------------------------------------------------
+
+_SPEC_HELP = {
+    "group": "group spec (path or JSON)",
+    "nfunction": "N-function spec (path or JSON)",
+    "function": "function data (path or JSON)",
+    "left": "left function data (path or JSON)",
+    "right": "right function data (path or JSON)",
+    "subset": "JSON list of elements",
+    "compact": "JSON list of elements",
+    "set": "JSON list of elements",
+}
+#: command -> verb -> its required spec flags, in order
+_VERB_SPECS = {
+    "nfunc": {"conjugate": "nfunction", "check": "nfunction"},
+    "norm": {"modular": "group nfunction function", "luxemburg": "group nfunction function",
+             "orlicz": "group nfunction function", "charfn": "group nfunction subset"},
+    "group": {"check": "group", "convolve": "group left right", "leptin": "group compact"},
+    "aphi": {"bound": "group nfunction function", "plateau": "group nfunction set",
+             "lemma-r": "group nfunction set", "submult": "group nfunction left right"},
+    "porosity": {"witness": ""},
+    "segal": {"report": "group nfunction"},
+    "unit": {"check": "group nfunction"},
+    "characters": {"enumerate": "group", "brute": "group"},
+}
+
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -560,56 +610,22 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="tolerance for exactness checks")
     tops = parser.add_subparsers(dest="command", required=True)
 
-    nfunc = tops.add_parser("nfunc").add_subparsers(dest="nfunc_verb", required=True)
-    for verb in ("conjugate", "check"):
-        sp = nfunc.add_parser(verb, parents=[common])
-        sp.add_argument("--nfunction", required=True, help="N-function spec (path or JSON)")
-        if verb == "conjugate":
-            sp.add_argument("--points", default=None, help="comma-separated ordinates")
-
-    norm = tops.add_parser("norm").add_subparsers(dest="norm_verb", required=True)
-    for verb in ("modular", "luxemburg", "orlicz", "charfn"):
-        sp = norm.add_parser(verb, parents=[common])
-        sp.add_argument("--group", required=True)
-        sp.add_argument("--nfunction", required=True)
-        if verb == "charfn":
-            sp.add_argument("--subset", required=True, help="JSON list of elements")
-        else:
-            sp.add_argument("--function", required=True, help="function data (path or JSON)")
-
-    group = tops.add_parser("group").add_subparsers(dest="group_verb", required=True)
-    gc = group.add_parser("check", parents=[common])
-    gc.add_argument("--group", required=True)
-    gv = group.add_parser("convolve", parents=[common])
-    gv.add_argument("--group", required=True)
-    gv.add_argument("--left", required=True)
-    gv.add_argument("--right", required=True)
-    gv.add_argument("--save", default=None)
-    gl = group.add_parser("leptin", parents=[common])
-    gl.add_argument("--group", required=True)
-    gl.add_argument("--compact", required=True, help="JSON list of elements")
-    gl.add_argument("--epsilon", type=float, required=True)
-
-    aphi = tops.add_parser("aphi").add_subparsers(dest="aphi_verb", required=True)
-    ab = aphi.add_parser("bound", parents=[common])
-    ab.add_argument("--group", required=True)
-    ab.add_argument("--nfunction", required=True)
-    ab.add_argument("--function", required=True)
-    ab.add_argument("--budget", type=int, default=3)
-    for verb in ("plateau", "lemma-r"):
-        ap = aphi.add_parser(verb, parents=[common])
-        ap.add_argument("--group", required=True)
-        ap.add_argument("--nfunction", required=True)
-        ap.add_argument("--set", required=True, help="JSON list of elements")
-        ap.add_argument("--epsilon", type=float, default=1.0)
-    asub = aphi.add_parser("submult", parents=[common])
-    asub.add_argument("--group", required=True)
-    asub.add_argument("--nfunction", required=True)
-    asub.add_argument("--left", required=True)
-    asub.add_argument("--right", required=True)
-
-    por = tops.add_parser("porosity").add_subparsers(dest="porosity_verb", required=True)
-    pw = por.add_parser("witness", parents=[common])
+    verbs = {}
+    for command, table in _VERB_SPECS.items():
+        sub = tops.add_parser(command).add_subparsers(dest=f"{command}_verb", required=True)
+        for verb, flags in table.items():
+            sp = verbs[command, verb] = sub.add_parser(verb, parents=[common])
+            for flag in flags.split():
+                sp.add_argument(f"--{flag}", required=True, help=_SPEC_HELP[flag])
+    verbs["nfunc", "conjugate"].add_argument("--points", default=None,
+                                             help="comma-separated ordinates")
+    verbs["group", "convolve"].add_argument("--save", default=None)
+    verbs["group", "leptin"].add_argument("--epsilon", type=float, required=True)
+    verbs["aphi", "bound"].add_argument("--budget", type=int, default=3)
+    for command, verb in (("aphi", "plateau"), ("aphi", "lemma-r"), ("unit", "check")):
+        verbs[command, verb].add_argument("--epsilon", type=float, default=1.0)
+    verbs["segal", "report"].add_argument("--samples", type=positive_count, default=20)
+    pw = verbs["porosity", "witness"]
     pw.add_argument("--nfunction", default='{"kind": "power", "p": 2}')
     pw.add_argument("--n", type=int, default=11)
     pw.add_argument("--R", dest="ball_radius", type=float, default=32.0)
@@ -618,24 +634,6 @@ def _build_parser() -> argparse.ArgumentParser:
     pw.add_argument("--probes", type=positive_count, default=100)
     pw.add_argument("--f", default=None, help="left function data")
     pw.add_argument("--g", default=None, help="right function data")
-
-    seg = tops.add_parser("segal").add_subparsers(dest="segal_verb", required=True)
-    sr = seg.add_parser("report", parents=[common])
-    sr.add_argument("--group", required=True)
-    sr.add_argument("--nfunction", required=True)
-    sr.add_argument("--samples", type=positive_count, default=20)
-
-    unit = tops.add_parser("unit").add_subparsers(dest="unit_verb", required=True)
-    uc = unit.add_parser("check", parents=[common])
-    uc.add_argument("--group", required=True)
-    uc.add_argument("--nfunction", required=True)
-    uc.add_argument("--epsilon", type=float, default=1.0)
-
-    chars = tops.add_parser("characters").add_subparsers(dest="characters_verb",
-                                                         required=True)
-    for verb in ("enumerate", "brute"):
-        cp = chars.add_parser(verb, parents=[common])
-        cp.add_argument("--group", required=True)
 
     suite = tops.add_parser("suite", parents=[common])
     suite.add_argument("--groups", default=None,
@@ -647,8 +645,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 _HANDLERS = {
-    "nfunc": lambda a, c: (_run_nfunc_conjugate if a.nfunc_verb == "conjugate"
-                           else _run_nfunc_check)(a, c),
+    "nfunc": _run_nfunc,
     "norm": _run_norm,
     "group": _run_group,
     "aphi": _run_aphi,

@@ -382,8 +382,8 @@ def numeric_pair(phi: NFunction) -> ComplementaryPair:
 
 
 def pair_power(p: float) -> ComplementaryPair:
-    q = p / (p - 1.0)
-    return ComplementaryPair(phi=power(p), psi=power(q), construction="closed-form")
+    phi = power(p)  # rejects p <= 1 before the exponent q = p / (p - 1) is formed
+    return ComplementaryPair(phi=phi, psi=power(p / (p - 1.0)), construction="closed-form")
 
 
 def pair_entropy() -> ComplementaryPair:

@@ -58,6 +58,7 @@ from .nfunctions import (
     pair_power,
     power,
 )
+from .structure import CheckResult
 
 
 def read_json(source: str | Path) -> Any:
@@ -191,11 +192,11 @@ def function_to_rows(f: GroupFunction) -> list:
 
 @dataclass
 class Report:
-    """Ordered key/value lines with a pass/fail verdict per check line."""
+    """Ordered key/value lines; each check line is also kept as a ``CheckResult``."""
 
     verb: str
     lines: list[tuple[str, str]] = field(default_factory=list)
-    failures: list[str] = field(default_factory=list)
+    checks: list[CheckResult] = field(default_factory=list)
 
     def add(self, key: str, value: Any) -> None:
         self.lines.append((key, _render_value(value)))
@@ -210,12 +211,15 @@ class Report:
         status = "pass" if passed else "FAIL"
         suffix = f" {detail}" if detail else ""
         self.lines.append((f"check.{key}", f"{status} slack={_render_value(slack)}{suffix}"))
-        if not passed:
-            self.failures.append(key)
+        self.checks.append(CheckResult(key, passed, slack, detail))
+
+    @property
+    def failures(self) -> list[str]:
+        return [c.name for c in self.checks if not c.passed]
 
     @property
     def passed(self) -> bool:
-        return not self.failures
+        return all(c.passed for c in self.checks)
 
     def render(self, fmt: str = "machine", wall_clock: float | None = None) -> str:
         if fmt == "machine":

@@ -1,12 +1,15 @@
 """CLI behavior: verbs, exit codes, strict parsing, reproducible reports."""
 
+import io
 import json
 import math
 import time
+from contextlib import redirect_stdout
 
 import pytest
 
 import orliczalg.cli as cli
+import orliczalg.norms as norms
 from orliczalg.errors import TheoremContradictionError
 from orliczalg.specio import Report
 
@@ -310,3 +313,87 @@ def test_check_with_non_finite_slack_fails(slack):
     assert rep.failures == ["vacuous"]
     assert not rep.passed
     assert "check.vacuous=FAIL" in rep.render()
+
+
+def test_nfunc_check_custom_table_with_low_caps_passes(capsys):
+    # Phi(cap) = Psi(cap) = 32 < 1e3: the t-grid stops at 32, the x-grid at 8
+    table = '{"kind":"custom","table":[[0,0,0],[1,0.5,1],[2,2,2],[4,8,4],[8,32,8]]}'
+    code, out, err = run_cli(capsys, "nfunc", "check", "--nfunction", table)
+    assert code == 0, err
+    assert "t in [1e-3, 32], 41 points" in out
+    assert "passed=true" in out
+
+
+def test_suite_reports_oracle_nonconvergence_as_a_failed_check(capsys, monkeypatch):
+    def no_convergence(*args, **kwargs):
+        raise ArithmeticError("forced oracle non-convergence")
+    monkeypatch.setattr(norms, "_oracle_maximizer", no_convergence)
+    code, out, _ = run_cli(capsys, "suite", "--groups", "Z2", "--pairs", "power-2",
+                           "--samples", "1", "--probes", "1")
+    assert code == 1
+    assert "check.norm-equivalence.Z2.power-2=FAIL" in out
+
+
+def test_suite_unknown_group_name_exits_2(capsys):
+    code, out, err = run_cli(capsys, "suite", "--groups", "Zfoo", "--pairs", "")
+    assert code == 2
+    assert out == ""
+    assert "unknown group name 'Zfoo'" in err
+
+
+def test_suite_power_1_pair_fails_like_the_power_1_spec(capsys):
+    code, out, err = run_cli(capsys, "suite", "--groups", "", "--pairs", "power-1")
+    spec_code, _, spec_err = run_cli(capsys, "nfunc", "check", "--nfunction",
+                                     '{"kind": "power", "p": 1}')
+    assert out == ""
+    assert (code, err) == (spec_code, spec_err) == (1, "error: power kind requires "
+                                                       "p > 1, got 1.0\n")
+
+
+def _fold(report: str) -> tuple[bool, float]:
+    """(every check passed, smallest slack) of the check lines of a machine report."""
+    checks = [line.split("=", 1)[1].split()[:2] for line in report.splitlines()
+              if line.startswith("check.")]
+    return (all(status == "pass" for status, _ in checks),
+            min(float(slack.removeprefix("slack=")) for _, slack in checks))
+
+
+CONSISTENCY_PAIRS = {"power-3": '{"kind": "power", "p": 3}', "entropy": '{"kind": "entropy"}'}
+Z6 = '{"type": "Zn", "n": 6}'
+Z6_VERBS = {
+    "unit": ("unit", "check", "--group", Z6),
+    "segal": ("segal", "report", "--group", Z6, "--samples", "4", "--seed", "7"),
+}
+WINDOW_VERBS = {
+    "plateau": ("aphi", "plateau", "--group", '{"type": "Zwindow", "radius": 256}',
+                "--set", "[-1,0,1]", "--epsilon", "0.5"),
+    "porosity": ("porosity", "witness", "--probes", "20", "--seed", "7"),
+}
+
+
+@pytest.fixture(scope="module")
+def consistency_suite():
+    out = io.StringIO()
+    with redirect_stdout(out):
+        code = cli.main(["suite", "--groups", "Z6,Zwindow256", "--pairs",
+                         ",".join(CONSISTENCY_PAIRS), "--seed", "7"])
+    assert code == 0
+    return {line.split("=", 1)[0]: line.split("=", 1)[1]
+            for line in out.getvalue().splitlines() if line.startswith("check.")}
+
+
+@pytest.mark.parametrize("pair", sorted(CONSISTENCY_PAIRS))
+@pytest.mark.parametrize("family", sorted({**Z6_VERBS, **WINDOW_VERBS}))
+def test_suite_entry_is_the_fold_of_its_verb(capsys, consistency_suite, family, pair):
+    group, argv = ("Z6", Z6_VERBS[family]) if family in Z6_VERBS else \
+        ("Zwindow256", WINDOW_VERBS[family])
+    code, out, _ = run_cli(capsys, *argv, "--nfunction", CONSISTENCY_PAIRS[pair])
+    assert code == 0
+    entry = consistency_suite[f"check.{family}.{group}.{pair}"]
+    assert _fold(f"check.{family}={entry}") == _fold(out)
+
+
+def test_suite_characters_entry_is_the_fold_of_characters_brute(capsys, consistency_suite):
+    code, out, _ = run_cli(capsys, "characters", "brute", "--group", Z6)
+    assert code == 0
+    assert _fold(f"check.characters={consistency_suite['check.characters.Z6']}") == _fold(out)
