@@ -40,7 +40,12 @@ from dataclasses import dataclass, field
 from random import Random
 
 from . import __version__
-from .algebra import algebra_norm_upper, build_plateau, submultiplicativity_report
+from .algebra import (
+    RECONSTRUCTION_TOL,
+    algebra_norm_upper,
+    build_plateau,
+    submultiplicativity_report,
+)
 from .errors import (
     InfeasibleWindowError,
     OrliczAlgebraError,
@@ -154,8 +159,9 @@ def _group_name_spec(name: str):
 # ---------------------------------------------------------------------------
 
 def _grid(lo: float, hi: float, cap: float, count: int) -> list[float]:
-    """geometric_grid(lo, hi, count), clipped to cap only where the cap binds."""
-    return geometric_grid(lo, hi, count) if cap >= hi else _capped_grid(lo, hi, cap, count)
+    """geometric_grid(lo, hi, count), clipped to cap only where a point exceeds it."""
+    grid = geometric_grid(lo, hi, count)
+    return grid if grid[-1] <= cap else _capped_grid(lo, hi, cap, count)
 
 
 def _check_pair_axioms(rep: Report, pair) -> None:
@@ -172,8 +178,7 @@ def _check_young_equality(rep: Report, pair) -> None:
 
 
 def _check_inverse_product(rep: Report, pair, cfg: RunConfig) -> None:
-    top = min(1e3, pair.phi.evaluate(pair.phi.domain_cap),
-              pair.psi.evaluate(pair.psi.domain_cap))
+    top = min(pair.phi.evaluate(pair.phi.domain_cap), pair.psi.evaluate(pair.psi.domain_cap))
     ratios = [inverse_product_ratio(pair, t) for t in _grid(1e-3, 1e3, top, 41)]
     rep.add("inverse-product.min", min(ratios))
     rep.add("inverse-product.max", max(ratios))
@@ -217,6 +222,8 @@ def _check_plateau(rep: Report, cert, cfg: RunConfig) -> None:
               and cert.range_high <= 1.0 + cfg.tol_value,
               min(cert.range_low + cfg.tol_value,
                   1.0 + cfg.tol_value - cert.range_high))
+    rep.check("imag-residue", cert.imag_error <= cfg.tol_value,
+              cfg.tol_value - cert.imag_error)
     rep.check("support-containment", cert.support_ok, 0.0, "inside E V V^(-1)")
     rep.check("not-truncated", not cert.truncated, 0.0, "window holds E V V^(-1)")
     for label, chain, cost in (("phi", cert.chain_phi, cert.cost_phi),
@@ -227,6 +234,8 @@ def _check_plateau(rep: Report, cert, cfg: RunConfig) -> None:
                       f"guard={step.guard:g}")
         rep.check(f"cost-{label}-below-bound", cost < cert.cost_bound,
                   cert.cost_bound - cost)
+    rep.check("reflected-decomposition", cert.reflected_error <= RECONSTRUCTION_TOL,
+              RECONSTRUCTION_TOL - cert.reflected_error, "g * f^ rebuilds reflect(u)")
 
 
 def _check_witness(rep: Report, inst, witness) -> None:
@@ -314,26 +323,10 @@ def _check_characters(rep: Report, space: GroupSpace, enumerated, searched=None)
 # verb handlers
 # ---------------------------------------------------------------------------
 
-def _group_and_pair(rep: Report, args) -> tuple:
-    """Parse --group and --nfunction and echo both."""
-    space = group_from_spec(args.group)
-    pair = pair_from_spec(args.nfunction)
-    rep.add("group", space.name)
-    rep.add("nfunction", pair.phi.label)
-    return space, pair
-
-
-def _run_nfunc(args, cfg: RunConfig) -> Report:
-    rep = Report(f"nfunc {args.nfunc_verb}")
+def _run_nfunc_conjugate(args, cfg: RunConfig) -> Report:
+    rep = Report("nfunc conjugate")
     pair = pair_from_spec(args.nfunction)
     rep.add("nfunction", pair.phi.label)
-    if args.nfunc_verb == "check":
-        rep.add("complement", pair.psi.label)
-        rep.add("construction", pair.construction)
-        _check_pair_axioms(rep, pair)
-        _check_inverse_product(rep, pair, cfg)
-        _check_young_equality(rep, pair)
-        return rep
     rep.add("construction", pair.construction)
     points = _parse_points(args.points) if args.points else geometric_grid(1e-2, 1e2, 9)
     if not args.points:
@@ -351,9 +344,24 @@ def _run_nfunc(args, cfg: RunConfig) -> Report:
     return rep
 
 
+def _run_nfunc_check(args, cfg: RunConfig) -> Report:
+    rep = Report("nfunc check")
+    pair = pair_from_spec(args.nfunction)
+    rep.add("nfunction", pair.phi.label)
+    rep.add("complement", pair.psi.label)
+    rep.add("construction", pair.construction)
+    _check_pair_axioms(rep, pair)
+    _check_inverse_product(rep, pair, cfg)
+    _check_young_equality(rep, pair)
+    return rep
+
+
 def _run_norm(args, cfg: RunConfig) -> Report:
     rep = Report(f"norm {args.norm_verb}")
-    space, pair = _group_and_pair(rep, args)
+    space = group_from_spec(args.group)
+    rep.add("group", space.name)
+    pair = pair_from_spec(args.nfunction)
+    rep.add("nfunction", pair.phi.label)
     if args.norm_verb == "charfn":
         subset = [_decode_element(x) for x in read_json(args.subset)]
         value = char_fn_norm(pair.phi, space, subset)
@@ -416,7 +424,10 @@ def _run_group(args, cfg: RunConfig) -> Report:
 
 def _run_aphi(args, cfg: RunConfig) -> Report:
     rep = Report(f"aphi {args.aphi_verb}")
-    space, pair = _group_and_pair(rep, args)
+    space = group_from_spec(args.group)
+    pair = pair_from_spec(args.nfunction)
+    rep.add("group", space.name)
+    rep.add("nfunction", pair.phi.label)
     if args.aphi_verb == "bound":
         f = function_from_rows(space, args.function)
         bracket = algebra_norm_upper(f, pair, budget=args.budget)
@@ -468,7 +479,10 @@ def _run_porosity(args, cfg: RunConfig) -> Report:
 
 def _run_segal(args, cfg: RunConfig) -> Report:
     rep = Report("segal report")
-    space, pair = _group_and_pair(rep, args)
+    space = group_from_spec(args.group)
+    pair = pair_from_spec(args.nfunction)
+    rep.add("group", space.name)
+    rep.add("nfunction", pair.phi.label)
     rep.add("samples", args.samples)
     _check_segal(rep, segal_report(space, pair, samples=args.samples, seed=cfg.seed))
     return rep
@@ -476,7 +490,10 @@ def _run_segal(args, cfg: RunConfig) -> Report:
 
 def _run_unit(args, cfg: RunConfig) -> Report:
     rep = Report("unit check")
-    space, pair = _group_and_pair(rep, args)
+    space = group_from_spec(args.group)
+    pair = pair_from_spec(args.nfunction)
+    rep.add("group", space.name)
+    rep.add("nfunction", pair.phi.label)
     _check_unit(rep, convolution_unit(space, pair, epsilon=args.epsilon), cfg)
     return rep
 
@@ -570,31 +587,6 @@ def _run_suite(args, cfg: RunConfig) -> Report:
 # argument wiring
 # ---------------------------------------------------------------------------
 
-_SPEC_HELP = {
-    "group": "group spec (path or JSON)",
-    "nfunction": "N-function spec (path or JSON)",
-    "function": "function data (path or JSON)",
-    "left": "left function data (path or JSON)",
-    "right": "right function data (path or JSON)",
-    "subset": "JSON list of elements",
-    "compact": "JSON list of elements",
-    "set": "JSON list of elements",
-}
-#: command -> verb -> its required spec flags, in order
-_VERB_SPECS = {
-    "nfunc": {"conjugate": "nfunction", "check": "nfunction"},
-    "norm": {"modular": "group nfunction function", "luxemburg": "group nfunction function",
-             "orlicz": "group nfunction function", "charfn": "group nfunction subset"},
-    "group": {"check": "group", "convolve": "group left right", "leptin": "group compact"},
-    "aphi": {"bound": "group nfunction function", "plateau": "group nfunction set",
-             "lemma-r": "group nfunction set", "submult": "group nfunction left right"},
-    "porosity": {"witness": ""},
-    "segal": {"report": "group nfunction"},
-    "unit": {"check": "group nfunction"},
-    "characters": {"enumerate": "group", "brute": "group"},
-}
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="orliczalg",
@@ -610,22 +602,56 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="tolerance for exactness checks")
     tops = parser.add_subparsers(dest="command", required=True)
 
-    verbs = {}
-    for command, table in _VERB_SPECS.items():
-        sub = tops.add_parser(command).add_subparsers(dest=f"{command}_verb", required=True)
-        for verb, flags in table.items():
-            sp = verbs[command, verb] = sub.add_parser(verb, parents=[common])
-            for flag in flags.split():
-                sp.add_argument(f"--{flag}", required=True, help=_SPEC_HELP[flag])
-    verbs["nfunc", "conjugate"].add_argument("--points", default=None,
-                                             help="comma-separated ordinates")
-    verbs["group", "convolve"].add_argument("--save", default=None)
-    verbs["group", "leptin"].add_argument("--epsilon", type=float, required=True)
-    verbs["aphi", "bound"].add_argument("--budget", type=int, default=3)
-    for command, verb in (("aphi", "plateau"), ("aphi", "lemma-r"), ("unit", "check")):
-        verbs[command, verb].add_argument("--epsilon", type=float, default=1.0)
-    verbs["segal", "report"].add_argument("--samples", type=positive_count, default=20)
-    pw = verbs["porosity", "witness"]
+    nfunc = tops.add_parser("nfunc").add_subparsers(dest="nfunc_verb", required=True)
+    for verb in ("conjugate", "check"):
+        sp = nfunc.add_parser(verb, parents=[common])
+        sp.add_argument("--nfunction", required=True, help="N-function spec (path or JSON)")
+        if verb == "conjugate":
+            sp.add_argument("--points", default=None, help="comma-separated ordinates")
+
+    norm = tops.add_parser("norm").add_subparsers(dest="norm_verb", required=True)
+    for verb in ("modular", "luxemburg", "orlicz", "charfn"):
+        sp = norm.add_parser(verb, parents=[common])
+        sp.add_argument("--group", required=True)
+        sp.add_argument("--nfunction", required=True)
+        if verb == "charfn":
+            sp.add_argument("--subset", required=True, help="JSON list of elements")
+        else:
+            sp.add_argument("--function", required=True, help="function data (path or JSON)")
+
+    group = tops.add_parser("group").add_subparsers(dest="group_verb", required=True)
+    gc = group.add_parser("check", parents=[common])
+    gc.add_argument("--group", required=True)
+    gv = group.add_parser("convolve", parents=[common])
+    gv.add_argument("--group", required=True)
+    gv.add_argument("--left", required=True)
+    gv.add_argument("--right", required=True)
+    gv.add_argument("--save", default=None)
+    gl = group.add_parser("leptin", parents=[common])
+    gl.add_argument("--group", required=True)
+    gl.add_argument("--compact", required=True, help="JSON list of elements")
+    gl.add_argument("--epsilon", type=float, required=True)
+
+    aphi = tops.add_parser("aphi").add_subparsers(dest="aphi_verb", required=True)
+    ab = aphi.add_parser("bound", parents=[common])
+    ab.add_argument("--group", required=True)
+    ab.add_argument("--nfunction", required=True)
+    ab.add_argument("--function", required=True)
+    ab.add_argument("--budget", type=int, default=3)
+    for verb in ("plateau", "lemma-r"):
+        ap = aphi.add_parser(verb, parents=[common])
+        ap.add_argument("--group", required=True)
+        ap.add_argument("--nfunction", required=True)
+        ap.add_argument("--set", required=True, help="JSON list of elements")
+        ap.add_argument("--epsilon", type=float, default=1.0)
+    asub = aphi.add_parser("submult", parents=[common])
+    asub.add_argument("--group", required=True)
+    asub.add_argument("--nfunction", required=True)
+    asub.add_argument("--left", required=True)
+    asub.add_argument("--right", required=True)
+
+    por = tops.add_parser("porosity").add_subparsers(dest="porosity_verb", required=True)
+    pw = por.add_parser("witness", parents=[common])
     pw.add_argument("--nfunction", default='{"kind": "power", "p": 2}')
     pw.add_argument("--n", type=int, default=11)
     pw.add_argument("--R", dest="ball_radius", type=float, default=32.0)
@@ -634,6 +660,24 @@ def _build_parser() -> argparse.ArgumentParser:
     pw.add_argument("--probes", type=positive_count, default=100)
     pw.add_argument("--f", default=None, help="left function data")
     pw.add_argument("--g", default=None, help="right function data")
+
+    seg = tops.add_parser("segal").add_subparsers(dest="segal_verb", required=True)
+    sr = seg.add_parser("report", parents=[common])
+    sr.add_argument("--group", required=True)
+    sr.add_argument("--nfunction", required=True)
+    sr.add_argument("--samples", type=positive_count, default=20)
+
+    unit = tops.add_parser("unit").add_subparsers(dest="unit_verb", required=True)
+    uc = unit.add_parser("check", parents=[common])
+    uc.add_argument("--group", required=True)
+    uc.add_argument("--nfunction", required=True)
+    uc.add_argument("--epsilon", type=float, default=1.0)
+
+    chars = tops.add_parser("characters").add_subparsers(dest="characters_verb",
+                                                         required=True)
+    for verb in ("enumerate", "brute"):
+        cp = chars.add_parser(verb, parents=[common])
+        cp.add_argument("--group", required=True)
 
     suite = tops.add_parser("suite", parents=[common])
     suite.add_argument("--groups", default=None,
@@ -645,7 +689,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 _HANDLERS = {
-    "nfunc": _run_nfunc,
+    "nfunc": lambda a, c: (_run_nfunc_conjugate if a.nfunc_verb == "conjugate"
+                           else _run_nfunc_check)(a, c),
     "norm": _run_norm,
     "group": _run_group,
     "aphi": _run_aphi,

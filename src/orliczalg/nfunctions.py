@@ -113,7 +113,7 @@ class NFunction:
             raise CapExceededError(
                 f"{self.label}: derivative stays below {y:g} up to the domain cap")
         res = solve_increasing(self.derivative, y, start=min(1.0, self.domain_cap),
-                               value_tol=ROOT_VALUE_TOL)
+                               limit=self.domain_cap, value_tol=ROOT_VALUE_TOL)
         return res.x
 
     def inverse(self, t: float) -> float:
@@ -129,7 +129,7 @@ class NFunction:
         # Run to interval collapse: downstream ratio checks need far better
         # than the contractual 1e-12 (1+t) value residual at small t.
         res = solve_increasing(self.evaluate, t, start=min(1.0, self.domain_cap),
-                               value_tol=0.0)
+                               limit=self.domain_cap, value_tol=0.0)
         return res.x
 
     def deriv_range_cap(self) -> float:

@@ -30,17 +30,19 @@ class RootResult:
     iterations: int
 
 
-def expand_upward(f: Callable[[float], float], target: float, start: float = 1.0) -> float:
+def expand_upward(f: Callable[[float], float], target: float, start: float = 1.0,
+                  limit: float = 1e308) -> float:
     """Smallest tested x with f(x) >= target, doubling from ``start``.
 
-    f must be nondecreasing with f(x) -> sup f as x grows. Raises
-    OverflowError if x passes 1e308 first.
+    f must be nondecreasing with f(x) -> sup f as x grows. No point above
+    ``limit`` is tested: the last step stops at it. Raises OverflowError
+    if f(limit) is still below the target.
     """
     x = start
     while f(x) < target:
-        x *= 2.0
-        if x > 1e308:
-            raise OverflowError(f"no x <= 1e+308 with f(x) >= {target:g}")
+        if x >= limit:
+            raise OverflowError(f"no x <= {limit:g} with f(x) >= {target:g}")
+        x = min(2.0 * x, limit)
     return x
 
 
@@ -78,12 +80,13 @@ def bisect_increasing(f: Callable[[float], float], target: float, lo: float, hi:
     return RootResult(x=best_x, lo=lo, hi=hi, residual=best_r, iterations=iters)
 
 
-def solve_increasing(f: Callable[[float], float], target: float, *,
-                     start: float = 1.0, value_tol: float = 1e-12) -> RootResult:
-    """Doubling bracket plus bisection for nondecreasing f with f(0) <= target."""
+def solve_increasing(f: Callable[[float], float], target: float, *, start: float = 1.0,
+                     limit: float = 1e308, value_tol: float = 1e-12) -> RootResult:
+    """Doubling bracket (no point above ``limit``) plus bisection for
+    nondecreasing f with f(0) <= target."""
     if f(0.0) > target:
         raise ValueError("f(0) already exceeds the target")
-    hi = expand_upward(f, target, start=start)
+    hi = expand_upward(f, target, start=start, limit=limit)
     lo = 0.0 if hi == start else hi / 2.0
     return bisect_increasing(f, target, lo, hi, value_tol=value_tol)
 

@@ -1,5 +1,6 @@
 """CLI behavior: verbs, exit codes, strict parsing, reproducible reports."""
 
+import dataclasses
 import io
 import json
 import math
@@ -397,3 +398,32 @@ def test_suite_characters_entry_is_the_fold_of_characters_brute(capsys, consiste
     code, out, _ = run_cli(capsys, "characters", "brute", "--group", Z6)
     assert code == 0
     assert _fold(f"check.characters={consistency_suite['check.characters.Z6']}") == _fold(out)
+
+
+def test_nfunc_check_custom_table_ending_at_ten_passes(capsys):
+    # the cap is 10 and geometric_grid(1e-2, 1e1, 7) ends one ulp above it
+    table = '{"kind":"custom","table":[[0,0,0],[1,0.5,1],[2,2,2],[4,8,4],[10,50,10]]}'
+    code, out, err = run_cli(capsys, "nfunc", "check", "--nfunction", table)
+    assert code == 0, err
+    assert "check.young-equality-at-derivative=pass" in out
+    assert "passed=true" in out
+
+
+@pytest.mark.parametrize("field, check", [("imag_error", "imag-residue"),
+                                          ("reflected_error", "reflected-decomposition")])
+def test_plateau_certificate_clause_fails_verb_and_suite(capsys, monkeypatch, field, check):
+    real_build_plateau = cli.build_plateau
+
+    def spoiled(*args, **kwargs):
+        u, cert = real_build_plateau(*args, **kwargs)
+        return u, dataclasses.replace(cert, **{field: 0.5})
+    monkeypatch.setattr(cli, "build_plateau", spoiled)
+    code, out, _ = run_cli(capsys, "aphi", "plateau", "--group", '{"type": "Zwindow", "radius": 64}',
+                           "--nfunction", '{"kind": "entropy"}', "--set", "[-1,0,1]",
+                           "--epsilon", "0.5")
+    assert code == 1
+    assert f"check.{check}=FAIL" in out
+    code, out, _ = run_cli(capsys, "suite", "--groups", "Zwindow256", "--pairs", "entropy",
+                           "--probes", "1")
+    assert code == 1
+    assert "check.plateau.Zwindow256.entropy=FAIL" in out
