@@ -40,12 +40,7 @@ from dataclasses import dataclass, field
 from random import Random
 
 from . import __version__
-from .algebra import (
-    RECONSTRUCTION_TOL,
-    algebra_norm_upper,
-    build_plateau,
-    submultiplicativity_report,
-)
+from .algebra import RECONSTRUCTION_TOL, algebra_norm_upper, build_plateau, submultiplicativity_report
 from .errors import (
     InfeasibleWindowError,
     OrliczAlgebraError,
@@ -527,50 +522,49 @@ def _run_suite(args, cfg: RunConfig) -> Report:
     rep.add("samples", args.samples)
     rep.add("probes", args.probes)
     pairs = [(pname, pair_from_name(pname)) for pname in pair_names]
-    families: dict[str, Report] = {}
+    entries: dict[str, list] = {}  # entry name -> the CheckResults folded into it
 
-    def family(name: str) -> Report:
-        return families.setdefault(name, Report(name))
+    def entry(name: str, check_family, *args) -> None:
+        """Run one check family on a throwaway report and keep only its checks."""
+        throwaway = Report(name)
+        check_family(throwaway, *args)
+        entries.setdefault(name, []).extend(throwaway.checks)
 
     for pname, pair in pairs:
-        _check_pair_axioms(family(f"pair-axioms.{pname}"), pair)
-        _check_young_equality(family(f"pair-axioms.{pname}"), pair)
-        _check_inverse_product(family(f"inverse-product.{pname}"), pair, cfg)
+        entry(f"pair-axioms.{pname}", _check_pair_axioms, pair)
+        entry(f"pair-axioms.{pname}", _check_young_equality, pair)
+        entry(f"inverse-product.{pname}", _check_inverse_product, pair, cfg)
 
     for gname in group_names:
         space = group_from_spec(_group_name_spec(gname))
-        _check_group_laws(family(f"group-laws.{gname}"), space, cfg)
+        entry(f"group-laws.{gname}", _check_group_laws, space, cfg)
         for pname, pair in pairs:
             key = f"{gname}.{pname}"
             if space.is_window:
                 _, cert = build_plateau(space, range(-1, 2), pair, 0.5)
-                _check_plateau(family(f"plateau.{key}"), cert, cfg)
+                entry(f"plateau.{key}", _check_plateau, cert, cfg)
                 inst = make_instance(_default_porosity_function(space),
                                      _default_porosity_function(space), 11, 32.0, 1)
                 witness = build_witness(inst, pair, probe_count=args.probes,
                                         seed=cfg.seed)
-                _check_witness(family(f"porosity.{key}"), inst, witness)
+                entry(f"porosity.{key}", _check_witness, inst, witness)
                 continue
             rng = Random(cfg.seed)
             for _ in range(args.samples):
                 f = random_function(space, rng)
-                _check_orlicz(family(f"norm-equivalence.{key}"), orlicz_norm(pair, f),
-                              luxemburg(pair.phi, f).value, cfg)
-            _check_segal(family(f"segal.{key}"),
-                         segal_report(space, pair, samples=max(4, args.samples // 2),
-                                      seed=cfg.seed))
-            _check_unit(family(f"unit.{key}"), convolution_unit(space, pair), cfg)
+                entry(f"norm-equivalence.{key}", _check_orlicz, orlicz_norm(pair, f),
+                      luxemburg(pair.phi, f).value, cfg)
+            entry(f"segal.{key}", _check_segal,
+                  segal_report(space, pair, samples=max(4, args.samples // 2), seed=cfg.seed))
+            entry(f"unit.{key}", _check_unit, convolution_unit(space, pair), cfg)
             u, v = random_function(space, rng), random_function(space, rng)
-            _check_submult(family(f"submult.{key}"),
-                           submultiplicativity_report(u, v, pair), cfg)
+            entry(f"submult.{key}", _check_submult, submultiplicativity_report(u, v, pair), cfg)
         if not space.is_window and space.is_abelian:
-            _check_characters(family(f"characters.{gname}"), space,
-                              enumerate_characters(space),
-                              multiplicative_functional_search(space,
-                                                               tolerance=cfg.tol_slack))
+            entry(f"characters.{gname}", _check_characters, space, enumerate_characters(space),
+                  multiplicative_functional_search(space, tolerance=cfg.tol_slack))
 
-    folded = sorted((name, fam.passed, min(c.slack for c in fam.checks))
-                    for name, fam in families.items())
+    folded = sorted((name, all(c.passed for c in checks), min(c.slack for c in checks))
+                    for name, checks in entries.items())
     for name, ok, slack in folded:
         rep.check(name, ok, slack)
     rep.add("checks-total", len(folded))
