@@ -80,7 +80,7 @@ from .specio import (
 from .structure import convolution_unit, enumerate_characters, multiplicative_functional_search, segal_report
 
 CONFIG_ENV = "ORLICZALG_CONFIG"
-CONFIG_KEYS = {"seed", "format", "output", "tol_slack", "tol_value"}
+CONFIG_KEYS = ("seed", "format", "output", "tol_slack", "tol_value")
 
 
 @dataclass
@@ -93,7 +93,7 @@ class RunConfig:
     defaulted: set[str] = field(default_factory=set)
 
     def echo(self, report: Report) -> None:
-        for key in ("seed", "format", "output", "tol_slack", "tol_value"):
+        for key in CONFIG_KEYS:
             origin = "default" if key in self.defaulted else "set"
             report.add(f"config.{key}", f"{getattr(self, key)} ({origin})")
 
@@ -103,7 +103,7 @@ def _load_config(args: argparse.Namespace) -> RunConfig:
     path = os.environ.get(CONFIG_ENV)
     if path:
         data = read_json(path)
-        unknown = set(data) - CONFIG_KEYS
+        unknown = set(data) - set(CONFIG_KEYS)
         if unknown:
             raise SpecFormatError(f"config file: unknown keys {sorted(unknown)}")
         for key, value in data.items():
@@ -318,10 +318,26 @@ def _check_characters(rep: Report, space: GroupSpace, enumerated, searched=None)
 # verb handlers
 # ---------------------------------------------------------------------------
 
-def _run_nfunc_conjugate(args, cfg: RunConfig) -> Report:
-    rep = Report("nfunc conjugate")
+def _space_and_pair(args, rep: Report):
+    """Read --group and --nfunction, writing the group and nfunction lines."""
+    space = group_from_spec(args.group)
+    rep.add("group", space.name)
     pair = pair_from_spec(args.nfunction)
     rep.add("nfunction", pair.phi.label)
+    return space, pair
+
+
+def _run_nfunc(args, cfg: RunConfig) -> Report:
+    rep = Report(f"nfunc {args.nfunc_verb}")
+    pair = pair_from_spec(args.nfunction)
+    rep.add("nfunction", pair.phi.label)
+    if args.nfunc_verb == "check":
+        rep.add("complement", pair.psi.label)
+        rep.add("construction", pair.construction)
+        _check_pair_axioms(rep, pair)
+        _check_inverse_product(rep, pair, cfg)
+        _check_young_equality(rep, pair)
+        return rep
     rep.add("construction", pair.construction)
     points = _parse_points(args.points) if args.points else geometric_grid(1e-2, 1e2, 9)
     if not args.points:
@@ -339,24 +355,9 @@ def _run_nfunc_conjugate(args, cfg: RunConfig) -> Report:
     return rep
 
 
-def _run_nfunc_check(args, cfg: RunConfig) -> Report:
-    rep = Report("nfunc check")
-    pair = pair_from_spec(args.nfunction)
-    rep.add("nfunction", pair.phi.label)
-    rep.add("complement", pair.psi.label)
-    rep.add("construction", pair.construction)
-    _check_pair_axioms(rep, pair)
-    _check_inverse_product(rep, pair, cfg)
-    _check_young_equality(rep, pair)
-    return rep
-
-
 def _run_norm(args, cfg: RunConfig) -> Report:
     rep = Report(f"norm {args.norm_verb}")
-    space = group_from_spec(args.group)
-    rep.add("group", space.name)
-    pair = pair_from_spec(args.nfunction)
-    rep.add("nfunction", pair.phi.label)
+    space, pair = _space_and_pair(args, rep)
     if args.norm_verb == "charfn":
         subset = [_decode_element(x) for x in read_json(args.subset)]
         value = char_fn_norm(pair.phi, space, subset)
@@ -419,10 +420,7 @@ def _run_group(args, cfg: RunConfig) -> Report:
 
 def _run_aphi(args, cfg: RunConfig) -> Report:
     rep = Report(f"aphi {args.aphi_verb}")
-    space = group_from_spec(args.group)
-    pair = pair_from_spec(args.nfunction)
-    rep.add("group", space.name)
-    rep.add("nfunction", pair.phi.label)
+    space, pair = _space_and_pair(args, rep)
     if args.aphi_verb == "bound":
         f = function_from_rows(space, args.function)
         bracket = algebra_norm_upper(f, pair, budget=args.budget)
@@ -433,7 +431,7 @@ def _run_aphi(args, cfg: RunConfig) -> Report:
         rep.add("provenance", "lower: sup norm; upper: decomposition cost (computed)")
         rep.check("bracket-order", bracket.lower <= bracket.upper + cfg.tol_slack,
                   bracket.upper + cfg.tol_slack - bracket.lower)
-    elif args.aphi_verb in ("plateau", "lemma-r"):
+    elif args.aphi_verb == "plateau":
         plateau_set = [_decode_element(x) for x in read_json(args.set)]
         _, cert = build_plateau(space, plateau_set, pair, args.epsilon)
         rep.add("epsilon", args.epsilon)
@@ -474,10 +472,7 @@ def _run_porosity(args, cfg: RunConfig) -> Report:
 
 def _run_segal(args, cfg: RunConfig) -> Report:
     rep = Report("segal report")
-    space = group_from_spec(args.group)
-    pair = pair_from_spec(args.nfunction)
-    rep.add("group", space.name)
-    rep.add("nfunction", pair.phi.label)
+    space, pair = _space_and_pair(args, rep)
     rep.add("samples", args.samples)
     _check_segal(rep, segal_report(space, pair, samples=args.samples, seed=cfg.seed))
     return rep
@@ -485,10 +480,7 @@ def _run_segal(args, cfg: RunConfig) -> Report:
 
 def _run_unit(args, cfg: RunConfig) -> Report:
     rep = Report("unit check")
-    space = group_from_spec(args.group)
-    pair = pair_from_spec(args.nfunction)
-    rep.add("group", space.name)
-    rep.add("nfunction", pair.phi.label)
+    space, pair = _space_and_pair(args, rep)
     _check_unit(rep, convolution_unit(space, pair, epsilon=args.epsilon), cfg)
     return rep
 
@@ -581,6 +573,14 @@ def _run_suite(args, cfg: RunConfig) -> Report:
 # argument wiring
 # ---------------------------------------------------------------------------
 
+def _parent(*flags: str, **kwargs) -> argparse.ArgumentParser:
+    """A parent parser that declares each of ``flags`` with ``kwargs``."""
+    parent = argparse.ArgumentParser(add_help=False)
+    for flag in flags:
+        parent.add_argument(flag, **kwargs)
+    return parent
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="orliczalg",
@@ -594,55 +594,39 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="slack tolerance for inequality checks")
     common.add_argument("--tol-value", dest="tol_value", type=float, default=None,
                         help="tolerance for exactness checks")
+    group = _parent("--group", required=True, help="group spec (path or JSON)")
+    nfunction = _parent("--nfunction", required=True, help="N-function spec (path or JSON)")
+    function = _parent("--function", required=True, help="function data (path or JSON)")
+    operands = _parent("--left", "--right", required=True, help="function data (path or JSON)")
+    on_pair = [common, group, nfunction]
     tops = parser.add_subparsers(dest="command", required=True)
 
     nfunc = tops.add_parser("nfunc").add_subparsers(dest="nfunc_verb", required=True)
-    for verb in ("conjugate", "check"):
-        sp = nfunc.add_parser(verb, parents=[common])
-        sp.add_argument("--nfunction", required=True, help="N-function spec (path or JSON)")
-        if verb == "conjugate":
-            sp.add_argument("--points", default=None, help="comma-separated ordinates")
+    nfunc.add_parser("conjugate", parents=[common, nfunction]).add_argument(
+        "--points", default=None, help="comma-separated ordinates")
+    nfunc.add_parser("check", parents=[common, nfunction])
 
     norm = tops.add_parser("norm").add_subparsers(dest="norm_verb", required=True)
-    for verb in ("modular", "luxemburg", "orlicz", "charfn"):
-        sp = norm.add_parser(verb, parents=[common])
-        sp.add_argument("--group", required=True)
-        sp.add_argument("--nfunction", required=True)
-        if verb == "charfn":
-            sp.add_argument("--subset", required=True, help="JSON list of elements")
-        else:
-            sp.add_argument("--function", required=True, help="function data (path or JSON)")
+    for verb in ("modular", "luxemburg", "orlicz"):
+        norm.add_parser(verb, parents=[*on_pair, function])
+    norm.add_parser("charfn", parents=on_pair).add_argument(
+        "--subset", required=True, help="JSON list of elements")
 
-    group = tops.add_parser("group").add_subparsers(dest="group_verb", required=True)
-    gc = group.add_parser("check", parents=[common])
-    gc.add_argument("--group", required=True)
-    gv = group.add_parser("convolve", parents=[common])
-    gv.add_argument("--group", required=True)
-    gv.add_argument("--left", required=True)
-    gv.add_argument("--right", required=True)
-    gv.add_argument("--save", default=None)
-    gl = group.add_parser("leptin", parents=[common])
-    gl.add_argument("--group", required=True)
+    grp = tops.add_parser("group").add_subparsers(dest="group_verb", required=True)
+    grp.add_parser("check", parents=[common, group])
+    grp.add_parser("convolve", parents=[common, group, operands]).add_argument(
+        "--save", default=None)
+    gl = grp.add_parser("leptin", parents=[common, group])
     gl.add_argument("--compact", required=True, help="JSON list of elements")
     gl.add_argument("--epsilon", type=float, required=True)
 
     aphi = tops.add_parser("aphi").add_subparsers(dest="aphi_verb", required=True)
-    ab = aphi.add_parser("bound", parents=[common])
-    ab.add_argument("--group", required=True)
-    ab.add_argument("--nfunction", required=True)
-    ab.add_argument("--function", required=True)
-    ab.add_argument("--budget", type=int, default=3)
-    for verb in ("plateau", "lemma-r"):
-        ap = aphi.add_parser(verb, parents=[common])
-        ap.add_argument("--group", required=True)
-        ap.add_argument("--nfunction", required=True)
-        ap.add_argument("--set", required=True, help="JSON list of elements")
-        ap.add_argument("--epsilon", type=float, default=1.0)
-    asub = aphi.add_parser("submult", parents=[common])
-    asub.add_argument("--group", required=True)
-    asub.add_argument("--nfunction", required=True)
-    asub.add_argument("--left", required=True)
-    asub.add_argument("--right", required=True)
+    aphi.add_parser("bound", parents=[*on_pair, function]).add_argument(
+        "--budget", type=int, default=3)
+    ap = aphi.add_parser("plateau", parents=on_pair)
+    ap.add_argument("--set", required=True, help="JSON list of elements")
+    ap.add_argument("--epsilon", type=float, default=1.0)
+    aphi.add_parser("submult", parents=[*on_pair, operands])
 
     por = tops.add_parser("porosity").add_subparsers(dest="porosity_verb", required=True)
     pw = por.add_parser("witness", parents=[common])
@@ -655,23 +639,15 @@ def _build_parser() -> argparse.ArgumentParser:
     pw.add_argument("--f", default=None, help="left function data")
     pw.add_argument("--g", default=None, help="right function data")
 
-    seg = tops.add_parser("segal").add_subparsers(dest="segal_verb", required=True)
-    sr = seg.add_parser("report", parents=[common])
-    sr.add_argument("--group", required=True)
-    sr.add_argument("--nfunction", required=True)
-    sr.add_argument("--samples", type=positive_count, default=20)
-
-    unit = tops.add_parser("unit").add_subparsers(dest="unit_verb", required=True)
-    uc = unit.add_parser("check", parents=[common])
-    uc.add_argument("--group", required=True)
-    uc.add_argument("--nfunction", required=True)
-    uc.add_argument("--epsilon", type=float, default=1.0)
+    tops.add_parser("segal").add_subparsers(dest="segal_verb", required=True).add_parser(
+        "report", parents=on_pair).add_argument("--samples", type=positive_count, default=20)
+    tops.add_parser("unit").add_subparsers(dest="unit_verb", required=True).add_parser(
+        "check", parents=on_pair).add_argument("--epsilon", type=float, default=1.0)
 
     chars = tops.add_parser("characters").add_subparsers(dest="characters_verb",
                                                          required=True)
     for verb in ("enumerate", "brute"):
-        cp = chars.add_parser(verb, parents=[common])
-        cp.add_argument("--group", required=True)
+        chars.add_parser(verb, parents=[common, group])
 
     suite = tops.add_parser("suite", parents=[common])
     suite.add_argument("--groups", default=None,
@@ -683,8 +659,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 _HANDLERS = {
-    "nfunc": lambda a, c: (_run_nfunc_conjugate if a.nfunc_verb == "conjugate"
-                           else _run_nfunc_check)(a, c),
+    "nfunc": _run_nfunc,
     "norm": _run_norm,
     "group": _run_group,
     "aphi": _run_aphi,

@@ -354,16 +354,6 @@ class GroupFunction:
             vals[x] = vals.get(x, 0j) + v
         return GroupFunction(self.space, vals, self.truncated or other.truncated)
 
-    def __sub__(self, other: "GroupFunction") -> "GroupFunction":
-        return self + other.scale(-1.0)
-
-    def __neg__(self) -> "GroupFunction":
-        return self.scale(-1.0)
-
-    def abs_values(self) -> "GroupFunction":
-        return GroupFunction(self.space, {x: abs(v) for x, v in self._values.items()},
-                             self.truncated)
-
     def max_abs_diff(self, other: "GroupFunction") -> float:
         _same_space(self, other)
         keys = set(self._values) | set(other._values)

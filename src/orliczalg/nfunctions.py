@@ -8,11 +8,9 @@ nonnegative axis,
 
     Psi(y) = sup{ x*|y| - Phi(x) : x >= 0 },
 
-computed here by solving phi(x) = y on the derivative when one is
-available (the supremum of a concave objective), and by golden-section
-maximization otherwise. Everything is evaluated on demand; per-function
-memo caches are lock-protected so values are safe to share across
-threads.
+computed here by solving phi(x) = y on the derivative (the supremum of
+a concave objective). Every constructor supplies the derivative, and
+everything is evaluated on demand.
 
 Catalog (classical examples):
 
@@ -27,13 +25,12 @@ authoritative and the value column is validated against its integral.
 from __future__ import annotations
 
 import math
-import threading
 from bisect import bisect_right
-from dataclasses import dataclass, field
-from typing import Callable, Mapping, Sequence
+from dataclasses import dataclass
+from typing import Callable, Sequence
 
 from .errors import CapExceededError, InvalidNFunctionError
-from .numerics import geometric_grid, golden_max, solve_increasing
+from .numerics import geometric_grid, solve_increasing
 
 # Values above this are treated as numeric overflow when locating domain caps.
 OVERFLOW_GUARD = 1e300
@@ -69,18 +66,15 @@ class NFunction:
 
     ``evaluate`` and ``derivative`` act on the nonnegative axis; evenness
     is structural (callers go through ``__call__``, which applies abs).
-    ``derivative`` may be None, in which case conjugation falls back to
-    bracketed golden-section maximization. ``derivative_inverse`` is an
-    optional closed-form inverse of the derivative; a monotone
-    root-finder substitutes when absent.
+    ``derivative_inverse`` is an optional closed-form inverse of the
+    derivative; a monotone root-finder substitutes when absent.
     """
 
     kind: str
     label: str
     evaluate: Callable[[float], float]
-    derivative: Callable[[float], float] | None
+    derivative: Callable[[float], float]
     domain_cap: float
-    params: Mapping[str, float] = field(default_factory=dict)
     derivative_inverse: Callable[[float], float] | None = None
 
     def __call__(self, x: float) -> float:
@@ -91,8 +85,6 @@ class NFunction:
         return self.evaluate(a)
 
     def deriv(self, x: float) -> float:
-        if self.derivative is None:
-            raise InvalidNFunctionError(f"{self.label}: no derivative available")
         a = abs(x)
         if a > self.domain_cap:
             raise CapExceededError(
@@ -105,8 +97,6 @@ class NFunction:
             raise ValueError("derivative inverse requires y >= 0")
         if self.derivative_inverse is not None:
             return self.derivative_inverse(y)
-        if self.derivative is None:
-            raise InvalidNFunctionError(f"{self.label}: no derivative available")
         if y == 0.0:
             return 0.0
         if self.derivative(self.domain_cap) < y:
@@ -131,13 +121,6 @@ class NFunction:
         res = solve_increasing(self.evaluate, t, start=min(1.0, self.domain_cap),
                                limit=self.domain_cap, value_tol=0.0)
         return res.x
-
-    def deriv_range_cap(self) -> float:
-        """Largest slope value reachable within the domain cap."""
-        if self.derivative is not None:
-            return self.derivative(self.domain_cap)
-        # Secant slope lower-bounds the right derivative at the cap.
-        return self.evaluate(self.domain_cap) / self.domain_cap
 
 
 # ---------------------------------------------------------------------------
@@ -170,7 +153,7 @@ def power(p: float) -> NFunction:
 
     cap = math.exp((log_guard + math.log(p)) / p)
     return NFunction(kind="power", label=f"power(p={p:g})", evaluate=ev, derivative=dv,
-                     domain_cap=cap, params={"p": p}, derivative_inverse=dv_inv)
+                     domain_cap=cap, derivative_inverse=dv_inv)
 
 
 def entropy() -> NFunction:
@@ -314,39 +297,22 @@ def conjugate_value(phi: NFunction, y: float) -> tuple[float, bool]:
     a = abs(y)
     if a == 0.0:
         return 0.0, False
-    if phi.derivative is not None:
-        if phi.derivative(phi.domain_cap) < a:
-            x = phi.domain_cap
-            return x * a - phi.evaluate(x), True
-        x = phi.deriv_inverse(a)
-        return x * a - phi.evaluate(x), False
-    # No derivative: expand until the concave objective starts decreasing.
-    obj = lambda x: x * a - phi.evaluate(x)
-    hi = 1.0
-    while hi < phi.domain_cap and obj(hi * 2.0) >= obj(hi):
-        hi *= 2.0
-    if hi >= phi.domain_cap:
+    if phi.derivative(phi.domain_cap) < a:
         x = phi.domain_cap
-        return obj(x), True
-    res = golden_max(obj, 0.0, min(hi * 2.0, phi.domain_cap), rel_tol=1e-14)
-    if res.value < 0.0:
-        raise InvalidNFunctionError(
-            f"{phi.label}: conjugate objective went negative at its maximum; "
-            "the function is not convex with Phi(0) = 0")
-    return res.value, False
+        return x * a - phi.evaluate(x), True
+    x = phi.deriv_inverse(a)
+    return x * a - phi.evaluate(x), False
 
 
 def conjugate(phi: NFunction) -> NFunction:
     """Numeric complementary N-function of phi.
 
-    Values are computed on demand and memoized (thread-safe).
+    Values are computed on demand and memoized.
     """
     memo: dict[float, float] = {}
-    lock = threading.Lock()
 
     def ev(y: float) -> float:
-        with lock:
-            hit = memo.get(y)
+        hit = memo.get(y)
         if hit is not None:
             return hit
         value, truncated = conjugate_value(phi, y)
@@ -354,15 +320,12 @@ def conjugate(phi: NFunction) -> NFunction:
             raise CapExceededError(
                 f"conjugate of {phi.label}: y = {y:g} beyond the derivative range; "
                 "use conjugate_value for the cap-limited answer")
-        with lock:
-            memo[y] = value
+        memo[y] = value
         return value
 
-    dv = None if phi.derivative is None else (lambda y: phi.deriv_inverse(y))
-    dv_inv = None if phi.derivative is None else (lambda x: phi.derivative(x))
-    cap = phi.deriv_range_cap()
     return NFunction(kind="conjugate", label=f"conjugate({phi.label})", evaluate=ev,
-                     derivative=dv, domain_cap=cap, derivative_inverse=dv_inv)
+                     derivative=phi.deriv_inverse, domain_cap=phi.derivative(phi.domain_cap),
+                     derivative_inverse=phi.derivative)
 
 
 @dataclass(frozen=True)

@@ -144,12 +144,6 @@ def golden_min(f: Callable[[float], float], lo: float, hi: float, *,
     return MinResult(x=best_x, value=best_f, iterations=iters)
 
 
-def golden_max(f: Callable[[float], float], lo: float, hi: float, *,
-               rel_tol: float = 1e-12) -> MinResult:
-    res = golden_min(lambda x: -f(x), lo, hi, rel_tol=rel_tol)
-    return MinResult(x=res.x, value=-res.value, iterations=res.iterations)
-
-
 def geometric_grid(lo: float, hi: float, count: int) -> list[float]:
     """count log-spaced points from lo to hi inclusive."""
     if count < 2:

@@ -48,7 +48,6 @@ from .groups import (
 )
 from .nfunctions import (
     ComplementaryPair,
-    NFunction,
     cosh_minus_one,
     entropy,
     from_table,
@@ -129,35 +128,27 @@ def _encode_element(x: Any):
     return x
 
 
-def nfunction_from_spec(spec: Any) -> NFunction:
+def pair_from_spec(spec: Any) -> ComplementaryPair:
+    """The complementary pair of an N-function spec; each Phi is built once."""
     if isinstance(spec, (str, Path)):
         spec = read_json(spec)
     _check_keys(spec, {"kind"}, {"p", "table", "construction"}, "nfunction spec")
     kind = spec["kind"]
+    numeric = spec.get("construction") == "numeric"
     if kind == "power":
         if "p" not in spec:
             raise SpecFormatError("power kind needs the exponent key 'p'")
-        return power(float(spec["p"]))
+        p = float(spec["p"])
+        return numeric_pair(power(p)) if numeric else pair_power(p)
     if kind == "entropy":
-        return entropy()
+        return numeric_pair(entropy()) if numeric else pair_entropy()
     if kind == "cosh":
-        return cosh_minus_one()
+        return numeric_pair(cosh_minus_one()) if numeric else pair_cosh()
     if kind == "custom":
         if "table" not in spec:
             raise SpecFormatError("custom kind needs the key 'table'")
-        return from_table(spec["table"])
+        return numeric_pair(from_table(spec["table"]))
     raise SpecFormatError(f"unknown N-function kind {kind!r}")
-
-
-def pair_from_spec(spec: Any) -> ComplementaryPair:
-    if isinstance(spec, (str, Path)):
-        spec = read_json(spec)
-    phi = nfunction_from_spec(spec)
-    if spec.get("construction") == "numeric" or phi.kind == "custom":
-        return numeric_pair(phi)
-    if phi.kind == "power":
-        return pair_power(phi.params["p"])
-    return pair_entropy() if phi.kind == "entropy" else pair_cosh()
 
 
 def function_from_rows(space: GroupSpace, rows: Any) -> GroupFunction:

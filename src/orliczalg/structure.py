@@ -26,9 +26,8 @@ import cmath
 import itertools
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from random import Random
-
-import numpy as np
 
 from .algebra import (
     Decomposition,
@@ -71,6 +70,28 @@ class SegalReport:
         return [c for c in self.checks if not c.passed]
 
 
+def exact_rank(rows) -> int:
+    """Rank over C of a matrix of complex floats, by exact Fraction elimination.
+
+    Floats are binary rationals, so no tolerance enters. A + iB has rank r
+    over C exactly when the real matrix [[A, -B], [B, A]] has rank 2r.
+    """
+    m = ([[Fraction(z.real) for z in row] + [Fraction(-z.imag) for z in row] for row in rows]
+         + [[Fraction(z.imag) for z in row] + [Fraction(z.real) for z in row] for row in rows])
+    rank = 0
+    for col in range(len(m[0]) if m else 0):
+        pivot = next((i for i in range(rank, len(m)) if m[i][col]), None)
+        if pivot is None:
+            continue
+        m[rank], m[pivot] = m[pivot], m[rank]
+        for i in range(rank + 1, len(m)):
+            if m[i][col]:
+                factor = m[i][col] / m[rank][col]
+                m[i] = [a - factor * b for a, b in zip(m[i], m[rank])]
+        rank += 1
+    return rank // 2
+
+
 def _translated_decomposition(d: Decomposition, t, side: str) -> Decomposition:
     """L_t acts on left factors, R_t on the target via L_t of right factors."""
     if side == "left":
@@ -95,7 +116,7 @@ def segal_report(space: GroupSpace, pair: ComplementaryPair, *, samples: int = 2
         v, d = plateau_from_sets(space, [t], [space.identity])
         d.validate()
         basis.append([v(x) for x in space.elements])
-    rank = int(np.linalg.matrix_rank(np.array(basis, dtype=complex)))
+    rank = exact_rank(basis)
     checks.append(CheckResult(
         name="density-spanning", passed=rank == space.size,
         slack=float(rank - space.size),

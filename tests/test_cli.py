@@ -147,14 +147,17 @@ def test_human_format_has_wall_clock(capsys):
 
 
 def test_aphi_plateau_and_alias(capsys):
-    for verb in ("plateau", "lemma-r"):
-        code, out, _ = run_cli(capsys, "aphi", verb, "--group",
-                               '{"type": "Zwindow", "radius": 64}',
-                               "--nfunction", QUAD, "--set", "[-1,0,1]",
-                               "--epsilon", "0.5")
-        assert code == 0
-        assert "check.cost-phi-below-bound=pass" in out
-        assert "chain.phi.inverse-product-lower-bound.bound=3.0" in out
+    code, out, _ = run_cli(capsys, "aphi", "plateau", "--group",
+                           '{"type": "Zwindow", "radius": 64}',
+                           "--nfunction", QUAD, "--set", "[-1,0,1]",
+                           "--epsilon", "0.5")
+    assert code == 0
+    assert "check.cost-phi-below-bound=pass" in out
+    assert "chain.phi.inverse-product-lower-bound.bound=3.0" in out
+    with pytest.raises(SystemExit) as exc:  # the former alias lemma-r is gone
+        cli.main(["aphi", "lemma-r", "--group", '{"type": "Zwindow", "radius": 64}',
+                  "--nfunction", QUAD, "--set", "[-1,0,1]"])
+    assert exc.value.code == 2
 
 
 def test_aphi_plateau_truncated_by_window_fails(capsys):

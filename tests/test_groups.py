@@ -245,7 +245,7 @@ def test_space_mismatch_rejected():
 def test_indicator_scale_add_roundtrip(values):
     z6 = cyclic(6)
     f = GroupFunction(z6, {i: v for i, v in enumerate(values)})
-    assert (f + (-f)).is_zero
+    assert (f + f.scale(-1.0)).is_zero
     assert f.scale(2.0).max_abs_diff(f + f) <= 1e-12
 
 

@@ -76,12 +76,15 @@ def test_luxemburg_triangle_inequality(a_vals, b_vals):
 
 
 def test_luxemburg_monotone_in_absolute_value(z8):
+    def abs_values(f):
+        return GroupFunction(f.space, {x: abs(v) for x, v in f.items()})
+
     rng = Random(4)
     for pair in ALL_PAIRS:
         f = random_function(z8, rng)
-        g = f + random_function(z8, rng).abs_values()  # |g| >= |f| fails in general
-        f_abs = f.abs_values()
-        g_abs = f_abs + random_function(z8, rng).abs_values()
+        g = f + abs_values(random_function(z8, rng))  # |g| >= |f| fails in general
+        f_abs = abs_values(f)
+        g_abs = f_abs + abs_values(random_function(z8, rng))
         assert (luxemburg(pair.phi, f_abs).value
                 <= luxemburg(pair.phi, g_abs).value + 1e-12)
 
