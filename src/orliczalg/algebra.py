@@ -249,9 +249,7 @@ class PlateauCertificate:
     """
 
     epsilon: float
-    plateau_set: tuple
     leptin: LeptinSet
-    decomposition: Decomposition
     cost_phi: float
     cost_psi: float
     on_set_error: float
@@ -354,8 +352,7 @@ def build_plateau(space: GroupSpace, plateau_set: Iterable, pair: ComplementaryP
                                  n_ev, n_v, guard_scale=n_v / lam_v)
 
     cert = PlateauCertificate(
-        epsilon=epsilon, plateau_set=E, leptin=lep, decomposition=decomposition,
-        cost_phi=cost_phi, cost_psi=cost_psi, on_set_error=on_err,
+        epsilon=epsilon, leptin=lep, cost_phi=cost_phi, cost_psi=cost_psi, on_set_error=on_err,
         range_low=min(re_vals), range_high=max(re_vals), imag_error=im_err,
         support_bound=tuple(sorted(supp_bound, key=_sort_key(space))),
         support_ok=support_ok, truncated=u.truncated, chain_phi=chain_phi,

@@ -71,6 +71,7 @@ from .porosity import build_witness, make_instance
 from .specio import (
     Report,
     _decode_element,
+    finite_float,
     function_from_rows,
     function_to_rows,
     group_from_spec,
@@ -107,6 +108,8 @@ def _load_config(args: argparse.Namespace) -> RunConfig:
         if unknown:
             raise SpecFormatError(f"config file: unknown keys {sorted(unknown)}")
         for key, value in data.items():
+            if key in ("tol_slack", "tol_value"):
+                value = finite_float(value, f"config file: {key}")
             setattr(cfg, key, value)
             cfg.defaulted.discard(key)
     for key in CONFIG_KEYS:
@@ -120,10 +123,7 @@ def _load_config(args: argparse.Namespace) -> RunConfig:
 
 
 def _parse_points(text: str) -> list[float]:
-    try:
-        return [float(t) for t in text.split(",") if t.strip()]
-    except ValueError as exc:
-        raise SpecFormatError(f"bad numeric list {text!r}") from exc
+    return [finite_float(t, "--points entry") for t in text.split(",") if t.strip()]
 
 
 def positive_count(text: str) -> int:
@@ -132,6 +132,17 @@ def positive_count(text: str) -> int:
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
     return value
+
+
+def _split_names(text: str) -> list[str]:
+    """The nonempty comma-separated parts of text, splitting only outside {} and []."""
+    parts, depth, start = [], 0, 0
+    for i, ch in enumerate(text):
+        depth += (ch in "{[") - (ch in "}]")
+        if ch == "," and depth == 0:
+            parts.append(text[start:i])
+            start = i + 1
+    return [p for p in [*parts, text[start:]] if p]
 
 
 def _group_name_spec(name: str):
@@ -505,8 +516,8 @@ DEFAULT_SUITE_GROUPS = ("Z2", "Z4", "Z6", "Z2xZ2", "S3", "Zwindow256")
 
 def _run_suite(args, cfg: RunConfig) -> Report:
     rep = Report("suite")
-    group_names = [g for g in (args.groups.split(",") if args.groups is not None
-                               else DEFAULT_SUITE_GROUPS) if g]
+    group_names = (_split_names(args.groups) if args.groups is not None
+                   else list(DEFAULT_SUITE_GROUPS))
     pair_names = [p for p in (args.pairs.split(",") if args.pairs is not None
                               else CATALOG_PAIR_NAMES) if p]
     rep.add("groups", ",".join(group_names) if group_names else "(empty)")
@@ -573,14 +584,6 @@ def _run_suite(args, cfg: RunConfig) -> Report:
 # argument wiring
 # ---------------------------------------------------------------------------
 
-def _parent(*flags: str, **kwargs) -> argparse.ArgumentParser:
-    """A parent parser that declares each of ``flags`` with ``kwargs``."""
-    parent = argparse.ArgumentParser(add_help=False)
-    for flag in flags:
-        parent.add_argument(flag, **kwargs)
-    return parent
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="orliczalg",
@@ -590,14 +593,19 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--seed", type=int, default=None, help="global RNG seed")
     common.add_argument("--format", choices=("machine", "human"), default=None)
     common.add_argument("--output", default=None, help="write the report here")
-    common.add_argument("--tol-slack", dest="tol_slack", type=float, default=None,
+    common.add_argument("--tol-slack", dest="tol_slack", type=finite_float, default=None,
                         help="slack tolerance for inequality checks")
-    common.add_argument("--tol-value", dest="tol_value", type=float, default=None,
+    common.add_argument("--tol-value", dest="tol_value", type=finite_float, default=None,
                         help="tolerance for exactness checks")
-    group = _parent("--group", required=True, help="group spec (path or JSON)")
-    nfunction = _parent("--nfunction", required=True, help="N-function spec (path or JSON)")
-    function = _parent("--function", required=True, help="function data (path or JSON)")
-    operands = _parent("--left", "--right", required=True, help="function data (path or JSON)")
+    group = argparse.ArgumentParser(add_help=False)
+    group.add_argument("--group", required=True, help="group spec (path or JSON)")
+    nfunction = argparse.ArgumentParser(add_help=False)
+    nfunction.add_argument("--nfunction", required=True, help="N-function spec (path or JSON)")
+    function = argparse.ArgumentParser(add_help=False)
+    function.add_argument("--function", required=True, help="function data (path or JSON)")
+    operands = argparse.ArgumentParser(add_help=False)
+    operands.add_argument("--left", required=True, help="function data (path or JSON)")
+    operands.add_argument("--right", required=True, help="function data (path or JSON)")
     on_pair = [common, group, nfunction]
     tops = parser.add_subparsers(dest="command", required=True)
 
@@ -618,31 +626,33 @@ def _build_parser() -> argparse.ArgumentParser:
         "--save", default=None)
     gl = grp.add_parser("leptin", parents=[common, group])
     gl.add_argument("--compact", required=True, help="JSON list of elements")
-    gl.add_argument("--epsilon", type=float, required=True)
+    gl.add_argument("--epsilon", type=finite_float, required=True)
 
     aphi = tops.add_parser("aphi").add_subparsers(dest="aphi_verb", required=True)
     aphi.add_parser("bound", parents=[*on_pair, function]).add_argument(
         "--budget", type=int, default=3)
     ap = aphi.add_parser("plateau", parents=on_pair)
     ap.add_argument("--set", required=True, help="JSON list of elements")
-    ap.add_argument("--epsilon", type=float, default=1.0)
+    ap.add_argument("--epsilon", type=finite_float, default=1.0)
     aphi.add_parser("submult", parents=[*on_pair, operands])
 
     por = tops.add_parser("porosity").add_subparsers(dest="porosity_verb", required=True)
     pw = por.add_parser("witness", parents=[common])
     pw.add_argument("--nfunction", default='{"kind": "power", "p": 2}')
     pw.add_argument("--n", type=int, default=11)
-    pw.add_argument("--R", dest="ball_radius", type=float, default=32.0)
+    pw.add_argument("--R", dest="ball_radius", type=finite_float, default=32.0)
     pw.add_argument("--V-radius", "--v-radius", dest="v_radius", type=int, default=1)
     pw.add_argument("--window", type=int, default=256)
     pw.add_argument("--probes", type=positive_count, default=100)
     pw.add_argument("--f", default=None, help="left function data")
     pw.add_argument("--g", default=None, help="right function data")
 
-    tops.add_parser("segal").add_subparsers(dest="segal_verb", required=True).add_parser(
-        "report", parents=on_pair).add_argument("--samples", type=positive_count, default=20)
-    tops.add_parser("unit").add_subparsers(dest="unit_verb", required=True).add_parser(
-        "check", parents=on_pair).add_argument("--epsilon", type=float, default=1.0)
+    seg = tops.add_parser("segal").add_subparsers(dest="segal_verb", required=True)
+    seg.add_parser("report", parents=on_pair).add_argument(
+        "--samples", type=positive_count, default=20)
+    unit = tops.add_parser("unit").add_subparsers(dest="unit_verb", required=True)
+    unit.add_parser("check", parents=on_pair).add_argument(
+        "--epsilon", type=finite_float, default=1.0)
 
     chars = tops.add_parser("characters").add_subparsers(dest="characters_verb",
                                                          required=True)
@@ -651,7 +661,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     suite = tops.add_parser("suite", parents=[common])
     suite.add_argument("--groups", default=None,
-                       help="comma-separated names (default battery); '' for empty")
+                       help="comma-separated names or specs (default battery); '' for empty")
     suite.add_argument("--pairs", default=None)
     suite.add_argument("--samples", type=positive_count, default=8)
     suite.add_argument("--probes", type=positive_count, default=20)

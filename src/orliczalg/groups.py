@@ -467,7 +467,6 @@ class LeptinSet:
     lam_u: Fraction
     lam_ku: Fraction
     epsilon: float
-    product_members: tuple
 
     @property
     def ratio(self) -> Fraction:
@@ -492,16 +491,12 @@ def leptin_search(space: GroupSpace, compact: Iterable[Element], epsilon: float)
         raise SpecFormatError("Leptin search needs a nonempty compact set")
     if epsilon <= 0:
         raise SpecFormatError(f"Leptin search needs epsilon > 0, got {epsilon:g}")
-    if not space.is_window:
-        for x in K:
-            space.index(x)
-        members = space.elements
-        lam = space.total_mass()
-        return LeptinSet(members=members, lam_u=lam, lam_ku=lam, epsilon=epsilon,
-                         product_members=members)
-    w = space.window_radius
     for x in K:
         space.index(x)
+    if not space.is_window:
+        lam = space.total_mass()
+        return LeptinSet(members=space.elements, lam_u=lam, lam_ku=lam, epsilon=epsilon)
+    w = space.window_radius
     one_plus = 1 + Fraction(epsilon)
     for n in itertools.count(0):
         u = range(-n, n + 1)
@@ -513,9 +508,8 @@ def leptin_search(space: GroupSpace, compact: Iterable[Element], epsilon: float)
                     f"{space.name}: Leptin set for eps={epsilon:g} needs radius {needed}",
                     minimal_radius=needed)
             return LeptinSet(members=tuple(u), lam_u=Fraction(2 * n + 1),
-                             lam_ku=Fraction(len(ku)), epsilon=epsilon,
-                             product_members=tuple(ku))
-        if n > 4 * w + len(K):  # cannot happen for nonempty K; defensive stop
+                             lam_ku=Fraction(len(ku)), epsilon=epsilon)
+        if n > 4 * w + len(K):  # epsilon too small for any radius near the window
             raise InfeasibleWindowError(
                 f"{space.name}: Leptin scan did not terminate by N={n}")
 

@@ -35,7 +35,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import CapExceededError, ScopeError
+from .errors import CapExceededError, ScopeError, SpecFormatError
 from .groups import GroupFunction, GroupSpace
 from .nfunctions import ComplementaryPair, NFunction
 from .numerics import bracket_minimum, golden_min
@@ -134,7 +134,7 @@ def char_fn_norm(phi: NFunction, space: GroupSpace, subset) -> float:
     """Closed-form Luxemburg norm of an indicator: 1 / Phi^{-1}(1 / lam(F))."""
     points = tuple(subset)
     if not points:
-        raise ValueError("characteristic-function norm needs a nonempty subset")
+        raise SpecFormatError("characteristic-function norm needs a nonempty subset")
     lam = 0.0
     for x in points:
         space.index(x)

@@ -18,7 +18,9 @@ N-function specs:
 
 A pair spec is an N-function spec; catalog kinds get their closed-form
 complements, custom tables a numeric conjugate, and
-{"construction": "numeric"} forces the numeric route for any kind.
+{"construction": "numeric"} forces the numeric route for any kind. Each
+kind takes only its own keys, "construction" is "closed-form" (not for
+custom tables) or "numeric", and every number must be finite.
 
 Function data files are rows [element, re, im]; elements of product
 groups are written as (nested) lists.
@@ -77,6 +79,18 @@ def read_json(source: str | Path) -> Any:
                               column=exc.colno) from exc
 
 
+def finite_float(value: Any, what: str = "value") -> float:
+    """A finite float from a flag's text or a JSON number, else SpecFormatError:
+    a ValueError, which argparse reports as a usage error (exit 2)."""
+    try:
+        number = float(value)
+    except (TypeError, ValueError):
+        number = math.nan
+    if not math.isfinite(number):
+        raise SpecFormatError(f"{what} must be a finite number, got {value!r}")
+    return number
+
+
 def _check_keys(obj: Mapping, required: set[str], optional: set[str], context: str) -> None:
     if not isinstance(obj, Mapping):
         raise SpecFormatError(f"{context}: expected an object, got {type(obj).__name__}")
@@ -128,27 +142,36 @@ def _encode_element(x: Any):
     return x
 
 
+#: the keys each N-function kind takes besides "kind" and "construction"
+_KIND_KEYS = {"power": {"p"}, "entropy": set(), "cosh": set(), "custom": {"table"}}
+
+
 def pair_from_spec(spec: Any) -> ComplementaryPair:
     """The complementary pair of an N-function spec; each Phi is built once."""
     if isinstance(spec, (str, Path)):
         spec = read_json(spec)
     _check_keys(spec, {"kind"}, {"p", "table", "construction"}, "nfunction spec")
     kind = spec["kind"]
-    numeric = spec.get("construction") == "numeric"
+    if not isinstance(kind, str) or kind not in _KIND_KEYS:
+        raise SpecFormatError(f"unknown N-function kind {kind!r}")
+    _check_keys(spec, {"kind"} | _KIND_KEYS[kind], {"construction"}, f"{kind} spec")
+    allowed = ("numeric",) if kind == "custom" else ("closed-form", "numeric")
+    construction = spec.get("construction", allowed[0])
+    if construction not in allowed:
+        raise SpecFormatError(f"{kind} spec: construction {construction!r} not in {allowed}")
+    numeric = construction == "numeric"
     if kind == "power":
-        if "p" not in spec:
-            raise SpecFormatError("power kind needs the exponent key 'p'")
-        p = float(spec["p"])
+        p = finite_float(spec["p"], "power spec: 'p'")
         return numeric_pair(power(p)) if numeric else pair_power(p)
     if kind == "entropy":
         return numeric_pair(entropy()) if numeric else pair_entropy()
     if kind == "cosh":
         return numeric_pair(cosh_minus_one()) if numeric else pair_cosh()
-    if kind == "custom":
-        if "table" not in spec:
-            raise SpecFormatError("custom kind needs the key 'table'")
-        return numeric_pair(from_table(spec["table"]))
-    raise SpecFormatError(f"unknown N-function kind {kind!r}")
+    table = spec["table"]
+    if not isinstance(table, list) or any(not isinstance(r, list) or len(r) != 3 for r in table):
+        raise SpecFormatError("custom spec: 'table' must be a list of [x, value, slope] rows")
+    return numeric_pair(from_table([[finite_float(v, f"custom spec: table row {i}") for v in row]
+                                    for i, row in enumerate(table)]))
 
 
 def function_from_rows(space: GroupSpace, rows: Any) -> GroupFunction:

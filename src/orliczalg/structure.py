@@ -58,8 +58,6 @@ class CheckResult:
 
 @dataclass(frozen=True)
 class SegalReport:
-    space_name: str
-    pair_label: str
     checks: tuple[CheckResult, ...]
 
     @property
@@ -168,8 +166,7 @@ def segal_report(space: GroupSpace, pair: ComplementaryPair, *, samples: int = 2
         name="translation-continuity", passed=ident_dev == 0.0, slack=-ident_dev,
         detail="finite carrier: orbit maps have finite range, identity acts exactly"))
 
-    return SegalReport(space_name=space.name, pair_label=pair.phi.label,
-                       checks=tuple(checks))
+    return SegalReport(checks=tuple(checks))
 
 
 # ---------------------------------------------------------------------------
@@ -234,7 +231,6 @@ class Character:
 
 @dataclass(frozen=True)
 class CharacterSet:
-    space_name: str
     order: int
     characters: tuple[Character, ...]
 
@@ -306,7 +302,7 @@ def enumerate_characters(space: GroupSpace) -> CharacterSet:
     for c in found:
         _verify_homomorphism(space, c)
     found.sort(key=lambda c: c.exponents)
-    return CharacterSet(space_name=space.name, order=L, characters=tuple(found))
+    return CharacterSet(order=L, characters=tuple(found))
 
 
 def _expand_exponents(space: GroupSpace, generators, ks, L: int,
@@ -388,7 +384,7 @@ def multiplicative_functional_search(space: GroupSpace,
         if ok:
             found.append(Character(order=L, exponents=tuple(expo)))
     found.sort(key=lambda c: c.exponents)
-    result = CharacterSet(space_name=space.name, order=L, characters=tuple(found))
+    result = CharacterSet(order=L, characters=tuple(found))
     other = enumerate_characters(space)
     if result.exponent_set() != other.exponent_set():
         raise OrliczAlgebraError(

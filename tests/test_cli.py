@@ -4,8 +4,12 @@ import dataclasses
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import time
 from contextlib import redirect_stdout
+from pathlib import Path
 
 import pytest
 
@@ -430,3 +434,91 @@ def test_plateau_certificate_clause_fails_verb_and_suite(capsys, monkeypatch, fi
                            "--probes", "1")
     assert code == 1
     assert "check.plateau.Zwindow256.entropy=FAIL" in out
+
+
+WINDOW64 = '{"type": "Zwindow", "radius": 64}'
+
+
+@pytest.mark.parametrize("argv", [
+    ("aphi", "plateau", "--group", WINDOW64, "--nfunction", QUAD, "--set", "[-1,0,1]",
+     "--epsilon", "nan"),
+    ("group", "leptin", "--group", WINDOW64, "--compact", "[-1,0,1]", "--epsilon", "inf"),
+    ("unit", "check", "--group", Z8, "--nfunction", QUAD, "--epsilon", "nan"),
+    ("porosity", "witness", "--R", "nan", "--probes", "1"),
+    ("group", "check", "--group", Z8, "--tol-slack=-inf"),
+    ("group", "check", "--group", Z8, "--tol-value", "nan"),
+], ids=["plateau-epsilon", "leptin-epsilon", "unit-epsilon", "porosity-R", "tol-slack",
+        "tol-value"])
+def test_non_finite_float_flag_exits_2(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(list(argv))
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "invalid finite_float value" in captured.err
+
+
+@pytest.mark.parametrize("value", ["NaN", "Infinity", '"x"'])
+def test_non_finite_config_tolerance_exits_2(capsys, monkeypatch, tmp_path, value):
+    config = tmp_path / "config.json"
+    config.write_text(f'{{"tol_value": {value}}}', encoding="utf-8")
+    monkeypatch.setenv(cli.CONFIG_ENV, str(config))
+    code, out, err = run_cli(capsys, "group", "check", "--group", Z8)
+    assert code == 2
+    assert out == ""
+    assert "config file: tol_value must be a finite number" in err
+
+
+def test_charfn_empty_subset_exits_2(capsys):
+    code, out, err = run_cli(capsys, "norm", "charfn", "--group", Z8,
+                             "--nfunction", QUAD, "--subset", "[]")
+    assert code == 2
+    assert out == ""
+    assert "nonempty subset" in err
+
+
+@pytest.mark.parametrize("spec, message", [
+    ('{"kind": "entropy", "construction": "numric"}', "construction 'numric' not in"),
+    ('{"kind": "custom", "construction": "closed-form", "table": '
+     '[[0,0,0],[1,0.5,1],[2,2,2],[4,8,4],[8,32,8]]}', "construction 'closed-form' not in"),
+    ('{"kind": "cosh", "p": 7, "table": [[0,0,0]]}', "cosh spec: unknown keys ['p', 'table']"),
+    ('{"kind": "entropy", "p": 2}', "entropy spec: unknown keys ['p']"),
+    ('{"kind": "power", "p": 2, "table": [[0,0,0]]}', "power spec: unknown keys ['table']"),
+    ('{"kind": "power", "p": NaN}', "'p' must be a finite number"),
+    ('{"kind": "custom", "table": [[0,0,0],[1,0.5,1],[2,NaN,2],[4,8,4],[8,32,8]]}',
+     "table row 2 must be a finite number"),
+    ('{"kind": "custom", "table": [[0,0,0],[1,0.5,1],[2,2,Infinity]]}',
+     "table row 2 must be a finite number"),
+    ('{"kind": "custom", "table": [[0,0,0],[1,0.5]]}', "[x, value, slope] rows"),
+], ids=["construction-typo", "custom-closed-form", "cosh-foreign-keys", "entropy-p",
+        "power-table", "nan-p", "nan-table-value", "inf-table-slope", "short-row"])
+def test_strict_pair_spec_exits_2(capsys, spec, message):
+    code, out, err = run_cli(capsys, "nfunc", "check", "--nfunction", spec)
+    assert code == 2
+    assert out == ""
+    assert message in err
+
+
+def test_suite_groups_accepts_inline_json_specs(capsys):
+    code, out, err = run_cli(capsys, "suite", "--groups", 'Z2,{"type": "Zn", "n": 4}',
+                             "--pairs", "power-2", "--samples", "1", "--probes", "1")
+    assert code == 0, err
+    assert 'groups=Z2,{"type": "Zn", "n": 4}\n' in out
+    assert 'check.group-laws.{"type": "Zn", "n": 4}=pass' in out
+    assert "check.group-laws.Z2=pass" in out
+
+
+def test_split_names_splits_only_outside_brackets():
+    assert cli._split_names('Z2,,{"type": "product", "factors": [{"type": "Zn", "n": 2}, '
+                            '{"type": "S3"}]},S3') == [
+        "Z2", '{"type": "product", "factors": [{"type": "Zn", "n": 2}, {"type": "S3"}]}', "S3"]
+    assert cli._split_names("") == []
+
+
+def test_cli_import_loads_no_numpy():
+    code = "import sys, orliczalg.cli; print('numpy' in sys.modules)"
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, check=True)
+    assert done.stdout.strip() == "False"

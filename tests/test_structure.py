@@ -12,6 +12,7 @@ from orliczalg.structure import (
     Character,
     convolution_unit,
     enumerate_characters,
+    exact_rank,
     group_exponent,
     multiplicative_functional_search,
     segal_report,
@@ -198,3 +199,13 @@ def test_search_runs_at_the_limit_and_refuses_one_above(monkeypatch):
     monkeypatch.setattr(structure, "BRUTE_SEARCH_LIMIT", 63)
     with pytest.raises(ScopeError, match=r"4\^3 weight vectors"):
         multiplicative_functional_search(z4)
+
+
+@pytest.mark.parametrize("rows, rank", [
+    ([[1, 1j], [1j, -1]], 1),               # the real parts alone have rank 2
+    ([[1, 1], [1, 1 + 2 ** -52]], 2),       # a float tolerance would call this rank 1
+    ([[float(i == j) for j in range(8)] for i in range(8)], 8),
+    ([], 0),
+], ids=["complex-rank-1", "one-ulp-apart", "identity-8", "empty"])
+def test_exact_rank(rows, rank):
+    assert exact_rank(rows) == rank
