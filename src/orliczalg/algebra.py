@@ -256,7 +256,7 @@ class PlateauCertificate:
     range_low: float
     range_high: float
     imag_error: float
-    support_bound: tuple
+    support_bound: frozenset
     support_ok: bool
     truncated: bool
     chain_phi: tuple[ChainStep, ...]
@@ -354,14 +354,10 @@ def build_plateau(space: GroupSpace, plateau_set: Iterable, pair: ComplementaryP
     cert = PlateauCertificate(
         epsilon=epsilon, leptin=lep, cost_phi=cost_phi, cost_psi=cost_psi, on_set_error=on_err,
         range_low=min(re_vals), range_high=max(re_vals), imag_error=im_err,
-        support_bound=tuple(sorted(supp_bound, key=_sort_key(space))),
+        support_bound=supp_bound,
         support_ok=support_ok, truncated=u.truncated, chain_phi=chain_phi,
         chain_psi=chain_psi, reflected_error=reflected_err)
     return u, cert
-
-
-def _sort_key(space: GroupSpace):
-    return (lambda x: space.index(x)) if not space.is_window else (lambda x: x)
 
 
 # ---------------------------------------------------------------------------

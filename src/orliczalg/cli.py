@@ -127,7 +127,7 @@ def _parse_points(text: str) -> list[float]:
 
 
 def positive_count(text: str) -> int:
-    """Argument type of ``--probes`` and ``--samples``: an integer of at least 1."""
+    """Argument type of counts such as ``--probes`` and ``--n``: an integer of at least 1."""
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
@@ -164,12 +164,6 @@ def _group_name_spec(name: str):
 # check families (see the module docstring)
 # ---------------------------------------------------------------------------
 
-def _grid(lo: float, hi: float, cap: float, count: int) -> list[float]:
-    """geometric_grid(lo, hi, count), clipped to cap only where a point exceeds it."""
-    grid = geometric_grid(lo, hi, count)
-    return grid if grid[-1] <= cap else _capped_grid(lo, hi, cap, count)
-
-
 def _check_pair_axioms(rep: Report, pair) -> None:
     validate_pair(pair)
     rep.check("axioms", True, 0.0, "convexity, limits, strict growth on grids")
@@ -177,7 +171,7 @@ def _check_pair_axioms(rep: Report, pair) -> None:
 
 
 def _check_young_equality(rep: Report, pair) -> None:
-    xs = _grid(1e-2, 1e1, pair.phi.domain_cap, 7)
+    xs = _capped_grid(1e-2, 1e1, pair.phi.domain_cap, 7)
     gaps = [young_gap(pair, x, pair.phi.deriv(x)) for x in xs]
     rep.check("young-equality-at-derivative", all(abs(g) <= 1e-8 for g in gaps),
               1e-8 - max(abs(g) for g in gaps), "gap at (x, phi'(x))")
@@ -185,7 +179,7 @@ def _check_young_equality(rep: Report, pair) -> None:
 
 def _check_inverse_product(rep: Report, pair, cfg: RunConfig) -> None:
     top = min(pair.phi.evaluate(pair.phi.domain_cap), pair.psi.evaluate(pair.psi.domain_cap))
-    ratios = [inverse_product_ratio(pair, t) for t in _grid(1e-3, 1e3, top, 41)]
+    ratios = [inverse_product_ratio(pair, t) for t in _capped_grid(1e-3, 1e3, top, 41)]
     rep.add("inverse-product.min", min(ratios))
     rep.add("inverse-product.max", max(ratios))
     rep.check("inverse-product-range",
@@ -639,9 +633,10 @@ def _build_parser() -> argparse.ArgumentParser:
     por = tops.add_parser("porosity").add_subparsers(dest="porosity_verb", required=True)
     pw = por.add_parser("witness", parents=[common])
     pw.add_argument("--nfunction", default='{"kind": "power", "p": 2}')
-    pw.add_argument("--n", type=int, default=11)
+    pw.add_argument("--n", type=positive_count, default=11)
     pw.add_argument("--R", dest="ball_radius", type=finite_float, default=32.0)
-    pw.add_argument("--V-radius", "--v-radius", dest="v_radius", type=int, default=1)
+    pw.add_argument("--V-radius", "--v-radius", dest="v_radius", type=positive_count,
+                    default=1)
     pw.add_argument("--window", type=int, default=256)
     pw.add_argument("--probes", type=positive_count, default=100)
     pw.add_argument("--f", default=None, help="left function data")

@@ -6,18 +6,20 @@ live at desk scale:
 * finite groups (cyclic, direct products, explicit tables) with the
   normalized Haar weight 1/|G| stored as an exact Fraction, and
 * a symmetric window [-W, W] of the integers with counting measure,
-  standing in for the noncompact group Z. Operations whose true result
-  depends on mass outside the window mark their output ``truncated``
-  instead of failing, and set arithmetic that feeds measure comparisons
-  (Leptin search) is done in unbounded integers so the counts are exact.
+  standing in for the noncompact group Z. An operation whose product
+  y z exits the window (``try_mul`` returns None) drops that mass and
+  marks its output ``truncated`` instead of failing; set arithmetic that
+  feeds measure comparisons (Leptin search) is done in unbounded integers
+  so the counts are exact.
 
 Only unimodular carriers arise here (finite groups and abelian discrete
 groups); weights are uniform, so left invariance of the measure is
 structural.
 
 The function ``reflect`` is the check involution g(x) -> g(x^{-1});
-``convolve`` computes (f*g)(x) = sum_y f(y) g(y^{-1} x) weight(y) with a
-deterministic summation order (carrier order) for reproducible floats.
+``convolve`` computes (f*g)(x) = sum_y f(y) g(y^{-1} x) weight(y) by
+walking supp f x supp g, adding each term f(y) g(z) weight(y) to x = y z
+in the carrier order of y, so floats are reproducible.
 """
 
 from __future__ import annotations
@@ -374,72 +376,57 @@ def _same_space(f: GroupFunction, g: GroupFunction) -> None:
 # ---------------------------------------------------------------------------
 
 def convolve(f: GroupFunction, g: GroupFunction) -> GroupFunction:
-    """(f*g)(x) = sum_y f(y) g(y^{-1}x) weight(y).
+    """(f*g)(x) = sum_y f(y) g(y^{-1}x) weight(y), walking supp f x supp g.
 
-    On windows the values inside the carrier are exact (both factors are
-    genuinely supported inside), but the result is flagged truncated when
-    the support product exits, i.e. when the true convolution on Z has
-    mass the window cannot hold.
+    Each x = y z collects its terms in the carrier order of y, starting
+    from 0j. On windows the values inside the carrier are exact (both
+    factors are genuinely supported inside), but the result is flagged
+    truncated when some product y z exits, i.e. when the true
+    convolution on Z has mass the window cannot hold.
     """
     _same_space(f, g)
     space = f.space
     truncated = f.truncated or g.truncated
-    if space.is_window and not f.is_zero and not g.is_zero:
-        w = space.window_radius
-        fs, gs = f.support, g.support
-        lo = fs[0] + gs[0]
-        hi = fs[-1] + gs[-1]
-        if lo < -w or hi > w:
-            truncated = True
     out: dict[Element, complex] = {}
-    supp_f = f.support
-    for x in space.elements:
-        acc = 0j
-        for y in supp_f:
-            z = space.try_mul(space.inv(y), x)
-            if z is None:
+    for y, fv in f.items():
+        wy = space.weight_float(y)
+        for z, gv in g.items():
+            x = space.try_mul(y, z)
+            if x is None:
+                truncated = True
                 continue
-            gv = g(z)
-            if gv != 0:
-                acc += f(y) * gv * space.weight_float(y)
-        if acc != 0:
-            out[x] = acc
+            out[x] = out.get(x, 0j) + fv * gv * wy
     return GroupFunction(space, out, truncated)
+
+
+def _relabel(f: GroupFunction, move) -> GroupFunction:
+    """f with each support point y moved to move(y); a None drops y and marks
+    the result truncated (the point left the window)."""
+    out: dict[Element, complex] = {}
+    truncated = f.truncated
+    for y, v in f.items():
+        x = move(y)
+        if x is None:
+            truncated = True
+            continue
+        out[x] = v
+    return GroupFunction(f.space, out, truncated)
 
 
 def reflect(f: GroupFunction) -> GroupFunction:
     """Check involution: reflect(f)(x) = f(x^{-1}). Exact relabeling."""
-    return GroupFunction(f.space, {f.space.inv(x): v for x, v in f._values.items()},
-                         f.truncated)
+    return _relabel(f, f.space.inv)
 
 
 def translate_left(t: Element, f: GroupFunction) -> GroupFunction:
     """(L_t f)(x) = f(t^{-1} x); support moves to t * supp f."""
-    space = f.space
-    out: dict[Element, complex] = {}
-    truncated = f.truncated
-    for y, v in f._values.items():
-        x = space.try_mul(t, y)
-        if x is None:
-            truncated = True
-            continue
-        out[x] = v
-    return GroupFunction(space, out, truncated)
+    return _relabel(f, lambda y: f.space.try_mul(t, y))
 
 
 def translate_right(t: Element, f: GroupFunction) -> GroupFunction:
     """(R_t f)(x) = f(x t); support moves to supp f * t^{-1}."""
-    space = f.space
-    ti = space.inv(t)
-    out: dict[Element, complex] = {}
-    truncated = f.truncated
-    for y, v in f._values.items():
-        x = space.try_mul(y, ti)
-        if x is None:
-            truncated = True
-            continue
-        out[x] = v
-    return GroupFunction(space, out, truncated)
+    ti = f.space.inv(t)
+    return _relabel(f, lambda y: f.space.try_mul(y, ti))
 
 
 def set_product(space: GroupSpace, left: Iterable[Element], right: Iterable[Element]) -> frozenset:
@@ -486,7 +473,7 @@ def leptin_search(space: GroupSpace, compact: Iterable[Element], epsilon: float)
     ratio; infeasibility (U or KU poking out of the window) raises with
     the minimal radius that would work.
     """
-    K = tuple(sorted(compact, key=lambda x: _key_for(space, x)))
+    K = tuple(compact)
     if not K:
         raise SpecFormatError("Leptin search needs a nonempty compact set")
     if epsilon <= 0:
@@ -512,10 +499,6 @@ def leptin_search(space: GroupSpace, compact: Iterable[Element], epsilon: float)
         if n > 4 * w + len(K):  # epsilon too small for any radius near the window
             raise InfeasibleWindowError(
                 f"{space.name}: Leptin scan did not terminate by N={n}")
-
-
-def _key_for(space: GroupSpace, x: Element):
-    return space.index(x) if space.contains(x) else x
 
 
 def random_function(space: GroupSpace, rng: Random, *, support_size: int | None = None,

@@ -133,11 +133,12 @@ def power(p: float) -> NFunction:
         raise InvalidNFunctionError(f"power kind requires p > 1, got {p}")
 
     log_guard = math.log(OVERFLOW_GUARD)
+    cap = math.exp((log_guard + math.log(p)) / p)  # solves x^p / p = OVERFLOW_GUARD
 
     def ev(x: float) -> float:
         if x == 0.0:
             return 0.0
-        if p * math.log(x) > log_guard:
+        if x > cap:
             return math.inf
         return x ** p / p
 
@@ -151,7 +152,6 @@ def power(p: float) -> NFunction:
     def dv_inv(y: float) -> float:
         return y ** (1.0 / (p - 1.0)) if y > 0.0 else 0.0
 
-    cap = math.exp((log_guard + math.log(p)) / p)
     return NFunction(kind="power", label=f"power(p={p:g})", evaluate=ev, derivative=dv,
                      domain_cap=cap, derivative_inverse=dv_inv)
 
@@ -300,7 +300,7 @@ def conjugate_value(phi: NFunction, y: float) -> tuple[float, bool]:
     if phi.derivative(phi.domain_cap) < a:
         x = phi.domain_cap
         return x * a - phi.evaluate(x), True
-    x = phi.deriv_inverse(a)
+    x = min(phi.deriv_inverse(a), phi.domain_cap)  # the inverse may round past the cap
     return x * a - phi.evaluate(x), False
 
 
@@ -394,7 +394,11 @@ def inverse_product_ratio(pair: ComplementaryPair, t: float) -> float:
 
 
 def _capped_grid(lo: float, hi: float, cap: float, count: int) -> list[float]:
-    """count log-spaced points from lo to min(hi, cap), none above the cap."""
+    """geometric_grid(lo, hi, count); only when its last point exceeds the cap,
+    count log-spaced points from lo to min(hi, cap), none above the cap."""
+    grid = geometric_grid(lo, hi, count)
+    if grid[-1] <= cap:
+        return grid
     top = min(hi, cap)
     # exp/log round-tripping can overshoot the cap by one ulp
     return [min(x, top) for x in geometric_grid(lo, top, count)]

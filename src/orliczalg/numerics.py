@@ -2,8 +2,8 @@
 
 Everything here is deterministic and allocation-free: doubling brackets,
 plain bisection with a function-value stopping rule, and golden-section
-search on a unimodal bracket. Root results carry the final bracket as
-well as the evaluated point of smallest residual.
+search on a unimodal bracket. Root results carry the evaluated point of
+smallest residual.
 """
 
 from __future__ import annotations
@@ -17,16 +17,10 @@ _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 @dataclass(frozen=True)
 class RootResult:
-    """Bracketed root of a monotone function.
-
-    ``lo``/``hi`` satisfy f(lo) <= target <= f(hi) for a nondecreasing f.
-    ``x`` is the evaluated point with the smallest residual |f(x) - target|.
-    """
+    """Root of a monotone function: ``x`` is the evaluated point with the
+    smallest residual |f(x) - target|."""
 
     x: float
-    lo: float
-    hi: float
-    residual: float
     iterations: int
 
 
@@ -77,7 +71,7 @@ def bisect_increasing(f: Callable[[float], float], target: float, lo: float, hi:
         iters += 1
         if r <= scale:
             break
-    return RootResult(x=best_x, lo=lo, hi=hi, residual=best_r, iterations=iters)
+    return RootResult(x=best_x, iterations=iters)
 
 
 def solve_increasing(f: Callable[[float], float], target: float, *, start: float = 1.0,
@@ -93,7 +87,6 @@ def solve_increasing(f: Callable[[float], float], target: float, *, start: float
 
 @dataclass(frozen=True)
 class MinResult:
-    x: float
     value: float
     iterations: int
 
@@ -118,16 +111,16 @@ def bracket_minimum(f: Callable[[float], float], x0: float) -> tuple[float, floa
     return a, b, c
 
 
-def golden_min(f: Callable[[float], float], lo: float, hi: float, *,
-               rel_tol: float = 1e-12) -> MinResult:
-    """Golden-section minimization of a unimodal f on [lo, hi], at most 400 steps."""
+def golden_min(f: Callable[[float], float], lo: float, hi: float) -> MinResult:
+    """Golden-section minimization of a unimodal f on [lo, hi], to a relative
+    bracket width of 1e-12 or at most 400 steps; reports the smallest value seen."""
     a, b = lo, hi
     x1 = b - _GOLDEN * (b - a)
     x2 = a + _GOLDEN * (b - a)
     f1, f2 = f(x1), f(x2)
-    best_x, best_f = (x1, f1) if f1 <= f2 else (x2, f2)
+    best_f = f1 if f1 <= f2 else f2
     iters = 0
-    while (b - a) > rel_tol * (abs(a) + abs(b)) and iters < 400:
+    while (b - a) > 1e-12 * (abs(a) + abs(b)) and iters < 400:
         if f1 <= f2:
             b, x2, f2 = x2, x1, f1
             x1 = b - _GOLDEN * (b - a)
@@ -136,12 +129,9 @@ def golden_min(f: Callable[[float], float], lo: float, hi: float, *,
             a, x1, f1 = x1, x2, f2
             x2 = a + _GOLDEN * (b - a)
             f2 = f(x2)
-        if f1 < best_f:
-            best_x, best_f = x1, f1
-        if f2 < best_f:
-            best_x, best_f = x2, f2
+        best_f = min(best_f, f1, f2)
         iters += 1
-    return MinResult(x=best_x, value=best_f, iterations=iters)
+    return MinResult(value=best_f, iterations=iters)
 
 
 def geometric_grid(lo: float, hi: float, count: int) -> list[float]:

@@ -46,6 +46,7 @@ from .errors import (
     InfeasibleWindowError,
     OrliczAlgebraError,
     ScopeError,
+    SpecFormatError,
     TheoremContradictionError,
 )
 from .groups import GroupFunction, GroupSpace, translate_left
@@ -128,12 +129,12 @@ def make_instance(f: GroupFunction, g: GroupFunction, n: int, radius: float,
     if f.space is not g.space:
         raise ScopeError("instance functions must share one window")
     if n < 1 or int(n) != n:
-        raise OrliczAlgebraError(f"level index must be a positive integer, got {n}")
+        raise SpecFormatError(f"level index must be a positive integer, got {n}")
     if radius <= 0:
-        raise OrliczAlgebraError(f"ball radius must be positive, got {radius}")
-    if v_radius < 1 or v_radius > f.space.window_radius:
-        raise OrliczAlgebraError(f"bad neighborhood radius {v_radius}")
-    member, top, arg = level_membership(f, g, n, v_radius)
+        raise SpecFormatError(f"ball radius must be positive, got {radius}")
+    if v_radius < 1:
+        raise SpecFormatError(f"bad neighborhood radius {v_radius}")
+    member, top, arg = level_membership(f, g, n, v_radius)  # ScopeError past the window
     if not member:
         raise OrliczAlgebraError(
             f"(f, g) is not in the level-{n} set: integral {top:g} at x = {arg}")

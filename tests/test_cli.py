@@ -183,6 +183,42 @@ def test_porosity_window_truncating_k_plateau_exits_3(capsys, window):
     assert "needs window radius 10" in err
 
 
+def _exit_code(capsys, *argv) -> tuple[int, str]:
+    """Exit code and stderr of a run, whether argparse or the handler rejects it."""
+    try:
+        code = cli.main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    return code, captured.err
+
+
+@pytest.mark.parametrize("flag, value", [("--R", "-3"), ("--n", "0"), ("--V-radius", "0")])
+def test_porosity_out_of_range_number_exits_2(capsys, flag, value):
+    code, err = _exit_code(capsys, "porosity", "witness", flag, value, "--probes", "1")
+    assert code == 2
+    assert "must be" in err
+
+
+def test_porosity_v_radius_beyond_the_window_exits_3(capsys):
+    code, err = _exit_code(capsys, "porosity", "witness", "--window", "16", "--V-radius", "17",
+                           "--probes", "1")
+    assert code == 3
+    assert "exceeds the window 16" in err
+
+
+@pytest.mark.parametrize("kind", ['"power", "p": 2', '"power", "p": 3', '"power", "p": 1.5',
+                                  '"entropy"', '"cosh"'])
+@pytest.mark.parametrize("construction", ["closed-form", "numeric"])
+def test_nfunc_check_reports_for_every_catalog_kind(capsys, kind, construction):
+    spec = f'{{"kind": {kind}, "construction": "{construction}"}}'
+    code, out, err = run_cli(capsys, "nfunc", "check", "--nfunction", spec)
+    assert code == 0, err
+    assert "check.inverse-product-range=pass" in out
+    assert "passed=true" in out
+
+
 def test_aphi_bound_and_submult(capsys):
     fn = json.dumps([[x, 1, 0] for x in range(8)])
     code, out, _ = run_cli(capsys, "aphi", "bound", "--group", Z8,

@@ -261,3 +261,86 @@ def test_values_are_kept_in_carrier_order(groups):
         g = random_function(space, rng, support_size=space.size // 2)
         assert list(g.support) == sorted(g.support, key=space.index)
         assert [x for x, _ in g.items()] == list(g.support)
+
+
+# ---------------------------------------------------------------------------
+# bit-exactness against the carrier-scanning loops the support walks replaced
+# ---------------------------------------------------------------------------
+
+def _scan_convolve(f: GroupFunction, g: GroupFunction) -> GroupFunction:
+    """Convolution scanning every carrier element x, with the window
+    support-end truncation test: the reference for ``convolve``."""
+    space = f.space
+    truncated = f.truncated or g.truncated
+    if space.is_window and not f.is_zero and not g.is_zero:
+        w = space.window_radius
+        fs, gs = f.support, g.support
+        if fs[0] + gs[0] < -w or fs[-1] + gs[-1] > w:
+            truncated = True
+    out = {}
+    for x in space.elements:
+        acc = 0j
+        for y in f.support:
+            z = space.try_mul(space.inv(y), x)
+            if z is None:
+                continue
+            gv = g(z)
+            if gv != 0:
+                acc += f(y) * gv * space.weight_float(y)
+        if acc != 0:
+            out[x] = acc
+    return GroupFunction(space, out, truncated)
+
+
+def _scan_translate(f: GroupFunction, product) -> GroupFunction:
+    """The per-operation relabeling loop of the translations."""
+    out, truncated = {}, f.truncated
+    for y, v in f.items():
+        x = product(y)
+        if x is None:
+            truncated = True
+            continue
+        out[x] = v
+    return GroupFunction(f.space, out, truncated)
+
+
+SPACES = (cyclic(5), direct_product(cyclic(2), cyclic(3)), symmetric_group3(),
+          integer_window(4), integer_window(7))
+VALUES = st.complex_numbers(max_magnitude=1e3, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def operands(draw):
+    space = draw(st.sampled_from(SPACES))
+    points = st.sampled_from(space.elements)
+    f, g = (GroupFunction(space, draw(st.dictionaries(points, VALUES, max_size=space.size)),
+                          draw(st.booleans()))
+            for _ in range(2))
+    return f, g, draw(points)
+
+
+def _same(a: GroupFunction, b: GroupFunction) -> bool:
+    return list(a.items()) == list(b.items()) and a.truncated == b.truncated
+
+
+@settings(max_examples=300, deadline=None)
+@given(operands())
+def test_support_walks_equal_the_carrier_scans_bit_for_bit(case):
+    f, g, t = case
+    space = f.space
+    assert _same(convolve(f, g), _scan_convolve(f, g))
+    assert _same(reflect(f), GroupFunction(space, {space.inv(x): v for x, v in f.items()},
+                                           f.truncated))
+    assert _same(translate_left(t, f), _scan_translate(f, lambda y: space.try_mul(t, y)))
+    ti = space.inv(t)
+    assert _same(translate_right(t, f), _scan_translate(f, lambda y: space.try_mul(y, ti)))
+
+
+def test_window_convolution_truncates_exactly_when_a_product_exits():
+    w4 = integer_window(4)
+    inside = convolve(GroupFunction.indicator(w4, [-2, 2]), GroupFunction.indicator(w4, [-2, 2]))
+    assert not inside.truncated and inside.support == (-4, 0, 4)
+    edge = convolve(GroupFunction.indicator(w4, [-2, 3]), GroupFunction.indicator(w4, [-2]))
+    assert not edge.truncated
+    out = convolve(GroupFunction.indicator(w4, [-2, 3]), GroupFunction.indicator(w4, [2]))
+    assert out.truncated and out.support == (0,)

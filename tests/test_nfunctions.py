@@ -185,3 +185,21 @@ def test_swap_exchanges_roles():
     swapped = pair.swap()
     assert swapped.phi.label == pair.psi.label
     assert isinstance(swapped, ComplementaryPair)
+
+
+
+# x^p / p at the cap rounds a few ulps above OVERFLOW_GUARD for p = 1.24, 2.5 and 9.01
+CLOSED_FORM_PAIRS = {"power-2": pair_power(2.0), "power-3": pair_power(3.0),
+                     "power-1.5": pair_power(1.5), "power-1.24": pair_power(1.24),
+                     "power-2.5": pair_power(2.5), "power-9.01": pair_power(9.01),
+                     "entropy": pair_entropy(), "cosh": pair_cosh()}
+
+
+@pytest.mark.parametrize("name", CLOSED_FORM_PAIRS)
+@pytest.mark.parametrize("construction", ["closed-form", "numeric"])
+def test_phi_and_psi_are_finite_at_their_caps(name, construction):
+    pair = CLOSED_FORM_PAIRS[name]
+    if construction == "numeric":
+        pair = numeric_pair(pair.phi)
+    for fn in (pair.phi, pair.psi):
+        assert math.isfinite(fn(fn.domain_cap)), fn.label

@@ -307,7 +307,7 @@ def _reference_orlicz(pair, f):
             return math.inf
 
     a, _, c = bracket_minimum(objective, 1.0 / f.sup_norm())
-    res = golden_min(objective, a, c, rel_tol=1e-12)
+    res = golden_min(objective, a, c)
     return res.value, res.iterations
 
 
