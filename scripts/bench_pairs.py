@@ -1,24 +1,22 @@
 """Alternating base/change benchmark pairs, written to one evidence file.
 
-    python3 scripts/bench_pairs.py --pr 7 [--base HEAD] [--pairs 10] [--seconds 10]
-        [--workloads battery,witness,norms] [--seed 901] [--trace-seed 21]
-        [--workdir DIR] [--out BENCH_7.json]
+    python3 scripts/bench_pairs.py --pr 7 [--base HEAD] [--pairs 10]
 
 The change is the working tree; the base revision is extracted with
-``git archive`` into a temporary directory under --workdir (removed at
-the end), so the run leaves no worktree behind. For each workload, pair
-i runs ``perfbench/run.py --trace 0 --seed <seed + i>`` once on each
-side, and the side that runs first alternates from pair to pair, so a
-drift of the host's speed favours neither. One traced run per side
-(``--trace 1 --seed <trace-seed>``) then records the work counters.
+``git archive`` into a temporary directory (removed at the end), so the
+run leaves no worktree behind. For each workload of BENCHMARK.json, pair
+i runs ``perfbench/run.py --trace 0 --seed <901 + i>`` once on each side
+for the benchmark's own ``run_seconds``, and the side that runs first
+alternates from pair to pair, so a drift of the host's speed favours
+neither. One traced run per side (``--trace 1 --seed 21``) then records
+the work counters.
 
-The output file holds, per workload and end-to-end metric of
-BENCHMARK.json, both sides' samples with their median and quartiles and
-the number of pairs the change won; the failed and attempted operation
-counts; the traced counters of both sides and the names of those that
-differ; and host metadata. Standard library only.
+The output file BENCH_<pr>.json at the repo root holds, per workload and
+end-to-end metric of BENCHMARK.json, both sides' samples with their
+median and quartiles and the number of pairs the change won; the failed
+and attempted operation counts; the traced counters of both sides and
+the names of those that differ; and host metadata. Standard library only.
 """
-
 from __future__ import annotations
 
 import argparse
@@ -37,11 +35,13 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("base", "change")
+FIRST_SEED = 901
+TRACE_SEED = 21
 
 
-def extract(rev: str, workdir: str | None) -> Path:
+def extract(rev: str) -> Path:
     """The tree of rev, unpacked into a new temporary directory."""
-    dest = Path(tempfile.mkdtemp(prefix="bench-base-", dir=workdir))
+    dest = Path(tempfile.mkdtemp(prefix="bench-base-"))
     archive = subprocess.run(["git", "archive", "--format=tar", rev], cwd=ROOT,
                              capture_output=True, check=True).stdout
     with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
@@ -109,21 +109,16 @@ def main(argv: list[str] | None = None) -> int:
     ap.add_argument("--pr", required=True, help="label of the output file BENCH_<pr>.json")
     ap.add_argument("--base", default="HEAD", help="revision to compare against")
     ap.add_argument("--pairs", type=int, default=10)
-    ap.add_argument("--seconds", type=int, default=10)
-    ap.add_argument("--workloads", default="battery,witness,norms")
-    ap.add_argument("--seed", type=int, default=901, help="seed of the first pair")
-    ap.add_argument("--trace-seed", type=int, default=21)
-    ap.add_argument("--workdir", default=None, help="parent of the temporary base checkout")
-    ap.add_argument("--out", default=None)
     args = ap.parse_args(argv)
     if args.pairs < 2:
         ap.error("--pairs must be at least 2")
     spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
-    workloads = [w for w in args.workloads.split(",") if w]
+    workloads = [w["name"] for w in spec["workloads"]]
+    seconds = spec["run_seconds"]
 
     started = time.time()
     load_start = os.getloadavg()
-    base_root = extract(args.base, args.workdir)
+    base_root = extract(args.base)
     roots = {"base": base_root, "change": ROOT}
     try:
         report = {}
@@ -132,11 +127,9 @@ def main(argv: list[str] | None = None) -> int:
             for i in range(args.pairs):
                 order = SIDES if i % 2 == 0 else SIDES[::-1]
                 for side in order:
-                    runs[side].append(run_bench(roots[side], workload, args.seed + i,
-                                                args.seconds, 0))
+                    runs[side].append(run_bench(roots[side], workload, FIRST_SEED + i, seconds, 0))
                 print(f"{workload} pair {i + 1}/{args.pairs} done", file=sys.stderr)
-            traced = {side: counters(run_bench(roots[side], workload, args.trace_seed,
-                                               args.seconds, 1))
+            traced = {side: counters(run_bench(roots[side], workload, TRACE_SEED, seconds, 1))
                       for side in SIDES}
             report[workload] = {
                 "end_to_end": compare(runs, spec["end_to_end"]),
@@ -157,9 +150,9 @@ def main(argv: list[str] | None = None) -> int:
         "change_head": git("rev-parse", "HEAD"),
         "change_dirty": bool(git("status", "--porcelain", "--untracked-files=no")),
         "pairs": args.pairs,
-        "seconds": args.seconds,
-        "seeds": [args.seed, args.seed + args.pairs - 1],
-        "trace_seed": args.trace_seed,
+        "seconds": seconds,
+        "seeds": [FIRST_SEED, FIRST_SEED + args.pairs - 1],
+        "trace_seed": TRACE_SEED,
         "first_side": "base on even pairs, change on odd",
         "quartiles": "statistics.quantiles(n=4, method='inclusive')",
         "cpu": cpu_model(),
@@ -172,7 +165,7 @@ def main(argv: list[str] | None = None) -> int:
         "wall_s": round(time.time() - started, 1),
         "src_lines": {"base": base_lines, "change": src_lines(ROOT)},
     }
-    out = Path(args.out) if args.out else ROOT / f"BENCH_{args.pr}.json"
+    out = ROOT / f"BENCH_{args.pr}.json"
     out.write_text(json.dumps({"meta": meta, "workloads": report}, indent=1) + "\n",
                    encoding="utf-8")
     for workload, r in report.items():

@@ -29,7 +29,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from .errors import CapExceededError, InvalidNFunctionError
+from .errors import CapExceededError, InvalidNFunctionError, SpecFormatError
 from .numerics import geometric_grid, solve_increasing
 
 # Values above this are treated as numeric overflow when locating domain caps.
@@ -128,9 +128,11 @@ class NFunction:
 # ---------------------------------------------------------------------------
 
 def power(p: float) -> NFunction:
-    """Phi(x) = x^p / p for 1 < p < inf."""
+    """Phi(x) = x^p / p for 1 < p <= 1e8."""
     if not p > 1.0:
         raise InvalidNFunctionError(f"power kind requires p > 1, got {p}")
+    if p > 1e8:  # x^p reaches p * OVERFLOW_GUARD at the cap, a float up to p ~ 1.8e8
+        raise SpecFormatError(f"power kind requires p <= 1e+08, got {p:g}")
 
     log_guard = math.log(OVERFLOW_GUARD)
     cap = math.exp((log_guard + math.log(p)) / p)  # solves x^p / p = OVERFLOW_GUARD

@@ -219,6 +219,14 @@ def test_nfunc_check_reports_for_every_catalog_kind(capsys, kind, construction):
     assert "passed=true" in out
 
 
+@pytest.mark.parametrize("p", ["1e9", "1.000000001"])  # the second's conjugate has q ~ 1e9
+def test_nfunc_check_power_past_max_exponent_exits_2(capsys, p):
+    code, out, err = run_cli(capsys, "nfunc", "check", "--nfunction",
+                             f'{{"kind": "power", "p": {p}}}')
+    assert (code, out) == (2, "")
+    assert err.startswith("parse error: power kind requires p <= 1e+08")
+
+
 def test_aphi_bound_and_submult(capsys):
     fn = json.dumps([[x, 1, 0] for x in range(8)])
     code, out, _ = run_cli(capsys, "aphi", "bound", "--group", Z8,

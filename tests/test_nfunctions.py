@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from orliczalg.errors import CapExceededError, InvalidNFunctionError
+from orliczalg.errors import CapExceededError, InvalidNFunctionError, SpecFormatError
 from orliczalg.nfunctions import (
     CATALOG_PAIR_NAMES,
     ComplementaryPair,
@@ -203,3 +203,10 @@ def test_phi_and_psi_are_finite_at_their_caps(name, construction):
         pair = numeric_pair(pair.phi)
     for fn in (pair.phi, pair.psi):
         assert math.isfinite(fn(fn.domain_cap)), fn.label
+
+
+def test_power_is_finite_at_its_cap_up_to_the_max_exponent():
+    for fn in (power(1e8), pair_power(1e8).psi):
+        assert math.isfinite(fn(fn.domain_cap)), fn.label
+    with pytest.raises(SpecFormatError, match="requires p <= 1e\\+08"):
+        power(2e8)  # x^p at the cap would overflow a float
