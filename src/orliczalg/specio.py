@@ -211,6 +211,7 @@ class Report:
     verb: str
     lines: list[tuple[str, str]] = field(default_factory=list)
     checks: list[CheckResult] = field(default_factory=list)
+    out_of_scope: list[tuple[str, str]] = field(default_factory=list)  # (key, reason)
 
     def add(self, key: str, value: Any) -> None:
         self.lines.append((key, _render_value(value)))
@@ -227,13 +228,21 @@ class Report:
         self.lines.append((f"check.{key}", f"{status} slack={_render_value(slack)}{suffix}"))
         self.checks.append(CheckResult(key, passed, slack, detail))
 
+    def skip(self, key: str, reason: str) -> None:
+        """An ``out-of-scope.<key>`` line for a check that could not run.
+
+        It is not a check, but a report that carries one has not passed.
+        """
+        self.lines.append((f"out-of-scope.{key}", reason))
+        self.out_of_scope.append((key, reason))
+
     @property
     def failures(self) -> list[str]:
         return [c.name for c in self.checks if not c.passed]
 
     @property
     def passed(self) -> bool:
-        return all(c.passed for c in self.checks)
+        return not self.out_of_scope and all(c.passed for c in self.checks)
 
     def render(self, fmt: str = "machine", wall_clock: float | None = None) -> str:
         if fmt == "machine":

@@ -4,7 +4,10 @@ import math
 from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import orliczalg.algebra as algebra
 from orliczalg.algebra import (
     Decomposition,
     algebra_norm_upper,
@@ -23,6 +26,7 @@ from orliczalg.groups import (
     integer_window,
     random_function,
     reflect,
+    symmetric_group3,
     translate_left,
 )
 from orliczalg.nfunctions import CATALOG_PAIR_NAMES, pair_from_name, pair_power
@@ -240,3 +244,66 @@ def test_sup_norm_lower_bound_of_cost(z6):
         br = algebra_norm_upper(f, pair)
         assert f.sup_norm() <= decomposition_cost(br.witness, pair,
                                                   validate=False) + 1e-9
+
+
+def _reference_cost(d: Decomposition, pair) -> float:
+    """Each term priced on its own, the oracle on, summed in term order."""
+    cost = 0.0
+    for f, g in d.terms:
+        cost += luxemburg(pair.phi, f).value * orlicz_norm(pair.swap(), g).value
+    return cost
+
+
+COST_SPACES = (cyclic(5), symmetric_group3(), integer_window(7))
+
+
+@st.composite
+def decompositions(draw):
+    space = draw(st.sampled_from(COST_SPACES))
+    rng = Random(draw(st.integers(0, 2**32)))
+    kind = draw(st.sampled_from(("atomic", "merged", "plateau", "pooled")))
+    if kind == "atomic":
+        return atomic_decomposition(random_function(space, rng))
+    if kind == "merged":
+        return merged_decomposition(random_function(space, rng))
+    # on the window, E F stays inside [-6, 6]
+    points = [x for x in space.elements if not space.is_window or abs(x) <= 3]
+    subsets = st.sets(st.sampled_from(points), min_size=1, max_size=3)
+    if kind == "plateau":
+        return plateau_from_sets(space, draw(subsets), draw(subsets))[1]
+    # several terms sharing right factors drawn from a pool in which two
+    # factors have the same support and different values
+    h = random_function(space, rng, support_size=2)
+    pool = [h, h.scale(0.5), random_function(space, rng, support_size=2)]
+    terms = tuple((random_function(space, rng), draw(st.sampled_from(pool)))
+                  for _ in range(draw(st.integers(1, 4))))
+    target = Decomposition(terms=terms, target=GroupFunction.zero(space)).reconstruct()
+    return Decomposition(terms=terms, target=target)
+
+
+@settings(max_examples=100, deadline=None)
+@given(decompositions(), st.sampled_from(CATALOG_PAIR_NAMES))
+def test_cost_equals_the_oracle_checked_term_by_term_sum(d, name):
+    pair = pair_from_name(name)
+    assert decomposition_cost(d, pair) == _reference_cost(d, pair)
+    space = d.target.space
+    if not space.is_window:
+        u, v = (random_function(space, Random(len(d.terms) + k)) for k in range(2))
+        one = GroupFunction.constant(space, 1.0)
+        assert (submultiplicativity_report(u, v, pair).beta
+                == orlicz_norm(pair.swap(), one).value)
+
+
+def test_atomic_cost_prices_the_repeated_right_factor_once(z6, monkeypatch):
+    calls = []
+
+    def counting(pair, g, **kwargs):
+        calls.append(kwargs)
+        return orlicz_norm(pair, g, **kwargs)
+
+    monkeypatch.setattr(algebra, "orlicz_norm", counting)
+    u = random_function(z6, Random(3), support_size=5)
+    d = atomic_decomposition(u)
+    assert len(d.terms) == 5
+    decomposition_cost(d, pair_from_name("cosh"))
+    assert calls == [{"cross_check": False}]

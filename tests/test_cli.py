@@ -16,6 +16,7 @@ import pytest
 import orliczalg.cli as cli
 import orliczalg.norms as norms
 from orliczalg.errors import TheoremContradictionError
+from orliczalg.nfunctions import ComplementaryPair, power
 from orliczalg.specio import Report
 
 Z8 = '{"type": "Zn", "n": 8}'
@@ -208,7 +209,10 @@ def test_porosity_v_radius_beyond_the_window_exits_3(capsys):
     assert "exceeds the window 16" in err
 
 
+# p = 200 underflows to 0.0 at x = 1e-6 and reaches 1e200-sized Young
+# terms; p = 1.001 has the conjugate exponent 1001
 @pytest.mark.parametrize("kind", ['"power", "p": 2', '"power", "p": 3', '"power", "p": 1.5',
+                                  '"power", "p": 200', '"power", "p": 1.001',
                                   '"entropy"', '"cosh"'])
 @pytest.mark.parametrize("construction", ["closed-form", "numeric"])
 def test_nfunc_check_reports_for_every_catalog_kind(capsys, kind, construction):
@@ -217,6 +221,16 @@ def test_nfunc_check_reports_for_every_catalog_kind(capsys, kind, construction):
     assert code == 0, err
     assert "check.inverse-product-range=pass" in out
     assert "passed=true" in out
+
+
+# the second Psi is 1e-9 off the conjugate exponent, where the terms
+# reach 1e200 and the tolerance scales with them
+@pytest.mark.parametrize("p, q", [(2.0, 3.0), (200.0, 200.0 / 199.0 * (1.0 + 1e-9))])
+def test_young_equality_fails_a_psi_that_is_not_the_complement(p, q):
+    rep = Report("young")
+    cli._check_young_equality(rep, ComplementaryPair(phi=power(p), psi=power(q),
+                                                     construction="closed-form"))
+    assert rep.failures == ["young-equality-at-derivative"]
 
 
 @pytest.mark.parametrize("p", ["1e9", "1.000000001"])  # the second's conjugate has q ~ 1e9
@@ -384,6 +398,56 @@ def test_suite_reports_oracle_nonconvergence_as_a_failed_check(capsys, monkeypat
                            "--samples", "1", "--probes", "1")
     assert code == 1
     assert "check.norm-equivalence.Z2.power-2=FAIL" in out
+
+
+def test_aphi_bound_and_submult_run_no_oracle(capsys, monkeypatch):
+    calls = []
+    oracle = norms._oracle_maximizer
+
+    def counting(*args):
+        calls.append(args)
+        return oracle(*args)
+
+    monkeypatch.setattr(norms, "_oracle_maximizer", counting)
+    z6 = '{"type": "Zn", "n": 6}'
+    left = json.dumps([[x, 0.25 * x, 0.5] for x in range(6)])
+    right = json.dumps([[0, 1, 0], [2, -0.5, 0.25], [5, 0.75, 0]])
+    for verb, operands in (("bound", ("--function", left)),
+                           ("submult", ("--left", left, "--right", right))):
+        code, out, _ = run_cli(capsys, "aphi", verb, "--group", z6, "--nfunction", QUAD,
+                               *operands)
+        assert code == 0 and "passed=true" in out
+    assert calls == []
+    # the counter does see the oracle where a report reads it
+    code, out, _ = run_cli(capsys, "norm", "orlicz", "--group", z6, "--nfunction", QUAD,
+                           "--function", left)
+    assert code == 0 and "check.oracle-agreement=pass" in out
+    assert len(calls) == 1
+
+
+def test_suite_reports_an_out_of_scope_entry_and_runs_the_rest(capsys):
+    code, out, err = run_cli(capsys, "suite", "--groups", "Z2xZ2xZ3", "--pairs", "power-2")
+    assert code == 3
+    lines = out.splitlines()
+    assert any(line.startswith("out-of-scope.characters.Z2xZ2xZ3=")
+               and "6^11 weight vectors" in line for line in lines)
+    assert not any(line.startswith("check.characters.") for line in lines)
+    checks = [line for line in lines if line.startswith("check.")]
+    assert len(checks) == 7 and all("=pass " in line for line in checks)
+    assert "checks-total=7" in lines and "checks-failed=0" in lines
+    assert lines[-1] == "passed=false" and "passed=true" not in out
+    assert "scope error: characters.Z2xZ2xZ3:" in err
+
+
+def test_suite_with_a_failed_check_and_an_out_of_scope_entry_exits_1(capsys, monkeypatch):
+    def no_convergence(*args, **kwargs):
+        raise ArithmeticError("forced oracle non-convergence")
+    monkeypatch.setattr(norms, "_oracle_maximizer", no_convergence)
+    code, out, _ = run_cli(capsys, "suite", "--groups", "Z2,Z10", "--pairs", "power-2",
+                           "--samples", "1", "--probes", "1")
+    assert code == 1
+    assert "check.norm-equivalence.Z2.power-2=FAIL" in out
+    assert "out-of-scope.characters.Z10=" in out and "passed=false" in out
 
 
 def test_suite_unknown_group_name_exits_2(capsys):

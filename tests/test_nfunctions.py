@@ -137,6 +137,16 @@ def test_validate_rejects_non_nfunction():
         validate_nfunction(bad)
 
 
+def test_validate_skips_leading_underflow_but_not_a_later_zero():
+    from orliczalg.nfunctions import NFunction
+    validate_nfunction(power(200.0))  # x^200 / 200 is 0.0 at x = 1e-6
+    assert power(200.0)(1e-6) == 0.0
+    dip = NFunction(kind="custom", label="dip", evaluate=lambda x: 0.0 if 1e-3 < x < 1e-2
+                    else x * x, derivative=lambda x: 2.0 * x, domain_cap=1e6)
+    with pytest.raises(InvalidNFunctionError, match="not strictly increasing"):
+        validate_nfunction(dip)
+
+
 def test_conjugate_truncation_flag():
     value, truncated = conjugate_value(cosh_minus_one(), 1e305)
     assert truncated
