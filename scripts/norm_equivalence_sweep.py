@@ -12,8 +12,9 @@ import argparse
 from random import Random
 
 from orliczalg.groups import cyclic, random_function
-from orliczalg.nfunctions import CATALOG_PAIR_NAMES, pair_from_name
+from orliczalg.nfunctions import CATALOG_PAIR_NAMES
 from orliczalg.norms import luxemburg, orlicz_norm
+from orliczalg.specio import pair_from_name
 
 
 def main() -> None:

@@ -46,7 +46,6 @@ from .nfunctions import (
     numeric_pair,
     pair_cosh,
     pair_entropy,
-    pair_from_name,
     pair_power,
     power,
     validate_nfunction,
@@ -55,6 +54,7 @@ from .nfunctions import (
 )
 from .norms import NormReport, char_fn_norm, luxemburg, modular, orlicz_norm
 from .porosity import build_witness, level_integral, level_membership, make_instance
+from .specio import pair_from_name
 from .structure import (
     convolution_unit,
     enumerate_characters,

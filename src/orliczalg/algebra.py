@@ -17,10 +17,14 @@ chain: the norm equivalence ||.||_Psi <= 2 N_Psi + guard, the closed-form
 norm of characteristic functions, monotonicity under the Leptin ratio
 lam(EV) < (1 + eps) lam(V), and the lower half of the inverse-product
 bound t < Phi^{-1}(t) Psi^{-1}(t). Every step carries its numeric slack.
+
+``PlateauCertificate.checks`` is the one definition of the plateau
+clauses, as ``CheckResult``s: the CLI, the witness and the unit check read it.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -42,6 +46,20 @@ RECONSTRUCTION_TOL = 1e-9
 #: additive cushion on equality-type chain steps, matching the stated
 #: norm-equivalence tolerance
 CHAIN_GUARD = 1e-9
+
+
+@dataclass(frozen=True)
+class CheckResult:
+    """One check clause. It fails when its slack is not finite: NaN or an
+    infinity means the quantity it bounds was never computed as a number."""
+
+    name: str
+    passed: bool
+    slack: float
+    detail: str = ""
+
+    def __post_init__(self):
+        object.__setattr__(self, "passed", bool(self.passed) and math.isfinite(self.slack))
 
 
 @dataclass(frozen=True)
@@ -258,8 +276,9 @@ class PlateauCertificate:
 
     Clauses: value 1 on E, range [0, 1], support containment in E V V^{-1},
     no window truncation (E V V^{-1} inside the carrier), the cost chain on
-    the Phi side, and the mirrored chain certifying the swapped-norm cost
-    of the reflected function.
+    the Phi side, the mirrored chain certifying the swapped-norm cost of
+    the reflected function, and the reflected decomposition rebuilding
+    reflect(u). ``checks`` returns them; ``passed`` is "all of them pass".
     """
 
     epsilon: float
@@ -281,32 +300,34 @@ class PlateauCertificate:
     def cost_bound(self) -> float:
         return 2.0 * (1.0 + self.epsilon)
 
-    def failures(self, *, value_tol: float = 1e-12) -> list[str]:
-        bad = []
-        if self.on_set_error > value_tol:
-            bad.append(f"u != 1 on the set (error {self.on_set_error:g})")
-        if self.range_low < -value_tol or self.range_high > 1.0 + value_tol:
-            bad.append(f"range [{self.range_low:g}, {self.range_high:g}] escapes [0, 1]")
-        if self.imag_error > value_tol:
-            bad.append(f"imaginary residue {self.imag_error:g}")
-        if not self.support_ok:
-            bad.append("support escapes E V V^(-1)")
-        if self.truncated:
-            bad.append("the window truncates the plateau (E V V^(-1) exits it)")
+    def checks(self, value_tol: float = 1e-12) -> tuple[CheckResult, ...]:
+        """Every clause in report order; ``value_tol`` bounds the value clauses."""
+        out = [
+            CheckResult("value-one-on-set", self.on_set_error <= value_tol,
+                        value_tol - self.on_set_error),
+            CheckResult("range", self.range_low >= -value_tol
+                        and self.range_high <= 1.0 + value_tol,
+                        min(self.range_low + value_tol, 1.0 + value_tol - self.range_high)),
+            CheckResult("imag-residue", self.imag_error <= value_tol,
+                        value_tol - self.imag_error),
+            CheckResult("support-containment", self.support_ok, 0.0, "inside E V V^(-1)"),
+            CheckResult("not-truncated", not self.truncated, 0.0, "window holds E V V^(-1)"),
+        ]
         for label, chain, cost in (("phi", self.chain_phi, self.cost_phi),
                                    ("psi", self.chain_psi, self.cost_psi)):
-            for step in chain:
-                if not step.ok:
-                    bad.append(f"{label} chain step {step.name} slack {step.slack:g}")
-            if not cost < self.cost_bound:
-                bad.append(f"{label} cost {cost:g} not below {self.cost_bound:g}")
-        if self.reflected_error > RECONSTRUCTION_TOL:
-            bad.append(f"reflected decomposition error {self.reflected_error:g}")
-        return bad
+            out += [CheckResult(f"chain.{label}.{step.name}", step.ok, step.slack,
+                                f"guard={step.guard:g}") for step in chain]
+            out.append(CheckResult(f"cost-{label}-below-bound", cost < self.cost_bound,
+                                   self.cost_bound - cost))
+        out.append(CheckResult("reflected-decomposition",
+                               self.reflected_error <= RECONSTRUCTION_TOL,
+                               RECONSTRUCTION_TOL - self.reflected_error,
+                               "g * f^ rebuilds reflect(u)"))
+        return tuple(out)
 
     @property
     def passed(self) -> bool:
-        return not self.failures()
+        return all(c.passed for c in self.checks())
 
 
 def plateau_from_sets(space: GroupSpace, plateau_set: Iterable,
@@ -352,7 +373,9 @@ def build_plateau(space: GroupSpace, plateau_set: Iterable, pair: ComplementaryP
     lam_ev = float(lep.lam_ku)
     n_ev = luxemburg(pair.phi, f).value                                 # N_Phi(chi_EV)
     n_v = luxemburg(pair.psi, GroupFunction.indicator(space, V)).value  # N_Psi(chi_V)
-    cost_phi = decomposition_cost(decomposition, pair)
+    # both costs skip validation: the direct decomposition rebuilds u by
+    # construction, and the reflected one's error is a certificate clause
+    cost_phi = decomposition_cost(decomposition, pair, validate=False)
     chain_phi = _certified_chain(pair, lam_v, lam_ev, epsilon, cost_phi,
                                  n_ev, n_v, guard_scale=n_ev)
 
@@ -361,7 +384,7 @@ def build_plateau(space: GroupSpace, plateau_set: Iterable, pair: ComplementaryP
     # same middle bound (the equivalence cushion now rides on N_Psi(g)).
     reflected = Decomposition(terms=((g, f),), target=reflect(u))
     reflected_err = reflected.reconstruction_error()
-    cost_psi = decomposition_cost(reflected, pair.swap())
+    cost_psi = decomposition_cost(reflected, pair.swap(), validate=False)
     chain_psi = _certified_chain(pair, lam_v, lam_ev, epsilon, cost_psi,
                                  n_ev, n_v, guard_scale=n_v / lam_v)
 

@@ -20,6 +20,8 @@ Catalog (classical examples):
 
 plus expression-free tabulated functions where the derivative column is
 authoritative and the value column is validated against its integral.
+Each catalog function states its domain cap in closed form, and its
+evaluate and derivative return inf exactly above that cap.
 """
 
 from __future__ import annotations
@@ -32,32 +34,10 @@ from typing import Callable, Sequence
 from .errors import CapExceededError, InvalidNFunctionError, SpecFormatError
 from .numerics import geometric_grid, solve_increasing
 
-# Values above this are treated as numeric overflow when locating domain caps.
+#: catalog caps sit where Phi reaches this value, or at a round point below
 OVERFLOW_GUARD = 1e300
 
 ROOT_VALUE_TOL = 1e-12
-
-
-def _domain_cap(evaluate: Callable[[float], float]) -> float:
-    """Largest x (up to float range) with evaluate(x) <= OVERFLOW_GUARD."""
-    x = 1.0
-    while x < 1e307:
-        nxt = x * 2.0
-        v = evaluate(nxt)
-        if not math.isfinite(v) or v > OVERFLOW_GUARD:
-            break
-        x = nxt
-    else:
-        return x
-    lo, hi = x, x * 2.0
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        v = evaluate(mid)
-        if math.isfinite(v) and v <= OVERFLOW_GUARD:
-            lo = mid
-        else:
-            hi = mid
-    return lo
 
 
 @dataclass(frozen=True)
@@ -134,8 +114,7 @@ def power(p: float) -> NFunction:
     if p > 1e8:  # x^p reaches p * OVERFLOW_GUARD at the cap, a float up to p ~ 1.8e8
         raise SpecFormatError(f"power kind requires p <= 1e+08, got {p:g}")
 
-    log_guard = math.log(OVERFLOW_GUARD)
-    cap = math.exp((log_guard + math.log(p)) / p)  # solves x^p / p = OVERFLOW_GUARD
+    cap = math.exp((math.log(OVERFLOW_GUARD) + math.log(p)) / p)  # x^p / p = OVERFLOW_GUARD
 
     def ev(x: float) -> float:
         if x == 0.0:
@@ -147,7 +126,7 @@ def power(p: float) -> NFunction:
     def dv(x: float) -> float:
         if x == 0.0:
             return 0.0
-        if (p - 1.0) * math.log(x) > log_guard:
+        if x > cap:
             return math.inf
         return x ** (p - 1.0)
 
@@ -160,82 +139,76 @@ def power(p: float) -> NFunction:
 
 def entropy() -> NFunction:
     """Phi(x) = (1+x) log(1+x) - x."""
+    cap = 1e297
 
     def ev(x: float) -> float:
-        if x > 1e297:
+        if x > cap:
             return math.inf
         return (1.0 + x) * math.log1p(x) - x
 
     def dv(x: float) -> float:
+        if x > cap:
+            return math.inf
         return math.log1p(x)
 
-    def dv_inv(y: float) -> float:
-        return math.expm1(y)
-
-    cap = _domain_cap(ev)
     return NFunction(kind="entropy", label="entropy", evaluate=ev, derivative=dv,
-                     domain_cap=cap, derivative_inverse=dv_inv)
+                     domain_cap=cap, derivative_inverse=math.expm1)
 
 
 def entropy_dual() -> NFunction:
     """Phi(y) = e^y - y - 1, the closed-form complement of entropy()."""
+    cap = math.log(OVERFLOW_GUARD)
 
     def ev(y: float) -> float:
-        if y > 709.0:
+        if y > cap:
             return math.inf
         return math.expm1(y) - y
 
     def dv(y: float) -> float:
-        if y > 709.0:
+        if y > cap:
             return math.inf
         return math.expm1(y)
 
-    def dv_inv(t: float) -> float:
-        return math.log1p(t)
-
-    cap = _domain_cap(ev)
     return NFunction(kind="entropy_dual", label="exp-minus-linear", evaluate=ev,
-                     derivative=dv, domain_cap=cap, derivative_inverse=dv_inv)
+                     derivative=dv, domain_cap=cap, derivative_inverse=math.log1p)
 
 
 def cosh_minus_one() -> NFunction:
     """Phi(x) = cosh(x) - 1."""
+    cap = math.acosh(OVERFLOW_GUARD)
 
     def ev(x: float) -> float:
-        if x > 710.0:
+        if x > cap:
             return math.inf
         return math.cosh(x) - 1.0
 
     def dv(x: float) -> float:
-        if x > 710.0:
+        if x > cap:
             return math.inf
         return math.sinh(x)
 
-    def dv_inv(y: float) -> float:
-        return math.asinh(y)
-
-    cap = _domain_cap(ev)
     return NFunction(kind="cosh", label="cosh-1", evaluate=ev, derivative=dv,
-                     domain_cap=cap, derivative_inverse=dv_inv)
+                     domain_cap=cap, derivative_inverse=math.asinh)
 
 
 def cosh_dual() -> NFunction:
     """Phi(y) = y asinh(y) - sqrt(1+y^2) + 1, the closed-form complement of cosh-1."""
+    cap = 1e150
 
     def ev(y: float) -> float:
-        if y > 1e150:
+        if y > cap:
             return math.inf
         return y * math.asinh(y) - math.hypot(1.0, y) + 1.0
 
     def dv(y: float) -> float:
+        if y > cap:
+            return math.inf
         return math.asinh(y)
 
-    def dv_inv(t: float) -> float:
-        return math.sinh(t) if t <= 710.0 else math.inf
-
-    cap = _domain_cap(ev)
+    # the derivative's inverse is sinh, cosh-1's derivative
     return NFunction(kind="cosh_dual", label="asinh-integral", evaluate=ev,
-                     derivative=dv, domain_cap=cap, derivative_inverse=dv_inv)
+                     derivative=dv, domain_cap=cap,
+                     derivative_inverse=cosh_minus_one().derivative)
 
 
 def from_table(rows: Sequence[Sequence[float]]) -> NFunction:
@@ -361,21 +334,6 @@ def pair_cosh() -> ComplementaryPair:
 
 #: The four pairs exercised by the default battery.
 CATALOG_PAIR_NAMES = ("power-2", "power-3", "entropy", "cosh")
-
-
-def pair_from_name(name: str) -> ComplementaryPair:
-    """Parse "power-<p>", "entropy" or "cosh" into a catalog pair."""
-    if name == "entropy":
-        return pair_entropy()
-    if name == "cosh":
-        return pair_cosh()
-    if name.startswith("power-"):
-        try:
-            p = float(name.split("-", 1)[1])
-        except ValueError as exc:
-            raise InvalidNFunctionError(f"bad power pair name {name!r}") from exc
-        return pair_power(p)
-    raise InvalidNFunctionError(f"unknown catalog pair {name!r}")
 
 
 # ---------------------------------------------------------------------------

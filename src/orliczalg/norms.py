@@ -23,7 +23,8 @@ root-finding on the active constraint rho_Psi(g) = 1 (the modular's
 Phi-sum on the values of g; g is built only at the final mu), then a final
 rescale by the Luxemburg norm of g so that feasibility is certified and
 the pairing sum is a sound lower bound. Primary value and oracle must
-agree or the report carries a disagreement flag, never a silent number.
+agree (``oracle_agreement_slack`` >= 0, the one definition of agreement)
+or the report carries a disagreement flag, never a silent number.
 
 On finite carriers the constraint sets {rho_Psi(g) <= 1} and
 {N_Psi(g) <= 1} coincide (convexity plus Phi(0) = 0), which is why the
@@ -198,6 +199,11 @@ def _oracle_maximizer(pair: ComplementaryPair,
     return holder_pairing(f, g), g, iters
 
 
+def oracle_agreement_slack(value: float, oracle_value: float | None) -> float:
+    """RTOL max(1, value) - |value - oracle|, a missing oracle counting as 0."""
+    return ORACLE_AGREEMENT_RTOL * max(1.0, value) - abs(value - (oracle_value or 0.0))
+
+
 def orlicz_norm(pair: ComplementaryPair, f: GroupFunction, *,
                 cross_check: bool = True) -> NormReport:
     """Orlicz norm by the one-parameter minimization, oracle cross-checked."""
@@ -228,7 +234,7 @@ def orlicz_norm(pair: ComplementaryPair, f: GroupFunction, *,
             flags = flags + ("oracle-nonconvergence",)
         else:
             iterations += oracle_iters
-            if abs(value - oracle_value) > ORACLE_AGREEMENT_RTOL * max(1.0, value):
+            if not oracle_agreement_slack(value, oracle_value) >= 0.0:
                 flags = flags + ("oracle-disagreement",)
     residual = abs(value - oracle_value) if oracle_value is not None else math.nan
     return NormReport(value=value, method="amemiya-min", residual=residual,

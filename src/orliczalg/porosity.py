@@ -328,9 +328,10 @@ def _require_certified(space: GroupSpace, cert: PlateauCertificate, what: str,
     if shift(w) + reach > w:
         need = next(m for m in itertools.count(w + 1) if shift(m) + reach <= m)
         raise InfeasibleWindowError(f"the {what} needs window radius {need}", minimal_radius=need)
-    if not cert.passed:
+    failures = [c for c in cert.checks() if not c.passed]
+    if failures:
         raise TheoremContradictionError(f"{what} certificate failed during witness "
-                                        "construction", state={"failures": cert.failures()})
+                                        "construction", state={"failures": failures})
 
 
 def _probe_half_width(w: int) -> int:

@@ -38,6 +38,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Mapping
 
+from .algebra import CheckResult
 from .errors import SpecFormatError
 from .groups import (
     GroupFunction,
@@ -59,7 +60,6 @@ from .nfunctions import (
     pair_power,
     power,
 )
-from .structure import CheckResult
 
 
 def read_json(source: str | Path) -> Any:
@@ -174,6 +174,14 @@ def pair_from_spec(spec: Any) -> ComplementaryPair:
                                     for i, row in enumerate(table)]))
 
 
+def pair_from_name(name: str) -> ComplementaryPair:
+    """The catalog pair of a battery name ("power-<p>", "entropy", "cosh"),
+    through its N-function spec; a bad name is a SpecFormatError."""
+    if name.startswith("power-"):
+        return pair_from_spec({"kind": "power", "p": name[len("power-"):]})
+    return pair_from_spec({"kind": name})
+
+
 def function_from_rows(space: GroupSpace, rows: Any) -> GroupFunction:
     if isinstance(rows, (str, Path)):
         rows = read_json(rows)
@@ -217,16 +225,14 @@ class Report:
         self.lines.append((key, _render_value(value)))
 
     def check(self, key: str, passed: bool, slack: float, detail: str = "") -> None:
-        """A check line: pass/fail, numeric slack, optional provenance.
+        self.record(CheckResult(key, passed, slack, detail))
 
-        A check whose slack is not finite fails: NaN or an infinity means
-        the quantity it bounds was never computed as a number.
-        """
-        passed = passed and math.isfinite(slack)
-        status = "pass" if passed else "FAIL"
-        suffix = f" {detail}" if detail else ""
-        self.lines.append((f"check.{key}", f"{status} slack={_render_value(slack)}{suffix}"))
-        self.checks.append(CheckResult(key, passed, slack, detail))
+    def record(self, c: CheckResult) -> None:
+        """A check line: pass/fail, numeric slack, optional provenance."""
+        suffix = f" {c.detail}" if c.detail else ""
+        self.lines.append((f"check.{c.name}",
+                           f"{'pass' if c.passed else 'FAIL'} slack={_render_value(c.slack)}{suffix}"))
+        self.checks.append(c)
 
     def skip(self, key: str, reason: str) -> None:
         """An ``out-of-scope.<key>`` line for a check that could not run.

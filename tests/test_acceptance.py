@@ -25,12 +25,12 @@ from orliczalg.nfunctions import (
     inverse_product_ratio,
     pair_cosh,
     pair_entropy,
-    pair_from_name,
     pair_power,
 )
 from orliczalg.norms import char_fn_norm, luxemburg, orlicz_norm
 from orliczalg.numerics import geometric_grid
 from orliczalg.porosity import build_witness, make_instance
+from orliczalg.specio import pair_from_name
 from orliczalg.structure import convolution_unit, enumerate_characters, multiplicative_functional_search, segal_report
 
 

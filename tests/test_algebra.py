@@ -1,5 +1,6 @@
 """Decomposition costs, norm brackets, plateau certificates, closure chain."""
 
+import dataclasses
 import math
 from random import Random
 
@@ -29,8 +30,9 @@ from orliczalg.groups import (
     symmetric_group3,
     translate_left,
 )
-from orliczalg.nfunctions import CATALOG_PAIR_NAMES, pair_from_name, pair_power
+from orliczalg.nfunctions import CATALOG_PAIR_NAMES, pair_power
 from orliczalg.norms import luxemburg, orlicz_norm
+from orliczalg.specio import pair_from_name
 
 ALL_PAIRS = [pair_from_name(name) for name in CATALOG_PAIR_NAMES]
 
@@ -197,9 +199,27 @@ def test_plateau_truncated_by_window_fails_certificate():
     assert u.truncated and cert.truncated
     assert max(cert.support_bound) == 7
     assert not cert.passed
-    assert any("truncates" in f for f in cert.failures())
+    assert any(c.name == "not-truncated" and not c.passed for c in cert.checks())
     _, whole = build_plateau(integer_window(7), [3, 4, 5], pair_power(2.0), 1.0)
     assert not whole.truncated and whole.passed
+
+
+@pytest.mark.parametrize("field", ["on_set_error", "range_low", "imag_error", "reflected_error"])
+def test_plateau_certificate_with_a_nan_field_fails(window, field):
+    _, cert = build_plateau(window, [-1, 0, 1], pair_power(2.0), 1.0)
+    assert cert.passed
+    assert not dataclasses.replace(cert, **{field: math.nan}).passed
+
+
+def test_build_plateau_convolves_only_the_plateau_and_its_reflection(window, monkeypatch):
+    calls = []
+
+    def counting(f, g):
+        calls.append((f, g))
+        return convolve(f, g)
+    monkeypatch.setattr(algebra, "convolve", counting)
+    build_plateau(window, [-1, 0, 1], pair_power(2.0), 1.0)
+    assert len(calls) == 2
 
 
 def test_submult_chain_random_pairs():

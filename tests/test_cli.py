@@ -12,12 +12,17 @@ from contextlib import redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import orliczalg.cli as cli
 import orliczalg.norms as norms
+import orliczalg.structure as structure
+from orliczalg.algebra import build_plateau
 from orliczalg.errors import TheoremContradictionError
-from orliczalg.nfunctions import ComplementaryPair, power
-from orliczalg.specio import Report
+from orliczalg.groups import integer_window
+from orliczalg.nfunctions import CATALOG_PAIR_NAMES, ComplementaryPair, power
+from orliczalg.specio import Report, pair_from_name
 
 Z8 = '{"type": "Zn", "n": 8}'
 QUAD = '{"kind": "power", "p": 2}'
@@ -210,10 +215,12 @@ def test_porosity_v_radius_beyond_the_window_exits_3(capsys):
 
 
 # p = 200 underflows to 0.0 at x = 1e-6 and reaches 1e200-sized Young
-# terms; p = 1.001 has the conjugate exponent 1001
+# terms; p = 1.001 has the conjugate exponent 1001; from p = 500 on,
+# phi'(x) reaches Psi's cap below Phi's own cap
 @pytest.mark.parametrize("kind", ['"power", "p": 2', '"power", "p": 3', '"power", "p": 1.5',
                                   '"power", "p": 200', '"power", "p": 1.001',
-                                  '"entropy"', '"cosh"'])
+                                  '"power", "p": 500', '"power", "p": 1e5',
+                                  '"power", "p": 1e7', '"entropy"', '"cosh"'])
 @pytest.mark.parametrize("construction", ["closed-form", "numeric"])
 def test_nfunc_check_reports_for_every_catalog_kind(capsys, kind, construction):
     spec = f'{{"kind": {kind}, "construction": "{construction}"}}'
@@ -464,6 +471,55 @@ def test_suite_power_1_pair_fails_like_the_power_1_spec(capsys):
     assert out == ""
     assert (code, err) == (spec_code, spec_err) == (1, "error: power kind requires "
                                                        "p > 1, got 1.0\n")
+
+
+@pytest.mark.parametrize("name", ["foo", "power-x", "power-nan"])
+def test_suite_bad_pair_name_exits_2(capsys, name):
+    code, out, err = run_cli(capsys, "suite", "--groups", "", "--pairs", name)
+    assert (code, out) == (2, "")
+    assert err.startswith("parse error: ")
+
+
+def test_characters_brute_reports_routes_that_disagree(capsys, monkeypatch):
+    real = structure.enumerate_characters
+
+    def one_short(space):
+        found = real(space)
+        return dataclasses.replace(found, characters=found.characters[1:])
+    monkeypatch.setattr(structure, "enumerate_characters", one_short)
+    monkeypatch.setattr(cli, "enumerate_characters", one_short)
+    code, out, err = run_cli(capsys, "characters", "brute", "--group", Z6)
+    assert (code, err) == (1, "")
+    assert "check.routes-agree=FAIL" in out
+    assert "check.completeness=FAIL" in out
+    assert out.endswith("passed=false\n")
+
+
+@settings(max_examples=20, deadline=None)
+@given(radius=st.sampled_from([16, 64]), lo=st.integers(-3, 1), width=st.integers(0, 3),
+       name=st.sampled_from(CATALOG_PAIR_NAMES), epsilon=st.sampled_from(["0.5", "1"]),
+       tol_value=st.sampled_from(["1e-12", "1e-6"]))
+def test_aphi_plateau_check_lines_are_the_certificate_checks(radius, lo, width, name,
+                                                             epsilon, tol_value):
+    plateau_set = list(range(lo, lo + width + 1))
+    out = io.StringIO()
+    with redirect_stdout(out):
+        code = cli.main(["aphi", "plateau", "--group", f'{{"type": "Zwindow", "radius": {radius}}}',
+                         "--nfunction", json.dumps(_pair_spec(name)), "--set",
+                         json.dumps(plateau_set), "--epsilon", epsilon, "--tol-value", tol_value])
+    assert code in (0, 1)
+    _, cert = build_plateau(integer_window(radius), plateau_set, pair_from_name(name),
+                            float(epsilon))
+    expected = Report("aphi plateau")
+    for c in cert.checks(float(tol_value)):
+        expected.record(c)
+    assert [line for line in out.getvalue().splitlines() if line.startswith("check.")] == \
+        [f"{key}={value}" for key, value in expected.lines]
+
+
+def _pair_spec(name: str) -> dict:
+    kind, _, p = name.partition("-")
+    return {"kind": kind, "p": float(p)} if p else {"kind": kind}
 
 
 def _fold(report: str) -> tuple[bool, float]:

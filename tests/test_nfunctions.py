@@ -19,7 +19,6 @@ from orliczalg.nfunctions import (
     numeric_pair,
     pair_cosh,
     pair_entropy,
-    pair_from_name,
     pair_power,
     power,
     validate_nfunction,
@@ -27,6 +26,7 @@ from orliczalg.nfunctions import (
     young_gap,
 )
 from orliczalg.numerics import geometric_grid
+from orliczalg.specio import pair_from_name
 
 ALL_PAIRS = [pair_from_name(name) for name in CATALOG_PAIR_NAMES]
 

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from orliczalg.errors import CapExceededError
 from orliczalg.groups import GroupFunction, cyclic, integer_window, random_function
-from orliczalg.nfunctions import CATALOG_PAIR_NAMES, pair_from_name, pair_power
+from orliczalg.nfunctions import CATALOG_PAIR_NAMES, pair_power
 from orliczalg.norms import (
     _oracle_maximizer,
     char_fn_norm,
@@ -19,6 +19,7 @@ from orliczalg.norms import (
     orlicz_norm,
 )
 from orliczalg.numerics import bracket_minimum, golden_min
+from orliczalg.specio import pair_from_name
 
 ALL_PAIRS = [pair_from_name(name) for name in CATALOG_PAIR_NAMES]
 

@@ -7,7 +7,8 @@ import pytest
 
 from orliczalg.errors import OrliczAlgebraError, ScopeError
 from orliczalg.groups import GroupFunction, convolve, cyclic, direct_product, integer_window, symmetric_group3
-from orliczalg.nfunctions import CATALOG_PAIR_NAMES, pair_from_name, pair_power
+from orliczalg.nfunctions import CATALOG_PAIR_NAMES, pair_power
+from orliczalg.specio import pair_from_name
 from orliczalg.structure import (
     Character,
     convolution_unit,
