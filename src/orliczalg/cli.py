@@ -22,8 +22,8 @@ must-hold inequality (with a state dump).
 
 Each check family is one ``_check_<family>`` function that writes its
 value and check lines into a report. Where the library defines the
-clauses (plateau certificates, unit and Segal reports), the family only
-prints the ``CheckResult``s they carry. A verb handler calls it on its
+clauses (plateau certificates, witnesses, unit and Segal reports), the
+family only prints the ``CheckResult``s they carry. A verb handler calls it on its
 own report; ``suite`` calls it on a throwaway report and folds that into
 one entry, which passes when every check passed and carries the smallest
 slack.
@@ -77,6 +77,7 @@ from .specio import (
     finite_float,
     function_from_rows,
     function_to_rows,
+    group_from_name,
     group_from_spec,
     pair_from_name,
     pair_from_spec,
@@ -147,21 +148,6 @@ def _split_names(text: str) -> list[str]:
             parts.append(text[start:i])
             start = i + 1
     return [p for p in [*parts, text[start:]] if p]
-
-
-def _group_name_spec(name: str):
-    """Group spec of a battery name (Z8, Z2xZ2xZ3, S3, Zwindow256) or of a spec path."""
-    if name.lstrip().startswith("{") or name.endswith(".json"):
-        return read_json(name)
-    if "x" in name:
-        return {"type": "product", "factors": [_group_name_spec(p) for p in name.split("x")]}
-    if name == "S3":
-        return {"type": "S3"}
-    for prefix, kind, key in (("Zwindow", "Zwindow", "radius"), ("Z", "Zn", "n")):
-        digits = name[len(prefix):]
-        if name.startswith(prefix) and digits.isdecimal():
-            return {"type": kind, key: int(digits)}
-    raise SpecFormatError(f"unknown group name {name!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -238,32 +224,26 @@ def _check_plateau(rep: Report, cert, cfg: RunConfig) -> None:
         rep.record(c)
 
 
-def _check_witness(rep: Report, inst, witness) -> None:
+def _check_witness(rep: Report, witness) -> None:
+    threshold, guaranteed, budget, ball, all_violate = witness.checks()
     rep.add("quadrant", f"({witness.quadrant[0]},{witness.quadrant[1]})")
     rep.add("m0", witness.m0)
     rep.add("base-points", list(witness.base_points))
     rep.add("collected-set", list(witness.collected))
     rep.add("lam-k", witness.lam_k)
     rep.add("threshold-512n-R2", witness.threshold)
-    rep.check("lam-k-exceeds-threshold", witness.lam_k > witness.threshold,
-              witness.lam_k - witness.threshold)
+    rep.record(threshold)
     rep.add("guaranteed-integral", witness.guaranteed_integral)
-    rep.check("guaranteed-exceeds-n", witness.guaranteed_integral > inst.n,
-              witness.guaranteed_integral - inst.n, "(R^2/512) lam(K) > n")
-    cost_phi, cost_psi = witness.plateau_cert.cost_phi, witness.plateau_cert.cost_psi
-    rep.add("plateau-cost-phi", cost_phi)
-    rep.add("plateau-cost-psi", cost_psi)
-    rep.check("plateau-budget", cost_phi + cost_psi <= 8.0, 8.0 - cost_phi - cost_psi)
+    rep.record(guaranteed)
+    rep.add("plateau-cost-phi", witness.plateau_cert.cost_phi)
+    rep.add("plateau-cost-psi", witness.plateau_cert.cost_psi)
+    rep.record(budget)
     rep.add("dist-f-bound", witness.dist_f_bound)
     rep.add("dist-g-bound", witness.dist_g_bound)
-    rep.check("ball-inclusion", witness.dist_f_bound <= inst.radius / 2.0
-              and witness.dist_g_bound <= inst.radius / 2.0,
-              inst.radius / 2.0 - max(witness.dist_f_bound, witness.dist_g_bound))
+    rep.record(ball)
     rep.add("probes", len(witness.probes))
-    violations = sum(1 for p in witness.probes if p.integral_value > inst.n)
-    rep.add("violations", violations)
-    rep.check("all-probes-violate", violations == len(witness.probes),
-              float(violations - len(witness.probes)))
+    rep.add("violations", len(witness.probes) - len(witness.non_violating))
+    rep.record(all_violate)
     rep.add("min-probe-integral", min(p.integral_value for p in witness.probes))
     for p in witness.probes:
         rep.add(f"probe.{p.index}",
@@ -469,8 +449,7 @@ def _run_porosity(args, cfg: RunConfig) -> Report:
     rep.add("v-radius", inst.v_radius)
     rep.add("membership-max-integral", inst.max_integral)
     rep.add("boundary-flag", inst.boundary_flag)
-    witness = build_witness(inst, pair, probe_count=args.probes, seed=cfg.seed)
-    _check_witness(rep, inst, witness)
+    _check_witness(rep, build_witness(inst, pair, probe_count=args.probes, seed=cfg.seed))
     return rep
 
 
@@ -533,7 +512,7 @@ def _run_suite(args, cfg: RunConfig) -> Report:
         entry(f"inverse-product.{pname}", _check_inverse_product, pair, cfg)
 
     for gname in group_names:
-        space = group_from_spec(_group_name_spec(gname))
+        space = group_from_name(gname)
         entry(f"group-laws.{gname}", _check_group_laws, space, cfg)
         for pname, pair in pairs:
             key = f"{gname}.{pname}"
@@ -542,9 +521,8 @@ def _run_suite(args, cfg: RunConfig) -> Report:
                 entry(f"plateau.{key}", _check_plateau, cert, cfg)
                 inst = make_instance(_default_porosity_function(space),
                                      _default_porosity_function(space), 11, 32.0, 1)
-                witness = build_witness(inst, pair, probe_count=args.probes,
-                                        seed=cfg.seed)
-                entry(f"porosity.{key}", _check_witness, inst, witness)
+                entry(f"porosity.{key}", _check_witness,
+                      build_witness(inst, pair, probe_count=args.probes, seed=cfg.seed))
                 continue
             rng = Random(cfg.seed)
             for _ in range(args.samples):

@@ -200,11 +200,11 @@ class ProductGroup(GroupSpace):
 
 
 class TableGroup(GroupSpace):
-    """Finite group given by an explicit multiplication table over labels."""
+    """Finite group given by an explicit multiplication table over labels; the
+    constructor checks the group laws exhaustively on the index table."""
 
     def __init__(self, name: str, elements: Sequence[Element],
-                 mul_table: Sequence[Sequence[int]], identity: Element,
-                 inv_table: Sequence[int] | None = None):
+                 mul_table: Sequence[Sequence[int]], identity: Element):
         n = len(elements)
         if len(mul_table) != n or any(len(row) != n for row in mul_table):
             raise SpecFormatError(f"{name}: mul table must be {n}x{n}")
@@ -213,20 +213,24 @@ class TableGroup(GroupSpace):
                 if not (0 <= int(v) < n):
                     raise SpecFormatError(f"{name}: mul table entry {v} out of range")
         super().__init__(name, elements, identity, Fraction(1, n))
-        self._mul = [[int(v) for v in row] for row in mul_table]
-        if inv_table is None:
-            e_idx = self.index(identity)
-            inv = [-1] * n
-            for i in range(n):
-                for j in range(n):
-                    if self._mul[i][j] == e_idx:
-                        inv[i] = j
-                        break
-                if inv[i] < 0:
-                    raise ScopeError(f"{name}: element {elements[i]!r} has no inverse")
-            self._inv = inv
-        else:
-            self._inv = [int(v) for v in inv_table]
+        mul = [[int(v) for v in row] for row in mul_table]
+        e = self.index(identity)
+        inv = [next((j for j, ij in enumerate(row) if ij == e), None) for row in mul]
+        for x, xi in zip(self.elements, inv):
+            if xi is None:
+                raise ScopeError(f"{name}: element {x!r} has no inverse")
+        for i, x in enumerate(self.elements):
+            if mul[e][i] != i or mul[i][e] != i:
+                raise ScopeError(f"{name}: identity law fails at {x!r}")
+            if mul[inv[i]][i] != e:
+                raise ScopeError(f"{name}: inverse law fails at {x!r}")
+        for a, row_a in enumerate(mul):
+            for b, ab in enumerate(row_a):
+                if mul[ab] != [row_a[bc] for bc in mul[b]]:
+                    c = next(c for c, bc in enumerate(mul[b]) if mul[ab][c] != row_a[bc])
+                    triple = ",".join(repr(self.elements[i]) for i in (a, b, c))
+                    raise ScopeError(f"{name}: associativity fails at ({triple})")
+        self._mul, self._inv = mul, inv
 
     def try_mul(self, a, b):
         return self.elements[self._mul[self.index(a)][self.index(b)]]

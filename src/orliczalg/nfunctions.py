@@ -321,6 +321,9 @@ def numeric_pair(phi: NFunction) -> ComplementaryPair:
 
 def pair_power(p: float) -> ComplementaryPair:
     phi = power(p)  # rejects p <= 1 before the exponent q = p / (p - 1) is formed
+    if p > 1e7:  # the double q is then the exact conjugate of a different p
+        raise SpecFormatError(f"closed-form power requires p <= 1e+07, got {p:g}; "
+                              'use "construction": "numeric"')
     return ComplementaryPair(phi=phi, psi=power(p / (p - 1.0)), construction="closed-form")
 
 

@@ -50,8 +50,8 @@ class NormReport:
 
     value = 0 exactly iff the input was identically zero. ``oracle_value``
     is the independent cross-check when one was run (a certified lower
-    bound for the Orlicz norm); ``flags`` carries anything the caller
-    must not ignore ("oracle-disagreement", "truncated-input").
+    bound for the Orlicz norm); ``flags`` carries an oracle failure the
+    caller must not ignore ("oracle-disagreement", "oracle-nonconvergence").
     """
 
     value: float
@@ -89,10 +89,8 @@ def luxemburg(phi: NFunction, f: GroupFunction) -> NormReport:
     bound); residual is |rho_Phi(f/value) - 1|. Bisection stops at a
     residual of 1e-12, at float collapse, or at 200 steps in all.
     """
-    flags = ("truncated-input",) if f.truncated else ()
     if f.is_zero:
-        return NormReport(value=0.0, method="bisection", residual=0.0, iterations=0,
-                          flags=flags)
+        return NormReport(value=0.0, method="bisection", residual=0.0, iterations=0)
 
     def rho(k: float) -> float:
         try:
@@ -127,8 +125,7 @@ def luxemburg(phi: NFunction, f: GroupFunction) -> NormReport:
         iters += 1
         if residual <= 1e-12:
             break
-    return NormReport(value=hi, method="bisection", residual=residual,
-                      iterations=iters, flags=flags)
+    return NormReport(value=hi, method="bisection", residual=residual, iterations=iters)
 
 
 def char_fn_norm(phi: NFunction, space: GroupSpace, subset) -> float:
@@ -157,8 +154,6 @@ def _oracle_maximizer(pair: ComplementaryPair,
 
     def g_values(mu: float):
         for x, a in abs_f:
-            if a == 0.0:
-                continue
             t = a / mu
             try:
                 y = psi.deriv_inverse(t)
@@ -207,10 +202,10 @@ def oracle_agreement_slack(value: float, oracle_value: float | None) -> float:
 def orlicz_norm(pair: ComplementaryPair, f: GroupFunction, *,
                 cross_check: bool = True) -> NormReport:
     """Orlicz norm by the one-parameter minimization, oracle cross-checked."""
-    flags: tuple[str, ...] = ("truncated-input",) if f.truncated else ()
+    flags: tuple[str, ...] = ()
     if f.is_zero:
         return NormReport(value=0.0, method="amemiya-min", residual=0.0, iterations=0,
-                          oracle_value=0.0 if cross_check else None, flags=flags)
+                          oracle_value=0.0 if cross_check else None)
     phi = pair.phi
 
     def objective(k: float) -> float:

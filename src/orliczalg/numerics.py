@@ -24,22 +24,6 @@ class RootResult:
     iterations: int
 
 
-def expand_upward(f: Callable[[float], float], target: float, start: float = 1.0,
-                  limit: float = 1e308) -> float:
-    """Smallest tested x with f(x) >= target, doubling from ``start``.
-
-    f must be nondecreasing with f(x) -> sup f as x grows. No point above
-    ``limit`` is tested: the last step stops at it. Raises OverflowError
-    if f(limit) is still below the target.
-    """
-    x = start
-    while f(x) < target:
-        if x >= limit:
-            raise OverflowError(f"no x <= {limit:g} with f(x) >= {target:g}")
-        x = min(2.0 * x, limit)
-    return x
-
-
 def bisect_increasing(f: Callable[[float], float], target: float, lo: float, hi: float,
                       *, value_tol: float = 1e-12) -> RootResult:
     """Solve f(x) = target for nondecreasing f on [lo, hi].
@@ -74,13 +58,18 @@ def bisect_increasing(f: Callable[[float], float], target: float, lo: float, hi:
     return RootResult(x=best_x, iterations=iters)
 
 
-def solve_increasing(f: Callable[[float], float], target: float, *, start: float = 1.0,
-                     limit: float = 1e308, value_tol: float = 1e-12) -> RootResult:
-    """Doubling bracket (no point above ``limit``) plus bisection for
-    nondecreasing f with f(0) <= target."""
+def solve_increasing(f: Callable[[float], float], target: float, *, start: float,
+                     limit: float, value_tol: float) -> RootResult:
+    """Doubling bracket from ``start`` (no point above ``limit``) plus bisection
+    for nondecreasing f with f(0) <= target. Raises OverflowError if f(limit)
+    is still below the target."""
     if f(0.0) > target:
         raise ValueError("f(0) already exceeds the target")
-    hi = expand_upward(f, target, start=start, limit=limit)
+    hi = start
+    while f(hi) < target:
+        if hi >= limit:
+            raise OverflowError(f"no x <= {limit:g} with f(x) >= {target:g}")
+        hi = min(2.0 * hi, limit)
     lo = 0.0 if hi == start else hi / 2.0
     return bisect_increasing(f, target, lo, hi, value_tol=value_tol)
 

@@ -25,9 +25,11 @@ bound. The steps are concrete on a window:
    {-1, 0, 1} moved by translation, which keeps values and costs bit for
    bit under counting measure; so the window must hold the bump's support
    at every probe position in [-hw, hw], hw = max(4, W // 4),
-6. for each probe, find x in V with sum_y |h(y)| |k(y - x)| > n. A probe
-   that fails to violate is a contradiction of a proved statement and is
-   raised, never suppressed.
+6. for each probe, find x in V with sum_y |h(y)| |k(y - x)| > n.
+
+``PorosityWitness.checks`` is the one definition of the witness's clauses:
+``build_witness`` raises the failing ones as a contradiction of a proved
+statement, never suppressed, and the CLI prints them.
 
 On K the probes obey |h| >= R/16 and |k| > R/32, which already forces
 the integral at x = 0 above (R^2/512) lam(K) > n; the violation search
@@ -41,7 +43,7 @@ import math
 from dataclasses import dataclass
 from random import Random
 
-from .algebra import PlateauCertificate, build_plateau
+from .algebra import CheckResult, PlateauCertificate, build_plateau
 from .errors import (
     InfeasibleWindowError,
     OrliczAlgebraError,
@@ -192,8 +194,25 @@ class PorosityWitness:
         return self.instance.radius ** 2 / 512.0 * self.lam_k
 
     @property
-    def all_probes_violate(self) -> bool:
-        return all(p.integral_value > self.instance.n for p in self.probes)
+    def non_violating(self) -> tuple[ProbeRecord, ...]:
+        """The probes whose integral does not exceed n."""
+        return tuple(p for p in self.probes if not p.integral_value > self.instance.n)
+
+    def checks(self) -> tuple[CheckResult, ...]:
+        """The witness's clauses in report order."""
+        n, half = self.instance.n, self.instance.radius / 2.0
+        cost_phi, cost_psi = self.plateau_cert.cost_phi, self.plateau_cert.cost_psi
+        misses = len(self.non_violating)
+        return (
+            CheckResult("lam-k-exceeds-threshold", self.lam_k > self.threshold,
+                        self.lam_k - self.threshold),
+            CheckResult("guaranteed-exceeds-n", self.guaranteed_integral > n,
+                        self.guaranteed_integral - n, "(R^2/512) lam(K) > n"),
+            CheckResult("plateau-budget", cost_phi + cost_psi <= 8.0, 8.0 - cost_phi - cost_psi),
+            CheckResult("ball-inclusion", self.dist_f_bound <= half and self.dist_g_bound <= half,
+                        half - max(self.dist_f_bound, self.dist_g_bound)),
+            CheckResult("all-probes-violate", misses == 0, float(-misses)),
+        )
 
 
 def _quadrant_region(space: GroupSpace, f: GroupFunction, g: GroupFunction,
@@ -223,13 +242,12 @@ def build_witness(inst: PorosityInstance, pair: ComplementaryPair, *,
 
     Deterministic for a fixed (instance, pair, probe_count, seed). Raises
     InfeasibleWindowError when the window cannot hold enough disjoint
-    translates, and TheoremContradictionError (with the full probe state)
-    if any probe fails to violate the level bound.
+    translates, and TheoremContradictionError (with the failing checks and
+    the probes that did not violate) if any of the witness's checks fails.
     """
     space = inst.f.space
     r = inst.v_radius
     R = inst.radius
-    n = inst.n
     candidates = _translate_candidates(space, r)
 
     # 1. quadrant: maximize the total available translate measure
@@ -265,20 +283,12 @@ def build_witness(inst: PorosityInstance, pair: ComplementaryPair, *,
     # 3. plateau over K with epsilon = 1; both costs below 4, sum below 8
     u, cert = build_plateau(space, K, pair, 1.0)
     _require_certified(space, cert, "plateau")
-    if cert.cost_phi + cert.cost_psi > 8.0:
-        raise TheoremContradictionError(
-            f"plateau cost sum {cert.cost_phi + cert.cost_psi:g} exceeded 8",
-            state={"cost_phi": cert.cost_phi, "cost_psi": cert.cost_psi})
 
     # 4. the avoidance center
     f_tilde = inst.f + u.scale(s1 * R / 8.0)
     g_tilde = inst.g + u.scale(s2 * R / 16.0)
     dist_f = (R / 8.0) * cert.cost_phi
     dist_g = (R / 16.0) * (cert.cost_phi + cert.cost_psi)
-    if dist_f > R / 2.0 + 1e-9 or dist_g > R / 2.0 + 1e-9:
-        raise TheoremContradictionError(
-            "perturbation budget exceeded R/2; ball inclusion would fail",
-            state={"dist_f": dist_f, "dist_g": dist_g})
 
     # 5 + 6. probes
     rng = Random(seed)
@@ -296,29 +306,26 @@ def build_witness(inst: PorosityInstance, pair: ComplementaryPair, *,
         h_min = min(abs(h(x)) for x in K)
         k_min = min(abs(k(x)) for x in K)
         u_rad = _certified_neighborhood(space, k, K, R, r)
-        _, best_val, best_x = level_membership(h, k, n, r)
-        record = ProbeRecord(index=idx, delta_f=delta_f, delta_g=delta_g,
-                             budget_f=delta_f.cost_phi,
-                             budget_g=delta_g.cost_phi + delta_g.cost_psi,
-                             h_min_on_k=h_min, k_min_on_k=k_min,
-                             certified_u_radius=u_rad,
-                             violating_x=best_x, integral_value=best_val)
-        if not best_val > n:
-            raise TheoremContradictionError(
-                f"probe {idx} failed to violate the level bound: "
-                f"max integral {best_val:g} <= {n}",
-                state={"probe": record,
-                       "h": {x: h(x) for x in h.support},
-                       "k": {x: k(x) for x in k.support},
-                       "K": K, "quadrant": (s1, s2), "lam_k": lam_k,
-                       "seed": seed})
-        probes.append(record)
+        _, best_val, best_x = level_membership(h, k, inst.n, r)
+        probes.append(ProbeRecord(index=idx, delta_f=delta_f, delta_g=delta_g,
+                                  budget_f=delta_f.cost_phi,
+                                  budget_g=delta_g.cost_phi + delta_g.cost_psi,
+                                  h_min_on_k=h_min, k_min_on_k=k_min,
+                                  certified_u_radius=u_rad,
+                                  violating_x=best_x, integral_value=best_val))
 
-    return PorosityWitness(
+    witness = PorosityWitness(
         instance=inst, quadrant=(s1, s2), m0=m0, base_points=tuple(base_points),
         collected=K, lam_k=lam_k, threshold=threshold, plateau_cert=cert, u=u,
         f_tilde=f_tilde, g_tilde=g_tilde, dist_f_bound=dist_f, dist_g_bound=dist_g,
         probes=tuple(probes), seed=seed)
+    failures = [c for c in witness.checks() if not c.passed]
+    if failures:
+        raise TheoremContradictionError(
+            "witness checks failed: " + ", ".join(c.name for c in failures),
+            state={"failures": failures, "non_violating": witness.non_violating,
+                   "K": K, "quadrant": (s1, s2), "seed": seed})
+    return witness
 
 
 def _require_certified(space: GroupSpace, cert: PlateauCertificate, what: str,

@@ -6,8 +6,7 @@ typo cannot silently fall back to a default. Group specs:
     {"type": "Zn", "n": 8}
     {"type": "Zwindow", "radius": 256}
     {"type": "product", "factors": [{"type": "Zn", "n": 2}, ...]}
-    {"type": "table", "elements": [...], "mul": [[...]], "identity": ...,
-     "inv": [...]?}
+    {"type": "table", "elements": [...], "mul": [[...]], "identity": ...}
     {"type": "S3"}                       # built-in permutation table
 
 N-function specs:
@@ -71,7 +70,10 @@ def read_json(source: str | Path) -> Any:
         path = Path(text)
         if not path.exists():
             raise SpecFormatError(f"no such file: {text}")
-        payload, name = path.read_text(encoding="utf-8"), text
+        try:
+            payload, name = path.read_text(encoding="utf-8"), text
+        except (OSError, UnicodeDecodeError) as exc:
+            raise SpecFormatError(f"cannot read {text}: {exc}") from None
     try:
         return json.loads(payload)
     except json.JSONDecodeError as exc:
@@ -106,8 +108,8 @@ def _check_keys(obj: Mapping, required: set[str], optional: set[str], context: s
 def group_from_spec(spec: Any) -> GroupSpace:
     if isinstance(spec, (str, Path)):
         spec = read_json(spec)
-    _check_keys(spec, {"type"}, {"n", "radius", "factors", "elements", "mul", "inv",
-                                 "identity"}, "group spec")
+    _check_keys(spec, {"type"}, {"n", "radius", "factors", "elements", "mul", "identity"},
+                "group spec")
     kind = spec["type"]
     if kind == "Zn":
         _check_keys(spec, {"type", "n"}, set(), "Zn spec")
@@ -119,15 +121,29 @@ def group_from_spec(spec: Any) -> GroupSpace:
         _check_keys(spec, {"type", "factors"}, set(), "product spec")
         return direct_product(*(group_from_spec(f) for f in spec["factors"]))
     if kind == "table":
-        _check_keys(spec, {"type", "elements", "mul", "identity"}, {"inv"}, "table spec")
+        _check_keys(spec, {"type", "elements", "mul", "identity"}, set(), "table spec")
         elements = [_decode_element(x) for x in spec["elements"]]
-        identity = _decode_element(spec["identity"])
-        return TableGroup("table", elements, spec["mul"], identity,
-                          inv_table=spec.get("inv"))
+        return TableGroup("table", elements, spec["mul"], _decode_element(spec["identity"]))
     if kind == "S3":
         _check_keys(spec, {"type"}, set(), "S3 spec")
         return symmetric_group3()
     raise SpecFormatError(f"unknown group type {kind!r}")
+
+
+def group_from_name(name: str) -> GroupSpace:
+    """The group of a battery name (Z8, Z2xZ2xZ3, S3, Zwindow256), a spec path or
+    a JSON spec."""
+    if name.lstrip().startswith("{") or name.endswith(".json"):
+        return group_from_spec(name)
+    if "x" in name:
+        return direct_product(*(group_from_name(p) for p in name.split("x")))
+    if name == "S3":
+        return symmetric_group3()
+    for prefix, build in (("Zwindow", integer_window), ("Z", cyclic)):
+        digits = name[len(prefix):]
+        if name.startswith(prefix) and digits.isdecimal():
+            return build(int(digits))
+    raise SpecFormatError(f"unknown group name {name!r}")
 
 
 def _decode_element(x: Any):

@@ -57,9 +57,6 @@ class SegalReport:
     def passed(self) -> bool:
         return all(c.passed for c in self.checks)
 
-    def failures(self) -> list[CheckResult]:
-        return [c for c in self.checks if not c.passed]
-
 
 def exact_rank(rows) -> int:
     """Rank over C of a matrix of complex floats, by exact Fraction elimination.

@@ -15,14 +15,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import orliczalg.algebra as algebra
 import orliczalg.cli as cli
 import orliczalg.norms as norms
+import orliczalg.porosity as porosity
 import orliczalg.structure as structure
 from orliczalg.algebra import build_plateau
 from orliczalg.errors import TheoremContradictionError
-from orliczalg.groups import integer_window
+from orliczalg.groups import GroupFunction, convolve, integer_window
 from orliczalg.nfunctions import CATALOG_PAIR_NAMES, ComplementaryPair, power
-from orliczalg.specio import Report, pair_from_name
+from orliczalg.specio import Report, function_from_rows, group_from_spec, pair_from_name
 
 Z8 = '{"type": "Zn", "n": 8}'
 QUAD = '{"kind": "power", "p": 2}'
@@ -238,6 +240,22 @@ def test_young_equality_fails_a_psi_that_is_not_the_complement(p, q):
     cli._check_young_equality(rep, ComplementaryPair(phi=power(p), psi=power(q),
                                                      construction="closed-form"))
     assert rep.failures == ["young-equality-at-derivative"]
+
+
+# above p = 1e7 the double q = p / (p - 1) is the exact conjugate of a
+# different p, so only the numeric construction takes such exponents
+@pytest.mark.parametrize("construction, p, expected", [("closed-form", "2e7", 2),
+                                                       ("numeric", "3e7", 0)])
+def test_nfunc_check_power_above_1e7(capsys, construction, p, expected):
+    code, out, err = run_cli(capsys, "nfunc", "check", "--nfunction",
+                             f'{{"kind": "power", "p": {p}, "construction": "{construction}"}}')
+    assert code == expected, err
+    if expected == 2:
+        assert out == ""
+        assert err.startswith("parse error: closed-form power requires p <= 1e+07")
+        assert '"construction": "numeric"' in err
+    else:
+        assert "passed=true" in out
 
 
 @pytest.mark.parametrize("p", ["1e9", "1.000000001"])  # the second's conjugate has q ~ 1e9
@@ -686,3 +704,123 @@ def test_cli_import_loads_no_numpy():
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=env, check=True)
     assert done.stdout.strip() == "False"
+
+
+LOOP = json.dumps({"type": "table", "elements": [0, 1, 2, 3, 4],
+                   "mul": [[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 3, 4, 0, 1],
+                           [3, 4, 1, 2, 0], [4, 2, 0, 1, 3]], "identity": 0})
+
+
+@pytest.mark.parametrize("verb", [("segal", "report", "--nfunction", QUAD),
+                                  ("unit", "check", "--nfunction", QUAD),
+                                  ("group", "check")])
+def test_table_that_is_not_a_group_exits_3(capsys, verb):
+    # a loop: identity row and column and a right inverse for every element
+    code, out, err = run_cli(capsys, *verb, "--group", LOOP)
+    assert (code, out) == (3, "")
+    assert err == "scope error: table: inverse law fails at 2\n"
+
+
+def test_table_spec_with_an_inverse_table_exits_2(capsys):
+    spec = '{"type": "table", "elements": [0, 1], "mul": [[0, 1], [1, 0]], "identity": 0, ' \
+           '"inv": [0, 1]}'
+    code, out, err = run_cli(capsys, "group", "check", "--group", spec)
+    assert (code, out) == (2, "")
+    assert "unknown keys ['inv']" in err
+
+
+def test_characters_brute_on_a_relabelled_table(capsys):
+    # Z4 in the carrier order 0, 2, 1, 3: the greedy generators 2 and 1 are
+    # dependent, so the enumeration drops inconsistent exponent assignments
+    els = [0, 2, 1, 3]
+    spec = json.dumps({"type": "table", "elements": els, "identity": 0,
+                       "mul": [[els.index((a + b) % 4) for b in els] for a in els]})
+    code, out, err = run_cli(capsys, "characters", "brute", "--group", spec)
+    assert code == 0, err
+    assert "group=table\n" in out
+    assert "check.routes-agree=pass" in out
+    assert "count=4\n" in out
+
+
+Z2XZ3 = '{"type": "product", "factors": [{"type": "Zn", "n": 2}, {"type": "Zn", "n": 3}]}'
+
+
+def test_function_data_on_a_product_group_takes_list_elements(capsys):
+    code, out, err = run_cli(capsys, "norm", "luxemburg", "--group", Z2XZ3, "--nfunction", QUAD,
+                             "--function", "[[[0, 1], 1, 0], [[1, 2], 0, -2]]")
+    assert code == 0, err
+    space = group_from_spec(Z2XZ3)
+    f = GroupFunction(space, {(0, 1): 1.0, (1, 2): -2j})
+    assert f"value={norms.luxemburg(power(2.0), f).value!r}\n" in out
+    assert "support-size=2\n" in out
+
+
+def test_group_convolve_save_writes_rows_that_read_back_as_the_result(capsys, tmp_path):
+    left, right = "[[[0, 1], 1, 0], [[1, 2], 0.5, -1]]", "[[[1, 1], 2, 0], [[0, 0], 1, 1]]"
+    saved = tmp_path / "out.json"
+    code, out, err = run_cli(capsys, "group", "convolve", "--group", Z2XZ3, "--left", left,
+                             "--right", right, "--save", str(saved))
+    assert code == 0, err
+    assert f"saved={saved}\n" in out
+    space = group_from_spec(Z2XZ3)
+    expected = convolve(function_from_rows(space, left), function_from_rows(space, right))
+    back = function_from_rows(space, str(saved))
+    assert list(back.items()) == list(expected.items())
+
+
+@pytest.mark.parametrize("rows, message", [
+    ("[5]", "function data row 0: expected [element, re, im]"),
+    ("[[0, 1, 0], [1, 1]]", "function data row 1: expected [element, re, im]"),
+    ("[[8, 1, 0]]", "function data row 0: 8 not in Z8"),
+])
+def test_malformed_function_rows_exit_2(capsys, rows, message):
+    code, out, err = run_cli(capsys, "norm", "modular", "--group", Z8, "--nfunction", QUAD,
+                             "--function", rows)
+    assert (code, out) == (2, "")
+    assert message in err
+
+
+def test_aphi_bound_budget_3_on_a_window_tries_leptin_plateaus(capsys, monkeypatch):
+    epsilons = []
+    real = algebra.leptin_search
+
+    def recording(space, compact, epsilon):
+        epsilons.append(epsilon)
+        return real(space, compact, epsilon)
+    monkeypatch.setattr(algebra, "leptin_search", recording)
+    argv = ("aphi", "bound", "--group", '{"type": "Zwindow", "radius": 32}',
+            "--nfunction", QUAD, "--function", json.dumps([[x, 1, 0] for x in range(-2, 3)]))
+    code, out, err = run_cli(capsys, *argv, "--budget", "3")
+    assert code == 0, err
+    assert "check.bracket-order=pass" in out
+    assert epsilons == [1.0, 0.5]
+    _, out1, _ = run_cli(capsys, *argv, "--budget", "1")
+    upper = [float(line.split("=")[1]) for line in (out + out1).splitlines()
+             if line.startswith("upper=")]
+    assert upper[0] <= upper[1]
+
+
+@pytest.mark.parametrize("where", ["--group", "--nfunction", "config"])
+@pytest.mark.parametrize("kind", ["directory", "not-utf-8"])
+def test_unreadable_spec_path_exits_2(capsys, tmp_path, monkeypatch, where, kind):
+    path = tmp_path / "spec.json"
+    if kind == "directory":
+        path.mkdir()
+    else:
+        path.write_bytes(b"\xff\xfe{}")
+    argv = ["norm", "modular", "--group", Z8, "--nfunction", QUAD, "--function", CHI_HALF]
+    if where == "config":
+        monkeypatch.setenv(cli.CONFIG_ENV, str(path))
+    else:
+        argv[argv.index(where) + 1] = str(path)
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"parse error: cannot read {path}: ")
+
+
+def test_witness_whose_probes_do_not_violate_exits_4(capsys, monkeypatch):
+    monkeypatch.setattr(porosity, "level_membership", lambda h, k, n, r: (True, float(n), 0))
+    code, out, err = run_cli(capsys, "porosity", "witness", "--probes", "2")
+    assert (code, out) == (4, "")
+    assert "witness checks failed: all-probes-violate" in err
+    assert "state.failures=[CheckResult(name='all-probes-violate'" in err

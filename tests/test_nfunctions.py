@@ -216,7 +216,7 @@ def test_phi_and_psi_are_finite_at_their_caps(name, construction):
 
 
 def test_power_is_finite_at_its_cap_up_to_the_max_exponent():
-    for fn in (power(1e8), pair_power(1e8).psi):
+    for fn in (power(1e8), power(1e8 / (1e8 - 1.0))):
         assert math.isfinite(fn(fn.domain_cap)), fn.label
     with pytest.raises(SpecFormatError, match="requires p <= 1e\\+08"):
         power(2e8)  # x^p at the cap would overflow a float

@@ -87,7 +87,7 @@ def test_witness_acceptance_instance(window, box):
     assert wit.lam_k > wit.threshold
     assert wit.guaranteed_integral == pytest.approx(12.0)  # (R^2/512) lam(K)
     assert wit.guaranteed_integral > inst.n
-    assert wit.all_probes_violate
+    assert all(c.passed for c in wit.checks())
     assert wit.plateau_cert.cost_phi + wit.plateau_cert.cost_psi <= 8.0
     assert wit.dist_f_bound <= inst.radius / 2.0
     assert wit.dist_g_bound <= inst.radius / 2.0
@@ -124,14 +124,14 @@ def test_witness_small_n_single_translate(window):
     wit = build_witness(inst, pair_power(2.0), probe_count=5, seed=1)
     assert wit.m0 == 1
     assert wit.lam_k == 3.0
-    assert wit.all_probes_violate
+    assert all(c.passed for c in wit.checks())
 
 
 def test_witness_zero_pair_constructs(window):
     zero = GroupFunction.zero(window)
     inst = make_instance(zero, zero, 11, 32.0, 1)
     wit = build_witness(inst, pair_power(2.0), probe_count=10, seed=2)
-    assert wit.all_probes_violate
+    assert all(c.passed for c in wit.checks())
 
 
 def test_witness_infeasible_window_reports_radius():
@@ -153,7 +153,7 @@ def test_negative_quadrant_sign_flips(window):
     inst = make_instance(f, g, 11, 32.0, 1)
     wit = build_witness(inst, pair_power(2.0), probe_count=10, seed=4)
     assert wit.quadrant[0] == -1
-    assert wit.all_probes_violate
+    assert all(c.passed for c in wit.checks())
     for probe in wit.probes:
         assert probe.h_min_on_k >= inst.radius / 16.0
 
@@ -277,3 +277,16 @@ def test_failed_probe_bump_certificate_raises(window, box, monkeypatch):
         build_witness(inst, pair_power(2.0), probe_count=5, seed=0)
     assert "probe bump" in str(err.value)
     assert any(c.name == "value-one-on-set" for c in err.value.state["failures"])
+
+
+def test_witness_whose_probes_do_not_violate_raises_with_the_failing_check(
+        window, box, monkeypatch):
+    inst = make_instance(box, box, 11, 32.0, 1)
+    monkeypatch.setattr(porosity, "level_membership", lambda h, k, n, r: (True, float(n), 0))
+    with pytest.raises(TheoremContradictionError) as info:
+        build_witness(inst, pair_power(2.0), probe_count=3, seed=3)
+    state = info.value.state
+    assert [c.name for c in state["failures"]] == ["all-probes-violate"]
+    assert [p.index for p in state["non_violating"]] == [0, 1, 2]
+    assert state["K"] == (-1, 0, 1, 2, 3, 4) and state["quadrant"] == (1, 1)
+    assert state["seed"] == 3
