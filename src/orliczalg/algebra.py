@@ -91,7 +91,7 @@ def decomposition_cost(d: Decomposition, pair: ComplementaryPair, *,
     """sum_i N_Phi(f_i) ||g_i||_Psi with sound upper-bound norm values.
 
     Both factors are upper bounds on their own: the Luxemburg value is the
-    upper bisection endpoint and the Orlicz value is the Amemiya minimum,
+    feasible root endpoint and the Orlicz value is the Amemiya minimum,
     which never reads the dual oracle. So no oracle runs here; it runs
     only where its value or flags reach a report (``norm orlicz``, the
     suite's norm-equivalence entries, the norm-equivalence sweep). Each
@@ -242,7 +242,7 @@ def _certified_chain(pair: ComplementaryPair, lam_v: float, lam_ev: float,
                      guard_scale: float) -> tuple[ChainStep, ...]:
     """Inequality chain from a computed single-pair cost up to 2 (1 + eps).
 
-    ``n_ev``/``n_v`` are the bisected Luxemburg norms N_Phi(chi_{EV}) and
+    ``n_ev``/``n_v`` are the solved Luxemburg norms N_Phi(chi_{EV}) and
     N_Psi(chi_V). Both cost routes (the plateau itself and its
     reflection) land on the same middle bound 2 n_ev n_v / lam(V) after
     the norm-equivalence step; ``guard_scale`` is the factor multiplying
@@ -426,9 +426,9 @@ def submultiplicativity_report(u: GroupFunction, v: GroupFunction,
     """Verify the closure chain on a finite normalized carrier.
 
     alpha = N_Phi(1_G) = 1 / Phi^{-1}(1) (closed form, cross-checked by
-    bisection), beta = ||1_G||_Psi. The convolution u*v always admits the
-    single pair (u, v^), so the reported upper bound never exceeds the
-    middle term.
+    the Luxemburg solve), beta = ||1_G||_Psi. The convolution u*v always
+    admits the single pair (u, v^), so the reported upper bound never
+    exceeds the middle term.
     """
     space = u.space
     space.require_normalized("convolution submultiplicativity")
@@ -436,12 +436,12 @@ def submultiplicativity_report(u: GroupFunction, v: GroupFunction,
         raise ScopeError("operands live on different spaces")
     alpha_closed = 1.0 / pair.phi.inverse(1.0)
     one = GroupFunction.constant(space, 1.0)
-    alpha_bisect = luxemburg(pair.phi, one).value
+    alpha_solved = luxemburg(pair.phi, one).value
     beta = orlicz_norm(pair.swap(), one, cross_check=False).value  # ||1_G||_Psi
     w = convolve(u, v)
     if u.is_zero or v.is_zero:
         return SubmultReport(alpha=alpha_closed, beta=beta, upper=0.0, middle=0.0,
-                             outer=0.0, alpha_agreement=abs(alpha_closed - alpha_bisect))
+                             outer=0.0, alpha_agreement=abs(alpha_closed - alpha_solved))
     given = Decomposition(terms=((u, reflect(v)),), target=w)
     given.validate()
     cost_given = decomposition_cost(given, pair, validate=False)
@@ -450,4 +450,4 @@ def submultiplicativity_report(u: GroupFunction, v: GroupFunction,
     middle = cost_given
     outer = alpha_closed * beta * u.sup_norm() * v.sup_norm()
     return SubmultReport(alpha=alpha_closed, beta=beta, upper=upper, middle=middle,
-                         outer=outer, alpha_agreement=abs(alpha_closed - alpha_bisect))
+                         outer=outer, alpha_agreement=abs(alpha_closed - alpha_solved))

@@ -346,7 +346,7 @@ def _run_norm(args, cfg: RunConfig) -> Report:
         subset = [_decode_element(x) for x in read_json(args.subset)]
         value = char_fn_norm(pair.phi, space, subset)
         rep.add("value", value)
-        rep.add("provenance", "closed-form (inverse by bisection)")
+        rep.add("provenance", "closed-form (inverse by regula falsi)")
         chk = luxemburg(pair.phi, GroupFunction.indicator(space, subset))
         rep.add("bisection-value", chk.value)
         rep.check("closed-form-vs-bisection", abs(value - chk.value) <= 1e-10,

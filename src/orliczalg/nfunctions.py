@@ -87,7 +87,8 @@ class NFunction:
         return res.x
 
     def inverse(self, t: float) -> float:
-        """Phi^{-1}(t) by doubling bracket plus bisection; |Phi(x) - t| <= 1e-12 (1+t)."""
+        """Phi^{-1}(t) by ``solve_increasing`` (doubling bracket, then the Illinois
+        kernel) run to bracket collapse; |Phi(x) - t| <= 1e-12 (1+t)."""
         if t < 0:
             raise ValueError(f"{self.label}: inverse requires t >= 0, got {t:g}")
         if t == 0.0:
@@ -96,7 +97,7 @@ class NFunction:
             raise CapExceededError(
                 f"{self.label}: t = {t:g} above Phi(domain cap) = "
                 f"{self.evaluate(self.domain_cap):g}")
-        # Run to interval collapse: downstream ratio checks need far better
+        # Run to bracket collapse: downstream ratio checks need far better
         # than the contractual 1e-12 (1+t) value residual at small t.
         res = solve_increasing(self.evaluate, t, start=min(1.0, self.domain_cap),
                                limit=self.domain_cap, value_tol=0.0)

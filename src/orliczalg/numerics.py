@@ -1,9 +1,17 @@
-"""Scalar root-finding and 1-D minimization kernels.
+"""Scalar root-finding kernels.
 
-Everything here is deterministic and allocation-free: doubling brackets,
-plain bisection with a function-value stopping rule, and golden-section
-search on a unimodal bracket. Root results carry the evaluated point of
-smallest residual.
+One bracketed root kernel, ``illinois``, serves every library solve: the
+Luxemburg and Amemiya norm solves and the dual oracle in ``norms``, and
+``solve_increasing`` for the N-function inverses. It is the Illinois
+variant of regula falsi (Dowell and Jarratt, BIT 11, 1971): each step
+evaluates the secant point of the two ends of opposite sign, and the
+value held for an end that is kept twice in a row is halved, so both
+ends move and convergence is superlinear. The kernel returns both ends
+with their values; each caller keeps the end it certifies.
+
+``bisect_increasing`` and ``golden_min`` are the linear methods the
+kernel replaced. The library no longer calls them; they stay only as
+reference routes for the tests.
 """
 
 from __future__ import annotations
@@ -13,6 +21,66 @@ from dataclasses import dataclass
 from typing import Callable
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+
+#: step cap of every root solve
+MAX_STEPS = 200
+
+
+@dataclass(frozen=True)
+class Bracket:
+    """The ends of a root bracket after a solve, with the values of f there.
+
+    ``lo < hi``; one of ``f_lo``, ``f_hi`` is <= 0 and the other > 0, and
+    ``steps`` counts the evaluations of f the solve made.
+    """
+
+    lo: float
+    f_lo: float
+    hi: float
+    f_hi: float
+    steps: int
+
+
+def illinois(f: Callable[[float], float], lo: float, f_lo: float, hi: float, f_hi: float,
+             *, done: Callable[[float], bool], max_steps: int = MAX_STEPS) -> Bracket:
+    """Illinois regula falsi for a root of a monotone f on [lo, hi].
+
+    ``f_lo`` and ``f_hi`` are f(lo) and f(hi); one must be <= 0 and the
+    other > 0 (ValueError otherwise). Each step evaluates f once, at the
+    secant point of the two ends, or at the midpoint where the secant
+    point is not strictly inside (lo, hi) (an end of infinite value, or a
+    step that rounds onto an end), and the new point replaces the end on
+    its side. Stops when ``done(f(x))`` holds for a new point x, when the
+    midpoint itself collapses onto an end, or after ``max_steps`` steps.
+    """
+    if not (f_lo <= 0.0 < f_hi or f_hi <= 0.0 < f_lo):
+        raise ValueError(f"no sign change on [{lo:g}, {hi:g}]: f = {f_lo:g}, {f_hi:g}")
+    lo_side = f_lo <= 0.0
+    w_lo, w_hi = f_lo, f_hi     # secant weights: the values, halved by the Illinois rule
+    kept = 0                    # -1: lo was replaced last step, +1: hi was
+    steps = 0
+    while steps < max_steps:
+        mid = 0.5 * (lo + hi)
+        if mid <= lo or mid >= hi:
+            break
+        x = lo - w_lo * (hi - lo) / (w_hi - w_lo)
+        if not lo < x < hi:
+            x = mid
+        fx = f(x)
+        steps += 1
+        if (fx <= 0.0) == lo_side:
+            lo, f_lo, w_lo = x, fx, fx
+            if kept == -1:
+                w_hi *= 0.5
+            kept = -1
+        else:
+            hi, f_hi, w_hi = x, fx, fx
+            if kept == 1:
+                w_lo *= 0.5
+            kept = 1
+        if done(fx):
+            break
+    return Bracket(lo=lo, f_lo=f_lo, hi=hi, f_hi=f_hi, steps=steps)
 
 
 @dataclass(frozen=True)
@@ -24,10 +92,47 @@ class RootResult:
     iterations: int
 
 
+def solve_increasing(f: Callable[[float], float], target: float, *, start: float,
+                     limit: float, value_tol: float) -> RootResult:
+    """Solve f(x) = target for nondecreasing f with f(0) <= target.
+
+    A doubling bracket from ``start`` (no point above ``limit``; raises
+    OverflowError if f(limit) is still below the target), then ``illinois``
+    until |f(x) - target| <= value_tol (1 + |target|); ``value_tol = 0``
+    runs to bracket collapse. Reports the evaluated point of least residual.
+    """
+    scale = value_tol * (1.0 + abs(target))
+    best_x, best_r = 0.0, math.inf
+
+    def residual(x: float) -> float:
+        nonlocal best_x, best_r
+        r = f(x) - target
+        if abs(r) < best_r:
+            best_x, best_r = x, abs(r)
+        return r
+
+    lo, r_lo = 0.0, residual(0.0)
+    if r_lo > 0.0:
+        raise ValueError("f(0) already exceeds the target")
+    hi, r_hi = start, residual(start)
+    steps = 2
+    while r_hi <= 0.0 and best_r > scale:
+        if hi >= limit:
+            raise OverflowError(f"no x <= {limit:g} with f(x) >= {target:g}")
+        lo, r_lo = hi, r_hi
+        hi = min(2.0 * hi, limit)
+        r_hi = residual(hi)
+        steps += 1
+    if best_r > scale:
+        steps += illinois(residual, lo, r_lo, hi, r_hi, done=lambda r: abs(r) <= scale).steps
+    return RootResult(x=best_x, iterations=steps)
+
+
 def bisect_increasing(f: Callable[[float], float], target: float, lo: float, hi: float,
                       *, value_tol: float = 1e-12) -> RootResult:
-    """Solve f(x) = target for nondecreasing f on [lo, hi].
+    """Bisection for f(x) = target, nondecreasing f on [lo, hi]: a test reference.
 
+    The library solves through ``illinois``; tests compare against this.
     Stops when |f(mid) - target| <= value_tol * (1 + |target|), the
     interval collapses to adjacent floats, or after 200 steps. Reports as
     ``x`` the evaluated point with the smallest residual.
@@ -58,51 +163,19 @@ def bisect_increasing(f: Callable[[float], float], target: float, lo: float, hi:
     return RootResult(x=best_x, iterations=iters)
 
 
-def solve_increasing(f: Callable[[float], float], target: float, *, start: float,
-                     limit: float, value_tol: float) -> RootResult:
-    """Doubling bracket from ``start`` (no point above ``limit``) plus bisection
-    for nondecreasing f with f(0) <= target. Raises OverflowError if f(limit)
-    is still below the target."""
-    if f(0.0) > target:
-        raise ValueError("f(0) already exceeds the target")
-    hi = start
-    while f(hi) < target:
-        if hi >= limit:
-            raise OverflowError(f"no x <= {limit:g} with f(x) >= {target:g}")
-        hi = min(2.0 * hi, limit)
-    lo = 0.0 if hi == start else hi / 2.0
-    return bisect_increasing(f, target, lo, hi, value_tol=value_tol)
-
-
 @dataclass(frozen=True)
 class MinResult:
     value: float
     iterations: int
 
 
-def bracket_minimum(f: Callable[[float], float], x0: float) -> tuple[float, float, float]:
-    """Doubling scan around x0 > 0 for a unimodal triple a < b < c with
-    f(b) <= min(f(a), f(c)), in at most 200 steps. Infinite values are
-    treated as large."""
-    a, b, c = x0 / 2.0, x0, x0 * 2.0
-    fa, fb, fc = f(a), f(b), f(c)
-    steps = 0
-    while not (fb <= fa and fb <= fc):
-        if fa < fb:
-            a, b, c = a / 2.0, a, b
-            fa, fb, fc = f(a), fa, fb
-        else:
-            a, b, c = b, c, c * 2.0
-            fa, fb, fc = fb, fc, f(c)
-        steps += 1
-        if steps > 200:
-            raise ValueError("failed to bracket a minimum; function may not be unimodal")
-    return a, b, c
-
-
 def golden_min(f: Callable[[float], float], lo: float, hi: float) -> MinResult:
-    """Golden-section minimization of a unimodal f on [lo, hi], to a relative
-    bracket width of 1e-12 or at most 400 steps; reports the smallest value seen."""
+    """Golden-section minimization of a unimodal f on [lo, hi]: a test reference.
+
+    The library's Amemiya solve is a root solve through ``illinois``;
+    tests compare against this. Runs to a relative bracket width of 1e-12
+    or at most 400 steps; reports the smallest value seen.
+    """
     a, b = lo, hi
     x1 = b - _GOLDEN * (b - a)
     x2 = a + _GOLDEN * (b - a)

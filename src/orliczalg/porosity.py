@@ -13,7 +13,9 @@ bound. The steps are concrete on a window:
    {s1 Re f >= 0} cap {s2 Re g >= 0} over disjoint translates of V
    (ties prefer (1, 1), then (1, -1), (-1, 1), (-1, -1)),
 2. greedily accumulate disjoint translates a_m + V inside that region
-   until the collected set K satisfies lam(K) > 512 n / R^2 strictly,
+   until the collected set K satisfies lam(K) > 512 n / R^2 strictly
+   and (R^2/512) lam(K) > n (the same inequality, computed as the
+   report checks it),
 3. build a certified plateau u (value 1 on K, both norm costs below 4,
    so their sum is below 8),
 4. set f~ = f + s1 (R/8) u and g~ = g + s2 (R/16) u,
@@ -191,7 +193,7 @@ class PorosityWitness:
     @property
     def guaranteed_integral(self) -> float:
         """(R^2 / 512) lam(K), the proved floor for every probe at x = 0."""
-        return self.instance.radius ** 2 / 512.0 * self.lam_k
+        return _guaranteed_integral(self.instance.radius, self.lam_k)
 
     @property
     def non_violating(self) -> tuple[ProbeRecord, ...]:
@@ -203,16 +205,28 @@ class PorosityWitness:
         n, half = self.instance.n, self.instance.radius / 2.0
         cost_phi, cost_psi = self.plateau_cert.cost_phi, self.plateau_cert.cost_psi
         misses = len(self.non_violating)
-        return (
-            CheckResult("lam-k-exceeds-threshold", self.lam_k > self.threshold,
-                        self.lam_k - self.threshold),
-            CheckResult("guaranteed-exceeds-n", self.guaranteed_integral > n,
-                        self.guaranteed_integral - n, "(R^2/512) lam(K) > n"),
+        return _mass_checks(self.lam_k, self.threshold, self.instance.radius, n) + (
             CheckResult("plateau-budget", cost_phi + cost_psi <= 8.0, 8.0 - cost_phi - cost_psi),
             CheckResult("ball-inclusion", self.dist_f_bound <= half and self.dist_g_bound <= half,
                         half - max(self.dist_f_bound, self.dist_g_bound)),
             CheckResult("all-probes-violate", misses == 0, float(-misses)),
         )
+
+
+def _guaranteed_integral(radius: float, lam_k: float) -> float:
+    return radius ** 2 / 512.0 * lam_k
+
+
+def _mass_checks(lam_k: float, threshold: float, radius: float,
+                 n: int) -> tuple[CheckResult, CheckResult]:
+    """The two clauses on the collected mass lam(K); the greedy collection
+    stops on exactly these."""
+    guaranteed = _guaranteed_integral(radius, lam_k)
+    return (
+        CheckResult("lam-k-exceeds-threshold", lam_k > threshold, lam_k - threshold),
+        CheckResult("guaranteed-exceeds-n", guaranteed > n, guaranteed - n,
+                    "(R^2/512) lam(K) > n"),
+    )
 
 
 def _quadrant_region(space: GroupSpace, f: GroupFunction, g: GroupFunction,
@@ -259,7 +273,8 @@ def build_witness(inst: PorosityInstance, pair: ComplementaryPair, *,
             best_quadrant, best_region, best_total = (s1, s2), region, total
     s1, s2 = best_quadrant
 
-    # 2. greedy disjoint translates until lam(K) > 512 n / R^2, strictly
+    # 2. greedy disjoint translates until both mass clauses hold: lam(K)
+    # > 512 n / R^2 and (R^2/512) lam(K) > n, which rounding can split
     threshold = inst.threshold
     collected: list[int] = []
     base_points: list[int] = []
@@ -267,7 +282,7 @@ def build_witness(inst: PorosityInstance, pair: ComplementaryPair, *,
         base_points.append(a)
         collected.extend(x for j in range(-r, r + 1)
                          if (x := a + j) in best_region)
-        if len(collected) > threshold:
+        if all(c.passed for c in _mass_checks(float(len(collected)), threshold, R, inst.n)):
             break
     else:
         step = 2 * r + 1

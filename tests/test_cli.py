@@ -824,3 +824,37 @@ def test_witness_whose_probes_do_not_violate_exits_4(capsys, monkeypatch):
     assert (code, out) == (4, "")
     assert "witness checks failed: all-probes-violate" in err
     assert "state.failures=[CheckResult(name='all-probes-violate'" in err
+
+
+TINY = ("norm", "orlicz", "--group", '{"type":"Zn","n":4}',
+        "--nfunction", '{"kind":"entropy"}', "--function", "[[0, 1e-200, 0]]")
+
+
+def _value(out, key):
+    return float(next(line.split("=", 1)[1] for line in out.splitlines()
+                      if line.startswith(key + "=")))
+
+
+def test_oracle_agreement_is_relative_below_one(capsys, monkeypatch):
+    # 1e-200 delta_0: the oracle starts at t = 1/sup|f| and recovers the value
+    code, out, _ = run_cli(capsys, *TINY)
+    value, oracle = _value(out, "value"), _value(out, "oracle-value")
+    assert code == 0 and "check.oracle-agreement=pass" in out
+    assert 0.0 < oracle <= value and value - oracle <= 1e-6 * value
+    # an oracle that underflows to 0.0 disagrees at this scale; an absolute
+    # tolerance of 1e-6 let it pass
+    monkeypatch.setattr(norms, "_oracle_maximizer", lambda pair, f: (0.0, f, 0))
+    code, out, _ = run_cli(capsys, *TINY)
+    assert code == 1
+    assert "check.oracle-agreement=FAIL" in out and "passed=false" in out
+
+
+def test_witness_stops_collecting_on_its_own_clauses(capsys):
+    # 512 n / R^2 = 107.99999999999999 here: lam(K) = 108 passes the
+    # threshold but (R^2/512) 108 = 11.0 does not exceed n = 11
+    code, out, err = run_cli(capsys, "porosity", "witness", "--n", "11",
+                             "--R", "7.221367470787521", "--probes", "5")
+    assert code == 0, err
+    assert "check.lam-k-exceeds-threshold=pass" in out
+    assert "check.guaranteed-exceeds-n=pass" in out
+    assert "passed=true" in out

@@ -1,0 +1,91 @@
+"""The bracketed root kernel and the solves built on it."""
+
+import math
+
+import pytest
+
+from orliczalg.numerics import MAX_STEPS, bisect_increasing, illinois, solve_increasing
+
+
+def _recording(f):
+    points = []
+
+    def g(x):
+        points.append(x)
+        return f(x)
+    return g, points
+
+
+def test_illinois_finds_a_root_from_both_sides():
+    b = illinois(lambda x: x ** 3 - 2.0, 0.0, -2.0, 2.0, 6.0, done=lambda r: abs(r) <= 1e-15)
+    assert b.lo <= 2.0 ** (1 / 3) <= b.hi
+    assert b.f_lo <= 0.0 < b.f_hi
+    assert min(abs(b.f_lo), abs(b.f_hi)) <= 1e-15
+    assert b.steps < 20
+
+
+def test_illinois_accepts_a_decreasing_bracket():
+    b = illinois(lambda x: 1.0 - x * x, 0.0, 1.0, 3.0, -8.0, done=lambda r: -1e-14 <= r <= 0.0)
+    assert b.f_lo > 0.0 >= b.f_hi
+    assert -1e-14 <= b.f_hi <= 0.0
+    assert b.hi == pytest.approx(1.0, rel=1e-14)
+
+
+@pytest.mark.parametrize("f_lo, f_hi", [(-1.0, -0.5), (1.0, 2.0), (0.0, 0.0),
+                                        (math.nan, 1.0), (-1.0, math.nan)])
+def test_illinois_rejects_a_bracket_without_a_sign_change(f_lo, f_hi):
+    with pytest.raises(ValueError, match="no sign change"):
+        illinois(lambda x: x, 0.0, f_lo, 1.0, f_hi, done=lambda r: False)
+
+
+def test_illinois_stops_at_the_step_cap():
+    f, points = _recording(lambda x: math.tanh(x - 0.3))
+    b = illinois(f, 0.0, f(0.0), 1.0, f(1.0), done=lambda r: False, max_steps=3)
+    assert b.steps == 3 and len(points) == 2 + 3
+    b = illinois(lambda x: x - 0.3, 0.0, -0.3, 1.0, 0.7, done=lambda r: False)
+    assert b.steps <= MAX_STEPS
+
+
+def test_illinois_falls_back_to_the_midpoint_when_the_secant_rounds_onto_an_end():
+    # the secant point 1 + 1e-60 rounds onto lo = 1.0: the kernel must take
+    # the midpoint and go on, stopping only when the midpoint collapses
+    def step(x):
+        return -1e-30 if x < 1.5 else 1e30
+
+    f, points = _recording(step)
+    b = illinois(f, 1.0, -1e-30, 2.0, 1e30, done=lambda r: r == 0.0)
+    assert points[0] == 1.5
+    assert (b.lo, b.hi) == (math.nextafter(1.5, 0.0), 1.5)
+    assert b.steps == len(points) <= MAX_STEPS
+
+
+def test_illinois_treats_an_infinite_end_by_bisection():
+    f, points = _recording(lambda x: math.inf if x > 1.0 else x - 0.75)
+    b = illinois(f, 0.0, -0.75, 4.0, math.inf, done=lambda r: abs(r) <= 1e-15)
+    assert points[:2] == [2.0, 1.0]
+    assert b.lo == pytest.approx(0.75, abs=1e-15)
+
+
+def test_solve_increasing_runs_to_collapse_at_zero_tolerance():
+    res = solve_increasing(lambda x: x ** 3, 2.0, start=1.0, limit=1e10, value_tol=0.0)
+    x = res.x
+    # no neighbouring float has a smaller residual
+    for y in (math.nextafter(x, 0.0), math.nextafter(x, 2.0)):
+        assert abs(x ** 3 - 2.0) <= abs(y ** 3 - 2.0)
+    ref = bisect_increasing(lambda x: x ** 3, 2.0, 1.0, 2.0, value_tol=0.0)
+    assert abs(x ** 3 - 2.0) <= abs(ref.x ** 3 - 2.0)
+    assert res.iterations < ref.iterations
+
+
+def test_solve_increasing_reports_the_point_of_least_residual():
+    # a plateau of equal values around the target's crossing, then a jump
+    res = solve_increasing(lambda x: math.floor(x * 8.0) / 8.0, 0.5, start=1.0,
+                           limit=4.0, value_tol=1e-12)
+    assert math.floor(res.x * 8.0) / 8.0 == 0.5
+
+
+def test_solve_increasing_raises_past_its_limit():
+    with pytest.raises(OverflowError):
+        solve_increasing(lambda x: x, 10.0, start=1.0, limit=4.0, value_tol=1e-12)
+    with pytest.raises(ValueError):
+        solve_increasing(lambda x: x + 1.0, 0.5, start=1.0, limit=4.0, value_tol=1e-12)

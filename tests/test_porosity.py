@@ -290,3 +290,14 @@ def test_witness_whose_probes_do_not_violate_raises_with_the_failing_check(
     assert [p.index for p in state["non_violating"]] == [0, 1, 2]
     assert state["K"] == (-1, 0, 1, 2, 3, 4) and state["quadrant"] == (1, 1)
     assert state["seed"] == 3
+
+
+def test_witness_collects_until_both_mass_clauses_hold(window, box):
+    # 512 n / R^2 rounds one ulp below 108, so lam(K) = 108 > threshold
+    # while (R^2/512) 108 == 11.0 == n: collection must go on to 111
+    inst = make_instance(box, box, 11, 7.221367470787521, 1)
+    assert inst.threshold < 108.0 and inst.radius ** 2 / 512.0 * 108.0 == 11.0
+    wit = build_witness(inst, pair_power(2.0), probe_count=5, seed=0)
+    assert wit.lam_k == 111.0
+    assert wit.guaranteed_integral > inst.n
+    assert all(c.passed for c in wit.checks())
