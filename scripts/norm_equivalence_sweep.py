@@ -2,8 +2,10 @@
 """Measure how much of the factor-2 norm equivalence each pair uses.
 
 For random functions on a cyclic group, prints the observed range of
-||f||_Phi / N_Phi(f) per catalog pair. The quadratic pair sits at 2
-exactly; the others wander strictly inside (1, 2].
+||f||_Phi / N_Phi(f) per catalog pair, and the widest duality gap
+between the Orlicz value and the certified lower end of its bracket.
+The quadratic pair sits at 2 exactly; the others wander strictly
+inside (1, 2].
 
 Usage: python scripts/norm_equivalence_sweep.py [--order N] [--samples K]
 """
@@ -27,7 +29,7 @@ def main() -> None:
     space = cyclic(args.order)
     rng = Random(args.seed)
     print(f"group Z{args.order}, {args.samples} random functions per pair")
-    print(f"{'pair':<10} {'min ratio':>12} {'max ratio':>12} {'worst oracle gap':>18}")
+    print(f"{'pair':<10} {'min ratio':>12} {'max ratio':>12} {'worst duality gap':>18}")
     for name in CATALOG_PAIR_NAMES:
         pair = pair_from_name(name)
         ratios, gaps = [], []

@@ -23,19 +23,20 @@ solved map rises from 0 (``_feasible_end``):
   Psi(phi(t)) = t phi(t) - Phi(t) (Krasnosel'skii-Rutickii; Rao-Ren,
   ch. III), so h needs no conjugate. The value is the least objective
   over the k evaluated, which again upper-bounds the true norm.
-* An independent maximization oracle recovers the sup directly: the
-  Lagrangian stationarity g_x = (Psi')^{-1}(t |f_x|), t = 1/mu, with t
-  solving the active constraint rho_Psi(g) = 1 (the modular's Phi-sum on
-  the values of g; g is built only at the feasible end), then a final
-  rescale by the Luxemburg norm of g so that feasibility is certified and
-  the pairing sum is a sound lower bound. Primary value and oracle must
-  agree to a relative ``ORACLE_AGREEMENT_RTOL`` (``oracle_agreement_slack``
-  >= 0, the one definition of agreement) or the report carries a
-  disagreement flag, never a silent number.
+* The lower end of the bracket is the dual point at the Amemiya root:
+  g = phi(k |f|) meets Young's equality with k f, so at the root
+  rho_Psi(g) = h(k) = 1 and the Hoelder pairing sum |f g| dlam equals
+  the norm. One direct pass of Psi certifies rho_Psi(g) <= 1 in floats;
+  where it reads above 1, g is divided by its Luxemburg norm N_Psi(g),
+  which certifies it. The pairing is then a lower bound by weak duality
+  for any k, and the objective (1 + rho_Phi(k f)) / k the upper bound.
+  Value and lower end must agree to a relative ``ORACLE_AGREEMENT_RTOL``
+  (``oracle_agreement_slack`` >= 0, the one definition of agreement) or
+  the report carries a disagreement flag, never a silent number.
 
 On finite carriers the constraint sets {rho_Psi(g) <= 1} and
 {N_Psi(g) <= 1} coincide (convexity plus Phi(0) = 0), which is why the
-oracle's constraint is stated on the modular.
+dual constraint is stated on the modular.
 """
 
 from __future__ import annotations
@@ -60,9 +61,10 @@ class NormReport:
     """A computed norm value with how it was obtained.
 
     value = 0 exactly iff the input was identically zero. ``oracle_value``
-    is the independent cross-check when one was run (a certified lower
-    bound for the Orlicz norm); ``flags`` carries an oracle failure the
-    caller must not ignore ("oracle-disagreement", "oracle-nonconvergence").
+    is the cross-check when one was run: for the Orlicz norm, the
+    certified lower end of the duality bracket; ``flags`` carries a
+    cross-check failure the caller must not ignore ("oracle-disagreement",
+    "oracle-nonconvergence").
     """
 
     value: float
@@ -77,17 +79,6 @@ class NormReport:
         return not any(f.startswith("oracle-") for f in self.flags)
 
 
-def _phi_sum(phi: NFunction, space: GroupSpace, pairs) -> float:
-    """sum Phi(a) weight(x) over (x, a) pairs with a >= 0, in the order given."""
-    total = 0.0
-    for x, a in pairs:
-        if a > phi.domain_cap:
-            raise CapExceededError(
-                f"{phi.label}: |f({x!r})| = {a:g} exceeds the domain cap")
-        total += phi.evaluate(a) * space.weight_float(x)
-    return total
-
-
 def modular(phi: NFunction, f: GroupFunction, c: float = 1.0, *,
             slope: bool = False) -> float | tuple[float, float]:
     """rho_Phi(c f) = sum_x Phi(|c f(x)|) weight(x), in carrier order.
@@ -96,8 +87,6 @@ def modular(phi: NFunction, f: GroupFunction, c: float = 1.0, *,
     sum_x |c f(x)| phi(|c f(x)|) weight(x) and returns the pair
     (rho, slope).
     """
-    if not slope:
-        return _phi_sum(phi, f.space, ((x, abs(c * v)) for x, v in f.items()))
     space = f.space
     rho = total = 0.0
     for x, v in f.items():
@@ -107,8 +96,9 @@ def modular(phi: NFunction, f: GroupFunction, c: float = 1.0, *,
                 f"{phi.label}: |f({x!r})| = {a:g} exceeds the domain cap")
         w = space.weight_float(x)
         rho += phi.evaluate(a) * w
-        total += a * phi.derivative(a) * w
-    return rho, total
+        if slope:
+            total += a * phi.derivative(a) * w
+    return (rho, total) if slope else rho
 
 
 def _feasible_end(excess) -> tuple[float, float, int]:
@@ -184,44 +174,30 @@ def char_fn_norm(phi: NFunction, space: GroupSpace, subset) -> float:
     return 1.0 / phi.inverse(1.0 / lam)
 
 
-def _oracle_maximizer(pair: ComplementaryPair,
-                      f: GroupFunction) -> tuple[float, GroupFunction, int]:
-    """Certified lower bound for the Orlicz norm via the dual program.
+def _dual_point(pair: ComplementaryPair, f: GroupFunction,
+                k: float) -> tuple[float, GroupFunction, int]:
+    """Certified lower end of the Orlicz bracket from the dual point at k.
 
-    Solves rho_Psi(g) = 1 over g_x = (Psi')^{-1}(t |f_x|), t = 1/mu, with
-    the Illinois kernel (t -> rho_Psi(g) is increasing and 0 at t = 0;
-    solved in r = t sup|f|), builds g at the feasible end
-    (rho_Psi(g) <= 1), then divides by max(1, N_Psi(g)) so the feasible
-    point is certified (N_Psi <= 1) before the pairing sum is taken.
+    Builds g = phi(|k f|) from the products the Amemiya solve formed and
+    certifies rho_Psi(g) <= 1 with one direct pass of Psi (not through
+    Young's identity); where that pass reads above 1 or meets the cap,
+    divides g by N_Psi(g). Returns the pairing sum |f g| dlam, a lower
+    bound for ||f||_Phi by weak duality, with g and the number of
+    Luxemburg steps the rescale took (0 without one).
     """
-    psi = pair.psi
-    space = f.space
-    top = f.sup_norm()
-    abs_f = [(x, abs(v)) for x, v in f.items()]
-
-    def g_values(t: float):
-        for x, a in abs_f:
-            try:
-                y = psi.deriv_inverse(a * t)
-            except CapExceededError:
-                y = psi.domain_cap
-            if y > 0.0:
-                yield x, min(y, psi.domain_cap)
-
-    def excess(r: float) -> float:
-        try:
-            return _phi_sum(psi, space, g_values(r / top)) - 1.0
-        except CapExceededError:
-            return math.inf
-
-    r, _, steps = _feasible_end(excess)
-    g = GroupFunction(space, dict(g_values(r / top)))
-    scale = luxemburg(psi, g).value
-    if scale > 1.0:
-        g = g.scale(1.0 / scale)
+    phi, psi = pair.phi, pair.psi
+    g = GroupFunction(f.space, {x: phi.derivative(abs(k * v)) for x, v in f.items()})
+    steps = 0
+    try:
+        feasible = modular(psi, g) <= 1.0
+    except CapExceededError:
+        feasible = False
+    if not feasible:
+        rescale = luxemburg(psi, g)
+        g, steps = g.scale(1.0 / rescale.value), rescale.iterations
     pairing = holder_pairing(f, g)
     if not math.isfinite(pairing):
-        raise ArithmeticError(f"oracle pairing {pairing} is not finite")
+        raise ArithmeticError(f"dual pairing {pairing} is not finite")
     return pairing, g, steps
 
 
@@ -232,7 +208,7 @@ def oracle_agreement_slack(value: float, oracle_value: float | None) -> float:
 
 def orlicz_norm(pair: ComplementaryPair, f: GroupFunction, *,
                 cross_check: bool = True) -> NormReport:
-    """Orlicz norm inf_k (1 + rho_Phi(k f)) / k, oracle cross-checked.
+    """Orlicz norm inf_k (1 + rho_Phi(k f)) / k, bracketed from both sides.
 
     The minimiser solves Young's equality h(k) = 1, where
 
@@ -242,6 +218,9 @@ def orlicz_norm(pair: ComplementaryPair, f: GroupFunction, *,
     Luxemburg root (in r = k sup|f|); one ``modular(..., slope=True)``
     pass gives h and the objective at each k. The value is the least
     objective over the k evaluated, so it is an upper bound for the norm.
+    With ``cross_check`` the report's ``oracle_value`` is the certified
+    lower end of the duality bracket, from the dual point at the feasible
+    end k of the solve (``_dual_point``); it runs no second solve.
     """
     flags: tuple[str, ...] = ()
     if f.is_zero:
@@ -261,16 +240,16 @@ def orlicz_norm(pair: ComplementaryPair, f: GroupFunction, *,
         value = min(value, (1.0 + rho) / k)
         return slope - rho - 1.0
 
-    _, _, iterations = _feasible_end(young_excess)
+    r, _, iterations = _feasible_end(young_excess)
     oracle_value = None
     if cross_check:
         try:
-            oracle_value, _, oracle_iters = _oracle_maximizer(pair, f)
+            oracle_value, _, rescale_iters = _dual_point(pair, f, r / top)
         except ArithmeticError:
             # never a silent value: the report carries the failure
             flags = flags + ("oracle-nonconvergence",)
         else:
-            iterations += oracle_iters
+            iterations += rescale_iters
             if not oracle_agreement_slack(value, oracle_value) >= 0.0:
                 flags = flags + ("oracle-disagreement",)
     residual = abs(value - oracle_value) if oracle_value is not None else math.nan

@@ -1,7 +1,7 @@
 """Scalar root-finding kernels.
 
 One bracketed root kernel, ``illinois``, serves every library solve: the
-Luxemburg and Amemiya norm solves and the dual oracle in ``norms``, and
+Luxemburg and Amemiya norm solves in ``norms``, and
 ``solve_increasing`` for the N-function inverses. It is the Illinois
 variant of regula falsi (Dowell and Jarratt, BIT 11, 1971): each step
 evaluates the secant point of the two ends of opposite sign, and the

@@ -51,7 +51,7 @@ def test_charfn_cross_check(capsys):
     code, out, _ = run_cli(capsys, "norm", "charfn", "--group", Z8,
                            "--nfunction", QUAD, "--subset", "[0,1,2,3]")
     assert code == 0
-    assert "check.closed-form-vs-bisection=pass" in out
+    assert "check.closed-form-vs-illinois=pass" in out
 
 
 def test_malformed_group_spec_exits_2(capsys):
@@ -417,8 +417,8 @@ def test_nfunc_check_custom_table_with_low_caps_passes(capsys):
 
 def test_suite_reports_oracle_nonconvergence_as_a_failed_check(capsys, monkeypatch):
     def no_convergence(*args, **kwargs):
-        raise ArithmeticError("forced oracle non-convergence")
-    monkeypatch.setattr(norms, "_oracle_maximizer", no_convergence)
+        raise ArithmeticError("forced non-finite dual pairing")
+    monkeypatch.setattr(norms, "_dual_point", no_convergence)
     code, out, _ = run_cli(capsys, "suite", "--groups", "Z2", "--pairs", "power-2",
                            "--samples", "1", "--probes", "1")
     assert code == 1
@@ -427,13 +427,13 @@ def test_suite_reports_oracle_nonconvergence_as_a_failed_check(capsys, monkeypat
 
 def test_aphi_bound_and_submult_run_no_oracle(capsys, monkeypatch):
     calls = []
-    oracle = norms._oracle_maximizer
+    dual_point = norms._dual_point
 
     def counting(*args):
         calls.append(args)
-        return oracle(*args)
+        return dual_point(*args)
 
-    monkeypatch.setattr(norms, "_oracle_maximizer", counting)
+    monkeypatch.setattr(norms, "_dual_point", counting)
     z6 = '{"type": "Zn", "n": 6}'
     left = json.dumps([[x, 0.25 * x, 0.5] for x in range(6)])
     right = json.dumps([[0, 1, 0], [2, -0.5, 0.25], [5, 0.75, 0]])
@@ -443,7 +443,7 @@ def test_aphi_bound_and_submult_run_no_oracle(capsys, monkeypatch):
                                *operands)
         assert code == 0 and "passed=true" in out
     assert calls == []
-    # the counter does see the oracle where a report reads it
+    # the counter does see the dual bound where a report reads it
     code, out, _ = run_cli(capsys, "norm", "orlicz", "--group", z6, "--nfunction", QUAD,
                            "--function", left)
     assert code == 0 and "check.oracle-agreement=pass" in out
@@ -466,8 +466,8 @@ def test_suite_reports_an_out_of_scope_entry_and_runs_the_rest(capsys):
 
 def test_suite_with_a_failed_check_and_an_out_of_scope_entry_exits_1(capsys, monkeypatch):
     def no_convergence(*args, **kwargs):
-        raise ArithmeticError("forced oracle non-convergence")
-    monkeypatch.setattr(norms, "_oracle_maximizer", no_convergence)
+        raise ArithmeticError("forced non-finite dual pairing")
+    monkeypatch.setattr(norms, "_dual_point", no_convergence)
     code, out, _ = run_cli(capsys, "suite", "--groups", "Z2,Z10", "--pairs", "power-2",
                            "--samples", "1", "--probes", "1")
     assert code == 1
@@ -836,14 +836,14 @@ def _value(out, key):
 
 
 def test_oracle_agreement_is_relative_below_one(capsys, monkeypatch):
-    # 1e-200 delta_0: the oracle starts at t = 1/sup|f| and recovers the value
+    # 1e-200 delta_0: the dual point at the root k ~ 1/sup|f| recovers the value
     code, out, _ = run_cli(capsys, *TINY)
     value, oracle = _value(out, "value"), _value(out, "oracle-value")
     assert code == 0 and "check.oracle-agreement=pass" in out
     assert 0.0 < oracle <= value and value - oracle <= 1e-6 * value
-    # an oracle that underflows to 0.0 disagrees at this scale; an absolute
-    # tolerance of 1e-6 let it pass
-    monkeypatch.setattr(norms, "_oracle_maximizer", lambda pair, f: (0.0, f, 0))
+    # a lower end that underflows to 0.0 disagrees at this scale; an
+    # absolute tolerance of 1e-6 let it pass
+    monkeypatch.setattr(norms, "_dual_point", lambda pair, f, k: (0.0, f, 0))
     code, out, _ = run_cli(capsys, *TINY)
     assert code == 1
     assert "check.oracle-agreement=FAIL" in out and "passed=false" in out

@@ -14,7 +14,6 @@ from orliczalg.errors import CapExceededError
 from orliczalg.groups import GroupFunction, cyclic, integer_window, random_function
 from orliczalg.nfunctions import CATALOG_PAIR_NAMES, pair_power
 from orliczalg.norms import (
-    _oracle_maximizer,
     char_fn_norm,
     holder_pairing,
     luxemburg,
@@ -165,14 +164,16 @@ def test_quadratic_attains_equivalence_factor_two(z8):
 
 
 def test_holder_bound_for_oracle_witness(z8):
-    # the oracle's maximizer g is feasible, so sum |f g| lam <= ||f||_Phi
+    # the dual points are feasible, so sum |f g| lam <= ||f||_Phi
     rng = Random(14)
     for pair in ALL_PAIRS:
         f = random_function(z8, rng)
-        value, g, _ = _oracle_maximizer(pair, f)
-        assert luxemburg(pair.psi, g).value <= 1.0 + 1e-9
-        assert holder_pairing(f, g) <= orlicz_norm(pair, f).value + 1e-9
-        assert value == pytest.approx(holder_pairing(f, g), abs=1e-12)
+        rep, g, _ = _bracket(pair, f)
+        value, g_mu, _ = _oracle_maximizer(pair, f)
+        for point, pairing in ((g, rep.oracle_value), (g_mu, value)):
+            assert luxemburg(pair.psi, point).value <= 1.0 + 1e-9
+            assert holder_pairing(f, point) <= rep.value + 1e-9
+            assert pairing == pytest.approx(holder_pairing(f, point), abs=1e-12)
 
 
 def test_unit_ball_test_modular_iff_norm(z8):
@@ -309,6 +310,61 @@ def _reference_oracle(pair, f, max_iter=200):
     return pairing, g, iters
 
 
+def _oracle_maximizer(pair, f):
+    """The mu-solve dual oracle: a lower end found without the Amemiya root.
+
+    Solves rho_Psi(g) = 1 over g_x = (Psi')^{-1}(t |f_x|), t = 1/mu, with
+    the library's Illinois kernel (in r = t sup|f|), builds g at the
+    feasible end and divides it by max(1, N_Psi(g)). Returns the pairing
+    sum |f g| dlam, g and the solve's steps. ``_reference_oracle`` is the
+    same program by plain bisection, too slow for a wide sweep.
+    """
+    psi = pair.psi
+    top = f.sup_norm()
+
+    def g_at(t):
+        vals = {}
+        for x, v in f.items():
+            try:
+                y = psi.deriv_inverse(abs(v) * t)
+            except CapExceededError:
+                y = psi.domain_cap
+            vals[x] = min(y, psi.domain_cap)
+        return GroupFunction(f.space, vals)
+
+    def excess(r):
+        try:
+            return modular(psi, g_at(r / top)) - 1.0
+        except CapExceededError:
+            return math.inf
+
+    r, _, steps = norms._feasible_end(excess)
+    g = g_at(r / top)
+    scale = luxemburg(psi, g).value
+    if scale > 1.0:
+        g = g.scale(1.0 / scale)
+    return holder_pairing(f, g), g, steps
+
+
+_dual_point = norms._dual_point
+
+
+def _bracket(pair, f):
+    """orlicz_norm(pair, f) with the dual point g its lower end pairs and
+    the Luxemburg steps of g's rescale (0 where one direct pass of Psi
+    certified g)."""
+    seen = []
+
+    def recording(*args):
+        seen.append(_dual_point(*args))
+        return seen[-1]
+
+    with mock.patch.object(norms, "_dual_point", recording):
+        rep = orlicz_norm(pair, f)
+    (_, g, steps), = seen
+    return rep, g, steps
+
+
 def _bracket_minimum(f, x0):
     """Doubling scan around x0 > 0 for a unimodal triple a < b < c with
     f(b) <= min(f(a), f(c)), in at most 200 steps; infinite values count
@@ -373,13 +429,12 @@ def _check_against_linear_references(pair, f):
     golden, _ = _reference_orlicz(pair, f)
     assert abs(plain.value - golden) <= 16 * math.ulp(golden), (plain.value, golden)
     assert plain.value in objectives                      # an objective value
-    rep = orlicz_norm(pair, f)
+    rep, g, _ = _bracket(pair, f)
     assert rep.value == plain.value and rep.agreed
     rounding = (len(f.support) + 4) * sys.float_info.epsilon
     assert rep.oracle_value <= rep.value * (1.0 + rounding)  # a lower bound
     pairing, g_ref, _ = _reference_oracle(pair, f)
     assert abs(rep.oracle_value - pairing) <= 1e-9 * pairing
-    _, g, _ = _oracle_maximizer(pair, f)
     assert g.support == g_ref.support
 
 
@@ -402,6 +457,34 @@ def test_norms_equal_per_step_scaled_reference(pair_name):
 def test_norms_agree_with_linear_references(pair_name, space, seed):
     _check_against_linear_references(
         pair_from_name(pair_name), random_function(space, Random(seed), amplitude=3.0))
+
+
+def test_dual_point_lower_end_against_the_mu_solve():
+    # The lower end pairs f with phi(k f) at the Amemiya root k; the
+    # mu-solve oracle finds its dual point with a second solve.
+    rescaled = 0
+    for pair in ALL_PAIRS:
+        for space in (cyclic(8), cyclic(64), integer_window(128)):
+            for seed in range(30):
+                f = random_function(space, Random(seed), amplitude=3.0)
+                rep, g, steps = _bracket(pair, f)
+                assert modular(pair.psi, g) <= 1.0  # certified feasible
+                value, lower = rep.value, rep.oracle_value
+                rounding = (len(f.support) + 4) * sys.float_info.epsilon
+                assert lower <= value * (1.0 + rounding), (pair.phi.label, seed)
+                assert value - lower <= 1e-9 * value, (pair.phi.label, seed)
+                reference, _, _ = _oracle_maximizer(pair, f)
+                assert abs(lower - reference) <= 1e-9 * reference, (pair.phi.label, seed)
+                rescaled += steps > 0
+    assert rescaled > 0  # the Luxemburg rescale ran where the direct Psi pass read > 1
+
+
+def test_dual_point_certified_without_a_rescale(z8):
+    # Phi = x^2/2 on chi_G: the root is k = sqrt(2), and g = k chi_G has rho_Psi(g) <= 1
+    rep, g, steps = _bracket(pair_power(2.0), GroupFunction.constant(z8, 1.0))
+    assert steps == 0 and modular(pair_power(2.0).psi, g) <= 1.0
+    assert rep.oracle_value <= rep.value
+    assert rep.oracle_value == pytest.approx(math.sqrt(2.0), rel=1e-12)
 
 
 @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
