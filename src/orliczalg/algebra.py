@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .errors import InfeasibleWindowError, OrliczAlgebraError, ScopeError, SpecFormatError
 from .groups import (
@@ -79,8 +79,10 @@ class Decomposition:
         return self.reconstruct().max_abs_diff(self.target)
 
     def validate(self) -> None:
+        """Reconstruction error within RECONSTRUCTION_TOL sup|target|; relative, so
+        that no decomposition of another function passes for a tiny target."""
         err = self.reconstruction_error()
-        bound = RECONSTRUCTION_TOL * (1.0 + self.target.sup_norm())
+        bound = RECONSTRUCTION_TOL * self.target.sup_norm()
         if err > bound:
             raise OrliczAlgebraError(
                 f"decomposition does not reconstruct its target: error {err:g} > {bound:g}")
@@ -112,7 +114,7 @@ def decomposition_cost(d: Decomposition, pair: ComplementaryPair, *,
         cost += luxemburg(pair.phi, f).value * right_norms[key]
     # Hoelder floor: sup|u| <= mixed cost
     floor = d.target.sup_norm()
-    if cost < floor - RECONSTRUCTION_TOL:
+    if cost < floor * (1.0 - RECONSTRUCTION_TOL):
         raise OrliczAlgebraError(
             f"cost {cost:g} fell below the sup-norm floor {floor:g}; "
             "norm computation is inconsistent")
@@ -128,7 +130,7 @@ class NormBracket:
     witness: Decomposition
 
     def __post_init__(self):
-        if self.lower > self.upper + RECONSTRUCTION_TOL:
+        if self.lower * (1.0 - RECONSTRUCTION_TOL) > self.upper:
             raise OrliczAlgebraError(
                 f"bracket inverted: lower {self.lower:g} > upper {self.upper:g}")
 
@@ -171,7 +173,11 @@ def algebra_norm_upper(u: GroupFunction, pair: ComplementaryPair, *,
 
     budget 0 returns the atomic bound; budget 1 or 2 adds the merged
     single pair, and budget 3 or more also tries single-pair plateau
-    restarts for indicator-like targets. Deterministic given the budget.
+    restarts chi_{SV} * (chi_V / lam(V))^ for indicator-like targets
+    u = c chi_S, with V = {e} and, on finite groups, V = G (which rebuilds
+    u = c 1_G exactly). No Leptin set V = [-N, N] with N >= 1 is tried on a
+    window: its restart is nonzero at max(S) + 1, outside S, so it never
+    rebuilds u. Deterministic given the budget.
     """
     lower = u.sup_norm()
     if u.is_zero:
@@ -183,18 +189,19 @@ def algebra_norm_upper(u: GroupFunction, pair: ComplementaryPair, *,
     if budget >= 3:
         level = _is_indicator_like(u)
         if level is not None:
-            support = u.support
-            for v_set in _plateau_v_candidates(u.space, support):
+            space = u.space
+            v_sets = [frozenset([space.identity])]
+            if not space.is_window:
+                v_sets.append(frozenset(space.elements))
+            for v_set in v_sets:
+                lam_v = sum(space.weight_float(x) for x in v_set)
+                sv = set_product(space, u.support, v_set)
+                f = GroupFunction.indicator(space, sv).scale(level)
+                g = GroupFunction.indicator(space, v_set).scale(1.0 / lam_v)
+                cand = Decomposition(terms=((f, g),), target=u)
                 try:
-                    ev = set_product(u.space, support, v_set)
-                    if not all(u.space.contains(x) for x in ev):
-                        continue
-                    lam_v = sum(u.space.weight_float(x) for x in v_set)
-                    f = GroupFunction.indicator(u.space, ev).scale(level)
-                    g = GroupFunction.indicator(u.space, v_set).scale(1.0 / lam_v)
-                    cand = Decomposition(terms=((f, g),), target=u)
                     cand.validate()
-                except (OrliczAlgebraError, InfeasibleWindowError):
+                except OrliczAlgebraError:
                     continue
                 candidates.append(cand)
     best: tuple[float, Decomposition] | None = None
@@ -204,19 +211,6 @@ def algebra_norm_upper(u: GroupFunction, pair: ComplementaryPair, *,
             best = (cost, cand)
     cost, witness = best
     return NormBracket(upper=cost, lower=lower, witness=witness)
-
-
-def _plateau_v_candidates(space: GroupSpace, support: Sequence) -> list[frozenset]:
-    out = [frozenset([space.identity])]
-    if not space.is_window:
-        out.append(frozenset(space.elements))
-    else:
-        for eps in (1.0, 0.5):
-            try:
-                out.append(frozenset(leptin_search(space, support, eps).members))
-            except InfeasibleWindowError:
-                pass
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -237,23 +231,19 @@ class ChainStep:
         return self.slack >= 0.0
 
 
-def _certified_chain(pair: ComplementaryPair, lam_v: float, lam_ev: float,
-                     epsilon: float, start_cost: float, n_ev: float, n_v: float,
-                     guard_scale: float) -> tuple[ChainStep, ...]:
-    """Inequality chain from a computed single-pair cost up to 2 (1 + eps).
+def _equivalence_step(v1: float, cost: float, guard_scale: float) -> ChainStep:
+    """cost <= v1: the norm equivalence ||.|| <= 2 N(.) applied to one
+    factor, with its cushion scaled by the factor multiplying that norm."""
+    guard = CHAIN_GUARD * max(1.0, guard_scale)
+    return ChainStep("orlicz-le-two-luxemburg", v1, v1 + guard - cost, guard)
 
-    ``n_ev``/``n_v`` are the solved Luxemburg norms N_Phi(chi_{EV}) and
-    N_Psi(chi_V). Both cost routes (the plateau itself and its
-    reflection) land on the same middle bound 2 n_ev n_v / lam(V) after
-    the norm-equivalence step; ``guard_scale`` is the factor multiplying
-    the Orlicz norm that the equivalence cushion applies to.
-    """
+
+def _chain_tail(pair: ComplementaryPair, lam_v: float, lam_ev: float,
+                epsilon: float, v1: float) -> tuple[ChainStep, ...]:
+    """Inequality chain from the middle bound v1 = 2 N_Phi(chi_EV) N_Psi(chi_V) / lam(V)
+    up to 2 (1 + eps); both cost routes of a plateau pass through v1."""
     phi, psi = pair.phi, pair.psi
     steps = []
-    # norm equivalence ||.|| <= 2 N(.) + cushion on one factor
-    guard1 = CHAIN_GUARD * max(1.0, guard_scale)
-    v1 = 2.0 * n_ev * n_v / lam_v
-    steps.append(ChainStep("orlicz-le-two-luxemburg", v1, v1 + guard1 - start_cost, guard1))
     # closed-form characteristic norms (equality up to root-finder residual)
     cf_ev = 1.0 / phi.inverse(1.0 / lam_ev)
     cf_v = 1.0 / psi.inverse(1.0 / lam_v)
@@ -373,11 +363,12 @@ def build_plateau(space: GroupSpace, plateau_set: Iterable, pair: ComplementaryP
     lam_ev = float(lep.lam_ku)
     n_ev = luxemburg(pair.phi, f).value                                 # N_Phi(chi_EV)
     n_v = luxemburg(pair.psi, GroupFunction.indicator(space, V)).value  # N_Psi(chi_V)
+    v1 = 2.0 * n_ev * n_v / lam_v
+    tail = _chain_tail(pair, lam_v, lam_ev, epsilon, v1)
     # both costs skip validation: the direct decomposition rebuilds u by
     # construction, and the reflected one's error is a certificate clause
     cost_phi = decomposition_cost(decomposition, pair, validate=False)
-    chain_phi = _certified_chain(pair, lam_v, lam_ev, epsilon, cost_phi,
-                                 n_ev, n_v, guard_scale=n_ev)
+    chain_phi = (_equivalence_step(v1, cost_phi, n_ev),) + tail
 
     # Swapped route: the reflection decomposes as g * f^ with the same
     # sets, so its Psi-side cost N_Psi(g) ||f||_Phi passes through the
@@ -385,8 +376,7 @@ def build_plateau(space: GroupSpace, plateau_set: Iterable, pair: ComplementaryP
     reflected = Decomposition(terms=((g, f),), target=reflect(u))
     reflected_err = reflected.reconstruction_error()
     cost_psi = decomposition_cost(reflected, pair.swap(), validate=False)
-    chain_psi = _certified_chain(pair, lam_v, lam_ev, epsilon, cost_psi,
-                                 n_ev, n_v, guard_scale=n_v / lam_v)
+    chain_psi = (_equivalence_step(v1, cost_psi, n_v / lam_v),) + tail
 
     cert = PlateauCertificate(
         epsilon=epsilon, leptin=lep, cost_phi=cost_phi, cost_psi=cost_psi, on_set_error=on_err,

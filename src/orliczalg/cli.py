@@ -185,7 +185,7 @@ def _check_inverse_product(rep: Report, pair, cfg: RunConfig) -> None:
     rep.add("inverse-product.max", max(ratios))
     rep.check("inverse-product-range",
               min(ratios) > 1.0 and max(ratios) <= 2.0 + cfg.tol_slack,
-              2.0 + cfg.tol_slack - max(ratios),
+              min(min(ratios) - 1.0, 2.0 + cfg.tol_slack - max(ratios)),
               f"t in [1e-3, {'1e3' if top >= 1e3 else f'{top:g}'}], 41 points")
 
 
@@ -332,9 +332,9 @@ def _run_nfunc(args, cfg: RunConfig) -> Report:
         if truncated:
             rep.add(f"conjugate.{y:g}.truncated", "true (cap-limited)")
         closed = pair.psi(y)
-        rep.check(f"closed-form-agreement.{y:g}",
-                  abs(value - closed) <= 1e-6 * (1.0 + abs(closed)),
-                  closed - value + 1e-6 * (1.0 + abs(closed)),
+        tol = 1e-6 * (1.0 + abs(closed))
+        rep.check(f"closed-form-agreement.{y:g}", abs(value - closed) <= tol,
+                  tol - abs(value - closed),
                   "numeric conjugate vs catalog complement")
     return rep
 

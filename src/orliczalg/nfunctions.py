@@ -50,7 +50,6 @@ class NFunction:
     derivative; a monotone root-finder substitutes when absent.
     """
 
-    kind: str
     label: str
     evaluate: Callable[[float], float]
     derivative: Callable[[float], float]
@@ -134,7 +133,7 @@ def power(p: float) -> NFunction:
     def dv_inv(y: float) -> float:
         return y ** (1.0 / (p - 1.0)) if y > 0.0 else 0.0
 
-    return NFunction(kind="power", label=f"power(p={p:g})", evaluate=ev, derivative=dv,
+    return NFunction(label=f"power(p={p:g})", evaluate=ev, derivative=dv,
                      domain_cap=cap, derivative_inverse=dv_inv)
 
 
@@ -152,7 +151,7 @@ def entropy() -> NFunction:
             return math.inf
         return math.log1p(x)
 
-    return NFunction(kind="entropy", label="entropy", evaluate=ev, derivative=dv,
+    return NFunction(label="entropy", evaluate=ev, derivative=dv,
                      domain_cap=cap, derivative_inverse=math.expm1)
 
 
@@ -170,7 +169,7 @@ def entropy_dual() -> NFunction:
             return math.inf
         return math.expm1(y)
 
-    return NFunction(kind="entropy_dual", label="exp-minus-linear", evaluate=ev,
+    return NFunction(label="exp-minus-linear", evaluate=ev,
                      derivative=dv, domain_cap=cap, derivative_inverse=math.log1p)
 
 
@@ -188,7 +187,7 @@ def cosh_minus_one() -> NFunction:
             return math.inf
         return math.sinh(x)
 
-    return NFunction(kind="cosh", label="cosh-1", evaluate=ev, derivative=dv,
+    return NFunction(label="cosh-1", evaluate=ev, derivative=dv,
                      domain_cap=cap, derivative_inverse=math.asinh)
 
 
@@ -207,7 +206,7 @@ def cosh_dual() -> NFunction:
         return math.asinh(y)
 
     # the derivative's inverse is sinh, cosh-1's derivative
-    return NFunction(kind="cosh_dual", label="asinh-integral", evaluate=ev,
+    return NFunction(label="asinh-integral", evaluate=ev,
                      derivative=dv, domain_cap=cap,
                      derivative_inverse=cosh_minus_one().derivative)
 
@@ -256,7 +255,7 @@ def from_table(rows: Sequence[Sequence[float]]) -> NFunction:
             return cum[-1] + slopes[-1] * (x - xs[-1])
         return cum[j] + 0.5 * (slopes[j] + dv(x)) * (x - xs[j])
 
-    return NFunction(kind="custom", label="tabulated", evaluate=ev, derivative=dv,
+    return NFunction(label="tabulated", evaluate=ev, derivative=dv,
                      domain_cap=xs[-1])
 
 
@@ -299,7 +298,7 @@ def conjugate(phi: NFunction) -> NFunction:
         memo[y] = value
         return value
 
-    return NFunction(kind="conjugate", label=f"conjugate({phi.label})", evaluate=ev,
+    return NFunction(label=f"conjugate({phi.label})", evaluate=ev,
                      derivative=phi.deriv_inverse, domain_cap=phi.derivative(phi.domain_cap),
                      derivative_inverse=phi.derivative)
 

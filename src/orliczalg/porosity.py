@@ -183,12 +183,9 @@ class PorosityWitness:
     threshold: float
     plateau_cert: PlateauCertificate
     u: GroupFunction
-    f_tilde: GroupFunction
-    g_tilde: GroupFunction
     dist_f_bound: float
     dist_g_bound: float
     probes: tuple[ProbeRecord, ...]
-    seed: int
 
     @property
     def guaranteed_integral(self) -> float:
@@ -332,8 +329,7 @@ def build_witness(inst: PorosityInstance, pair: ComplementaryPair, *,
     witness = PorosityWitness(
         instance=inst, quadrant=(s1, s2), m0=m0, base_points=tuple(base_points),
         collected=K, lam_k=lam_k, threshold=threshold, plateau_cert=cert, u=u,
-        f_tilde=f_tilde, g_tilde=g_tilde, dist_f_bound=dist_f, dist_g_bound=dist_g,
-        probes=tuple(probes), seed=seed)
+        dist_f_bound=dist_f, dist_g_bound=dist_g, probes=tuple(probes))
     failures = [c for c in witness.checks() if not c.passed]
     if failures:
         raise TheoremContradictionError(

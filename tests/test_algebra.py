@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 import orliczalg.algebra as algebra
 from orliczalg.algebra import (
     Decomposition,
+    NormBracket,
     algebra_norm_upper,
     atomic_decomposition,
     build_plateau,
@@ -30,7 +31,7 @@ from orliczalg.groups import (
     symmetric_group3,
     translate_left,
 )
-from orliczalg.nfunctions import CATALOG_PAIR_NAMES, pair_power
+from orliczalg.nfunctions import CATALOG_PAIR_NAMES, NFunction, pair_power
 from orliczalg.norms import luxemburg, orlicz_norm
 from orliczalg.specio import pair_from_name
 
@@ -125,6 +126,26 @@ def test_bracket_order_always(z6, window):
             f = random_function(space, rng, support_size=6)
             br = algebra_norm_upper(f, pair)
             assert br.lower <= br.upper + 1e-9
+
+
+@pytest.mark.parametrize("space, points", [
+    (cyclic(6), [0, 1, 2]),
+    (cyclic(6), list(range(6))),
+    (symmetric_group3(), symmetric_group3().elements[:3]),
+    (integer_window(32), list(range(-2, 3))),
+], ids=["Z6-half", "Z6-all", "S3-half", "Zwindow32"])
+def test_bracket_upper_is_homogeneous_down_to_tiny_scales(space, points):
+    # the reconstruction tolerance scales with sup|u|, so no decomposition
+    # of another function passes at small c
+    for pair in ALL_PAIRS:
+        for budget in (0, 1, 3):
+            unit = algebra_norm_upper(GroupFunction.indicator(space, points), pair,
+                                      budget=budget).upper
+            for c in (1.0, 1e-6, 1e-9, 1e-12):
+                u = GroupFunction(space, {x: c for x in points})
+                br = algebra_norm_upper(u, pair, budget=budget)
+                assert br.upper == pytest.approx(c * unit, rel=1e-12, abs=0.0)
+                assert br.witness.reconstruction_error() <= 1e-9 * c
 
 
 def test_cost_translation_invariance(z6):
@@ -222,6 +243,19 @@ def test_build_plateau_convolves_only_the_plateau_and_its_reflection(window, mon
     assert len(calls) == 2
 
 
+def test_build_plateau_runs_four_inverse_solves(window, monkeypatch):
+    # both cost routes share one chain tail after the middle bound
+    calls = []
+    real = NFunction.inverse
+
+    def counting(self, t):
+        calls.append(t)
+        return real(self, t)
+    monkeypatch.setattr(NFunction, "inverse", counting)
+    build_plateau(window, [-1, 0, 1], pair_from_name("entropy"), 1.0)
+    assert len(calls) == 4
+
+
 def test_submult_chain_random_pairs():
     z8 = cyclic(8)
     rng = Random(6)
@@ -255,6 +289,21 @@ def test_submult_scope_error_on_window():
     f = GroupFunction.delta(w, 0)
     with pytest.raises(ScopeError):
         submultiplicativity_report(f, f, pair_power(2.0))
+
+
+def test_sup_norm_floor_guards_are_relative(z6, monkeypatch):
+    u = GroupFunction.delta(z6, 0, 1e-12)
+    d = atomic_decomposition(u)
+    with pytest.raises(OrliczAlgebraError, match="bracket inverted"):
+        NormBracket(upper=1e-12, lower=2e-12, witness=d)
+    real = algebra.luxemburg
+
+    def halved(phi, f):
+        rep = real(phi, f)
+        return dataclasses.replace(rep, value=rep.value / 2)
+    monkeypatch.setattr(algebra, "luxemburg", halved)
+    with pytest.raises(OrliczAlgebraError, match="sup-norm floor"):
+        decomposition_cost(d, pair_power(2.0))
 
 
 def test_sup_norm_lower_bound_of_cost(z6):

@@ -5,6 +5,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import time
@@ -15,20 +16,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import orliczalg.algebra as algebra
 import orliczalg.cli as cli
 import orliczalg.norms as norms
 import orliczalg.porosity as porosity
 import orliczalg.structure as structure
-from orliczalg.algebra import build_plateau
+from orliczalg.algebra import Decomposition, build_plateau
 from orliczalg.errors import TheoremContradictionError
-from orliczalg.groups import GroupFunction, convolve, integer_window
+from orliczalg.groups import GroupFunction, convolve, integer_window, leptin_search, set_product
 from orliczalg.nfunctions import CATALOG_PAIR_NAMES, ComplementaryPair, power
 from orliczalg.specio import Report, function_from_rows, group_from_spec, pair_from_name
 
 Z8 = '{"type": "Zn", "n": 8}'
 QUAD = '{"kind": "power", "p": 2}'
 CHI_HALF = json.dumps([[x, 1, 0] for x in range(4)])
+GOLDEN_DIR = Path(__file__).with_name("golden")
 
 
 def run_cli(capsys, *argv):
@@ -316,6 +317,44 @@ def test_nfunc_check_and_conjugate(capsys):
                              '{"kind": "power", "p": 3}', "--points", "0.5,1,2")
     assert code2 == 0
     assert out2.count("closed-form-agreement") == 3
+
+
+def sign_rule_breaks(report: str) -> list[str]:
+    """check. lines that read FAIL with a positive slack or pass with a negative one."""
+    breaks = []
+    for line in report.splitlines():
+        if line.startswith("check."):
+            verdict, slack = re.match(r"[^=]+=(pass|FAIL) slack=(\S+)", line).groups()
+            if (verdict == "FAIL" and float(slack) > 0) or (verdict == "pass" and float(slack) < 0):
+                breaks.append(line)
+    return breaks
+
+
+def test_check_verdicts_agree_with_their_slacks(capsys):
+    for path in sorted(GOLDEN_DIR.glob("*.txt")):
+        assert sign_rule_breaks(path.read_text(encoding="utf-8")) == [], path.name
+    code, out, _ = run_cli(capsys, "suite", "--seed", "7")
+    assert code == 0
+    assert sign_rule_breaks(out) == []
+
+
+def test_closed_form_agreement_against_a_wrong_complement_fails_with_negative_slack(
+        capsys, monkeypatch):
+    wrong = ComplementaryPair(phi=power(2.0), psi=power(3.0), construction="closed-form")
+    monkeypatch.setattr(cli, "pair_from_spec", lambda spec: wrong)
+    code, out, _ = run_cli(capsys, "nfunc", "conjugate", "--nfunction", QUAD)
+    assert code == 1
+    assert "check.closed-form-agreement.100=FAIL slack=-" in out
+    assert sign_rule_breaks(out) == []
+
+
+def test_inverse_product_range_below_one_fails_with_negative_slack(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "inverse_product_ratio", lambda pair, t: 0.9)
+    code, out, _ = run_cli(capsys, "nfunc", "check", "--nfunction", QUAD)
+    assert code == 1
+    line = next(x for x in out.splitlines() if x.startswith("check.inverse-product-range="))
+    assert line.startswith("check.inverse-product-range=FAIL slack=-0.09999")
+    assert sign_rule_breaks(out) == []
 
 
 def test_suite_empty_battery_vacuous(capsys):
@@ -780,24 +819,40 @@ def test_malformed_function_rows_exit_2(capsys, rows, message):
     assert message in err
 
 
-def test_aphi_bound_budget_3_on_a_window_tries_leptin_plateaus(capsys, monkeypatch):
-    epsilons = []
-    real = algebra.leptin_search
+def _leptin_restart(u, epsilon):
+    """The window restart that budget 3 no longer tries, kept as a reference:
+    u = c chi_S rebuilt as c chi_{S+V} * (chi_V / |V|)^ over the Leptin set V
+    of (S, epsilon)."""
+    space = u.space
+    v_set = leptin_search(space, u.support, epsilon).members
+    f = GroupFunction.indicator(space, set_product(space, u.support, v_set))
+    g = GroupFunction.indicator(space, v_set).scale(1.0 / len(v_set))
+    c = u(u.support[0])
+    return v_set, Decomposition(terms=((f.scale(c), g),), target=u)
 
-    def recording(space, compact, epsilon):
-        epsilons.append(epsilon)
-        return real(space, compact, epsilon)
-    monkeypatch.setattr(algebra, "leptin_search", recording)
-    argv = ("aphi", "bound", "--group", '{"type": "Zwindow", "radius": 32}',
-            "--nfunction", QUAD, "--function", json.dumps([[x, 1, 0] for x in range(-2, 3)]))
-    code, out, err = run_cli(capsys, *argv, "--budget", "3")
-    assert code == 0, err
-    assert "check.bracket-order=pass" in out
-    assert epsilons == [1.0, 0.5]
-    _, out1, _ = run_cli(capsys, *argv, "--budget", "1")
-    upper = [float(line.split("=")[1]) for line in (out + out1).splitlines()
-             if line.startswith("upper=")]
-    assert upper[0] <= upper[1]
+
+@pytest.mark.parametrize("radius", [32, 64])
+def test_aphi_bound_budget_3_on_a_window_needs_no_leptin_restart(capsys, radius):
+    group = json.dumps({"type": "Zwindow", "radius": radius})
+    space = group_from_spec(group)
+    for support in ([-2, -1, 0, 1, 2], [0, 1], [-7, -3, 4, 5, 6], list(range(-10, 1))):
+        for c in (1.0, 0.5, -3.0, 1e-6, 1e-12):
+            u = GroupFunction(space, {x: c for x in support})
+            for epsilon in (1.0, 0.5):
+                v_set, restart = _leptin_restart(u, epsilon)
+                # nonzero at max(S) + 1, outside S, so the error is at least |c| / |V|
+                assert len(v_set) >= 3
+                rec_err = restart.reconstruction_error()
+                assert rec_err >= abs(c) / len(v_set) * (1 - 1e-12) > 1e-9 * abs(c)
+            rows = json.dumps([[x, c, 0] for x in support])
+            upper = []
+            for budget in ("3", "1"):
+                code, out, err = run_cli(capsys, "aphi", "bound", "--group", group,
+                                         "--nfunction", QUAD, "--function", rows,
+                                         "--budget", budget)
+                assert code == 0, err
+                upper += [line for line in out.splitlines() if line.startswith("upper=")]
+            assert upper[0] == upper[1]
 
 
 @pytest.mark.parametrize("where", ["--group", "--nfunction", "config"])

@@ -3,7 +3,8 @@
 The files under ``tests/golden/`` are the machine reports of a fixed set
 of runs. A change that is meant to keep every reported float (a
 speedup, a refactor) must keep this test passing unchanged. A change that
-moves floats on purpose regenerates the files and names the changed keys:
+moves floats on purpose regenerates the files and names the changed keys,
+which this command prints for each file it rewrites:
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -70,6 +71,14 @@ RUNS.update({
                                 "--compact", "[-1,0,1]", "--epsilon", "0.5"),
     "group-convolve-Z8": ("group", "convolve", "--group", Z8,
                           "--left", Z8_FUNCTION, "--right", Z8_FUNCTION),
+    "aphi-bound-budget3-Zwindow32-power-3": (
+        "aphi", "bound", "--budget", "3", "--group", '{"type": "Zwindow", "radius": 32}',
+        "--nfunction", PAIR_SPECS["power-3"],
+        "--function", json.dumps([[x, 0.5, 0.0] for x in range(-2, 3)])),
+    "aphi-bound-budget3-Z6-cosh": (
+        "aphi", "bound", "--budget", "3", "--group", '{"type": "Zn", "n": 6}',
+        "--nfunction", PAIR_SPECS["cosh"],
+        "--function", json.dumps([[x, 0.75, 0.0] for x in range(6)])),
 })
 
 
@@ -87,8 +96,20 @@ def test_machine_report_matches_golden(name):
     assert machine_report(RUNS[name]) == expected
 
 
+def changed_keys(old: str, new: str) -> list[str]:
+    """Keys whose value differs between two reports, or that only one has."""
+    before, after = (dict(line.split("=", 1) for line in text.splitlines())
+                     for text in (old, new))
+    return [key for key in dict.fromkeys([*before, *after])
+            if before.get(key) != after.get(key)]
+
+
 if __name__ == "__main__":
     GOLDEN_DIR.mkdir(exist_ok=True)
     for name, argv in sorted(RUNS.items()):
-        (GOLDEN_DIR / f"{name}.txt").write_text(machine_report(argv), encoding="utf-8")
-        print(f"wrote {name}.txt", file=sys.stderr)
+        path = GOLDEN_DIR / f"{name}.txt"
+        old = path.read_text(encoding="utf-8") if path.exists() else ""
+        new = machine_report(argv)
+        if new != old:
+            path.write_text(new, encoding="utf-8")
+            print(f"wrote {name}.txt: {', '.join(changed_keys(old, new))}", file=sys.stderr)

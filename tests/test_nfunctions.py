@@ -131,7 +131,7 @@ def test_validate_pair_accepts_catalog():
 def test_validate_rejects_non_nfunction():
     # linear near zero: Phi(x)/x has a positive floor, not an N-function
     from orliczalg.nfunctions import NFunction
-    bad = NFunction(kind="custom", label="linearish", evaluate=lambda x: x,
+    bad = NFunction(label="linearish", evaluate=lambda x: x,
                     derivative=lambda x: 1.0, domain_cap=1e6)
     with pytest.raises(InvalidNFunctionError):
         validate_nfunction(bad)
@@ -141,7 +141,7 @@ def test_validate_skips_leading_underflow_but_not_a_later_zero():
     from orliczalg.nfunctions import NFunction
     validate_nfunction(power(200.0))  # x^200 / 200 is 0.0 at x = 1e-6
     assert power(200.0)(1e-6) == 0.0
-    dip = NFunction(kind="custom", label="dip", evaluate=lambda x: 0.0 if 1e-3 < x < 1e-2
+    dip = NFunction(label="dip", evaluate=lambda x: 0.0 if 1e-3 < x < 1e-2
                     else x * x, derivative=lambda x: 2.0 * x, domain_cap=1e6)
     with pytest.raises(InvalidNFunctionError, match="not strictly increasing"):
         validate_nfunction(dip)

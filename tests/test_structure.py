@@ -6,14 +6,22 @@ import math
 import pytest
 
 from orliczalg.errors import OrliczAlgebraError, ScopeError
-from orliczalg.groups import GroupFunction, convolve, cyclic, direct_product, integer_window, symmetric_group3
+from orliczalg.algebra import Decomposition
+from orliczalg.groups import (
+    GroupFunction,
+    convolve,
+    cyclic,
+    direct_product,
+    integer_window,
+    reflect,
+    symmetric_group3,
+)
 from orliczalg.nfunctions import CATALOG_PAIR_NAMES, pair_power
 from orliczalg.specio import pair_from_name
 from orliczalg.structure import (
     Character,
     convolution_unit,
     enumerate_characters,
-    exact_rank,
     group_exponent,
     multiplicative_functional_search,
     segal_report,
@@ -202,11 +210,22 @@ def test_search_runs_at_the_limit_and_refuses_one_above(monkeypatch):
         multiplicative_functional_search(z4)
 
 
-@pytest.mark.parametrize("rows, rank", [
-    ([[1, 1j], [1j, -1]], 1),               # the real parts alone have rank 2
-    ([[1, 1], [1, 1 + 2 ** -52]], 2),       # a float tolerance would call this rank 1
-    ([[float(i == j) for j in range(8)] for i in range(8)], 8),
-    ([], 0),
-], ids=["complex-rank-1", "one-ulp-apart", "identity-8", "empty"])
-def test_exact_rank(rows, rank):
-    assert exact_rank(rows) == rank
+def test_density_spanning_fails_on_a_plateau_off_its_point(monkeypatch):
+    import orliczalg.structure as structure
+    space = cyclic(4)
+    real = structure.plateau_from_sets
+
+    def leaky(space, plateau_set, base_set):
+        if list(plateau_set) != [1]:
+            return real(space, plateau_set, base_set)
+        # a nonzero off-diagonal entry: full rank still, but not supported on {1}
+        f = GroupFunction(space, {1: 1.0, 2: 0.5})
+        g = GroupFunction.delta(space, space.identity, 1.0 / space.weight_float(0))
+        v = convolve(f, reflect(g))
+        return v, Decomposition(terms=((f, g),), target=v)
+    monkeypatch.setattr(structure, "plateau_from_sets", leaky)
+    rep = segal_report(space, pair_power(2.0), samples=1)
+    density = next(c for c in rep.checks if c.name == "density-spanning")
+    assert not density.passed and not rep.passed
+    assert density.slack == -1.0
+    assert density.detail == "span rank 3 of 4 point plateaus"
