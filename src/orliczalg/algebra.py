@@ -40,7 +40,7 @@ from .groups import (
     set_product,
 )
 from .nfunctions import ComplementaryPair
-from .norms import luxemburg, orlicz_norm
+from .norms import luxemburg, orlicz_norm, shared_solves
 
 RECONSTRUCTION_TOL = 1e-9
 #: additive cushion on equality-type chain steps, matching the stated
@@ -96,22 +96,21 @@ def decomposition_cost(d: Decomposition, pair: ComplementaryPair, *,
     feasible root endpoint and the Orlicz value is the Amemiya minimum,
     which never reads the dual oracle. So no oracle runs here; it runs
     only where its value or flags reach a report (``norm orlicz``, the
-    suite's norm-equivalence entries, the norm-equivalence sweep). Each
-    distinct right factor is priced once per call: an atomic
-    decomposition repeats delta_e in every term.
+    suite's norm-equivalence entries, the norm-equivalence sweep). The
+    terms are priced inside ``shared_solves()``, so each distinct factor
+    is solved once per call, or once per command inside a CLI command: an
+    atomic decomposition repeats delta_e in every term.
     """
     if validate:
         d.validate()
     dual = pair.swap()
-    right_norms: dict[tuple, float] = {}
     cost = 0.0
     # the mixed pairing: Luxemburg norm under Phi on f, Orlicz norm under
     # Psi on g (whose dual constraint set is the N_Phi unit ball)
-    for f, g in d.terms:
-        key = tuple(g.items())
-        if key not in right_norms:
-            right_norms[key] = orlicz_norm(dual, g, cross_check=False).value
-        cost += luxemburg(pair.phi, f).value * right_norms[key]
+    with shared_solves():
+        for f, g in d.terms:
+            cost += (luxemburg(pair.phi, f).value
+                     * orlicz_norm(dual, g, cross_check=False).value)
     # Hoelder floor: sup|u| <= mixed cost
     floor = d.target.sup_norm()
     if cost < floor * (1.0 - RECONSTRUCTION_TOL):

@@ -68,7 +68,14 @@ from .nfunctions import (
     validate_pair,
     young_gap,
 )
-from .norms import char_fn_norm, luxemburg, modular, oracle_agreement_slack, orlicz_norm
+from .norms import (
+    char_fn_norm,
+    luxemburg,
+    modular,
+    oracle_agreement_slack,
+    orlicz_norm,
+    shared_solves,
+)
 from .numerics import geometric_grid
 from .porosity import build_witness, make_instance
 from .specio import (
@@ -666,7 +673,8 @@ def main(argv: list[str] | None = None) -> int:
     started = time.monotonic()
     try:
         cfg = _load_config(args)
-        report = _HANDLERS[args.command](args, cfg)
+        with shared_solves():
+            report = _HANDLERS[args.command](args, cfg)
     except SpecFormatError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2

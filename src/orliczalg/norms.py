@@ -37,11 +37,21 @@ solved map rises from 0 (``_feasible_end``):
 On finite carriers the constraint sets {rho_Psi(g) <= 1} and
 {N_Psi(g) <= 1} coincide (convexity plus Phi(0) = 0), which is why the
 dual constraint is stated on the modular.
+
+Inside ``shared_solves()`` (one CLI command, one ``decomposition_cost``)
+each distinct solve runs once: the Luxemburg solve and the Amemiya solve
+of ``orlicz_norm`` are stored under (kind, N-function, space, support
+positions, values). A hit is the same float operations on the same
+inputs, so it returns the bits a fresh solve would; a translate has other
+positions and is solved afresh. The dual point of a cross-checked call
+still runs on every call. Outside any scope every call solves directly.
 """
 
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 
 from .errors import CapExceededError, ScopeError, SpecFormatError
@@ -54,6 +64,9 @@ ORACLE_AGREEMENT_RTOL = 1e-6
 RESIDUAL_TOL = 1e-12
 #: the method label of the Luxemburg solve
 METHOD = "illinois"
+
+#: the solves of the active ``shared_solves()`` scope, None outside any scope
+_SOLVES: ContextVar[dict | None] = ContextVar("orliczalg_norm_solves", default=None)
 
 
 @dataclass(frozen=True)
@@ -101,6 +114,40 @@ def modular(phi: NFunction, f: GroupFunction, c: float = 1.0, *,
     return (rho, total) if slope else rho
 
 
+@contextmanager
+def shared_solves():
+    """Scope in which each distinct norm solve runs once; reentrant.
+
+    The outermost scope owns the memo and drops it on exit; an inner scope
+    shares it.
+    """
+    if _SOLVES.get() is not None:
+        yield
+        return
+    token = _SOLVES.set({})
+    try:
+        yield
+    finally:
+        _SOLVES.reset(token)
+
+
+def _solve_once(kind: str, phi: NFunction, f: GroupFunction, solve):
+    """``solve()``, or what it returned for the same key in the active scope.
+
+    The key holds the space and the support positions as well as the
+    values: the weights and the float sums depend on all three. A solve
+    that raises stores nothing.
+    """
+    memo = _SOLVES.get()
+    if memo is None:
+        return solve()
+    key = (kind, phi, f.space, tuple(f._values), tuple(f._values.values()))
+    result = memo.get(key)
+    if result is None:
+        result = memo[key] = solve()
+    return result
+
+
 def _feasible_end(excess) -> tuple[float, float, int]:
     """Root of an increasing ``excess`` with excess(0) = -1 (rho of 0, minus 1).
 
@@ -144,6 +191,10 @@ def luxemburg(phi: NFunction, f: GroupFunction) -> NormReport:
     """
     if f.is_zero:
         return NormReport(value=0.0, method=METHOD, residual=0.0, iterations=0)
+    return _solve_once("luxemburg", phi, f, lambda: _luxemburg_solve(phi, f))
+
+
+def _luxemburg_solve(phi: NFunction, f: GroupFunction) -> NormReport:
     top = f.sup_norm()
 
     def excess(r: float) -> float:
@@ -226,7 +277,26 @@ def orlicz_norm(pair: ComplementaryPair, f: GroupFunction, *,
     if f.is_zero:
         return NormReport(value=0.0, method="amemiya-min", residual=0.0, iterations=0,
                           oracle_value=0.0 if cross_check else None)
-    phi = pair.phi
+    value, r, iterations = _solve_once("amemiya", pair.phi, f,
+                                       lambda: _amemiya_solve(pair.phi, f))
+    oracle_value = None
+    if cross_check:
+        try:
+            oracle_value, _, rescale_iters = _dual_point(pair, f, r / f.sup_norm())
+        except ArithmeticError:
+            # never a silent value: the report carries the failure
+            flags = flags + ("oracle-nonconvergence",)
+        else:
+            iterations += rescale_iters
+            if not oracle_agreement_slack(value, oracle_value) >= 0.0:
+                flags = flags + ("oracle-disagreement",)
+    residual = abs(value - oracle_value) if oracle_value is not None else math.nan
+    return NormReport(value=value, method="amemiya-min", residual=residual,
+                      iterations=iterations, oracle_value=oracle_value, flags=flags)
+
+
+def _amemiya_solve(phi: NFunction, f: GroupFunction) -> tuple[float, float, int]:
+    """(least objective evaluated, feasible end r = k sup|f|, evaluations)."""
     top = f.sup_norm()
     value = math.inf
 
@@ -241,20 +311,7 @@ def orlicz_norm(pair: ComplementaryPair, f: GroupFunction, *,
         return slope - rho - 1.0
 
     r, _, iterations = _feasible_end(young_excess)
-    oracle_value = None
-    if cross_check:
-        try:
-            oracle_value, _, rescale_iters = _dual_point(pair, f, r / top)
-        except ArithmeticError:
-            # never a silent value: the report carries the failure
-            flags = flags + ("oracle-nonconvergence",)
-        else:
-            iterations += rescale_iters
-            if not oracle_agreement_slack(value, oracle_value) >= 0.0:
-                flags = flags + ("oracle-disagreement",)
-    residual = abs(value - oracle_value) if oracle_value is not None else math.nan
-    return NormReport(value=value, method="amemiya-min", residual=residual,
-                      iterations=iterations, oracle_value=oracle_value, flags=flags)
+    return value, r, iterations
 
 
 def holder_pairing(f: GroupFunction, g: GroupFunction) -> float:

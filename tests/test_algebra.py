@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import orliczalg.algebra as algebra
+import orliczalg.norms as norms
 from orliczalg.algebra import (
     Decomposition,
     NormBracket,
@@ -32,7 +33,7 @@ from orliczalg.groups import (
     translate_left,
 )
 from orliczalg.nfunctions import CATALOG_PAIR_NAMES, NFunction, pair_power
-from orliczalg.norms import luxemburg, orlicz_norm
+from orliczalg.norms import luxemburg, orlicz_norm, shared_solves
 from orliczalg.specio import pair_from_name
 
 ALL_PAIRS = [pair_from_name(name) for name in CATALOG_PAIR_NAMES]
@@ -316,7 +317,9 @@ def test_sup_norm_lower_bound_of_cost(z6):
 
 
 def _reference_cost(d: Decomposition, pair) -> float:
-    """Each term priced on its own, the oracle on, summed in term order."""
+    """Each term priced on its own, the oracle on, summed in term order,
+    with no solve memo active."""
+    assert norms._SOLVES.get() is None
     cost = 0.0
     for f, g in d.terms:
         cost += luxemburg(pair.phi, f).value * orlicz_norm(pair.swap(), g).value
@@ -354,7 +357,12 @@ def decompositions(draw):
 @given(decompositions(), st.sampled_from(CATALOG_PAIR_NAMES))
 def test_cost_equals_the_oracle_checked_term_by_term_sum(d, name):
     pair = pair_from_name(name)
-    assert decomposition_cost(d, pair) == _reference_cost(d, pair)
+    reference = _reference_cost(d, pair)
+    assert decomposition_cost(d, pair) == reference
+    with shared_solves():
+        # the second cost reads every solve from the outer scope's memo
+        assert decomposition_cost(d, pair) == reference
+        assert decomposition_cost(d, pair) == reference
     space = d.target.space
     if not space.is_window:
         u, v = (random_function(space, Random(len(d.terms) + k)) for k in range(2))
@@ -364,15 +372,21 @@ def test_cost_equals_the_oracle_checked_term_by_term_sum(d, name):
 
 
 def test_atomic_cost_prices_the_repeated_right_factor_once(z6, monkeypatch):
-    calls = []
+    solved = []
+    real = norms._solve_once
 
-    def counting(pair, g, **kwargs):
-        calls.append(kwargs)
-        return orlicz_norm(pair, g, **kwargs)
+    def counting(kind, phi, f, solve):
+        def counted():
+            solved.append(kind)
+            return solve()
+        return real(kind, phi, f, counted)
 
-    monkeypatch.setattr(algebra, "orlicz_norm", counting)
+    monkeypatch.setattr(norms, "_solve_once", counting)
     u = random_function(z6, Random(3), support_size=5)
     d = atomic_decomposition(u)
     assert len(d.terms) == 5
     decomposition_cost(d, pair_from_name("cosh"))
-    assert calls == [{"cross_check": False}]
+    # delta_e is the right factor of every term: one Amemiya solve; the
+    # five left factors sit at five points and are solved one by one
+    assert solved.count("amemiya") == 1
+    assert solved.count("luxemburg") == 5

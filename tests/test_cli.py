@@ -913,3 +913,55 @@ def test_witness_stops_collecting_on_its_own_clauses(capsys):
     assert "check.lam-k-exceeds-threshold=pass" in out
     assert "check.guaranteed-exceeds-n=pass" in out
     assert "passed=true" in out
+
+
+COSH = '{"kind": "cosh"}'
+MEMO_COMMANDS = (
+    ("suite", "--seed", "13"),
+    ("segal", "report", "--group", '{"type": "S3"}', "--nfunction", COSH),
+    ("aphi", "bound", "--budget", "3", "--group", '{"type": "Zn", "n": 6}',
+     "--nfunction", '{"kind": "entropy"}',
+     "--function", json.dumps([[x, 0.25 * x - 0.5, 0.125 * x] for x in range(6)])),
+    ("unit", "check", "--group", '{"type": "Zn", "n": 6}', "--nfunction", COSH),
+)
+
+
+@pytest.mark.parametrize("argv", MEMO_COMMANDS, ids=lambda argv: " ".join(argv[:2]))
+def test_machine_reports_equal_the_unmemoised_solves(capsys, monkeypatch, argv):
+    shipped = run_cli(capsys, *argv)
+    monkeypatch.setattr(norms, "_solve_once", lambda kind, phi, f, solve: solve())
+    direct = run_cli(capsys, *argv)
+    assert shipped[0] == 0
+    assert shipped == direct
+
+
+def _recording(seen, fn):
+    """``fn``, recording the memo active each time it runs."""
+    def recording(*args, **kwargs):
+        seen.append(norms._SOLVES.get())
+        return fn(*args, **kwargs)
+    return recording
+
+
+def _contradiction(*args, **kwargs):
+    raise TheoremContradictionError("forced for the scope test", state={"probe": 0})
+
+
+@pytest.mark.parametrize("argv, expected, attr, replacement", [
+    (("norm", "luxemburg", "--group", Z8, "--nfunction", QUAD, "--function", CHI_HALF),
+     0, "luxemburg", None),
+    (("norm", "luxemburg", "--group", Z8, "--nfunction", QUAD,
+      "--function", "[[0, NaN, 0]]"), 2, "function_from_rows", None),
+    (("unit", "check", "--group", '{"type": "Zwindow", "radius": 8}', "--nfunction", QUAD),
+     3, "pair_from_spec", None),
+    (("porosity", "witness", "--probes", "1"), 4, "build_witness", _contradiction),
+])
+def test_main_leaves_no_solve_scope_active(capsys, monkeypatch, argv, expected, attr,
+                                           replacement):
+    seen = []
+    monkeypatch.setattr(cli, attr, _recording(seen, replacement or getattr(cli, attr)))
+    assert norms._SOLVES.get() is None
+    code, _, _ = run_cli(capsys, *argv)
+    assert code == expected
+    assert seen and all(isinstance(memo, dict) for memo in seen)
+    assert norms._SOLVES.get() is None

@@ -11,7 +11,13 @@ from hypothesis import strategies as st
 
 import orliczalg.norms as norms
 from orliczalg.errors import CapExceededError
-from orliczalg.groups import GroupFunction, cyclic, integer_window, random_function
+from orliczalg.groups import (
+    GroupFunction,
+    cyclic,
+    integer_window,
+    random_function,
+    translate_left,
+)
 from orliczalg.nfunctions import CATALOG_PAIR_NAMES, pair_power
 from orliczalg.norms import (
     char_fn_norm,
@@ -20,6 +26,7 @@ from orliczalg.norms import (
     modular,
     oracle_agreement_slack,
     orlicz_norm,
+    shared_solves,
 )
 from orliczalg.numerics import golden_min
 from orliczalg.specio import pair_from_name
@@ -529,3 +536,138 @@ def test_luxemburg_meets_the_power_closed_form_where_a_rounding_stall_stopped_ea
     rep = luxemburg(pair_power(p).phi, f)
     assert abs(rep.value - p ** (-1 / p) * lp) <= 1e-9 * p ** (-1 / p) * lp
     assert rep.residual <= 1e-12
+
+
+# ---------------------------------------------------------------------------
+# the per-scope solve memo
+# ---------------------------------------------------------------------------
+
+@pytest.fixture
+def counted(monkeypatch):
+    """Counts of modular passes and of Luxemburg and Amemiya solves run."""
+    counts = {"modular": 0, "luxemburg": 0, "amemiya": 0}
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(norms, "modular", counting("modular", norms.modular))
+    monkeypatch.setattr(norms, "_luxemburg_solve",
+                        counting("luxemburg", norms._luxemburg_solve))
+    monkeypatch.setattr(norms, "_amemiya_solve", counting("amemiya", norms._amemiya_solve))
+    return counts
+
+
+def _memo_function(space):
+    return GroupFunction(space, {1: 0.5, 2: -1.25 + 0.5j, 3: 2.0})
+
+
+@pytest.mark.parametrize("pair_name", CATALOG_PAIR_NAMES)
+def test_a_repeated_solve_in_a_scope_runs_no_modular_pass(counted, pair_name):
+    pair = pair_from_name(pair_name)
+    f = _memo_function(cyclic(8))
+    fresh_lux, fresh_orl = luxemburg(pair.phi, f), orlicz_norm(pair, f, cross_check=False)
+    with shared_solves():
+        first = luxemburg(pair.phi, f), orlicz_norm(pair, f, cross_check=False)
+        passes = counted["modular"]
+        # an equal function built anew is the same key
+        again = (luxemburg(pair.phi, GroupFunction(f.space, dict(f.items()))),
+                 orlicz_norm(pair, f, cross_check=False))
+        assert counted["modular"] == passes
+    assert first == again == (fresh_lux, fresh_orl)
+    assert norms._SOLVES.get() is None
+
+
+def test_other_space_nfunction_or_translate_is_solved_afresh(counted):
+    pair = pair_from_name("cosh")
+    z8 = cyclic(8)
+    f = _memo_function(z8)
+    others = [
+        ("space", pair.phi, _memo_function(cyclic(8))),   # equal carrier, other object
+        ("space", pair.phi, _memo_function(cyclic(12))),
+        ("nfunction", pair.psi, f),
+        # the same values in the same order, three places on
+        ("translate", pair.phi, translate_left(3, f)),
+    ]
+    assert tuple(v for _, v in translate_left(3, f).items()) == tuple(v for _, v in f.items())
+    with shared_solves():
+        luxemburg(pair.phi, f)
+        for what, phi, g in others:
+            expected = _unscoped(luxemburg, phi, g)
+            before = counted["luxemburg"]
+            assert luxemburg(phi, g) == expected, what
+            assert counted["luxemburg"] == before + 1, what
+        before = counted["amemiya"]
+        orlicz_norm(pair, f, cross_check=False)
+        orlicz_norm(pair.swap(), f, cross_check=False)
+        orlicz_norm(pair, translate_left(3, f), cross_check=False)
+        assert counted["amemiya"] == before + 3
+
+
+def _unscoped(norm, *args, **kwargs):
+    """``norm(*args)`` with no memo active, inside a scope or not."""
+    token = norms._SOLVES.set(None)
+    try:
+        return norm(*args, **kwargs)
+    finally:
+        norms._SOLVES.reset(token)
+
+
+@pytest.mark.parametrize("pair_name", CATALOG_PAIR_NAMES)
+def test_a_cross_check_after_a_plain_call_reuses_the_solve(counted, pair_name):
+    pair = pair_from_name(pair_name)
+    for seed in range(5):
+        f = random_function(cyclic(8), Random(seed), amplitude=3.0)
+        reference = orlicz_norm(pair, f)
+        with shared_solves():
+            plain = orlicz_norm(pair, f, cross_check=False)
+            solves = counted["amemiya"]
+            checked = orlicz_norm(pair, f)
+            assert counted["amemiya"] == solves
+        assert checked == reference
+        assert checked.value == plain.value
+        assert checked.oracle_value is not None and plain.oracle_value is None
+
+
+def test_a_solve_that_raises_is_not_stored(counted, monkeypatch):
+    pair = pair_from_name("power-2")
+    f = _memo_function(cyclic(8))
+    solve = norms._luxemburg_solve
+    failures = [ArithmeticError("forced non-convergence")]
+
+    def fails_once(phi, g):
+        if failures:
+            raise failures.pop()
+        return solve(phi, g)
+
+    monkeypatch.setattr(norms, "_luxemburg_solve", fails_once)
+    with shared_solves():
+        with pytest.raises(ArithmeticError, match="forced"):
+            luxemburg(pair.phi, f)
+        assert norms._SOLVES.get() == {}
+        assert luxemburg(pair.phi, f) == _unscoped(luxemburg, pair.phi, f)
+        assert len(norms._SOLVES.get()) == 1
+
+
+def test_scopes_nest_and_only_the_outermost_drops_the_memo():
+    pair = pair_from_name("power-3")
+    f = _memo_function(cyclic(8))
+    assert norms._SOLVES.get() is None
+    with shared_solves():
+        memo = norms._SOLVES.get()
+        with shared_solves():
+            assert norms._SOLVES.get() is memo
+            luxemburg(pair.phi, f)
+        assert norms._SOLVES.get() is memo and len(memo) == 1
+    assert norms._SOLVES.get() is None
+
+
+def test_outside_a_scope_every_call_solves(counted):
+    pair = pair_from_name("entropy")
+    f = _memo_function(cyclic(8))
+    for _ in range(3):
+        luxemburg(pair.phi, f)
+        orlicz_norm(pair, f, cross_check=False)
+    assert counted["luxemburg"] == counted["amemiya"] == 3
