@@ -36,6 +36,7 @@ default overrides for {"seed", "format", "output", "tol_slack",
 from __future__ import annotations
 
 import argparse
+import json
 import math
 import os
 import sys
@@ -89,6 +90,7 @@ from .specio import (
     pair_from_name,
     pair_from_spec,
     read_json,
+    write_text,
 )
 from .structure import convolution_unit, enumerate_characters, multiplicative_functional_search, segal_report
 
@@ -134,8 +136,16 @@ def _load_config(args: argparse.Namespace) -> RunConfig:
     return cfg
 
 
-def _parse_points(text: str) -> list[float]:
-    return [finite_float(t, "--points entry") for t in text.split(",") if t.strip()]
+def _parse_points(text: str, psi) -> list[float]:
+    """The ordinates of ``--points``: at least one, each within Psi's domain cap."""
+    points = [finite_float(t, "--points entry") for t in text.split(",") if t.strip()]
+    if not points:
+        raise SpecFormatError("--points lists no ordinate")
+    for y in points:
+        if abs(y) > psi.domain_cap:
+            raise SpecFormatError(f"--points entry {y:g} exceeds the domain cap "
+                                  f"{psi.domain_cap:g} of {psi.label}")
+    return points
 
 
 def positive_count(text: str) -> int:
@@ -330,9 +340,11 @@ def _run_nfunc(args, cfg: RunConfig) -> Report:
         _check_young_equality(rep, pair)
         return rep
     rep.add("construction", pair.construction)
-    points = _parse_points(args.points) if args.points else geometric_grid(1e-2, 1e2, 9)
-    if not args.points:
+    if args.points is None:
+        points = geometric_grid(1e-2, 1e2, 9)
         rep.add("points", "geometric 1e-2..1e2 x9 (default)")
+    else:
+        points = _parse_points(args.points, pair.psi)
     for y in points:
         value, truncated = conjugate_value(pair.phi, y)
         rep.add(f"conjugate.{y:g}", value)
@@ -392,9 +404,7 @@ def _run_group(args, cfg: RunConfig) -> Report:
         for x, v in out.items():
             rep.add(f"value.{x}", v)
         if args.save:
-            import json as _json
-            with open(args.save, "w", encoding="utf-8") as fh:
-                _json.dump(function_to_rows(out), fh)
+            write_text(args.save, json.dumps(function_to_rows(out)))
             rep.add("saved", args.save)
     else:  # leptin
         compact = [_decode_element(x) for x in read_json(args.compact)]
@@ -414,8 +424,7 @@ def _run_aphi(args, cfg: RunConfig) -> Report:
     space, pair = _space_and_pair(args, rep)
     if args.aphi_verb == "bound":
         f = function_from_rows(space, args.function)
-        bracket = algebra_norm_upper(f, pair, budget=args.budget)
-        rep.add("budget", args.budget)
+        bracket = algebra_norm_upper(f, pair)
         rep.add("lower", bracket.lower)
         rep.add("upper", bracket.upper)
         rep.add("witness-terms", len(bracket.witness.terms))
@@ -614,8 +623,7 @@ def _build_parser() -> argparse.ArgumentParser:
     gl.add_argument("--epsilon", type=finite_float, required=True)
 
     aphi = tops.add_parser("aphi").add_subparsers(dest="aphi_verb", required=True)
-    aphi.add_parser("bound", parents=[*on_pair, function]).add_argument(
-        "--budget", type=int, default=3)
+    aphi.add_parser("bound", parents=[*on_pair, function])
     ap = aphi.add_parser("plateau", parents=on_pair)
     ap.add_argument("--set", required=True, help="JSON list of elements")
     ap.add_argument("--epsilon", type=finite_float, default=1.0)
@@ -675,6 +683,13 @@ def main(argv: list[str] | None = None) -> int:
         cfg = _load_config(args)
         with shared_solves():
             report = _HANDLERS[args.command](args, cfg)
+        cfg.echo(report)
+        wall = time.monotonic() - started
+        text = report.render(cfg.format, wall_clock=wall if cfg.format == "human" else None)
+        if cfg.output:
+            write_text(cfg.output, text)
+        else:
+            sys.stdout.write(text)
     except SpecFormatError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2
@@ -689,14 +704,6 @@ def main(argv: list[str] | None = None) -> int:
     except OrliczAlgebraError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    cfg.echo(report)
-    wall = time.monotonic() - started
-    text = report.render(cfg.format, wall_clock=wall if cfg.format == "human" else None)
-    if cfg.output:
-        with open(cfg.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
     for key, reason in report.out_of_scope:
         print(f"scope error: {key}: {reason}", file=sys.stderr)
     if report.failures:

@@ -218,9 +218,12 @@ def char_fn_norm(phi: NFunction, space: GroupSpace, subset) -> float:
     points = tuple(subset)
     if not points:
         raise SpecFormatError("characteristic-function norm needs a nonempty subset")
-    lam = 0.0
+    lam, seen = 0.0, set()
     for x in points:
         space.index(x)
+        if x in seen:
+            raise SpecFormatError(f"characteristic-function subset repeats {x!r}")
+        seen.add(x)
         lam += space.weight_float(x)
     return 1.0 / phi.inverse(1.0 / lam)
 

@@ -81,6 +81,14 @@ def read_json(source: str | Path) -> Any:
                               column=exc.colno) from exc
 
 
+def write_text(path: str, text: str) -> None:
+    """Write text to a file; an OSError is a SpecFormatError, as in ``read_json``."""
+    try:
+        Path(path).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise SpecFormatError(f"cannot write {path}: {exc}") from None
+
+
 def finite_float(value: Any, what: str = "value") -> float:
     """A finite float from a flag's text or a JSON number, else SpecFormatError:
     a ValueError, which argparse reports as a usage error (exit 2)."""

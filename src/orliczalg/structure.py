@@ -93,7 +93,7 @@ def segal_report(space: GroupSpace, pair: ComplementaryPair, *, samples: int = 2
     functions.append(GroupFunction.zero(space))
     brackets = []
     for f in functions:
-        br = algebra_norm_upper(f, pair, budget=1)
+        br = algebra_norm_upper(f, pair)
         brackets.append((f, br))
         worst_first = min(worst_first, f.sup_norm() - f.one_norm())
         worst_second = min(worst_second, br.upper - f.sup_norm())
@@ -114,7 +114,7 @@ def segal_report(space: GroupSpace, pair: ComplementaryPair, *, samples: int = 2
             for side in ("left", "right"):
                 moved = _translated_decomposition(br.witness, t, side)
                 max_rec = max(max_rec, moved.reconstruction_error())
-                cost = decomposition_cost(moved, pair, validate=False)
+                cost = decomposition_cost(moved, pair)
                 max_dev = max(max_dev, abs(cost - br.upper))
     checks.append(CheckResult(
         name="translation-cost-invariance", passed=max_dev <= TRANSLATION_COST_TOL,
@@ -181,7 +181,7 @@ def convolution_unit(space: GroupSpace, pair: ComplementaryPair, *,
         left = convolve(unit, d)
         right = convolve(d, unit)
         max_err = max(max_err, left.max_abs_diff(d), right.max_abs_diff(d))
-    bracket = algebra_norm_upper(unit, pair, budget=1)
+    bracket = algebra_norm_upper(unit, pair)
     one, cert = build_plateau(space, space.elements, pair, epsilon)
     return UnitReport(unit=unit, max_error=max_err, bracket=bracket,
                       pointwise_unit=one, pointwise_cert=cert)

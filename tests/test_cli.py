@@ -20,7 +20,12 @@ import orliczalg.cli as cli
 import orliczalg.norms as norms
 import orliczalg.porosity as porosity
 import orliczalg.structure as structure
-from orliczalg.algebra import Decomposition, build_plateau
+from orliczalg.algebra import (
+    Decomposition,
+    build_plateau,
+    decomposition_cost,
+    merged_decomposition,
+)
 from orliczalg.errors import TheoremContradictionError
 from orliczalg.groups import GroupFunction, convolve, integer_window, leptin_search, set_product
 from orliczalg.nfunctions import CATALOG_PAIR_NAMES, ComplementaryPair, power
@@ -53,6 +58,45 @@ def test_charfn_cross_check(capsys):
                            "--nfunction", QUAD, "--subset", "[0,1,2,3]")
     assert code == 0
     assert "check.closed-form-vs-illinois=pass" in out
+
+
+@pytest.mark.parametrize("group, subset, element", [
+    ('{"type": "Zwindow", "radius": 4}', "[1, 1]", "1"),
+    ('{"type": "Zn", "n": 4}', "[0, 0, 0, 0, 0]", "0"),
+], ids=["Zwindow4", "Z4"])
+def test_charfn_repeated_element_exits_2(capsys, group, subset, element):
+    # lam summed over the list would count the element twice, unlike the
+    # indicator of the set that the cross-check prices
+    code, out, err = run_cli(capsys, "norm", "charfn", "--group", group,
+                             "--nfunction", QUAD, "--subset", subset)
+    assert (code, out) == (2, "")
+    assert err == f"parse error: characteristic-function subset repeats {element}\n"
+
+
+@pytest.mark.parametrize("nfunction, points, message", [
+    (QUAD, ",", "--points lists no ordinate"),
+    ('{"kind": "entropy"}', "1,1e3",
+     "--points entry 1000 exceeds the domain cap 690.776 of exp-minus-linear"),
+    (QUAD, "1e308", "--points entry 1e+308 exceeds the domain cap 1.41421e+150 of power(p=2)"),
+], ids=["empty", "entropy-1e3", "power-2-1e308"])
+def test_nfunc_conjugate_points_that_check_nothing_or_leave_psi_domain_exit_2(
+        capsys, nfunction, points, message):
+    code, out, err = run_cli(capsys, "nfunc", "conjugate", "--nfunction", nfunction,
+                             "--points", points)
+    assert (code, out) == (2, "")
+    assert err == f"parse error: {message}\n"
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (("group", "check", "--group", Z8), "--output"),
+    (("group", "convolve", "--group", Z8, "--left", CHI_HALF, "--right", CHI_HALF), "--save"),
+], ids=["output", "save"])
+def test_unwritable_output_path_exits_2(capsys, tmp_path, argv, flag):
+    path = tmp_path / "missing" / "out.txt"
+    code, out, err = run_cli(capsys, *argv, flag, str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"parse error: cannot write {path}: ")
+    assert not path.exists()
 
 
 def test_malformed_group_spec_exits_2(capsys):
@@ -820,7 +864,7 @@ def test_malformed_function_rows_exit_2(capsys, rows, message):
 
 
 def _leptin_restart(u, epsilon):
-    """The window restart that budget 3 no longer tries, kept as a reference:
+    """The window restart that the bracket does not try, kept as a reference:
     u = c chi_S rebuilt as c chi_{S+V} * (chi_V / |V|)^ over the Leptin set V
     of (S, epsilon)."""
     space = u.space
@@ -845,14 +889,20 @@ def test_aphi_bound_budget_3_on_a_window_needs_no_leptin_restart(capsys, radius)
                 rec_err = restart.reconstruction_error()
                 assert rec_err >= abs(c) / len(v_set) * (1 - 1e-12) > 1e-9 * abs(c)
             rows = json.dumps([[x, c, 0] for x in support])
-            upper = []
-            for budget in ("3", "1"):
-                code, out, err = run_cli(capsys, "aphi", "bound", "--group", group,
-                                         "--nfunction", QUAD, "--function", rows,
-                                         "--budget", budget)
-                assert code == 0, err
-                upper += [line for line in out.splitlines() if line.startswith("upper=")]
-            assert upper[0] == upper[1]
+            code, out, err = run_cli(capsys, "aphi", "bound", "--group", group,
+                                     "--nfunction", QUAD, "--function", rows)
+            assert code == 0, err
+            # the merged pair (u, chi_0), one term, rebuilds u exactly
+            assert "witness-terms=1\n" in out
+            merged = decomposition_cost(merged_decomposition(u), pair_from_name("power-2"))
+            assert f"upper={merged!r}\n" in out
+
+
+def test_aphi_bound_has_no_budget_option(capsys):
+    code, err = _exit_code(capsys, "aphi", "bound", "--budget", "3", "--group", Z8,
+                           "--nfunction", QUAD, "--function", CHI_HALF)
+    assert code == 2
+    assert "unrecognized arguments: --budget 3" in err
 
 
 @pytest.mark.parametrize("where", ["--group", "--nfunction", "config"])
@@ -919,7 +969,7 @@ COSH = '{"kind": "cosh"}'
 MEMO_COMMANDS = (
     ("suite", "--seed", "13"),
     ("segal", "report", "--group", '{"type": "S3"}', "--nfunction", COSH),
-    ("aphi", "bound", "--budget", "3", "--group", '{"type": "Zn", "n": 6}',
+    ("aphi", "bound", "--group", '{"type": "Zn", "n": 6}',
      "--nfunction", '{"kind": "entropy"}',
      "--function", json.dumps([[x, 0.25 * x - 0.5, 0.125 * x] for x in range(6)])),
     ("unit", "check", "--group", '{"type": "Zn", "n": 6}', "--nfunction", COSH),

@@ -41,9 +41,9 @@ for _name, _spec in PAIR_SPECS.items():
 RUNS.update({
     "nfunc-check-entropy": ("nfunc", "check", "--nfunction", PAIR_SPECS["entropy"]),
     "nfunc-conjugate-cosh": ("nfunc", "conjugate", "--nfunction", PAIR_SPECS["cosh"]),
-    "aphi-bound-budget1-power-3": ("aphi", "bound", "--budget", "1", "--group", Z8,
-                                   "--nfunction", PAIR_SPECS["power-3"],
-                                   "--function", Z8_FUNCTION),
+    "aphi-bound-Z8-power-3": ("aphi", "bound", "--group", Z8,
+                              "--nfunction", PAIR_SPECS["power-3"],
+                              "--function", Z8_FUNCTION),
     "segal-report-Z6-entropy": ("segal", "report", "--group", '{"type": "Zn", "n": 6}',
                                 "--nfunction", PAIR_SPECS["entropy"], "--samples", "6",
                                 "--seed", "7"),
@@ -71,12 +71,12 @@ RUNS.update({
                                 "--compact", "[-1,0,1]", "--epsilon", "0.5"),
     "group-convolve-Z8": ("group", "convolve", "--group", Z8,
                           "--left", Z8_FUNCTION, "--right", Z8_FUNCTION),
-    "aphi-bound-budget3-Zwindow32-power-3": (
-        "aphi", "bound", "--budget", "3", "--group", '{"type": "Zwindow", "radius": 32}',
+    "aphi-bound-Zwindow32-power-3": (
+        "aphi", "bound", "--group", '{"type": "Zwindow", "radius": 32}',
         "--nfunction", PAIR_SPECS["power-3"],
         "--function", json.dumps([[x, 0.5, 0.0] for x in range(-2, 3)])),
-    "aphi-bound-budget3-Z6-cosh": (
-        "aphi", "bound", "--budget", "3", "--group", '{"type": "Zn", "n": 6}',
+    "aphi-bound-Z6-cosh": (
+        "aphi", "bound", "--group", '{"type": "Zn", "n": 6}',
         "--nfunction", PAIR_SPECS["cosh"],
         "--function", json.dumps([[x, 0.75, 0.0] for x in range(6)])),
 })
