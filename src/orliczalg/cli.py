@@ -555,7 +555,7 @@ def _run_suite(args, cfg: RunConfig) -> Report:
                 entry(f"characters.{gname}", _check_characters, space,
                       enumerate_characters(space),
                       multiplicative_functional_search(space, tolerance=cfg.tol_slack))
-            except ScopeError as exc:  # a brute search too large for this group
+            except ScopeError as exc:  # a character search past its node cap
                 out_of_scope.append((f"characters.{gname}", str(exc)))
 
     folded = sorted((name, all(c.passed for c in checks), min(c.slack for c in checks))

@@ -16,8 +16,10 @@ exhaustive search over root-of-unity weight vectors constrained only by
 multiplicativity on point masses. Neither route calls or counts the
 other: the caller's report compares them and checks |characters| = |G|.
 Both use exact exponent arithmetic modulo the group exponent; complex
-values appear only in reports. The search enumerates L^(|G|-1) weight
-vectors and refuses to start above BRUTE_SEARCH_LIMIT of them.
+values appear only in reports. The search assigns exponents depth-first
+in carrier order and cuts a branch as soon as an assigned table triple
+breaks multiplicativity; it stops with a ScopeError after
+SEARCH_NODE_LIMIT exponent trials.
 """
 
 from __future__ import annotations
@@ -44,8 +46,8 @@ from .nfunctions import ComplementaryPair
 
 TRANSLATION_COST_TOL = 1e-12
 DOMINATION_TOL = 1e-9
-#: largest number of weight vectors the brute character search enumerates
-BRUTE_SEARCH_LIMIT = 2 ** 21
+#: most exponent trials (search nodes) the character search makes before it stops
+SEARCH_NODE_LIMIT = 2 ** 21
 
 
 @dataclass(frozen=True)
@@ -318,7 +320,7 @@ def _verify_homomorphism(space: GroupSpace, c: Character) -> None:
 
 def multiplicative_functional_search(space: GroupSpace,
                                      tolerance: float = 1e-9) -> CharacterSet:
-    """Independent oracle: exhaustive root-of-unity weight search.
+    """Independent oracle: exhaustive root-of-unity weight search, pruned.
 
     Solves phi(delta_s * delta_t) = phi(delta_s) phi(delta_t) for a
     weight vector w over all pairs, which reduces (under normalized Haar
@@ -326,37 +328,55 @@ def multiplicative_functional_search(space: GroupSpace,
     is forced: delta_e * delta_e = delta_e / |G|, so a nonzero functional
     cannot kill delta_e. Boundedness of the functionals is automatic at
     finite scale.
+    Exponents mod L are tried depth-first in carrier order, the identity
+    fixed at 0. Each table triple (a, b, ab) is checked at the depth that
+    assigns its last member, so every vector that survives the last depth
+    satisfies the whole table and every vector that is cut breaks it.
     ``tolerance`` gates a float spot-check of the convolution identity.
-    Raises ScopeError when L^(|G|-1) exceeds BRUTE_SEARCH_LIMIT.
+    Raises ScopeError after SEARCH_NODE_LIMIT exponent trials.
     """
     _require_finite_abelian(space, "multiplicative functional search")
     L, _ = group_exponent(space)
     e_idx = space.index(space.identity)
     n = space.size
-    if L ** (n - 1) > BRUTE_SEARCH_LIMIT:
-        raise ScopeError(
-            f"multiplicative functional search on {space.name} would enumerate "
-            f"{L}^{n - 1} weight vectors, above the limit of {BRUTE_SEARCH_LIMIT}")
-    mul_idx = [[space.index(space.mul(a, b)) for b in space.elements]
-               for a in space.elements]
-    positions = [i for i in range(n) if i != e_idx]
+    order = [i for i in range(n) if i != e_idx]
+    depth_of = {i: d for d, i in enumerate(order)}
+    depth_of[e_idx] = -1
+    checks: list[list[tuple[int, int, int]]] = [[] for _ in order]
+    for ia, a in enumerate(space.elements):
+        for ib in range(ia, n):  # abelian: (a, b) and (b, a) give one constraint
+            ic = space.index(space.mul(a, space.elements[ib]))
+            last = max(depth_of[ia], depth_of[ib], depth_of[ic])
+            if last >= 0:
+                checks[last].append((ia, ib, ic))
+    # an explicit stack, not recursion: the depth |G| - 1 can pass the recursion limit
+    expo = [0] * n
+    next_k = [0] * len(order)
     found = []
-    for combo in itertools.product(range(L), repeat=len(positions)):
-        expo = [0] * n
-        for pos, k in zip(positions, combo):
-            expo[pos] = k
-        ok = True
-        for i in range(n):
-            row = mul_idx[i]
-            ei = expo[i]
-            for j in range(n):
-                if (ei + expo[j]) % L != expo[row[j]]:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
+    nodes = 0
+    d = 0
+    while d >= 0:
+        if d == len(order):
             found.append(Character(order=L, exponents=tuple(expo)))
+            d -= 1
+            continue
+        k = next_k[d]
+        if k == L:
+            next_k[d] = 0
+            d -= 1
+            continue
+        next_k[d] = k + 1
+        nodes += 1
+        if nodes > SEARCH_NODE_LIMIT:
+            raise ScopeError(
+                f"multiplicative functional search on {space.name} passed the cap of "
+                f"{SEARCH_NODE_LIMIT} nodes (exponent trials)")
+        expo[order[d]] = k
+        for ia, ib, ic in checks[d]:
+            if (expo[ia] + expo[ib] - expo[ic]) % L:
+                break
+        else:
+            d += 1
     found.sort(key=lambda c: c.exponents)
     result = CharacterSet(order=L, characters=tuple(found))
     # float spot-check: the pairing is multiplicative on point masses

@@ -442,22 +442,29 @@ def test_sample_count_below_one_exits_2_at_parse_time(capsys, verb, samples):
     assert "--samples: must be at least 1" in capsys.readouterr().err
 
 
-def test_characters_brute_beyond_search_limit_exits_3_before_enumerating(capsys):
+# Z10's character search makes 810 exponent trials and Z2xZ2xZ3's 528, so
+# both pass this cap; Z2's 2 trials stay under it
+LOW_NODE_CAP = 100
+
+
+def test_characters_brute_beyond_search_limit_exits_3_before_enumerating(capsys, monkeypatch):
+    monkeypatch.setattr(structure, "SEARCH_NODE_LIMIT", LOW_NODE_CAP)
     started = time.monotonic()
     code, out, err = run_cli(capsys, "characters", "brute", "--group",
                              '{"type": "Zn", "n": 10}')
     assert time.monotonic() - started < 1.0
     assert code == 3
     assert out == ""
-    assert "10^9 weight vectors" in err
+    assert "search on Z10 passed the cap of 100 nodes" in err
 
 
-def test_suite_with_a_group_beyond_the_search_limit_exits_3(capsys):
+def test_suite_with_a_group_beyond_the_search_limit_exits_3(capsys, monkeypatch):
+    monkeypatch.setattr(structure, "SEARCH_NODE_LIMIT", LOW_NODE_CAP)
     started = time.monotonic()
     code, out, err = run_cli(capsys, "suite", "--groups", "Z10", "--pairs", "")
     assert time.monotonic() - started < 1.0
     assert code == 3
-    assert "10^9 weight vectors" in err
+    assert "search on Z10 passed the cap of 100 nodes" in err
 
 
 @pytest.mark.parametrize("norm_verb", ["modular", "luxemburg", "orlicz"])
@@ -533,12 +540,15 @@ def test_aphi_bound_and_submult_run_no_oracle(capsys, monkeypatch):
     assert len(calls) == 1
 
 
-def test_suite_reports_an_out_of_scope_entry_and_runs_the_rest(capsys):
+def test_suite_reports_an_out_of_scope_entry_and_runs_the_rest(capsys, monkeypatch):
+    monkeypatch.setattr(structure, "SEARCH_NODE_LIMIT", LOW_NODE_CAP)
+    started = time.monotonic()
     code, out, err = run_cli(capsys, "suite", "--groups", "Z2xZ2xZ3", "--pairs", "power-2")
+    assert time.monotonic() - started < 1.0
     assert code == 3
     lines = out.splitlines()
     assert any(line.startswith("out-of-scope.characters.Z2xZ2xZ3=")
-               and "6^11 weight vectors" in line for line in lines)
+               and "cap of 100 nodes" in line for line in lines)
     assert not any(line.startswith("check.characters.") for line in lines)
     checks = [line for line in lines if line.startswith("check.")]
     assert len(checks) == 7 and all("=pass " in line for line in checks)
@@ -551,11 +561,24 @@ def test_suite_with_a_failed_check_and_an_out_of_scope_entry_exits_1(capsys, mon
     def no_convergence(*args, **kwargs):
         raise ArithmeticError("forced non-finite dual pairing")
     monkeypatch.setattr(norms, "_dual_point", no_convergence)
+    monkeypatch.setattr(structure, "SEARCH_NODE_LIMIT", LOW_NODE_CAP)
+    started = time.monotonic()
     code, out, _ = run_cli(capsys, "suite", "--groups", "Z2,Z10", "--pairs", "power-2",
                            "--samples", "1", "--probes", "1")
+    assert time.monotonic() - started < 1.0
     assert code == 1
     assert "check.norm-equivalence.Z2.power-2=FAIL" in out
     assert "out-of-scope.characters.Z10=" in out and "passed=false" in out
+
+
+def test_suite_checks_the_characters_of_z12_and_z2xz2xz3(capsys):
+    code, out, err = run_cli(capsys, "suite", "--groups", "Z12,Z2xZ2xZ3", "--pairs", "power-2")
+    assert code == 0, err
+    lines = out.splitlines()
+    for group in ("Z12", "Z2xZ2xZ3"):
+        assert any(line.startswith(f"check.characters.{group}=pass ") for line in lines)
+    assert not any(line.startswith("out-of-scope.") for line in lines)
+    assert lines[-1] == "passed=true"
 
 
 def test_suite_unknown_group_name_exits_2(capsys):

@@ -52,6 +52,10 @@ RUNS.update({
     "characters-brute-Z2xZ2": ("characters", "brute", "--group",
                                '{"type": "product", "factors": '
                                '[{"type": "Zn", "n": 2}, {"type": "Zn", "n": 2}]}'),
+    "characters-brute-Z12": ("characters", "brute", "--group", '{"type": "Zn", "n": 12}'),
+    "characters-brute-Z2xZ2xZ3": ("characters", "brute", "--group",
+                                  '{"type": "product", "factors": [{"type": "Zn", "n": 2}, '
+                                  '{"type": "Zn", "n": 2}, {"type": "Zn", "n": 3}]}'),
     "group-check-S3": ("group", "check", "--group", '{"type": "S3"}'),
     "group-check-Zwindow256-seed7": ("group", "check", "--group",
                                      '{"type": "Zwindow", "radius": 256}', "--seed", "7"),

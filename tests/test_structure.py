@@ -1,14 +1,18 @@
 """Segal axioms, convolution units, and the two character routes."""
 
 import cmath
+import itertools
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from orliczalg.errors import OrliczAlgebraError, ScopeError
 from orliczalg.algebra import Decomposition
 from orliczalg.groups import (
     GroupFunction,
+    TableGroup,
     convolve,
     cyclic,
     direct_product,
@@ -17,7 +21,7 @@ from orliczalg.groups import (
     symmetric_group3,
 )
 from orliczalg.nfunctions import CATALOG_PAIR_NAMES, pair_power
-from orliczalg.specio import pair_from_name
+from orliczalg.specio import group_from_name, pair_from_name
 from orliczalg.structure import (
     Character,
     convolution_unit,
@@ -28,6 +32,39 @@ from orliczalg.structure import (
 )
 
 ALL_PAIRS = [pair_from_name(name) for name in CATALOG_PAIR_NAMES]
+
+#: abelian battery names with at most 16 elements
+SMALL_ABELIAN = [f"Z{n}" for n in range(1, 17)] + [
+    "Z2xZ2", "Z2xZ4", "Z2xZ6", "Z2xZ8", "Z3xZ3", "Z4xZ4", "Z2xZ2xZ2", "Z2xZ2xZ3",
+    "Z2xZ2xZ2xZ2"]
+
+
+def product_reference(space) -> frozenset[tuple[int, ...]]:
+    """Reference for the character search: every one of the L^(|G|-1)
+    exponent vectors with w(e) = 0, kept when it satisfies the whole table."""
+    L, _ = group_exponent(space)
+    e_idx = space.index(space.identity)
+    n = space.size
+    mul_idx = [[space.index(space.mul(a, b)) for b in space.elements]
+               for a in space.elements]
+    positions = [i for i in range(n) if i != e_idx]
+    found = set()
+    for combo in itertools.product(range(L), repeat=len(positions)):
+        expo = [0] * n
+        for pos, k in zip(positions, combo):
+            expo[pos] = k
+        if all((expo[i] + expo[j]) % L == expo[mul_idx[i][j]]
+               for i in range(n) for j in range(n)):
+            found.add(tuple(expo))
+    return frozenset(found)
+
+
+def relabelled(space, perm) -> TableGroup:
+    """space as a multiplication table over its carrier in the order perm."""
+    els = [space.elements[i] for i in perm]
+    index = {x: i for i, x in enumerate(els)}
+    return TableGroup("table", els, [[index[space.mul(a, b)] for b in els] for a in els],
+                      space.identity)
 
 
 def test_segal_report_z2_power_two():
@@ -155,11 +192,38 @@ def test_character_pairing_multiplicative_for_convolution():
 
 def test_search_route_agrees_exactly():
     for space in (cyclic(2), cyclic(3), cyclic(4),
-                  direct_product(cyclic(2), cyclic(2)), cyclic(6)):
+                  direct_product(cyclic(2), cyclic(2)), cyclic(6), cyclic(8), cyclic(12),
+                  group_from_name("Z2xZ2xZ3"), group_from_name("Z4xZ4"),
+                  group_from_name("Z2xZ2xZ2xZ2")):
         a = enumerate_characters(space)
         b = multiplicative_functional_search(space)
         assert a.exponent_set() == b.exponent_set()
         assert len(a) == len(b) == space.size
+
+
+# Z4 in the carrier order 0, 2, 1, 3; the product reference tries at most
+# 10^4 vectors on each of these (6^5 = 7,776 on Z6)
+@pytest.mark.parametrize("space", [cyclic(2), cyclic(3), cyclic(4), cyclic(5), cyclic(6),
+                                   direct_product(cyclic(2), cyclic(2)),
+                                   relabelled(cyclic(4), [0, 2, 1, 3])],
+                         ids=["Z2", "Z3", "Z4", "Z5", "Z6", "Z2xZ2", "Z4-relabelled"])
+def test_search_equals_the_product_reference(space):
+    assert multiplicative_functional_search(space).exponent_set() == product_reference(space)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(SMALL_ABELIAN).flatmap(
+    lambda name: st.tuples(st.just(name),
+                           st.permutations(range(group_from_name(name).size)))))
+def test_search_follows_a_random_relabelling_of_the_carrier(name_and_perm):
+    name, perm = name_and_perm
+    space = group_from_name(name)
+    table = relabelled(space, perm)
+    moved = {tuple(c.exponents[i] for i in perm)
+             for c in enumerate_characters(space).characters}
+    searched = multiplicative_functional_search(table)
+    assert searched.exponent_set() == moved
+    assert len(searched) == space.size
 
 
 def test_z2_search_is_plus_minus_one():
@@ -202,11 +266,13 @@ def test_character_verification_rejects_bad_exponents():
 
 def test_search_runs_at_the_limit_and_refuses_one_above(monkeypatch):
     import orliczalg.structure as structure
-    z4 = cyclic(4)  # exponent 4, so 4^3 = 64 weight vectors
-    monkeypatch.setattr(structure, "BRUTE_SEARCH_LIMIT", 64)
+    # Z4 makes 36 exponent trials: 4 for w(1), then 4 for w(2) under each of
+    # the 4 values of w(1), then 4 for w(3) under each of the 4 survivors
+    z4 = cyclic(4)
+    monkeypatch.setattr(structure, "SEARCH_NODE_LIMIT", 36)
     assert len(multiplicative_functional_search(z4)) == 4
-    monkeypatch.setattr(structure, "BRUTE_SEARCH_LIMIT", 63)
-    with pytest.raises(ScopeError, match=r"4\^3 weight vectors"):
+    monkeypatch.setattr(structure, "SEARCH_NODE_LIMIT", 35)
+    with pytest.raises(ScopeError, match=r"search on Z4 passed the cap of 35 nodes"):
         multiplicative_functional_search(z4)
 
 
