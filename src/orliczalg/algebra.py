@@ -385,7 +385,7 @@ def submultiplicativity_report(u: GroupFunction, v: GroupFunction,
     exceeds the middle term.
     """
     space = u.space
-    space.require_normalized("convolution submultiplicativity")
+    space.require_finite("convolution submultiplicativity")
     if v.space is not space:
         raise ScopeError("operands live on different spaces")
     alpha_closed = 1.0 / pair.phi.inverse(1.0)

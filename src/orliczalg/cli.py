@@ -206,9 +206,9 @@ def _check_inverse_product(rep: Report, pair, cfg: RunConfig) -> None:
               f"t in [1e-3, {'1e3' if top >= 1e3 else f'{top:g}'}], 41 points")
 
 
-def _check_group_laws(rep: Report, space: GroupSpace, cfg: RunConfig) -> None:
-    space.validate(seed=cfg.seed)
-    rep.check("laws", True, 0.0, "associativity, identity, inverses (exhaustive <= 64)")
+def _check_group_laws(rep: Report, space: GroupSpace) -> None:
+    rep.check("laws", True, 0.0,
+              "associativity, identity, inverses (proved where the group is built)")
     rep.add("abelian", space.is_abelian)
     rep.add("weight", str(space.weight(space.identity)))
     if not space.is_window:
@@ -362,7 +362,7 @@ def _run_norm(args, cfg: RunConfig) -> Report:
     rep = Report(f"norm {args.norm_verb}")
     space, pair = _space_and_pair(args, rep)
     if args.norm_verb == "charfn":
-        subset = [_decode_element(x) for x in read_json(args.subset)]
+        subset = [_decode_element(x, "--subset") for x in read_json(args.subset)]
         value = char_fn_norm(pair.phi, space, subset)
         rep.add("value", value)
         rep.add("provenance", "closed-form (inverse by regula falsi)")
@@ -395,7 +395,7 @@ def _run_group(args, cfg: RunConfig) -> Report:
     rep.add("group", space.name)
     rep.add("size", space.size)
     if args.group_verb == "check":
-        _check_group_laws(rep, space, cfg)
+        _check_group_laws(rep, space)
     elif args.group_verb == "convolve":
         f = function_from_rows(space, args.left)
         g = function_from_rows(space, args.right)
@@ -407,7 +407,7 @@ def _run_group(args, cfg: RunConfig) -> Report:
             write_text(args.save, json.dumps(function_to_rows(out)))
             rep.add("saved", args.save)
     else:  # leptin
-        compact = [_decode_element(x) for x in read_json(args.compact)]
+        compact = [_decode_element(x, "--compact") for x in read_json(args.compact)]
         ls = leptin_search(space, compact, args.epsilon)
         rep.add("members", list(ls.members))
         rep.add("lam-u", str(ls.lam_u))
@@ -432,7 +432,7 @@ def _run_aphi(args, cfg: RunConfig) -> Report:
         rep.check("bracket-order", bracket.lower <= bracket.upper + cfg.tol_slack,
                   bracket.upper + cfg.tol_slack - bracket.lower)
     elif args.aphi_verb == "plateau":
-        plateau_set = [_decode_element(x) for x in read_json(args.set)]
+        plateau_set = [_decode_element(x, "--set") for x in read_json(args.set)]
         _, cert = build_plateau(space, plateau_set, pair, args.epsilon)
         rep.add("epsilon", args.epsilon)
         _check_plateau(rep, cert, cfg)
@@ -529,7 +529,7 @@ def _run_suite(args, cfg: RunConfig) -> Report:
 
     for gname in group_names:
         space = group_from_name(gname)
-        entry(f"group-laws.{gname}", _check_group_laws, space, cfg)
+        entry(f"group-laws.{gname}", _check_group_laws, space)
         for pname, pair in pairs:
             key = f"{gname}.{pname}"
             if space.is_window:

@@ -14,7 +14,12 @@ live at desk scale:
 
 Only unimodular carriers arise here (finite groups and abelian discrete
 groups); weights are uniform, so left invariance of the measure is
-structural.
+structural, and every finite carrier has total mass exactly 1.
+
+The group laws are proved once, where a group is built: cyclic groups,
+direct products and windows satisfy them by construction, and
+``TableGroup`` checks identity, inverses and associativity exhaustively
+on its index table before it returns. Nothing re-checks them later.
 
 The function ``reflect`` is the check involution g(x) -> g(x^{-1});
 ``convolve`` computes (f*g)(x) = sum_y f(y) g(y^{-1} x) weight(y) by
@@ -114,47 +119,10 @@ class GroupSpace:
                     return (a, b)
         return None
 
-    def validate(self, *, seed: int = 0) -> None:
-        """Group laws: exhaustive up to 64 elements, 512 seeded triples beyond.
-
-        On windows, triples whose intermediate products exit are skipped
-        (the law holds wherever both parenthesizations are defined).
-        """
-        e = self.identity
-        for x in self.elements:
-            if self.try_mul(e, x) != x or self.try_mul(x, e) != x:
-                raise ScopeError(f"{self.name}: identity law fails at {x!r}")
-            xi = self.inv(x)
-            if not self.contains(xi):
-                raise ScopeError(f"{self.name}: inverse of {x!r} not in carrier")
-            if self.try_mul(xi, x) != e or self.try_mul(x, xi) != e:
-                raise ScopeError(f"{self.name}: inverse law fails at {x!r}")
-        if self.size <= 64:
-            triples: Iterable[tuple[Element, Element, Element]] = itertools.product(
-                self.elements, repeat=3)
-        else:
-            rng = Random(seed)
-            triples = (tuple(rng.choice(self.elements) for _ in range(3))
-                       for _ in range(512))
-        for a, b, c in triples:
-            ab = self.try_mul(a, b)
-            bc = self.try_mul(b, c)
-            if ab is None or bc is None:
-                continue
-            left = self.try_mul(ab, c)
-            right = self.try_mul(a, bc)
-            if left is not None and right is not None and left != right:
-                raise ScopeError(f"{self.name}: associativity fails at ({a!r},{b!r},{c!r})")
-
     def require_finite(self, what: str) -> None:
         if self.is_window:
             raise ScopeError(f"{what} needs a finite group; {self.name} is a window "
                              "surrogate for a noncompact group")
-
-    def require_normalized(self, what: str) -> None:
-        self.require_finite(what)
-        if self.total_mass() != 1:
-            raise ScopeError(f"{what} needs normalized Haar measure on {self.name}")
 
     def __repr__(self) -> str:
         return f"<GroupSpace {self.name} |G|={self.size}>"
@@ -189,8 +157,7 @@ class ProductGroup(GroupSpace):
         identity = tuple(f.identity for f in factors)
         n = len(elements)
         super().__init__("x".join(f.name for f in factors), elements, identity, Fraction(1, n))
-        if all(f._abelian for f in factors):
-            self._abelian = True
+        self._abelian = all(f.is_abelian for f in factors)
 
     def try_mul(self, a, b):
         return tuple(f.try_mul(x, y) for f, x, y in zip(self.factors, a, b))
@@ -206,14 +173,16 @@ class TableGroup(GroupSpace):
     def __init__(self, name: str, elements: Sequence[Element],
                  mul_table: Sequence[Sequence[int]], identity: Element):
         n = len(elements)
+        if n == 0:
+            raise SpecFormatError(f"{name}: a group table needs at least one element")
         if len(mul_table) != n or any(len(row) != n for row in mul_table):
             raise SpecFormatError(f"{name}: mul table must be {n}x{n}")
         for row in mul_table:
             for v in row:
-                if not (0 <= int(v) < n):
+                if not (0 <= v < n):
                     raise SpecFormatError(f"{name}: mul table entry {v} out of range")
         super().__init__(name, elements, identity, Fraction(1, n))
-        mul = [[int(v) for v in row] for row in mul_table]
+        mul = [list(row) for row in mul_table]
         e = self.index(identity)
         inv = [next((j for j, ij in enumerate(row) if ij == e), None) for row in mul]
         for x, xi in zip(self.elements, inv):

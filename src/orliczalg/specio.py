@@ -101,6 +101,14 @@ def finite_float(value: Any, what: str = "value") -> float:
     return number
 
 
+def json_int(value: Any, what: str) -> int:
+    """A JSON integer, else SpecFormatError: a float, bool, string or null is
+    neither rounded nor parsed."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise SpecFormatError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
 def _check_keys(obj: Mapping, required: set[str], optional: set[str], context: str) -> None:
     if not isinstance(obj, Mapping):
         raise SpecFormatError(f"{context}: expected an object, got {type(obj).__name__}")
@@ -121,17 +129,27 @@ def group_from_spec(spec: Any) -> GroupSpace:
     kind = spec["type"]
     if kind == "Zn":
         _check_keys(spec, {"type", "n"}, set(), "Zn spec")
-        return cyclic(int(spec["n"]))
+        return cyclic(json_int(spec["n"], "Zn spec: 'n'"))
     if kind == "Zwindow":
         _check_keys(spec, {"type", "radius"}, set(), "Zwindow spec")
-        return integer_window(int(spec["radius"]))
+        return integer_window(json_int(spec["radius"], "Zwindow spec: 'radius'"))
     if kind == "product":
         _check_keys(spec, {"type", "factors"}, set(), "product spec")
+        if not isinstance(spec["factors"], list):
+            raise SpecFormatError("product spec: 'factors' must be a list of group specs")
         return direct_product(*(group_from_spec(f) for f in spec["factors"]))
     if kind == "table":
         _check_keys(spec, {"type", "elements", "mul", "identity"}, set(), "table spec")
-        elements = [_decode_element(x) for x in spec["elements"]]
-        return TableGroup("table", elements, spec["mul"], _decode_element(spec["identity"]))
+        elements, mul = spec["elements"], spec["mul"]
+        if not isinstance(elements, list):
+            raise SpecFormatError("table spec: 'elements' must be a list")
+        if not isinstance(mul, list) or not all(isinstance(row, list) for row in mul):
+            raise SpecFormatError("table spec: 'mul' must be a list of rows")
+        mul = [[json_int(v, f"table spec: 'mul' entry [{i}][{j}]") for j, v in enumerate(row)]
+               for i, row in enumerate(mul)]
+        elements = [_decode_element(x, "table spec: 'elements'") for x in elements]
+        return TableGroup("table", elements, mul,
+                          _decode_element(spec["identity"], "table spec: 'identity'"))
     if kind == "S3":
         _check_keys(spec, {"type"}, set(), "S3 spec")
         return symmetric_group3()
@@ -154,9 +172,12 @@ def group_from_name(name: str) -> GroupSpace:
     raise SpecFormatError(f"unknown group name {name!r}")
 
 
-def _decode_element(x: Any):
+def _decode_element(x: Any, what: str):
+    """An element from JSON, lists as tuples; an object cannot label one."""
     if isinstance(x, list):
-        return tuple(_decode_element(v) for v in x)
+        return tuple(_decode_element(v, what) for v in x)
+    if isinstance(x, dict):
+        raise SpecFormatError(f"{what}: an element cannot be a JSON object, got {x!r}")
     return x
 
 
@@ -215,7 +236,7 @@ def function_from_rows(space: GroupSpace, rows: Any) -> GroupFunction:
     for i, row in enumerate(rows):
         if not isinstance(row, list) or len(row) != 3:
             raise SpecFormatError(f"function data row {i}: expected [element, re, im]")
-        x = _decode_element(row[0])
+        x = _decode_element(row[0], f"function data row {i}")
         if not space.contains(x):
             raise SpecFormatError(f"function data row {i}: {x!r} not in {space.name}")
         try:

@@ -11,7 +11,8 @@ statements here rather than topological ones.
 Characters of the convolution algebra on a finite abelian group are the
 functionals u -> sum_x u(x) w(x) lam(x) for group homomorphisms w into
 roots of unity. Two independent routes are provided: enumeration by
-generator images (consistency-checked over the full table) and an
+generator images (each character checked on the generators, which
+implies the full table, and at most SEARCH_NODE_LIMIT image choices) and an
 exhaustive search over root-of-unity weight vectors constrained only by
 multiplicativity on point masses. Neither route calls or counts the
 other: the caller's report compares them and checks |characters| = |G|.
@@ -73,7 +74,7 @@ def _translated_decomposition(d: Decomposition, t, side: str) -> Decomposition:
 def segal_report(space: GroupSpace, pair: ComplementaryPair, *, samples: int = 20,
                  seed: int = 0) -> SegalReport:
     """Machine check of the symmetric Segal axioms on a finite group."""
-    space.require_normalized("Segal report")
+    space.require_finite("Segal report")
     rng = Random(seed)
     checks: list[CheckResult] = []
 
@@ -174,7 +175,7 @@ def convolution_unit(space: GroupSpace, pair: ComplementaryPair, *,
     over E = G (cost below 2 (1 + eps)). Windows are rejected: the
     noncompact surrogate has no unit, by scope rather than by search.
     """
-    space.require_normalized("convolution unit")
+    space.require_finite("convolution unit")
     e = space.identity
     unit = GroupFunction.delta(space, e, 1.0 / space.weight_float(e))
     max_err = 0.0
@@ -238,30 +239,22 @@ def group_exponent(space: GroupSpace) -> tuple[int, dict]:
 
 def _require_finite_abelian(space: GroupSpace, what: str) -> None:
     space.require_finite(what)
-    bad = space.find_noncommuting_pair()
-    if bad is not None:
+    if not space.is_abelian:
+        a, b = space.find_noncommuting_pair()
         raise ScopeError(f"{what} needs an abelian group; {space.name} has "
-                         f"non-commuting pair {bad[0]!r}, {bad[1]!r}")
+                         f"non-commuting pair {a!r}, {b!r}")
 
 
-def enumerate_characters(space: GroupSpace) -> CharacterSet:
-    """All homomorphisms w: G -> roots of unity, by generator images.
-
-    Greedy generators are not necessarily independent, so every image
-    assignment is expanded over the whole table and dropped on any
-    inconsistency. The count |G| is checked by the caller's report.
-    """
-    _require_finite_abelian(space, "character enumeration")
-    L, orders = group_exponent(space)
-    e = space.identity
+def _greedy_generators(space: GroupSpace) -> list:
+    """Generators in carrier order: each element outside the span of the
+    earlier ones joins, so together they generate G."""
     generators: list = []
-    span = {e}
+    span = {space.identity}
     for x in space.elements:
         if x in span:
             continue
         generators.append(x)
         new = set(span)
-        frontier = set(span)
         acc = x
         while True:
             frontier = {space.mul(y, acc) for y in span}
@@ -270,20 +263,41 @@ def enumerate_characters(space: GroupSpace) -> CharacterSet:
             new |= frontier
             acc = space.mul(acc, x)
         span = new
+    return generators
+
+
+def enumerate_characters(space: GroupSpace) -> CharacterSet:
+    """All homomorphisms w: G -> roots of unity, by generator images.
+
+    Greedy generators are not necessarily independent, so every image
+    assignment is expanded over the group and dropped on any
+    inconsistency. The assignments, the product of the generators'
+    orders, can outnumber |G|; past SEARCH_NODE_LIMIT of them this raises
+    ScopeError before expanding any. Each character found is checked on
+    the generators. The count |G| is checked by the caller's report.
+    """
+    _require_finite_abelian(space, "character enumeration")
+    L, orders = group_exponent(space)
+    generators = _greedy_generators(space)
+    choices = math.prod(orders[g] for g in generators)
+    if choices > SEARCH_NODE_LIMIT:
+        raise ScopeError(
+            f"character enumeration on {space.name} needs {choices} generator-image "
+            f"choices, past the cap of {SEARCH_NODE_LIMIT}")
     found: list[Character] = []
-    choice_ranges = [range(orders[g]) for g in generators]
-    for ks in itertools.product(*choice_ranges):
+    for ks in itertools.product(*(range(orders[g]) for g in generators)):
         expo = _expand_exponents(space, generators, ks, L, orders)
         if expo is not None:
             found.append(Character(order=L, exponents=expo))
     for c in found:
-        _verify_homomorphism(space, c)
+        _verify_homomorphism(space, c, generators)
     found.sort(key=lambda c: c.exponents)
     return CharacterSet(order=L, characters=tuple(found))
 
 
 def _expand_exponents(space: GroupSpace, generators, ks, L: int,
                       orders) -> tuple[int, ...] | None:
+    """Exponents over G (the generators span it) of the images ks, or None on a clash."""
     expo: dict = {space.identity: 0}
     for g, k in zip(generators, ks):
         step = (L // orders[g]) * k
@@ -297,25 +311,19 @@ def _expand_exponents(space: GroupSpace, generators, ks, L: int,
                         return None
                 else:
                     expo[acc_elt] = acc_exp
-    if len(expo) != space.size:
-        return None
     return tuple(expo[x] for x in space.elements)
 
 
-def _verify_homomorphism(space: GroupSpace, c: Character) -> None:
-    expo = c.exponents
-    L = c.order
-    e_idx = space.index(space.identity)
-    if expo[e_idx] % L != 0:
-        raise OrliczAlgebraError("character fails w(e) = 1")
-    for a in space.elements:
-        ia = space.index(a)
-        for b in space.elements:
-            ib = space.index(b)
-            iab = space.index(space.mul(a, b))
-            if (expo[ia] + expo[ib]) % L != expo[iab] % L:
+def _verify_homomorphism(space: GroupSpace, c: Character, generators) -> None:
+    """w(x g) = w(x) + w(g) (mod L) for every x and generator g: x = e gives
+    w(e) = 0, then induction on words gives the whole table (Z1 has L = 1)."""
+    expo, L = c.exponents, c.order
+    for g in generators:
+        ig = space.index(g)
+        for ix, x in enumerate(space.elements):
+            if (expo[ix] + expo[ig] - expo[space.index(space.mul(x, g))]) % L:
                 raise OrliczAlgebraError(
-                    f"character fails w(st) = w(s) w(t) at ({a!r}, {b!r})")
+                    f"character fails w(st) = w(s) w(t) at ({x!r}, {g!r})")
 
 
 def multiplicative_functional_search(space: GroupSpace,

@@ -848,6 +848,98 @@ def test_characters_brute_on_a_relabelled_table(capsys):
     assert "count=4\n" in out
 
 
+def test_non_associative_table_exits_3(capsys):
+    # identity row and column and two-sided inverses, but (1 1) 2 = 2 and 1 (1 2) = 0
+    spec = '{"type": "table", "elements": [0, 1, 2], "identity": 0, ' \
+           '"mul": [[0, 1, 2], [1, 0, 1], [2, 1, 0]]}'
+    code, out, err = run_cli(capsys, "group", "check", "--group", spec)
+    assert (code, out) == (3, "")
+    assert err == "scope error: table: associativity fails at (1,1,2)\n"
+
+
+def _table(elements, mul, identity=0) -> str:
+    return json.dumps({"type": "table", "elements": elements, "mul": mul,
+                       "identity": identity})
+
+
+@pytest.mark.parametrize("spec, message", [
+    (_table([], []), "table: a group table needs at least one element"),
+    *((f'{{"type": "Zn", "n": {v}}}', f"Zn spec: 'n' must be an integer, got {r}")
+      for v, r in (('"x"', "'x'"), ("null", "None"), ("1.5", "1.5"), ("true", "True"))),
+    *((f'{{"type": "Zwindow", "radius": {v}}}',
+       f"Zwindow spec: 'radius' must be an integer, got {r}")
+      for v, r in (('"x"', "'x'"), ("null", "None"), ("2.7", "2.7"))),
+    *((_table([0, 1], [[0, 1], [1, v]]),
+       f"table spec: 'mul' entry [1][1] must be an integer, got {v!r}")
+      for v in ("x", None, 0.5)),
+    (_table([0, 1], 3), "table spec: 'mul' must be a list of rows"),
+    (_table("ab", [[0, 1], [1, 0]], "a"), "table spec: 'elements' must be a list"),
+    (_table([0, {"a": 1}], [[0, 1], [1, 0]]),
+     "table spec: 'elements': an element cannot be a JSON object, got {'a': 1}"),
+    (_table([0, 1], [[0, 1], [1, 0]], {"a": 1}),
+     "table spec: 'identity': an element cannot be a JSON object, got {'a': 1}"),
+    ('{"type": "product", "factors": 3}', "product spec: 'factors' must be a list"),
+], ids=["empty-table", "n-string", "n-null", "n-float", "n-bool", "radius-string",
+        "radius-null", "radius-float", "mul-string", "mul-null", "mul-float", "mul-not-rows",
+        "elements-string", "element-object", "identity-object", "factors-int"])
+def test_group_spec_values_must_be_json_integers_and_lists(capsys, spec, message):
+    code, out, err = run_cli(capsys, "group", "check", "--group", spec)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"parse error: {message}"), err
+
+
+@pytest.mark.parametrize("argv, config, message", [
+    (("group", "check", "--group", "no-such-spec.json"), None, "no such file: no-such-spec.json"),
+    (("group", "check", "--group", "[1, 2]"), None, "group spec: expected an object, got list"),
+    (("group", "check", "--group", '{"n": 3}'), None, "group spec: missing keys ['type']"),
+    (("group", "check", "--group", '{"type": "Zq"}'), None, "unknown group type 'Zq'"),
+    (("norm", "modular", "--group", Z8, "--nfunction", QUAD, "--function", '{"a": 1}'), None,
+     "function data must be a list of [element, re, im] rows"),
+    (("group", "check", "--group", Z8), '{"format": "xml"}', "unknown output format 'xml'"),
+    (("group", "leptin", "--group", Z8, "--compact", "[]", "--epsilon", "0.5"), None,
+     "Leptin search needs a nonempty compact set"),
+    (("group", "leptin", "--group", Z8, "--compact", "[0]", "--epsilon", "0"), None,
+     "Leptin search needs epsilon > 0, got 0"),
+    (("norm", "charfn", "--group", Z8, "--nfunction", QUAD, "--subset", "[9]"), None,
+     "Z8: 9 not in carrier"),
+], ids=["missing-file", "not-an-object", "missing-keys", "unknown-type", "rows-not-a-list",
+        "config-format-xml", "leptin-empty-compact", "leptin-epsilon-0", "charfn-outside"])
+def test_parse_errors_exit_2(capsys, monkeypatch, tmp_path, argv, config, message):
+    if config is not None:
+        path = tmp_path / "config.json"
+        path.write_text(config, encoding="utf-8")
+        monkeypatch.setenv(cli.CONFIG_ENV, str(path))
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out, err) == (2, "", f"parse error: {message}\n")
+
+
+# Z16 listed by increasing element order (0, 8, 4, 12, 2, ...): the greedy
+# generators 8, 4, 2, 1 give 2 * 4 * 8 * 16 = 1,024 image choices, past a cap
+# of 100 that the named Z16 (16 choices) stays under
+Z16_BY_ORDER = sorted(range(16), key=lambda x: (16 // math.gcd(x, 16), x))
+Z16_RELABELLED = _table(Z16_BY_ORDER, [[Z16_BY_ORDER.index((a + b) % 16) for b in Z16_BY_ORDER]
+                                       for a in Z16_BY_ORDER])
+
+
+def test_character_enumeration_past_the_cap_exits_3(capsys, monkeypatch):
+    monkeypatch.setattr(structure, "SEARCH_NODE_LIMIT", LOW_NODE_CAP)
+    started = time.monotonic()
+    code, out, err = run_cli(capsys, "characters", "enumerate", "--group", Z16_RELABELLED)
+    assert time.monotonic() - started < 1.0
+    assert (code, out) == (3, "")
+    assert err == ("scope error: character enumeration on table needs 1024 generator-image "
+                   "choices, past the cap of 100\n")
+    code, out, err = run_cli(capsys, "suite", "--groups", Z16_RELABELLED, "--pairs", "")
+    assert time.monotonic() - started < 1.0
+    assert code == 3
+    assert (f"out-of-scope.characters.{Z16_RELABELLED}=character enumeration on table "
+            "needs 1024") in out
+    code, out, err = run_cli(capsys, "characters", "enumerate", "--group",
+                             '{"type": "Zn", "n": 16}')
+    assert code == 0, err
+    assert "count=16\n" in out
+
+
 Z2XZ3 = '{"type": "product", "factors": [{"type": "Zn", "n": 2}, {"type": "Zn", "n": 3}]}'
 
 

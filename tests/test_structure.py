@@ -24,6 +24,8 @@ from orliczalg.nfunctions import CATALOG_PAIR_NAMES, pair_power
 from orliczalg.specio import group_from_name, pair_from_name
 from orliczalg.structure import (
     Character,
+    _greedy_generators,
+    _verify_homomorphism,
     convolution_unit,
     enumerate_characters,
     group_exponent,
@@ -258,10 +260,50 @@ def test_non_character_weight_fails_multiplicativity():
 
 def test_character_verification_rejects_bad_exponents():
     z4 = cyclic(4)
-    from orliczalg.structure import _verify_homomorphism
     bad = Character(order=4, exponents=(0, 1, 3, 2))
-    with pytest.raises(OrliczAlgebraError):
-        _verify_homomorphism(z4, bad)
+    with pytest.raises(OrliczAlgebraError, match=r"at \(1, 1\)"):
+        _verify_homomorphism(z4, bad, [1])
+
+
+def full_table_accepts(space, expo, L) -> bool:
+    """w(a b) = w(a) + w(b) (mod L) over every pair of the table."""
+    return all((expo[space.index(a)] + expo[space.index(b)]
+                - expo[space.index(space.mul(a, b))]) % L == 0
+               for a in space.elements for b in space.elements)
+
+
+@pytest.mark.parametrize("space", [cyclic(4), direct_product(cyclic(2), cyclic(2)), cyclic(6),
+                                   relabelled(cyclic(4), [0, 2, 1, 3])],
+                         ids=["Z4", "Z2xZ2", "Z6", "Z4-relabelled"])
+def test_generator_check_accepts_exactly_the_homomorphisms(space):
+    # every exponent vector, w(e) included: 6^6 = 46,656 on Z6
+    L, _ = group_exponent(space)
+    generators = _greedy_generators(space)
+    accepted = set()
+    for expo in itertools.product(range(L), repeat=space.size):
+        try:
+            _verify_homomorphism(space, Character(order=L, exponents=expo), generators)
+        except OrliczAlgebraError:
+            assert not full_table_accepts(space, expo, L), expo
+        else:
+            assert full_table_accepts(space, expo, L), expo
+            accepted.add(expo)
+    assert len(accepted) == space.size
+    assert accepted == enumerate_characters(space).exponent_set()
+
+
+def test_enumeration_refuses_generator_images_past_the_cap_before_expanding(monkeypatch):
+    import orliczalg.structure as structure
+    # Z16 listed by increasing element order: the greedy generators 8, 4, 2, 1
+    # have orders 2, 4, 8, 16, so 1,024 image choices where the named Z16 has 16
+    perm = sorted(range(16), key=lambda x: (16 // math.gcd(x, 16), x))
+    monkeypatch.setattr(structure, "SEARCH_NODE_LIMIT", 100)
+    with monkeypatch.context() as m:
+        m.setattr(structure, "_expand_exponents", None)  # an expansion would call None
+        with pytest.raises(ScopeError, match="on table needs 1024 generator-image choices, "
+                                             "past the cap of 100"):
+            enumerate_characters(relabelled(cyclic(16), perm))
+    assert len(enumerate_characters(cyclic(16))) == 16
 
 
 def test_search_runs_at_the_limit_and_refuses_one_above(monkeypatch):
