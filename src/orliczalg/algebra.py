@@ -129,21 +129,6 @@ class NormBracket:
                 f"bracket inverted: lower {self.lower:g} > upper {self.upper:g}")
 
 
-def atomic_decomposition(u: GroupFunction) -> Decomposition:
-    """Point-mass pairs: u = sum_t u(t) weight(t)^{-1} (chi_t * chi_e^).
-
-    Exact on finite carriers and on windows (each term's support is a
-    single point, so nothing can exit).
-    """
-    space = u.space
-    e = space.identity
-    terms = []
-    for t, v in u.items():
-        f = GroupFunction.delta(space, t, v / space.weight_float(t))
-        terms.append((f, GroupFunction.delta(space, e)))
-    return Decomposition(terms=tuple(terms), target=u)
-
-
 def merged_decomposition(u: GroupFunction) -> Decomposition:
     """Single pair (u / weight, chi_e); exact for uniform weights."""
     space = u.space

@@ -85,6 +85,11 @@ class GroupSpace:
     def weight_float(self, x: Element) -> float:
         return self._weight_float
 
+    @property
+    def haar_weight(self) -> float:
+        """The one Haar weight that every point carries, as a float."""
+        return self._weight_float
+
     def total_mass(self) -> Fraction:
         return self._weight * self.size
 

@@ -40,11 +40,17 @@ dual constraint is stated on the modular.
 
 Inside ``shared_solves()`` (one CLI command, one ``decomposition_cost``)
 each distinct solve runs once: the Luxemburg solve and the Amemiya solve
-of ``orlicz_norm`` are stored under (kind, N-function, space, support
-positions, values). A hit is the same float operations on the same
-inputs, so it returns the bits a fresh solve would; a translate has other
-positions and is solved afresh. The dual point of a cross-checked call
-still runs on every call. Outside any scope every call solves directly.
+of ``orlicz_norm`` are stored under (kind, N-function, Haar weight,
+values in carrier order), the only inputs a solve reads. A hit is the
+same float operations on the same inputs, so it returns the bits a fresh
+solve would: a translate or relabelling whose values keep their order,
+or an equal function on another carrier of the same weight, is not
+solved again. The dual point of a cross-checked call still runs on every
+call. Outside any scope every call solves directly.
+
+A function so small that a solve's scale 1/k (Luxemburg) or k (Amemiya)
+leaves the floats is out of scope: the solve raises ``ScopeError``
+rather than read the overflow as a cap and report a wrong end.
 """
 
 from __future__ import annotations
@@ -100,17 +106,17 @@ def modular(phi: NFunction, f: GroupFunction, c: float = 1.0, *,
     sum_x |c f(x)| phi(|c f(x)|) weight(x) and returns the pair
     (rho, slope).
     """
-    space = f.space
+    w, cap, evaluate, derivative = (f.space.haar_weight, phi.domain_cap,
+                                    phi.evaluate, phi.derivative)
     rho = total = 0.0
     for x, v in f.items():
         a = abs(c * v)
-        if a > phi.domain_cap:
+        if a > cap:
             raise CapExceededError(
                 f"{phi.label}: |f({x!r})| = {a:g} exceeds the domain cap")
-        w = space.weight_float(x)
-        rho += phi.evaluate(a) * w
+        rho += evaluate(a) * w
         if slope:
-            total += a * phi.derivative(a) * w
+            total += a * derivative(a) * w
     return (rho, total) if slope else rho
 
 
@@ -134,14 +140,16 @@ def shared_solves():
 def _solve_once(kind: str, phi: NFunction, f: GroupFunction, solve):
     """``solve()``, or what it returned for the same key in the active scope.
 
-    The key holds the space and the support positions as well as the
-    values: the weights and the float sums depend on all three. A solve
-    that raises stores nothing.
+    The key is what a solve reads: Phi, the space's one Haar weight and
+    the values in carrier order. Support positions and the carrier itself
+    are not in it, since no solve reads them, so a translate with its
+    values in the same order is the same solve. A solve that raises
+    stores nothing.
     """
     memo = _SOLVES.get()
     if memo is None:
         return solve()
-    key = (kind, phi, f.space, tuple(f._values), tuple(f._values.values()))
+    key = (kind, phi, f.space.haar_weight, tuple(f._values.values()))
     result = memo.get(key)
     if result is None:
         result = memo[key] = solve()
@@ -200,10 +208,9 @@ def _luxemburg_solve(phi: NFunction, f: GroupFunction) -> NormReport:
     def excess(r: float) -> float:
         # evaluated at 1/k, k = sup|f| / r, so that the reported k reproduces it
         k = top / r
-        if k == 0.0:
-            return math.inf
+        scale = _finite_scale(1.0 / k if k else math.inf, top)
         try:
-            return modular(phi, f, 1.0 / k) - 1.0
+            return modular(phi, f, scale) - 1.0
         except CapExceededError:
             return math.inf
 
@@ -211,6 +218,14 @@ def _luxemburg_solve(phi: NFunction, f: GroupFunction) -> NormReport:
     if r == 0.0:
         raise ArithmeticError("Luxemburg solve found no feasible point")
     return NormReport(value=top / r, method=METHOD, residual=abs(e), iterations=steps)
+
+
+def _finite_scale(scale: float, top: float) -> float:
+    """``scale``, or ScopeError where sup|f| = top puts it past the floats."""
+    if scale == math.inf:
+        raise ScopeError(f"sup|f| = {top:g} is below the float range of the norm "
+                         "solve: its scale overflows")
+    return scale
 
 
 def char_fn_norm(phi: NFunction, space: GroupSpace, subset) -> float:
@@ -305,7 +320,7 @@ def _amemiya_solve(phi: NFunction, f: GroupFunction) -> tuple[float, float, int]
 
     def young_excess(r: float) -> float:
         nonlocal value
-        k = r / top
+        k = _finite_scale(r / top, top)
         try:
             rho, slope = modular(phi, f, k, slope=True)
         except CapExceededError:

@@ -118,6 +118,34 @@ def test_scope_error_exits_3(capsys):
     assert code == 3
 
 
+@pytest.mark.parametrize("verb, group, nfunction, value", [
+    ("luxemburg", '{"type": "Zn", "n": 64}', '{"kind": "entropy"}', 1e-307),
+    ("orlicz", '{"type": "Zn", "n": 4}', QUAD, 1e-308),
+])
+def test_a_norm_whose_solve_scale_overflows_exits_3(capsys, verb, group, nfunction, value):
+    # the scale 1/k (Luxemburg) or k (Amemiya) passes the largest float
+    # before the root, which a solve would misread as the cap
+    code, out, err = run_cli(capsys, "norm", verb, "--group", group, "--nfunction",
+                             nfunction, "--function", json.dumps([[0, value, 0]]))
+    assert code == 3
+    assert out == ""
+    assert f"sup|f| = {value:g}" in err
+
+
+def test_a_tiny_norm_whose_solve_scale_stays_finite_keeps_its_report(capsys):
+    code, out, _ = run_cli(capsys, "norm", "orlicz", "--group", '{"type": "Zn", "n": 4}',
+                           "--nfunction", QUAD, "--function", "[[0, 3e-308, 0]]")
+    assert code == 0
+    assert out.splitlines()[4:10] == [
+        "value=2.121320343559643e-308",
+        "method=amemiya-min",
+        "oracle-value=2.121320343559632e-308",
+        "provenance=computed (minimization) vs computed (dual point at the Amemiya root)",
+        "check.oracle-agreement=pass slack=2.1213203326e-314",
+        "check.norm-equivalence=pass slack=1e-09",
+    ]
+
+
 def test_window_infeasibility_exits_3(capsys):
     code, _, err = run_cli(capsys, "group", "leptin", "--group",
                            '{"type": "Zwindow", "radius": 50}',

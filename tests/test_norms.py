@@ -14,9 +14,13 @@ from orliczalg.errors import CapExceededError
 from orliczalg.groups import (
     GroupFunction,
     cyclic,
+    direct_product,
     integer_window,
     random_function,
+    reflect,
+    symmetric_group3,
     translate_left,
+    translate_right,
 )
 from orliczalg.nfunctions import CATALOG_PAIR_NAMES, pair_power
 from orliczalg.norms import (
@@ -580,30 +584,64 @@ def test_a_repeated_solve_in_a_scope_runs_no_modular_pass(counted, pair_name):
     assert norms._SOLVES.get() is None
 
 
-def test_other_space_nfunction_or_translate_is_solved_afresh(counted):
+def test_the_memo_key_is_the_nfunction_the_weight_and_the_values_in_order(counted):
     pair = pair_from_name("cosh")
     z8 = cyclic(8)
     f = _memo_function(z8)
+    # (what, phi, g, solved again): a solve reads only Phi, the Haar weight
+    # and the values in carrier order
     others = [
-        ("space", pair.phi, _memo_function(cyclic(8))),   # equal carrier, other object
-        ("space", pair.phi, _memo_function(cyclic(12))),
-        ("nfunction", pair.psi, f),
         # the same values in the same order, three places on
-        ("translate", pair.phi, translate_left(3, f)),
+        ("translate", pair.phi, translate_left(3, f), False),
+        ("equal carrier, other object", pair.phi, _memo_function(cyclic(8)), False),
+        ("other weight", pair.phi, _memo_function(cyclic(12)), True),
+        ("other nfunction", pair.psi, f, True),
+        # x -> -x reverses the values in carrier order
+        ("reflection", pair.phi, reflect(f), True),
     ]
-    assert tuple(v for _, v in translate_left(3, f).items()) == tuple(v for _, v in f.items())
+    values = [v for _, v in f.items()]
+    assert [v for _, v in translate_left(3, f).items()] == values
+    assert [v for _, v in reflect(f).items()] == values[::-1]
     with shared_solves():
         luxemburg(pair.phi, f)
-        for what, phi, g in others:
+        for what, phi, g, solved in others:
             expected = _unscoped(luxemburg, phi, g)
             before = counted["luxemburg"]
             assert luxemburg(phi, g) == expected, what
-            assert counted["luxemburg"] == before + 1, what
-        before = counted["amemiya"]
+            assert counted["luxemburg"] == before + solved, what
+        for what, other, g, solved in [
+                ("first", pair, f, True),
+                ("translate", pair, translate_left(3, f), False),
+                ("equal carrier, other object", pair, _memo_function(cyclic(8)), False),
+                ("other weight", pair, _memo_function(cyclic(12)), True),
+                ("other nfunction", pair.swap(), f, True),
+                ("reflection", pair, reflect(f), True)]:
+            expected = _unscoped(orlicz_norm, other, g, cross_check=False)
+            before = counted["amemiya"]
+            assert orlicz_norm(other, g, cross_check=False) == expected, what
+            assert counted["amemiya"] == before + solved, what
+
+
+MOVE_SPACES = [cyclic(5), cyclic(8), direct_product(cyclic(2), cyclic(4)),
+               symmetric_group3(), integer_window(6)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(MOVE_SPACES), st.integers(0, 2**32), st.data())
+def test_a_moved_function_in_a_scope_gets_the_unscoped_bits(space, seed, data):
+    f = random_function(space, Random(seed), amplitude=3.0)
+    t = data.draw(st.sampled_from(space.elements))
+    move = data.draw(st.sampled_from([
+        lambda g: translate_left(t, g), lambda g: translate_right(t, g), reflect]))
+    pair = pair_from_name(data.draw(st.sampled_from(CATALOG_PAIR_NAMES)))
+    g = move(f)
+    expected = (_unscoped(luxemburg, pair.phi, g),
+                _unscoped(orlicz_norm, pair, g, cross_check=False))
+    with shared_solves():
+        luxemburg(pair.phi, f)
         orlicz_norm(pair, f, cross_check=False)
-        orlicz_norm(pair.swap(), f, cross_check=False)
-        orlicz_norm(pair, translate_left(3, f), cross_check=False)
-        assert counted["amemiya"] == before + 3
+        # a hit where g has f's values in f's order, a miss otherwise
+        assert (luxemburg(pair.phi, g), orlicz_norm(pair, g, cross_check=False)) == expected
 
 
 def _unscoped(norm, *args, **kwargs):
