@@ -95,8 +95,9 @@ def decomposition_cost(d: Decomposition, pair: ComplementaryPair) -> float:
     validated where it is built. Both factors are upper bounds on their own
     (the feasible Luxemburg root endpoint, the Amemiya minimum), so no dual
     oracle runs here; it runs only where its value or flags reach a report.
-    The terms are priced inside ``shared_solves()``, so each distinct factor
-    is solved once per call, or once per CLI command.
+    The terms are priced inside ``shared_solves()``, so each distinct
+    (weight, values) factor is solved once per call, or once per CLI
+    command.
     """
     dual = pair.swap()
     cost = 0.0

@@ -1,0 +1,31 @@
+"""The report comparison of scripts/cmp_reports.py, on hand-made directories."""
+
+import importlib.util
+from pathlib import Path
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+
+
+def _load(monkeypatch):
+    monkeypatch.syspath_prepend(str(SCRIPTS))  # for its bench_pairs import
+    spec = importlib.util.spec_from_file_location("cmp_reports", SCRIPTS / "cmp_reports.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_differing_names_changed_and_one_sided_reports_only(tmp_path, monkeypatch):
+    cmp_reports = _load(monkeypatch)
+    base, change = tmp_path / "base", tmp_path / "change"
+    for side in (base, change):
+        side.mkdir()
+        (side / "same.txt").write_text("exit=0\nvalue=1.0\n")
+    (base / "changed.txt").write_text("exit=0\nvalue=1.0\n")
+    (change / "changed.txt").write_text("exit=0\nvalue=1.0000000000000002\n")
+    (base / "exit.txt").write_text("exit=0\nvalue=1.0\n")
+    (change / "exit.txt").write_text("exit=1\nvalue=1.0\n")
+    (base / "base-only.txt").write_text("exit=0\n")
+    (change / "change-only.txt").write_text("exit=0\n")
+    assert cmp_reports.differing(base, change) == [
+        "base-only.txt", "change-only.txt", "changed.txt", "exit.txt"]
+    assert cmp_reports.differing(base, base) == []

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import orliczalg.norms as norms
-from orliczalg.errors import CapExceededError
+from orliczalg.errors import CapExceededError, ScopeError
 from orliczalg.groups import (
     GroupFunction,
     cyclic,
@@ -85,8 +85,13 @@ def test_luxemburg_triangle_inequality(a_vals, b_vals):
     quad = pair_power(2.0).phi
     f = GroupFunction(z8, dict(enumerate(a_vals)))
     g = GroupFunction(z8, dict(enumerate(b_vals)))
-    lhs = luxemburg(quad, f + g).value
-    rhs = luxemburg(quad, f).value + luxemburg(quad, g).value
+    try:
+        lhs = luxemburg(quad, f + g).value
+        rhs = luxemburg(quad, f).value + luxemburg(quad, g).value
+    except ScopeError:
+        # the solve's scale 1/k = r / sup|h| reaches r = 8 at most here
+        assert any(0.0 < h.sup_norm() < 8.0 / sys.float_info.max for h in (f + g, f, g))
+        return
     assert rhs - lhs >= -1e-10
 
 
@@ -586,40 +591,30 @@ def test_a_repeated_solve_in_a_scope_runs_no_modular_pass(counted, pair_name):
 
 def test_the_memo_key_is_the_nfunction_the_weight_and_the_values_in_order(counted):
     pair = pair_from_name("cosh")
-    z8 = cyclic(8)
-    f = _memo_function(z8)
-    # (what, phi, g, solved again): a solve reads only Phi, the Haar weight
-    # and the values in carrier order
-    others = [
-        # the same values in the same order, three places on
-        ("translate", pair.phi, translate_left(3, f), False),
-        ("equal carrier, other object", pair.phi, _memo_function(cyclic(8)), False),
-        ("other weight", pair.phi, _memo_function(cyclic(12)), True),
-        ("other nfunction", pair.psi, f, True),
-        # x -> -x reverses the values in carrier order
-        ("reflection", pair.phi, reflect(f), True),
-    ]
+    f = _memo_function(cyclic(8))
     values = [v for _, v in f.items()]
     assert [v for _, v in translate_left(3, f).items()] == values
     assert [v for _, v in reflect(f).items()] == values[::-1]
+    # (what, pair, g, solved again) after f under pair: a solve reads only
+    # Phi, the Haar weight and the values in carrier order
+    cases = [
+        ("translate", pair, translate_left(3, f), False),
+        ("equal carrier, other object", pair, _memo_function(cyclic(8)), False),
+        ("other weight", pair, _memo_function(cyclic(12)), True),
+        ("other nfunction", pair.swap(), f, True),
+        ("reflection", pair, reflect(f), True),
+    ]
     with shared_solves():
         luxemburg(pair.phi, f)
-        for what, phi, g, solved in others:
-            expected = _unscoped(luxemburg, phi, g)
-            before = counted["luxemburg"]
-            assert luxemburg(phi, g) == expected, what
-            assert counted["luxemburg"] == before + solved, what
-        for what, other, g, solved in [
-                ("first", pair, f, True),
-                ("translate", pair, translate_left(3, f), False),
-                ("equal carrier, other object", pair, _memo_function(cyclic(8)), False),
-                ("other weight", pair, _memo_function(cyclic(12)), True),
-                ("other nfunction", pair.swap(), f, True),
-                ("reflection", pair, reflect(f), True)]:
-            expected = _unscoped(orlicz_norm, other, g, cross_check=False)
-            before = counted["amemiya"]
-            assert orlicz_norm(other, g, cross_check=False) == expected, what
-            assert counted["amemiya"] == before + solved, what
+        orlicz_norm(pair, f, cross_check=False)
+        for what, other, g, solved in cases:
+            expected = (_unscoped(luxemburg, other.phi, g),
+                        _unscoped(orlicz_norm, other, g, cross_check=False))
+            before = counted["luxemburg"], counted["amemiya"]
+            assert (luxemburg(other.phi, g), orlicz_norm(other, g, cross_check=False)) \
+                == expected, what
+            assert (counted["luxemburg"], counted["amemiya"]) \
+                == (before[0] + solved, before[1] + solved), what
 
 
 MOVE_SPACES = [cyclic(5), cyclic(8), direct_product(cyclic(2), cyclic(4)),
