@@ -1,6 +1,6 @@
 """Machine reports of a base revision and the working tree, compared byte for byte.
 
-    python3 scripts/cmp_reports.py --base REV [--keep DIR]
+    python3 scripts/cmp_reports.py --base REV
 
 The base revision is extracted with ``git archive`` into a temporary
 directory (``bench_pairs.extract``). Both sides run the same commands:
@@ -9,7 +9,8 @@ at seeds 3 and 13 for each catalog pair; and every golden run of the
 working tree's ``tests/test_golden.py``. Each report is the exit code and
 the standard output of one command. The script names each report that
 differs, or that only one side has, and exits 1 if any does, else 0.
-With ``--keep DIR`` both sides' reports stay in DIR/base and DIR/change.
+Reports are written to a new temporary directory, which is removed when
+every report matches and kept, with its path printed, when one differs.
 Standard library only.
 """
 from __future__ import annotations
@@ -70,22 +71,24 @@ def differing(a: Path, b: Path) -> list[str]:
 def main(argv: list[str] | None = None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--base", required=True, help="revision to compare against")
-    ap.add_argument("--keep", default=None, help="keep both sides' reports here")
     args = ap.parse_args(argv)
     runs = commands()
-    out = Path(args.keep) if args.keep else Path(tempfile.mkdtemp(prefix="cmp-reports-"))
     base_root = extract(args.base)
+    out = Path(tempfile.mkdtemp(prefix="cmp-reports-"))
+    diff: list[str] = []
     try:
         write_reports(base_root, runs, out / "base")
         write_reports(ROOT, runs, out / "change")
         diff = differing(out / "base", out / "change")
     finally:
         shutil.rmtree(base_root, ignore_errors=True)
-        if not args.keep:
+        if not diff:
             shutil.rmtree(out, ignore_errors=True)
     for name in diff:
         print(f"differs: {name}")
     print(f"{len(runs) - len(diff)} of {len(runs)} reports identical to {args.base}")
+    if diff:
+        print(f"reports kept in {out}/base and {out}/change")
     return 1 if diff else 0
 
 

@@ -133,8 +133,8 @@ class NormBracket:
 def merged_decomposition(u: GroupFunction) -> Decomposition:
     """Single pair (u / weight, chi_e); exact for uniform weights."""
     space = u.space
-    f = GroupFunction(space, {t: v / space.weight_float(t) for t, v in u.items()},
-                      u.truncated)
+    w = space.haar_weight
+    f = GroupFunction(space, {t: v / w for t, v in u.items()}, u.truncated)
     return Decomposition(terms=((f, GroupFunction.delta(space, space.identity)),),
                          target=u)
 
@@ -154,7 +154,7 @@ def algebra_norm_upper(u: GroupFunction, pair: ComplementaryPair) -> NormBracket
     upper = decomposition_cost(witness, pair)
     space, levels = u.space, {v for _, v in u.items()}
     if not space.is_window and len(u.support) == space.size and len(levels) == 1:
-        lam_g = sum(space.weight_float(x) for x in space.elements)
+        lam_g = sum([space.haar_weight] * space.size)
         one = GroupFunction.constant(space, 1.0)
         constant = Decomposition(terms=((one.scale(levels.pop()), one.scale(1.0 / lam_g)),),
                                  target=u)
@@ -288,7 +288,7 @@ def plateau_from_sets(space: GroupSpace, plateau_set: Iterable,
         if not space.contains(x):
             raise InfeasibleWindowError(
                 f"{space.name}: E F reaches {x!r} outside the carrier")
-    lam_f = sum(space.weight_float(x) for x in F)
+    lam_f = sum([space.haar_weight] * len(F))
     f = GroupFunction.indicator(space, ef)
     g = GroupFunction.indicator(space, F).scale(1.0 / lam_f)
     v = convolve(f, reflect(g))

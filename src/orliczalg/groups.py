@@ -82,12 +82,13 @@ class GroupSpace:
     def weight(self, x: Element) -> Fraction:
         return self._weight
 
-    def weight_float(self, x: Element) -> float:
-        return self._weight_float
-
     @property
     def haar_weight(self) -> float:
         """The one Haar weight that every point carries, as a float."""
+        return self._weight_float
+
+    def weight_float(self, x: Element) -> float:
+        """``haar_weight``: the float weight is the same at every point x."""
         return self._weight_float
 
     def total_mass(self) -> Fraction:
@@ -319,7 +320,8 @@ class GroupFunction:
         return max((abs(v) for v in self._values.values()), default=0.0)
 
     def one_norm(self) -> float:
-        return sum(abs(v) * self.space.weight_float(x) for x, v in self.items())
+        w = self.space.haar_weight
+        return sum(abs(v) * w for _, v in self.items())
 
     # -- pointwise algebra --------------------------------------------------
 
@@ -366,8 +368,8 @@ def convolve(f: GroupFunction, g: GroupFunction) -> GroupFunction:
     space = f.space
     truncated = f.truncated or g.truncated
     out: dict[Element, complex] = {}
+    wy = space.haar_weight
     for y, fv in f.items():
-        wy = space.weight_float(y)
         for z, gv in g.items():
             x = space.try_mul(y, z)
             if x is None:

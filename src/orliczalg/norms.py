@@ -239,7 +239,7 @@ def char_fn_norm(phi: NFunction, space: GroupSpace, subset) -> float:
         if x in seen:
             raise SpecFormatError(f"characteristic-function subset repeats {x!r}")
         seen.add(x)
-        lam += space.weight_float(x)
+        lam += space.haar_weight
     return 1.0 / phi.inverse(1.0 / lam)
 
 
@@ -336,4 +336,5 @@ def holder_pairing(f: GroupFunction, g: GroupFunction) -> float:
     """sum |f g| dlam; at most ||f||_Phi whenever N_Psi(g) <= 1."""
     if f.space is not g.space:
         raise ScopeError("pairing needs functions on the same space")
-    return sum(abs(v) * abs(g(x)) * f.space.weight_float(x) for x, v in f.items())
+    w = f.space.haar_weight
+    return sum(abs(v) * abs(g(x)) * w for x, v in f.items())

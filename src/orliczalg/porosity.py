@@ -66,7 +66,7 @@ QUADRANT_ORDER = ((1, 1), (1, -1), (-1, 1), (-1, -1))
 def level_integral(f: GroupFunction, g: GroupFunction, x) -> float:
     """sum_y |f(y)| |g(x^{-1} y)| weight(y)."""
     space = f.space
-    xi = space.inv(x)
+    xi, w = space.inv(x), space.haar_weight
     total = 0.0
     for y, v in f.items():
         z = space.try_mul(xi, y)
@@ -74,7 +74,7 @@ def level_integral(f: GroupFunction, g: GroupFunction, x) -> float:
             continue
         gv = g(z)
         if gv != 0:
-            total += abs(v) * abs(gv) * space.weight_float(y)
+            total += abs(v) * abs(gv) * w
     return total
 
 

@@ -177,7 +177,7 @@ def convolution_unit(space: GroupSpace, pair: ComplementaryPair, *,
     """
     space.require_finite("convolution unit")
     e = space.identity
-    unit = GroupFunction.delta(space, e, 1.0 / space.weight_float(e))
+    unit = GroupFunction.delta(space, e, 1.0 / space.haar_weight)
     max_err = 0.0
     for t in space.elements:
         d = GroupFunction.delta(space, t)
@@ -207,7 +207,8 @@ class Character:
     def pairing(self, u: GroupFunction) -> complex:
         """phi_w(u) = sum_x u(x) w(x) lam({x})."""
         space = u.space
-        return sum(v * self.value(space, x) * space.weight_float(x) for x, v in u.items())
+        w = space.haar_weight
+        return sum(v * self.value(space, x) * w for x, v in u.items())
 
 
 @dataclass(frozen=True)

@@ -71,6 +71,10 @@ def test_weights_are_normalized_rationals(groups):
     assert z6.weight(0) == Fraction(1, 6)
     assert z6.total_mass() == 1
     assert groups["W8"].weight(0) == Fraction(1)
+    # one float weight: haar_weight, and weight_float(x) at every point
+    for space in groups.values():
+        assert space.haar_weight == float(space.weight(space.identity))
+        assert all(space.weight_float(x) == space.haar_weight for x in space.elements)
 
 
 def test_point_mass_self_convolution_z4(groups):
@@ -302,7 +306,7 @@ def _scan_convolve(f: GroupFunction, g: GroupFunction) -> GroupFunction:
                 continue
             gv = g(z)
             if gv != 0:
-                acc += f(y) * gv * space.weight_float(y)
+                acc += f(y) * gv * space.haar_weight
         if acc != 0:
             out[x] = acc
     return GroupFunction(space, out, truncated)

@@ -328,7 +328,7 @@ def test_density_spanning_fails_on_a_plateau_off_its_point(monkeypatch):
             return real(space, plateau_set, base_set)
         # a nonzero off-diagonal entry: full rank still, but not supported on {1}
         f = GroupFunction(space, {1: 1.0, 2: 0.5})
-        g = GroupFunction.delta(space, space.identity, 1.0 / space.weight_float(0))
+        g = GroupFunction.delta(space, space.identity, 1.0 / space.haar_weight)
         v = convolve(f, reflect(g))
         return v, Decomposition(terms=((f, g),), target=v)
     monkeypatch.setattr(structure, "plateau_from_sets", leaky)
