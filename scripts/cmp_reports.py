@@ -5,8 +5,9 @@
 The base revision is extracted with ``git archive`` into a temporary
 directory (``bench_pairs.extract``). Both sides run the same commands:
 ``suite --seed 7``, ``21`` and ``901``; ``porosity witness --probes 100``
-at seeds 3 and 13 for each catalog pair; and every golden run of the
-working tree's ``tests/test_golden.py``. Each report is the exit code and
+at seeds 3 and 13 for each catalog pair, and once more each with complex
+``--f``/``--g`` on [-5, 5] and with ``--v-radius 2 --window 64``; and
+every golden run of the working tree's ``tests/test_golden.py``. Each report is the exit code and
 the standard output of one command. The script names each report that
 differs, or that only one side has, and exits 1 if any does, else 0.
 Reports are written to a new temporary directory, which is removed when
@@ -28,6 +29,17 @@ from bench_pairs import ROOT, extract
 
 SUITE_SEEDS = (7, 21, 901)
 WITNESS_SEEDS = (3, 13)
+#: |f| = 0.5 and |g| = 1 on [-5, 5] with turning phases, so the level
+#: integral stays at 5.5 and the instance is in the level-11 set
+COMPLEX_F = json.dumps([[x, 0.3, 0.4] if x % 2 == 0 else [x, -0.4, 0.3] for x in range(-5, 6)])
+COMPLEX_G = json.dumps([[x, 0.6, -0.8] if x % 2 == 0 else [x, -0.8, -0.6]
+                        for x in range(-5, 6)])
+WITNESS_RUNS = {
+    "witness-complex-probes100": ["porosity", "witness", "--probes", "100",
+                                  "--f", COMPLEX_F, "--g", COMPLEX_G],
+    "witness-vradius2-window64-probes100": ["porosity", "witness", "--probes", "100",
+                                            "--v-radius", "2", "--window", "64"],
+}
 
 _GOLDEN = ("import json, sys; sys.path[:0] = ['tests', 'src']; import test_golden as g; "
            "print(json.dumps({'runs': g.RUNS, 'pairs': g.PAIR_SPECS}))")
@@ -44,6 +56,7 @@ def commands() -> dict[str, list[str]]:
             runs[f"witness-{pair}-probes100-seed{seed}"] = [
                 "porosity", "witness", "--probes", "100", "--seed", str(seed),
                 "--nfunction", spec]
+    runs.update(WITNESS_RUNS)
     runs.update({f"golden-{name}": list(argv) for name, argv in golden["runs"].items()})
     return runs
 

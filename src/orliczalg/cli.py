@@ -42,6 +42,7 @@ import os
 import sys
 import time
 from dataclasses import dataclass, field
+from functools import cached_property
 from random import Random
 
 from . import __version__
@@ -578,59 +579,110 @@ def _run_suite(args, cfg: RunConfig) -> Report:
 # argument wiring
 # ---------------------------------------------------------------------------
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The argument tree. When ``command`` names a handler, only that command
+    gets its verbs and options; the others are registered by name alone, so
+    the usage line and the choices of every error message stay the same.
+    Any other ``command`` (None included) builds the whole tree."""
     parser = argparse.ArgumentParser(
         prog="orliczalg",
         description="Desk-scale numerics for Orlicz convolution algebras")
     parser.add_argument("--version", action="version", version=__version__)
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=None, help="global RNG seed")
-    common.add_argument("--format", choices=("machine", "human"), default=None)
-    common.add_argument("--output", default=None, help="write the report here")
-    common.add_argument("--tol-slack", dest="tol_slack", type=finite_float, default=None,
-                        help="slack tolerance for inequality checks")
-    common.add_argument("--tol-value", dest="tol_value", type=finite_float, default=None,
-                        help="tolerance for exactness checks")
-    group = argparse.ArgumentParser(add_help=False)
-    group.add_argument("--group", required=True, help="group spec (path or JSON)")
-    nfunction = argparse.ArgumentParser(add_help=False)
-    nfunction.add_argument("--nfunction", required=True, help="N-function spec (path or JSON)")
-    function = argparse.ArgumentParser(add_help=False)
-    function.add_argument("--function", required=True, help="function data (path or JSON)")
-    operands = argparse.ArgumentParser(add_help=False)
-    operands.add_argument("--left", required=True, help="function data (path or JSON)")
-    operands.add_argument("--right", required=True, help="function data (path or JSON)")
-    on_pair = [common, group, nfunction]
     tops = parser.add_subparsers(dest="command", required=True)
+    whole = command not in _COMMANDS
+    parents = _Parents()
+    for name, (_, add) in _COMMANDS.items():
+        if whole or name == command:
+            add(tops, parents)
+        else:
+            # never parses: argv[0] picks the one command that is built
+            tops.add_parser(name, add_help=False)
+    return parser
 
+
+class _Parents:
+    """The option groups that verbs inherit as argparse parents, each built
+    on first use, so a one-command tree builds only those it needs."""
+
+    @cached_property
+    def common(self) -> argparse.ArgumentParser:
+        common = argparse.ArgumentParser(add_help=False)
+        common.add_argument("--seed", type=int, default=None, help="global RNG seed")
+        common.add_argument("--format", choices=("machine", "human"), default=None)
+        common.add_argument("--output", default=None, help="write the report here")
+        common.add_argument("--tol-slack", dest="tol_slack", type=finite_float, default=None,
+                            help="slack tolerance for inequality checks")
+        common.add_argument("--tol-value", dest="tol_value", type=finite_float, default=None,
+                            help="tolerance for exactness checks")
+        return common
+
+    @cached_property
+    def group(self) -> argparse.ArgumentParser:
+        return _option_parent(("--group", "group spec (path or JSON)"))
+
+    @cached_property
+    def nfunction(self) -> argparse.ArgumentParser:
+        return _option_parent(("--nfunction", "N-function spec (path or JSON)"))
+
+    @cached_property
+    def function(self) -> argparse.ArgumentParser:
+        return _option_parent(("--function", "function data (path or JSON)"))
+
+    @cached_property
+    def operands(self) -> argparse.ArgumentParser:
+        return _option_parent(("--left", "function data (path or JSON)"),
+                              ("--right", "function data (path or JSON)"))
+
+    @property
+    def on_pair(self) -> list[argparse.ArgumentParser]:
+        return [self.common, self.group, self.nfunction]
+
+
+def _option_parent(*options: tuple[str, str]) -> argparse.ArgumentParser:
+    """A parent parser of required string options, given as (flag, help)."""
+    parent = argparse.ArgumentParser(add_help=False)
+    for flag, text in options:
+        parent.add_argument(flag, required=True, help=text)
+    return parent
+
+
+def _add_nfunc(tops, o: _Parents) -> None:
     nfunc = tops.add_parser("nfunc").add_subparsers(dest="nfunc_verb", required=True)
-    nfunc.add_parser("conjugate", parents=[common, nfunction]).add_argument(
+    nfunc.add_parser("conjugate", parents=[o.common, o.nfunction]).add_argument(
         "--points", default=None, help="comma-separated ordinates")
-    nfunc.add_parser("check", parents=[common, nfunction])
+    nfunc.add_parser("check", parents=[o.common, o.nfunction])
 
+
+def _add_norm(tops, o: _Parents) -> None:
     norm = tops.add_parser("norm").add_subparsers(dest="norm_verb", required=True)
     for verb in ("modular", "luxemburg", "orlicz"):
-        norm.add_parser(verb, parents=[*on_pair, function])
-    norm.add_parser("charfn", parents=on_pair).add_argument(
+        norm.add_parser(verb, parents=[*o.on_pair, o.function])
+    norm.add_parser("charfn", parents=o.on_pair).add_argument(
         "--subset", required=True, help="JSON list of elements")
 
+
+def _add_group(tops, o: _Parents) -> None:
     grp = tops.add_parser("group").add_subparsers(dest="group_verb", required=True)
-    grp.add_parser("check", parents=[common, group])
-    grp.add_parser("convolve", parents=[common, group, operands]).add_argument(
+    grp.add_parser("check", parents=[o.common, o.group])
+    grp.add_parser("convolve", parents=[o.common, o.group, o.operands]).add_argument(
         "--save", default=None)
-    gl = grp.add_parser("leptin", parents=[common, group])
+    gl = grp.add_parser("leptin", parents=[o.common, o.group])
     gl.add_argument("--compact", required=True, help="JSON list of elements")
     gl.add_argument("--epsilon", type=finite_float, required=True)
 
+
+def _add_aphi(tops, o: _Parents) -> None:
     aphi = tops.add_parser("aphi").add_subparsers(dest="aphi_verb", required=True)
-    aphi.add_parser("bound", parents=[*on_pair, function])
-    ap = aphi.add_parser("plateau", parents=on_pair)
+    aphi.add_parser("bound", parents=[*o.on_pair, o.function])
+    ap = aphi.add_parser("plateau", parents=o.on_pair)
     ap.add_argument("--set", required=True, help="JSON list of elements")
     ap.add_argument("--epsilon", type=finite_float, default=1.0)
-    aphi.add_parser("submult", parents=[*on_pair, operands])
+    aphi.add_parser("submult", parents=[*o.on_pair, o.operands])
 
+
+def _add_porosity(tops, o: _Parents) -> None:
     por = tops.add_parser("porosity").add_subparsers(dest="porosity_verb", required=True)
-    pw = por.add_parser("witness", parents=[common])
+    pw = por.add_parser("witness", parents=[o.common])
     pw.add_argument("--nfunction", default='{"kind": "power", "p": 2}')
     pw.add_argument("--n", type=positive_count, default=11)
     pw.add_argument("--R", dest="ball_radius", type=finite_float, default=32.0)
@@ -641,48 +693,59 @@ def _build_parser() -> argparse.ArgumentParser:
     pw.add_argument("--f", default=None, help="left function data")
     pw.add_argument("--g", default=None, help="right function data")
 
+
+def _add_segal(tops, o: _Parents) -> None:
     seg = tops.add_parser("segal").add_subparsers(dest="segal_verb", required=True)
-    seg.add_parser("report", parents=on_pair).add_argument(
+    seg.add_parser("report", parents=o.on_pair).add_argument(
         "--samples", type=positive_count, default=20)
+
+
+def _add_unit(tops, o: _Parents) -> None:
     unit = tops.add_parser("unit").add_subparsers(dest="unit_verb", required=True)
-    unit.add_parser("check", parents=on_pair).add_argument(
+    unit.add_parser("check", parents=o.on_pair).add_argument(
         "--epsilon", type=finite_float, default=1.0)
 
+
+def _add_characters(tops, o: _Parents) -> None:
     chars = tops.add_parser("characters").add_subparsers(dest="characters_verb",
                                                          required=True)
     for verb in ("enumerate", "brute"):
-        chars.add_parser(verb, parents=[common, group])
+        chars.add_parser(verb, parents=[o.common, o.group])
 
-    suite = tops.add_parser("suite", parents=[common])
+
+def _add_suite(tops, o: _Parents) -> None:
+    suite = tops.add_parser("suite", parents=[o.common])
     suite.add_argument("--groups", default=None,
                        help="comma-separated names or specs (default battery); '' for empty")
     suite.add_argument("--pairs", default=None)
     suite.add_argument("--samples", type=positive_count, default=8)
     suite.add_argument("--probes", type=positive_count, default=20)
-    return parser
 
 
-_HANDLERS = {
-    "nfunc": _run_nfunc,
-    "norm": _run_norm,
-    "group": _run_group,
-    "aphi": _run_aphi,
-    "porosity": _run_porosity,
-    "segal": _run_segal,
-    "unit": _run_unit,
-    "characters": _run_characters,
-    "suite": _run_suite,
+#: command name -> (handler, builder of its argument subtree), in usage order
+_COMMANDS = {
+    "nfunc": (_run_nfunc, _add_nfunc),
+    "norm": (_run_norm, _add_norm),
+    "group": (_run_group, _add_group),
+    "aphi": (_run_aphi, _add_aphi),
+    "porosity": (_run_porosity, _add_porosity),
+    "segal": (_run_segal, _add_segal),
+    "unit": (_run_unit, _add_unit),
+    "characters": (_run_characters, _add_characters),
+    "suite": (_run_suite, _add_suite),
 }
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = _build_parser(argv[0] if argv else None).parse_args(argv)
     started = time.monotonic()
     try:
         cfg = _load_config(args)
         with shared_solves():
-            report = _HANDLERS[args.command](args, cfg)
+            run, _ = _COMMANDS[args.command]
+            report = run(args, cfg)
         cfg.echo(report)
         wall = time.monotonic() - started
         text = report.render(cfg.format, wall_clock=wall if cfg.format == "human" else None)

@@ -333,8 +333,17 @@ def _amemiya_solve(phi: NFunction, f: GroupFunction) -> tuple[float, float, int]
 
 
 def holder_pairing(f: GroupFunction, g: GroupFunction) -> float:
-    """sum |f g| dlam; at most ||f||_Phi whenever N_Psi(g) <= 1."""
+    """sum |f g| dlam; at most ||f||_Phi whenever N_Psi(g) <= 1.
+
+    ScopeError where f and g are finite but a term |f(x) g(x)| overflows
+    before its weight brings it back: sup|f| is past the float range of the
+    pairing. A non-finite f or g gives a non-finite sum.
+    """
     if f.space is not g.space:
         raise ScopeError("pairing needs functions on the same space")
     w = f.space.haar_weight
-    return sum(abs(v) * abs(g(x)) * w for x, v in f.items())
+    total = sum(abs(v) * abs(g(x)) * w for x, v in f.items())
+    if total == math.inf and math.isfinite(f.sup_norm()) and math.isfinite(g.sup_norm()):
+        raise ScopeError(f"sup|f| = {f.sup_norm():g} is above the float range of the "
+                         "pairing sum |f g| dlam: it overflows")
+    return total

@@ -26,8 +26,14 @@ bound. The steps are concrete on a window:
    (intersection norm). The bumps are one certified plateau over
    {-1, 0, 1} moved by translation, which keeps values and costs bit for
    bit under counting measure; so the window must hold the bump's support
-   at every probe position in [-hw, hw], hw = max(4, W // 4),
-6. for each probe, find x in V with sum_y |h(y)| |k(y - x)| > n.
+   at every probe position in [-hw, hw], hw = max(4, W // 4). A probe
+   h = f~ + delta f, k = g~ + delta g is never built as a function: it is
+   read as the maps y -> |h(y)| and y -> |k(y)| on the supports, made from
+   the values of f~ and g~ and the drawn summand with the same complex
+   additions ``GroupFunction.__add__`` makes, in carrier order,
+6. for each probe, find x in V with sum_y |h(y)| |k(y - x)| > n. The max
+   over V is one kernel, ``_level_max``, which ``level_membership`` (the
+   membership test of ``make_instance``) calls as well.
 
 ``PorosityWitness.checks`` is the one definition of the witness's clauses:
 ``build_witness`` raises the failing ones as a contradiction of a proved
@@ -85,21 +91,34 @@ def level_membership(f: GroupFunction, g: GroupFunction, n: float,
     space = f.space
     if f.space is not g.space:
         raise ScopeError("level membership needs functions on one space")
-    best, best_x = -math.inf, None
-    for x in _ball(space, v_radius):
-        val = level_integral(f, g, x)
-        if val > best:
-            best, best_x = val, x
+    if not space.is_window:
+        raise ScopeError("level sets are defined on integer windows here")
+    if v_radius > space.window_radius:
+        raise ScopeError(f"neighborhood radius {v_radius} exceeds the window "
+                         f"{space.window_radius}")
+    best, best_x = _level_max(_abs_values(f), _abs_values(g), space.haar_weight, v_radius)
     return best <= n, best, best_x
 
 
-def _ball(space: GroupSpace, radius: int) -> list:
-    if space.is_window:
-        w = space.window_radius
-        if radius > w:
-            raise ScopeError(f"neighborhood radius {radius} exceeds the window {w}")
-        return list(range(-radius, radius + 1))
-    raise ScopeError("level sets are defined on integer windows here")
+def _abs_values(f: GroupFunction) -> dict:
+    """|f| on supp f, in carrier order."""
+    return {y: abs(v) for y, v in f.items()}
+
+
+def _level_max(f_abs: dict, g_abs: dict, w: float, radius: int) -> tuple[float, object]:
+    """(max, arg max) over x in [-radius, radius] of the level integral on a
+    window, sum_y |f(y)| |g(y - x)| w in the carrier order of y, read from
+    the maps y -> |f(y)| and z -> |g(z)| of the two supports."""
+    best, best_x = -math.inf, None
+    for x in range(-radius, radius + 1):
+        total = 0.0
+        for y, fy in f_abs.items():
+            gz = g_abs.get(y - x)
+            if gz is not None:
+                total += fy * gz * w
+        if total > best:
+            best, best_x = total, x
+    return best, best_x
 
 
 def supports_touch_boundary(f: GroupFunction, g: GroupFunction) -> bool:
@@ -307,18 +326,20 @@ def build_witness(inst: PorosityInstance, pair: ComplementaryPair, *,
     kappa_phi, kappa_psi = _atom_costs(space, pair)
     bump = build_plateau(space, range(-1, 2), pair, 1.0)
     _require_certified(space, bump[1], "probe bump", shift=_probe_half_width)
+    f_values, g_values = dict(f_tilde.items()), dict(g_tilde.items())
+    f_abs, g_abs = _abs_values(f_tilde), _abs_values(g_tilde)
     probes = []
     for idx in range(probe_count):
         delta_f, df_fn = _draw_perturbation(space, *bump, rng, R, kappa_phi, kappa_psi,
                                             intersection=False)
         delta_g, dg_fn = _draw_perturbation(space, *bump, rng, R, kappa_phi, kappa_psi,
                                             intersection=True)
-        h = f_tilde + df_fn
-        k = g_tilde + dg_fn
-        h_min = min(abs(h(x)) for x in K)
-        k_min = min(abs(k(x)) for x in K)
+        h = _perturbed_abs(f_values, f_abs, df_fn)
+        k = _perturbed_abs(g_values, g_abs, dg_fn)
+        h_min = min(h.get(x, 0.0) for x in K)
+        k_min = min(k.get(x, 0.0) for x in K)
         u_rad = _certified_neighborhood(space, k, K, R, r)
-        _, best_val, best_x = level_membership(h, k, inst.n, r)
+        best_val, best_x = _level_max(h, k, space.haar_weight, r)
         probes.append(ProbeRecord(index=idx, delta_f=delta_f, delta_g=delta_g,
                                   budget_f=delta_f.cost_phi,
                                   budget_g=delta_g.cost_phi + delta_g.cost_psi,
@@ -407,12 +428,36 @@ def _draw_perturbation(space: GroupSpace, bump: GroupFunction, bump_cert: Platea
                         cost_psi=abs(amp) * bump_cert.cost_psi), moved.scale(amp)
 
 
-def _certified_neighborhood(space: GroupSpace, k: GroupFunction, K: tuple,
+def _perturbed_abs(values: dict, values_abs: dict, delta: GroupFunction) -> dict:
+    """|c + delta| on its support, in carrier order, where ``values`` maps
+    supp c to c and ``values_abs`` to |c|.
+
+    Each value is the one ``c + delta`` would hold: c(y) + delta(y), a
+    point new to the support starting from 0j. Zeros leave the map, and
+    keys are re-sorted only when delta adds a point.
+    """
+    out = dict(values_abs)
+    grew = False
+    for y, d in delta.items():
+        old = values.get(y)
+        if old is None:
+            grew, old = True, 0j
+        v = old + d
+        if v != 0:
+            out[y] = abs(v)
+        else:
+            del out[y]
+    if grew:
+        out = {y: out[y] for y in sorted(out, key=delta.space.index)}
+    return out
+
+
+def _certified_neighborhood(space: GroupSpace, k_abs: dict, K: tuple,
                             R: float, r: int) -> int:
     """Largest rho <= r with |k| > R/32 on [-rho, rho] + K (rho = 0 always
-    holds when |k| > R/32 on K itself)."""
+    holds when |k| > R/32 on K itself); ``k_abs`` maps supp k to |k|."""
     for rho in range(r, -1, -1):
-        if all(abs(k(x + j)) > R / 32.0 for x in K for j in range(-rho, rho + 1)
+        if all(k_abs.get(x + j, 0.0) > R / 32.0 for x in K for j in range(-rho, rho + 1)
                if abs(x + j) <= space.window_radius):
             return rho
     return 0

@@ -327,6 +327,27 @@ def _verify_homomorphism(space: GroupSpace, c: Character, generators) -> None:
                     f"character fails w(st) = w(s) w(t) at ({x!r}, {g!r})")
 
 
+def _closure_order(n: int, e_idx: int, products: dict) -> list[int]:
+    """The carrier indices other than e_idx in closure order: the first
+    unassigned index in carrier order, then, repeatedly, the first
+    unassigned one that is a product of two assigned ones, and a new
+    generator only when no such product is left. ``products`` maps (i, j),
+    i <= j, to the index of the product."""
+    assigned, reached = {e_idx}, [False] * n
+    reached[e_idx] = True
+    order: list[int] = []
+    while len(order) < n - 1:
+        nxt = next((i for i in range(n) if reached[i] and i not in assigned),
+                   None)
+        if nxt is None:
+            nxt = next(i for i in range(n) if i not in assigned)
+        assigned.add(nxt)
+        order.append(nxt)
+        for j in assigned:
+            reached[products[min(j, nxt), max(j, nxt)]] = True
+    return order
+
+
 def multiplicative_functional_search(space: GroupSpace,
                                      tolerance: float = 1e-9) -> CharacterSet:
     """Independent oracle: exhaustive root-of-unity weight search, pruned.
@@ -337,10 +358,12 @@ def multiplicative_functional_search(space: GroupSpace,
     is forced: delta_e * delta_e = delta_e / |G|, so a nonzero functional
     cannot kill delta_e. Boundedness of the functionals is automatic at
     finite scale.
-    Exponents mod L are tried depth-first in carrier order, the identity
-    fixed at 0. Each table triple (a, b, ab) is checked at the depth that
-    assigns its last member, so every vector that survives the last depth
-    satisfies the whole table and every vector that is cut breaks it.
+    Exponents mod L are tried depth-first in closure order
+    (``_closure_order``), the identity fixed at 0, so every element after
+    a generator is pinned by a table triple at its own depth. Each table
+    triple (a, b, ab) is checked at the depth that assigns its last
+    member, so every vector that survives the last depth satisfies the
+    whole table and every vector that is cut breaks it.
     ``tolerance`` gates a float spot-check of the convolution identity.
     Raises ScopeError after SEARCH_NODE_LIMIT exponent trials.
     """
@@ -348,16 +371,17 @@ def multiplicative_functional_search(space: GroupSpace,
     L, _ = group_exponent(space)
     e_idx = space.index(space.identity)
     n = space.size
-    order = [i for i in range(n) if i != e_idx]
+    # abelian: (a, b) and (b, a) give one product and one constraint
+    products = {(ia, ib): space.index(space.mul(a, space.elements[ib]))
+                for ia, a in enumerate(space.elements) for ib in range(ia, n)}
+    order = _closure_order(n, e_idx, products)
     depth_of = {i: d for d, i in enumerate(order)}
     depth_of[e_idx] = -1
     checks: list[list[tuple[int, int, int]]] = [[] for _ in order]
-    for ia, a in enumerate(space.elements):
-        for ib in range(ia, n):  # abelian: (a, b) and (b, a) give one constraint
-            ic = space.index(space.mul(a, space.elements[ib]))
-            last = max(depth_of[ia], depth_of[ib], depth_of[ic])
-            if last >= 0:
-                checks[last].append((ia, ib, ic))
+    for (ia, ib), ic in products.items():
+        last = max(depth_of[ia], depth_of[ib], depth_of[ic])
+        if last >= 0:
+            checks[last].append((ia, ib, ic))
     # an explicit stack, not recursion: the depth |G| - 1 can pass the recursion limit
     expo = [0] * n
     next_k = [0] * len(order)

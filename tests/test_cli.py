@@ -1,6 +1,7 @@
 """CLI behavior: verbs, exit codes, strict parsing, reproducible reports."""
 
 import dataclasses
+import functools
 import io
 import json
 import math
@@ -9,7 +10,7 @@ import re
 import subprocess
 import sys
 import time
-from contextlib import redirect_stdout
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
@@ -30,6 +31,7 @@ from orliczalg.errors import TheoremContradictionError
 from orliczalg.groups import GroupFunction, convolve, integer_window, leptin_search, set_product
 from orliczalg.nfunctions import CATALOG_PAIR_NAMES, ComplementaryPair, power
 from orliczalg.specio import Report, function_from_rows, group_from_spec, pair_from_name
+from test_golden import RUNS as GOLDEN_RUNS
 
 Z8 = '{"type": "Zn", "n": 8}'
 QUAD = '{"kind": "power", "p": 2}'
@@ -37,7 +39,32 @@ CHI_HALF = json.dumps([[x, 1, 0] for x in range(4)])
 GOLDEN_DIR = Path(__file__).with_name("golden")
 
 
+@functools.cache
+def parser_tree(command=None):
+    """``cli._build_parser(command)``, built once: None gives the whole tree."""
+    return cli._build_parser(command)
+
+
+def parse_outcome(parser, argv):
+    """(Namespace or None, exit code or None, stdout, stderr) of parsing argv."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            args, code = parser.parse_args(argv), None
+        except SystemExit as exc:
+            args, code = None, exc.code
+    return args, code, out.getvalue(), err.getvalue()
+
+
+def assert_one_command_tree_parses_alike(argv):
+    """The tree ``main`` builds for argv parses it as the whole tree does."""
+    argv = list(argv)
+    assert parse_outcome(parser_tree(argv[0] if argv else None), argv) == \
+        parse_outcome(parser_tree(), argv)
+
+
 def run_cli(capsys, *argv):
+    assert_one_command_tree_parses_alike(argv)
     code = cli.main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
@@ -1067,7 +1094,9 @@ def test_unreadable_spec_path_exits_2(capsys, tmp_path, monkeypatch, where, kind
 
 
 def test_witness_whose_probes_do_not_violate_exits_4(capsys, monkeypatch):
-    monkeypatch.setattr(porosity, "level_membership", lambda h, k, n, r: (True, float(n), 0))
+    # the shared level kernel reads every integral as n = 11: the instance is
+    # a member and no probe violates
+    monkeypatch.setattr(porosity, "_level_max", lambda f_abs, g_abs, w, r: (11.0, 0))
     code, out, err = run_cli(capsys, "porosity", "witness", "--probes", "2")
     assert (code, out) == (4, "")
     assert "witness checks failed: all-probes-violate" in err
@@ -1158,3 +1187,73 @@ def test_main_leaves_no_solve_scope_active(capsys, monkeypatch, argv, expected, 
     assert code == expected
     assert seen and all(isinstance(memo, dict) for memo in seen)
     assert norms._SOLVES.get() is None
+
+
+# -- the one-command argument tree ----------------------------------------------
+
+COMMAND_VERBS = {"nfunc": "check", "norm": "modular", "group": "check", "aphi": "bound",
+                 "porosity": "witness", "segal": "report", "unit": "check",
+                 "characters": "brute"}
+TREE_ARGVS = [[], ["--help"], ["--version"], ["frobnicate"], ["frobnicate", "--help"],
+              ["--seed", "3", "suite"], ["suite", "--help"], ["suite", "--bogus"],
+              ["porosity", "witness", "--probes", "0"], ["norm", "modular", "--group", Z8]]
+for _command, _verb in COMMAND_VERBS.items():
+    TREE_ARGVS += [[_command], [_command, "--help"], [_command, _verb, "--help"],
+                   [_command, "frobnicate"]]
+
+
+@pytest.mark.parametrize("argv", [list(argv) for argv in GOLDEN_RUNS.values()] + TREE_ARGVS,
+                         ids=" ".join)
+def test_one_command_tree_parses_like_the_whole_tree(argv):
+    assert_one_command_tree_parses_alike(argv)
+
+
+def test_main_builds_only_the_named_command(capsys, monkeypatch):
+    built, build = [], cli._build_parser
+
+    def spy(command=None):
+        built.append(command)
+        return build(command)
+
+    monkeypatch.setattr(cli, "_build_parser", spy)
+    assert cli.main(["unit", "check", "--group", Z8, "--nfunction", QUAD]) == 0
+    with pytest.raises(SystemExit):
+        cli.main(["--help"])
+    capsys.readouterr()
+    assert built == ["unit", "--help"]
+    # a command that is not the one built is registered by name alone
+    assert parse_outcome(parser_tree("unit"), ["group", "check", "--group", Z8])[1] == 2
+    assert parse_outcome(parser_tree(), ["group", "check", "--group", Z8])[1] is None
+
+
+HUGE = ("norm", "orlicz", "--group", '{"type":"Zn","n":4}',
+        "--nfunction", '{"kind":"power","p":2}', "--function")
+
+
+def test_pairing_past_the_float_range_exits_3(capsys):
+    code, out, err = run_cli(capsys, *HUGE, "[[0, 1e308, 0]]")
+    assert (code, out) == (3, "")
+    assert err == ("scope error: sup|f| = 1e+308 is above the float range of the "
+                   "pairing sum |f g| dlam: it overflows\n")
+
+
+def test_pairing_just_inside_the_float_range_keeps_its_report(capsys):
+    code, out, _ = run_cli(capsys, *HUGE, "[[0, 5e307, 0]]")
+    assert code == 0
+    assert out == (
+        "verb=norm orlicz\n"
+        "group=Z4\n"
+        "nfunction=power(p=2)\n"
+        "support-size=1\n"
+        "value=3.535533905932738e+307\n"
+        "method=amemiya-min\n"
+        "oracle-value=3.5355339059327204e+307\n"
+        "provenance=computed (minimization) vs computed (dual point at the Amemiya root)\n"
+        "check.oracle-agreement=pass slack=3.535533888469135e+301\n"
+        "check.norm-equivalence=pass slack=1.696464263104512e+293\n"
+        "config.seed=0 (default)\n"
+        "config.format=machine (default)\n"
+        "config.output=None (default)\n"
+        "config.tol_slack=1e-09 (default)\n"
+        "config.tol_value=1e-12 (default)\n"
+        "passed=true\n")

@@ -714,3 +714,17 @@ def test_outside_a_scope_every_call_solves(counted):
         luxemburg(pair.phi, f)
         orlicz_norm(pair, f, cross_check=False)
     assert counted["luxemburg"] == counted["amemiya"] == 3
+
+
+def test_pairing_overflow_of_finite_functions_is_out_of_scope():
+    z4 = cyclic(4)
+    f = GroupFunction.delta(z4, 0, 1e308)
+    with pytest.raises(ScopeError, match=r"sup\|f\| = 1e\+308 is above the float range"):
+        holder_pairing(f, GroupFunction.delta(z4, 0, 4.0))
+    with pytest.raises(ScopeError, match=r"sup\|f\| = 1e\+308"):
+        orlicz_norm(pair_power(2.0), f)
+    # a non-finite g is no scale problem: the sum reads inf, which the dual
+    # point reports as oracle-nonconvergence
+    assert holder_pairing(f, GroupFunction.delta(z4, 0, math.inf)) == math.inf
+    assert holder_pairing(GroupFunction.delta(z4, 0, 5e307),
+                          GroupFunction.delta(z4, 0, 2.0)) == 2.5e307

@@ -1,5 +1,6 @@
 """Level-set membership and the avoidance-pair witness pipeline."""
 
+import cmath
 import dataclasses
 import math
 from random import Random
@@ -14,10 +15,17 @@ from orliczalg.errors import (
     ScopeError,
     TheoremContradictionError,
 )
-from orliczalg.groups import GroupFunction, cyclic, integer_window, translate_left
+from orliczalg.groups import (
+    GroupFunction,
+    cyclic,
+    integer_window,
+    random_function,
+    translate_left,
+)
 from orliczalg.nfunctions import pair_power
 from orliczalg.porosity import (
     Perturbation,
+    ProbeRecord,
     build_witness,
     level_integral,
     level_membership,
@@ -227,6 +235,133 @@ def test_witness_probes_equal_fresh_bump_path(window, box, fresh_bumps, monkeypa
     assert moved.probes == fresh.probes
 
 
+# -- the probe path against GroupFunction sums -----------------------------------
+
+def _reference_neighborhood(space, k, K, R, r):
+    """Largest rho <= r with |k| > R/32 on [-rho, rho] + K, read through k(x)."""
+    for rho in range(r, -1, -1):
+        if all(abs(k(x + j)) > R / 32.0 for x in K for j in range(-rho, rho + 1)
+               if abs(x + j) <= space.window_radius):
+            return rho
+    return 0
+
+
+def _reference_level_max(h, k, r):
+    """(max, arg max) of level_integral over [-r, r], the first maximum kept."""
+    best, best_x = -math.inf, None
+    for x in range(-r, r + 1):
+        val = level_integral(h, k, x)
+        if val > best:
+            best, best_x = val, x
+    return best, best_x
+
+
+def reference_probes(inst, pair, wit, probe_count, seed):
+    """wit's probes evaluated on h = f~ + delta f and k = g~ + delta g built as
+    GroupFunctions, with the draws of the same seed."""
+    space, R, r, K = inst.f.space, inst.radius, inst.v_radius, wit.collected
+    s1, s2 = wit.quadrant
+    f_tilde = inst.f + wit.u.scale(s1 * R / 8.0)
+    g_tilde = inst.g + wit.u.scale(s2 * R / 16.0)
+    rng = Random(seed)
+    kappa = porosity._atom_costs(space, pair)
+    bump = build_plateau(space, range(-1, 2), pair, 1.0)
+    records = []
+    for idx in range(probe_count):
+        delta_f, df = porosity._draw_perturbation(space, *bump, rng, R, *kappa,
+                                                  intersection=False)
+        delta_g, dg = porosity._draw_perturbation(space, *bump, rng, R, *kappa,
+                                                  intersection=True)
+        h, k = f_tilde + df, g_tilde + dg
+        best, best_x = _reference_level_max(h, k, r)
+        records.append(ProbeRecord(
+            index=idx, delta_f=delta_f, delta_g=delta_g, budget_f=delta_f.cost_phi,
+            budget_g=delta_g.cost_phi + delta_g.cost_psi,
+            h_min_on_k=min(abs(h(x)) for x in K), k_min_on_k=min(abs(k(x)) for x in K),
+            certified_u_radius=_reference_neighborhood(space, k, K, R, r),
+            violating_x=best_x, integral_value=best))
+    return tuple(records)
+
+
+def _complex_on_box(window, modulus, turn):
+    """modulus * e^{i turn x} on [-5, 5]."""
+    return GroupFunction(window, {x: cmath.rect(modulus, turn * x) for x in range(-5, 6)})
+
+
+@pytest.fixture(scope="module")
+def complex_pair(window):
+    # |f||g| = 0.5 <= 1 on [-5, 5]: the level integral stays below 11
+    return _complex_on_box(window, 0.5, 0.7), _complex_on_box(window, 1.0, -1.9)
+
+
+@pytest.mark.parametrize("seed", [1, 21])
+@pytest.mark.parametrize("name", CATALOG)
+@pytest.mark.parametrize("values", ["box", "complex"])
+def test_probes_equal_the_group_function_reference(box, complex_pair, values, name, seed):
+    f, g = (box, box) if values == "box" else complex_pair
+    inst = make_instance(f, g, 11, 32.0, 1)
+    pair = pair_from_name(name)
+    wit = build_witness(inst, pair, probe_count=40, seed=seed)
+    assert wit.probes == reference_probes(inst, pair, wit, 40, seed)
+
+
+def test_probes_equal_the_reference_with_a_wider_neighborhood(box):
+    inst = make_instance(box, box, 11, 32.0, 2)
+    pair = pair_from_name("entropy")
+    wit = build_witness(inst, pair, probe_count=40, seed=5)
+    assert {p.violating_x for p in wit.probes} <= set(range(-2, 3))
+    assert wit.probes == reference_probes(inst, pair, wit, 40, 5)
+
+
+def test_perturbation_that_cancels_a_value_leaves_the_support(window, box, monkeypatch):
+    inst = make_instance(box, box, 11, 32.0, 1)
+    pair = pair_power(2.0)
+    plain = build_witness(inst, pair, probe_count=10, seed=3)
+    y = plain.collected[0]
+    f_tilde = inst.f + plain.u.scale(plain.quadrant[0] * inst.radius / 8.0)
+    cancel = GroupFunction.delta(window, y, -f_tilde(y))
+    assert (f_tilde + cancel).support == tuple(x for x in f_tilde.support if x != y)
+    f_values = dict(f_tilde.items())
+    f_abs = {x: abs(v) for x, v in f_tilde.items()}
+    h = porosity._perturbed_abs(f_values, f_abs, cancel)
+    assert y not in h and list(h) == [x for x in f_abs if x != y]
+    real = porosity._draw_perturbation
+
+    def cancelling(space, *args, intersection):
+        delta, fn = real(space, *args, intersection=intersection)
+        if intersection:
+            return delta, fn
+        return dataclasses.replace(delta, kind="atom", position=y, amplitude=-f_tilde(y)), cancel
+
+    monkeypatch.setattr(porosity, "_draw_perturbation", cancelling)
+    wit = build_witness(inst, pair, probe_count=10, seed=3)
+    assert all(p.h_min_on_k == 0.0 for p in wit.probes)
+    assert wit.probes == reference_probes(inst, pair, wit, 10, 3)
+
+
+def test_perturbed_abs_equals_the_group_function_sum(window):
+    rng = Random(8)
+    for _ in range(50):
+        c = random_function(window, rng, support_size=rng.randint(0, 12))
+        delta = random_function(window, rng, support_size=rng.randint(1, 4))
+        if rng.random() < 0.5:      # overlap the supports
+            delta = GroupFunction(window, {x: v for x, (_, v) in zip(c.support, delta.items())})
+        want = {x: abs(v) for x, v in (c + delta).items()}
+        got = porosity._perturbed_abs(dict(c.items()), {x: abs(v) for x, v in c.items()},
+                                      delta)
+        assert list(got.items()) == list(want.items())
+
+
+def test_level_membership_equals_the_level_integral_maximum(window):
+    rng = Random(4)
+    for r in (1, 2, 3):
+        for _ in range(10):
+            f = random_function(window, rng, support_size=rng.randint(0, 20))
+            g = random_function(window, rng, support_size=rng.randint(0, 20))
+            _, best, best_x = level_membership(f, g, 11, r)
+            assert (best, best_x) == _reference_level_max(f, g, r)
+
+
 # -- windows that would truncate a plateau ------------------------------------
 
 @pytest.mark.parametrize("radius", [7, 8, 9])
@@ -282,7 +417,8 @@ def test_failed_probe_bump_certificate_raises(window, box, monkeypatch):
 def test_witness_whose_probes_do_not_violate_raises_with_the_failing_check(
         window, box, monkeypatch):
     inst = make_instance(box, box, 11, 32.0, 1)
-    monkeypatch.setattr(porosity, "level_membership", lambda h, k, n, r: (True, float(n), 0))
+    monkeypatch.setattr(porosity, "_level_max",
+                        lambda f_abs, g_abs, w, r: (float(inst.n), 0))
     with pytest.raises(TheoremContradictionError) as info:
         build_witness(inst, pair_power(2.0), probe_count=3, seed=3)
     state = info.value.state

@@ -5,7 +5,7 @@ import itertools
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from orliczalg.errors import OrliczAlgebraError, ScopeError
@@ -213,7 +213,13 @@ def test_search_equals_the_product_reference(space):
     assert multiplicative_functional_search(space).exponent_set() == product_reference(space)
 
 
+# Z15 in a carrier order that passed the cap while exponents were assigned in
+# carrier order; the closure order pins each element after a generator at once
+Z15_PERM = [0, 4, 13, 7, 1, 10, 14, 3, 8, 9, 5, 12, 11, 2, 6]
+
+
 @settings(max_examples=60, deadline=None)
+@example(("Z15", Z15_PERM))
 @given(st.sampled_from(SMALL_ABELIAN).flatmap(
     lambda name: st.tuples(st.just(name),
                            st.permutations(range(group_from_name(name).size)))))
@@ -226,6 +232,16 @@ def test_search_follows_a_random_relabelling_of_the_carrier(name_and_perm):
     searched = multiplicative_functional_search(table)
     assert searched.exponent_set() == moved
     assert len(searched) == space.size
+
+
+def test_search_on_the_relabelled_z15_makes_2940_trials(monkeypatch):
+    import orliczalg.structure as structure
+    table = relabelled(cyclic(15), Z15_PERM)
+    monkeypatch.setattr(structure, "SEARCH_NODE_LIMIT", 2940)
+    assert len(multiplicative_functional_search(table)) == 15
+    monkeypatch.setattr(structure, "SEARCH_NODE_LIMIT", 2939)
+    with pytest.raises(ScopeError, match="passed the cap of 2939 nodes"):
+        multiplicative_functional_search(table)
 
 
 def test_z2_search_is_plus_minus_one():
