@@ -6,9 +6,11 @@ The base revision is extracted with ``git archive`` into a temporary
 directory (``bench_pairs.extract``). Both sides run the same commands:
 ``suite --seed 7``, ``21`` and ``901``; ``porosity witness --probes 100``
 at seeds 3 and 13 for each catalog pair, and once more each with complex
-``--f``/``--g`` on [-5, 5] and with ``--v-radius 2 --window 64``; and
-every golden run of the working tree's ``tests/test_golden.py``. Each report is the exit code and
-the standard output of one command. The script names each report that
+``--f``/``--g`` on [-5, 5] and with ``--v-radius 2 --window 64``;
+``--help`` of the root, of each command and of each verb, which checks the
+argument layer; and every golden run of the working tree's
+``tests/test_golden.py``. Each report is the exit code and the standard
+output of one command. The script names each report that
 differs, or that only one side has, and exits 1 if any does, else 0.
 Reports are written to a new temporary directory, which is removed when
 every report matches and kept, with its path printed, when one differs.
@@ -41,6 +43,23 @@ WITNESS_RUNS = {
                                             "--v-radius", "2", "--window", "64"],
 }
 
+#: every command and its verbs, for the --help runs
+COMMAND_VERBS = {
+    "nfunc": ("conjugate", "check"),
+    "norm": ("modular", "luxemburg", "orlicz", "charfn"),
+    "group": ("check", "convolve", "leptin"),
+    "aphi": ("bound", "plateau", "submult"),
+    "porosity": ("witness",),
+    "segal": ("report",),
+    "unit": ("check",),
+    "characters": ("enumerate", "brute"),
+    "suite": (),
+}
+HELP_RUNS = {"help": ["--help"]}
+for _command, _verbs in COMMAND_VERBS.items():
+    HELP_RUNS[f"help-{_command}"] = [_command, "--help"]
+    HELP_RUNS.update({f"help-{_command}-{verb}": [_command, verb, "--help"] for verb in _verbs})
+
 _GOLDEN = ("import json, sys; sys.path[:0] = ['tests', 'src']; import test_golden as g; "
            "print(json.dumps({'runs': g.RUNS, 'pairs': g.PAIR_SPECS}))")
 
@@ -57,6 +76,7 @@ def commands() -> dict[str, list[str]]:
                 "porosity", "witness", "--probes", "100", "--seed", str(seed),
                 "--nfunction", spec]
     runs.update(WITNESS_RUNS)
+    runs.update(HELP_RUNS)
     runs.update({f"golden-{name}": list(argv) for name, argv in golden["runs"].items()})
     return runs
 

@@ -135,6 +135,9 @@ def merged_decomposition(u: GroupFunction) -> Decomposition:
     space = u.space
     w = space.haar_weight
     f = GroupFunction(space, {t: v / w for t, v in u.items()}, u.truncated)
+    if not math.isfinite(f.sup_norm()) and math.isfinite(u.sup_norm()):
+        raise ScopeError(f"sup|f| = {u.sup_norm():g} over the Haar weight {w:g} is above "
+                         "the float range: the merged pair (f / weight, chi_e) overflows")
     return Decomposition(terms=((f, GroupFunction.delta(space, space.identity)),),
                          target=u)
 
@@ -204,7 +207,11 @@ def _chain_tail(pair: ComplementaryPair, lam_v: float, lam_ev: float,
                            CHAIN_GUARD))
     # Leptin ratio: lam(EV) < (1+eps) lam(V), both inverses move the same way
     t = 1.0 / ((1.0 + epsilon) * lam_v)
-    v3 = 2.0 / (lam_v * phi.inverse(t) * psi.inverse(t))
+    inv_phi, inv_psi = phi.inverse(t), psi.inverse(t)  # 0.0 where t underflows to 0.0
+    if not (inv_phi > 0.0 and inv_psi > 0.0):
+        raise ScopeError(f"eps = {epsilon:g} gives t = 1/((1+eps) lam(V)) = {t:g}, below "
+                         "the float range of Phi^(-1) and Psi^(-1): an inverse reads 0")
+    v3 = 2.0 / (lam_v * inv_phi * inv_psi)
     steps.append(ChainStep("leptin-ratio-monotonicity", v3, v3 - v2))
     # lower half of the inverse-product inequality: t < Phi^{-1}(t) Psi^{-1}(t)
     v4 = 2.0 * (1.0 + epsilon)

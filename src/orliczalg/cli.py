@@ -23,10 +23,12 @@ must-hold inequality (with a state dump).
 Each check family is one ``_check_<family>`` function that writes its
 value and check lines into a report. Where the library defines the
 clauses (plateau certificates, witnesses, unit and Segal reports), the
-family only prints the ``CheckResult``s they carry. A verb handler calls it on its
-own report; ``suite`` calls it on a throwaway report and folds that into
-one entry, which passes when every check passed and carries the smallest
-slack.
+family only prints the ``CheckResult``s they carry. ``main`` names the
+report, ``verb=<command> <verb>`` (just ``suite`` for the suite), from the
+one ``verb`` dest that every command's verbs share, and the command's
+handler fills it. A verb handler calls a family on that report; ``suite``
+calls it on a throwaway report and folds that into one entry, which
+passes when every check passed and carries the smallest slack.
 
 The environment variable ORLICZALG_CONFIG may point to a JSON file with
 default overrides for {"seed", "format", "output", "tol_slack",
@@ -42,7 +44,6 @@ import os
 import sys
 import time
 from dataclasses import dataclass, field
-from functools import cached_property
 from random import Random
 
 from . import __version__
@@ -329,17 +330,16 @@ def _space_and_pair(args, rep: Report):
     return space, pair
 
 
-def _run_nfunc(args, cfg: RunConfig) -> Report:
-    rep = Report(f"nfunc {args.nfunc_verb}")
+def _run_nfunc(args, cfg: RunConfig, rep: Report) -> None:
     pair = pair_from_spec(args.nfunction)
     rep.add("nfunction", pair.phi.label)
-    if args.nfunc_verb == "check":
+    if args.verb == "check":
         rep.add("complement", pair.psi.label)
         rep.add("construction", pair.construction)
         _check_pair_axioms(rep, pair)
         _check_inverse_product(rep, pair, cfg)
         _check_young_equality(rep, pair)
-        return rep
+        return
     rep.add("construction", pair.construction)
     if args.points is None:
         points = geometric_grid(1e-2, 1e2, 9)
@@ -356,13 +356,11 @@ def _run_nfunc(args, cfg: RunConfig) -> Report:
         rep.check(f"closed-form-agreement.{y:g}", abs(value - closed) <= tol,
                   tol - abs(value - closed),
                   "numeric conjugate vs catalog complement")
-    return rep
 
 
-def _run_norm(args, cfg: RunConfig) -> Report:
-    rep = Report(f"norm {args.norm_verb}")
+def _run_norm(args, cfg: RunConfig, rep: Report) -> None:
     space, pair = _space_and_pair(args, rep)
-    if args.norm_verb == "charfn":
+    if args.verb == "charfn":
         subset = [_decode_element(x, "--subset") for x in read_json(args.subset)]
         value = char_fn_norm(pair.phi, space, subset)
         rep.add("value", value)
@@ -371,13 +369,13 @@ def _run_norm(args, cfg: RunConfig) -> Report:
         rep.add("illinois-value", chk.value)
         rep.check("closed-form-vs-illinois", abs(value - chk.value) <= 1e-10,
                   1e-10 - abs(value - chk.value))
-        return rep
+        return
     f = function_from_rows(space, args.function)
     rep.add("support-size", len(f.support))
-    if args.norm_verb == "modular":
+    if args.verb == "modular":
         rep.add("value", modular(pair.phi, f))
         rep.add("provenance", "computed (direct sum)")
-    elif args.norm_verb == "luxemburg":
+    elif args.verb == "luxemburg":
         r = luxemburg(pair.phi, f)
         rep.add("value", r.value)
         rep.add("method", r.method)
@@ -387,17 +385,15 @@ def _run_norm(args, cfg: RunConfig) -> Report:
                   max(cfg.tol_value, 1e-10) - r.residual, "rho(f/k) = 1 residual")
     else:
         _check_orlicz(rep, orlicz_norm(pair, f), luxemburg(pair.phi, f).value, cfg)
-    return rep
 
 
-def _run_group(args, cfg: RunConfig) -> Report:
-    rep = Report(f"group {args.group_verb}")
+def _run_group(args, cfg: RunConfig, rep: Report) -> None:
     space = group_from_spec(args.group)
     rep.add("group", space.name)
     rep.add("size", space.size)
-    if args.group_verb == "check":
+    if args.verb == "check":
         _check_group_laws(rep, space)
-    elif args.group_verb == "convolve":
+    elif args.verb == "convolve":
         f = function_from_rows(space, args.left)
         g = function_from_rows(space, args.right)
         out = convolve(f, g)
@@ -417,13 +413,11 @@ def _run_group(args, cfg: RunConfig) -> Report:
         rep.add("margin", ls.margin)
         rep.check("strict-ratio", ls.margin > 0.0, ls.margin,
                   "lam(KU) < (1+eps) lam(U)")
-    return rep
 
 
-def _run_aphi(args, cfg: RunConfig) -> Report:
-    rep = Report(f"aphi {args.aphi_verb}")
+def _run_aphi(args, cfg: RunConfig, rep: Report) -> None:
     space, pair = _space_and_pair(args, rep)
-    if args.aphi_verb == "bound":
+    if args.verb == "bound":
         f = function_from_rows(space, args.function)
         bracket = algebra_norm_upper(f, pair)
         rep.add("lower", bracket.lower)
@@ -432,7 +426,7 @@ def _run_aphi(args, cfg: RunConfig) -> Report:
         rep.add("provenance", "lower: sup norm; upper: decomposition cost (computed)")
         rep.check("bracket-order", bracket.lower <= bracket.upper + cfg.tol_slack,
                   bracket.upper + cfg.tol_slack - bracket.lower)
-    elif args.aphi_verb == "plateau":
+    elif args.verb == "plateau":
         plateau_set = [_decode_element(x, "--set") for x in read_json(args.set)]
         _, cert = build_plateau(space, plateau_set, pair, args.epsilon)
         rep.add("epsilon", args.epsilon)
@@ -441,15 +435,13 @@ def _run_aphi(args, cfg: RunConfig) -> Report:
         u = function_from_rows(space, args.left)
         v = function_from_rows(space, args.right)
         _check_submult(rep, submultiplicativity_report(u, v, pair), cfg)
-    return rep
 
 
 def _default_porosity_function(space: GroupSpace) -> GroupFunction:
     return GroupFunction.indicator(space, range(-5, 6))
 
 
-def _run_porosity(args, cfg: RunConfig) -> Report:
-    rep = Report("porosity witness")
+def _run_porosity(args, cfg: RunConfig, rep: Report) -> None:
     space = integer_window(args.window)
     pair = pair_from_spec(args.nfunction)
     rep.add("window", args.window)
@@ -467,33 +459,26 @@ def _run_porosity(args, cfg: RunConfig) -> Report:
     rep.add("membership-max-integral", inst.max_integral)
     rep.add("boundary-flag", inst.boundary_flag)
     _check_witness(rep, build_witness(inst, pair, probe_count=args.probes, seed=cfg.seed))
-    return rep
 
 
-def _run_segal(args, cfg: RunConfig) -> Report:
-    rep = Report("segal report")
+def _run_segal(args, cfg: RunConfig, rep: Report) -> None:
     space, pair = _space_and_pair(args, rep)
     rep.add("samples", args.samples)
     _check_segal(rep, segal_report(space, pair, samples=args.samples, seed=cfg.seed))
-    return rep
 
 
-def _run_unit(args, cfg: RunConfig) -> Report:
-    rep = Report("unit check")
+def _run_unit(args, cfg: RunConfig, rep: Report) -> None:
     space, pair = _space_and_pair(args, rep)
     _check_unit(rep, convolution_unit(space, pair, epsilon=args.epsilon), cfg)
-    return rep
 
 
-def _run_characters(args, cfg: RunConfig) -> Report:
-    rep = Report(f"characters {args.characters_verb}")
+def _run_characters(args, cfg: RunConfig, rep: Report) -> None:
     space = group_from_spec(args.group)
     rep.add("group", space.name)
     enumerated = enumerate_characters(space)
-    searched = (None if args.characters_verb == "enumerate"
+    searched = (None if args.verb == "enumerate"
                 else multiplicative_functional_search(space, tolerance=cfg.tol_slack))
     _check_characters(rep, space, enumerated, searched)
-    return rep
 
 
 # ---------------------------------------------------------------------------
@@ -503,8 +488,7 @@ def _run_characters(args, cfg: RunConfig) -> Report:
 DEFAULT_SUITE_GROUPS = ("Z2", "Z4", "Z6", "Z2xZ2", "S3", "Zwindow256")
 
 
-def _run_suite(args, cfg: RunConfig) -> Report:
-    rep = Report("suite")
+def _run_suite(args, cfg: RunConfig, rep: Report) -> None:
     group_names = (_split_names(args.groups) if args.groups is not None
                    else list(DEFAULT_SUITE_GROUPS))
     pair_names = [p for p in (args.pairs.split(",") if args.pairs is not None
@@ -572,117 +556,98 @@ def _run_suite(args, cfg: RunConfig) -> Report:
         rep.add("slack.min", slacks[0])
         rep.add("slack.p50", slacks[len(slacks) // 2])
         rep.add("slack.max", slacks[-1])
-    return rep
 
 
 # ---------------------------------------------------------------------------
 # argument wiring
 # ---------------------------------------------------------------------------
 
-def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The argument tree. When ``command`` names a handler, only that command
-    gets its verbs and options; the others are registered by name alone, so
-    the usage line and the choices of every error message stay the same.
-    Any other ``command`` (None included) builds the whole tree."""
+def _build_parser(command: str | None) -> argparse.ArgumentParser:
+    """The argument tree of ``command``: its verbs and options are built and
+    every other command is registered by name alone, so the usage line and
+    the choices of every error message read as for the whole tree. A first
+    word that is not a command (``--help``, none, a typo) builds no subtree."""
     parser = argparse.ArgumentParser(
         prog="orliczalg",
         description="Desk-scale numerics for Orlicz convolution algebras")
     parser.add_argument("--version", action="version", version=__version__)
     tops = parser.add_subparsers(dest="command", required=True)
-    whole = command not in _COMMANDS
-    parents = _Parents()
     for name, (_, add) in _COMMANDS.items():
-        if whole or name == command:
-            add(tops, parents)
+        if name == command:
+            add(tops)
         else:
             # never parses: argv[0] picks the one command that is built
             tops.add_parser(name, add_help=False)
     return parser
 
 
-class _Parents:
-    """The option groups that verbs inherit as argparse parents, each built
-    on first use, so a one-command tree builds only those it needs."""
-
-    @cached_property
-    def common(self) -> argparse.ArgumentParser:
-        common = argparse.ArgumentParser(add_help=False)
-        common.add_argument("--seed", type=int, default=None, help="global RNG seed")
-        common.add_argument("--format", choices=("machine", "human"), default=None)
-        common.add_argument("--output", default=None, help="write the report here")
-        common.add_argument("--tol-slack", dest="tol_slack", type=finite_float, default=None,
-                            help="slack tolerance for inequality checks")
-        common.add_argument("--tol-value", dest="tol_value", type=finite_float, default=None,
-                            help="tolerance for exactness checks")
-        return common
-
-    @cached_property
-    def group(self) -> argparse.ArgumentParser:
-        return _option_parent(("--group", "group spec (path or JSON)"))
-
-    @cached_property
-    def nfunction(self) -> argparse.ArgumentParser:
-        return _option_parent(("--nfunction", "N-function spec (path or JSON)"))
-
-    @cached_property
-    def function(self) -> argparse.ArgumentParser:
-        return _option_parent(("--function", "function data (path or JSON)"))
-
-    @cached_property
-    def operands(self) -> argparse.ArgumentParser:
-        return _option_parent(("--left", "function data (path or JSON)"),
-                              ("--right", "function data (path or JSON)"))
-
-    @property
-    def on_pair(self) -> list[argparse.ArgumentParser]:
-        return [self.common, self.group, self.nfunction]
+def _common() -> argparse.ArgumentParser:
+    """The parent parser of the options every verb takes."""
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--seed", type=int, default=None, help="global RNG seed")
+    common.add_argument("--format", choices=("machine", "human"), default=None)
+    common.add_argument("--output", default=None, help="write the report here")
+    common.add_argument("--tol-slack", dest="tol_slack", type=finite_float, default=None,
+                        help="slack tolerance for inequality checks")
+    common.add_argument("--tol-value", dest="tol_value", type=finite_float, default=None,
+                        help="tolerance for exactness checks")
+    return common
 
 
-def _option_parent(*options: tuple[str, str]) -> argparse.ArgumentParser:
-    """A parent parser of required string options, given as (flag, help)."""
+_DATA_HELP = {"--group": "group spec (path or JSON)",
+              "--nfunction": "N-function spec (path or JSON)"}
+
+
+def _required(*flags: str) -> argparse.ArgumentParser:
+    """A parent parser of required string options: specs, else function data."""
     parent = argparse.ArgumentParser(add_help=False)
-    for flag, text in options:
-        parent.add_argument(flag, required=True, help=text)
+    for flag in flags:
+        parent.add_argument(flag, required=True,
+                            help=_DATA_HELP.get(flag, "function data (path or JSON)"))
     return parent
 
 
-def _add_nfunc(tops, o: _Parents) -> None:
-    nfunc = tops.add_parser("nfunc").add_subparsers(dest="nfunc_verb", required=True)
-    nfunc.add_parser("conjugate", parents=[o.common, o.nfunction]).add_argument(
+def _add_nfunc(tops) -> None:
+    parents = [_common(), _required("--nfunction")]
+    nfunc = tops.add_parser("nfunc").add_subparsers(dest="verb", required=True)
+    nfunc.add_parser("conjugate", parents=parents).add_argument(
         "--points", default=None, help="comma-separated ordinates")
-    nfunc.add_parser("check", parents=[o.common, o.nfunction])
+    nfunc.add_parser("check", parents=parents)
 
 
-def _add_norm(tops, o: _Parents) -> None:
-    norm = tops.add_parser("norm").add_subparsers(dest="norm_verb", required=True)
+def _add_norm(tops) -> None:
+    on_pair, function = [_common(), _required("--group", "--nfunction")], _required("--function")
+    norm = tops.add_parser("norm").add_subparsers(dest="verb", required=True)
     for verb in ("modular", "luxemburg", "orlicz"):
-        norm.add_parser(verb, parents=[*o.on_pair, o.function])
-    norm.add_parser("charfn", parents=o.on_pair).add_argument(
+        norm.add_parser(verb, parents=[*on_pair, function])
+    norm.add_parser("charfn", parents=on_pair).add_argument(
         "--subset", required=True, help="JSON list of elements")
 
 
-def _add_group(tops, o: _Parents) -> None:
-    grp = tops.add_parser("group").add_subparsers(dest="group_verb", required=True)
-    grp.add_parser("check", parents=[o.common, o.group])
-    grp.add_parser("convolve", parents=[o.common, o.group, o.operands]).add_argument(
+def _add_group(tops) -> None:
+    parents = [_common(), _required("--group")]
+    grp = tops.add_parser("group").add_subparsers(dest="verb", required=True)
+    grp.add_parser("check", parents=parents)
+    grp.add_parser("convolve", parents=[*parents, _required("--left", "--right")]).add_argument(
         "--save", default=None)
-    gl = grp.add_parser("leptin", parents=[o.common, o.group])
+    gl = grp.add_parser("leptin", parents=parents)
     gl.add_argument("--compact", required=True, help="JSON list of elements")
     gl.add_argument("--epsilon", type=finite_float, required=True)
 
 
-def _add_aphi(tops, o: _Parents) -> None:
-    aphi = tops.add_parser("aphi").add_subparsers(dest="aphi_verb", required=True)
-    aphi.add_parser("bound", parents=[*o.on_pair, o.function])
-    ap = aphi.add_parser("plateau", parents=o.on_pair)
+def _add_aphi(tops) -> None:
+    on_pair = [_common(), _required("--group", "--nfunction")]
+    aphi = tops.add_parser("aphi").add_subparsers(dest="verb", required=True)
+    aphi.add_parser("bound", parents=[*on_pair, _required("--function")])
+    ap = aphi.add_parser("plateau", parents=on_pair)
     ap.add_argument("--set", required=True, help="JSON list of elements")
     ap.add_argument("--epsilon", type=finite_float, default=1.0)
-    aphi.add_parser("submult", parents=[*o.on_pair, o.operands])
+    aphi.add_parser("submult", parents=[*on_pair, _required("--left", "--right")])
 
 
-def _add_porosity(tops, o: _Parents) -> None:
-    por = tops.add_parser("porosity").add_subparsers(dest="porosity_verb", required=True)
-    pw = por.add_parser("witness", parents=[o.common])
+def _add_porosity(tops) -> None:
+    por = tops.add_parser("porosity").add_subparsers(dest="verb", required=True)
+    pw = por.add_parser("witness", parents=[_common()])
     pw.add_argument("--nfunction", default='{"kind": "power", "p": 2}')
     pw.add_argument("--n", type=positive_count, default=11)
     pw.add_argument("--R", dest="ball_radius", type=finite_float, default=32.0)
@@ -694,27 +659,27 @@ def _add_porosity(tops, o: _Parents) -> None:
     pw.add_argument("--g", default=None, help="right function data")
 
 
-def _add_segal(tops, o: _Parents) -> None:
-    seg = tops.add_parser("segal").add_subparsers(dest="segal_verb", required=True)
-    seg.add_parser("report", parents=o.on_pair).add_argument(
-        "--samples", type=positive_count, default=20)
+def _add_segal(tops) -> None:
+    seg = tops.add_parser("segal").add_subparsers(dest="verb", required=True)
+    seg.add_parser("report", parents=[_common(), _required("--group", "--nfunction")]
+                   ).add_argument("--samples", type=positive_count, default=20)
 
 
-def _add_unit(tops, o: _Parents) -> None:
-    unit = tops.add_parser("unit").add_subparsers(dest="unit_verb", required=True)
-    unit.add_parser("check", parents=o.on_pair).add_argument(
-        "--epsilon", type=finite_float, default=1.0)
+def _add_unit(tops) -> None:
+    unit = tops.add_parser("unit").add_subparsers(dest="verb", required=True)
+    unit.add_parser("check", parents=[_common(), _required("--group", "--nfunction")]
+                    ).add_argument("--epsilon", type=finite_float, default=1.0)
 
 
-def _add_characters(tops, o: _Parents) -> None:
-    chars = tops.add_parser("characters").add_subparsers(dest="characters_verb",
-                                                         required=True)
+def _add_characters(tops) -> None:
+    parents = [_common(), _required("--group")]
+    chars = tops.add_parser("characters").add_subparsers(dest="verb", required=True)
     for verb in ("enumerate", "brute"):
-        chars.add_parser(verb, parents=[o.common, o.group])
+        chars.add_parser(verb, parents=parents)
 
 
-def _add_suite(tops, o: _Parents) -> None:
-    suite = tops.add_parser("suite", parents=[o.common])
+def _add_suite(tops) -> None:
+    suite = tops.add_parser("suite", parents=[_common()])
     suite.add_argument("--groups", default=None,
                        help="comma-separated names or specs (default battery); '' for empty")
     suite.add_argument("--pairs", default=None)
@@ -741,11 +706,13 @@ def main(argv: list[str] | None = None) -> int:
         argv = sys.argv[1:]
     args = _build_parser(argv[0] if argv else None).parse_args(argv)
     started = time.monotonic()
+    verb = getattr(args, "verb", None)  # suite has no verbs
+    report = Report(f"{args.command} {verb}" if verb else args.command)
     try:
         cfg = _load_config(args)
         with shared_solves():
             run, _ = _COMMANDS[args.command]
-            report = run(args, cfg)
+            run(args, cfg, report)
         cfg.echo(report)
         wall = time.monotonic() - started
         text = report.render(cfg.format, wall_clock=wall if cfg.format == "human" else None)

@@ -29,7 +29,9 @@ in the carrier order of y, so floats are reproducible.
 
 from __future__ import annotations
 
+import cmath
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from random import Random
@@ -376,6 +378,10 @@ def convolve(f: GroupFunction, g: GroupFunction) -> GroupFunction:
                 truncated = True
                 continue
             out[x] = out.get(x, 0j) + fv * gv * wy
+    if not all(map(cmath.isfinite, out.values())) \
+            and math.isfinite(f.sup_norm()) and math.isfinite(g.sup_norm()):
+        raise ScopeError(f"sup|f| = {f.sup_norm():g} and sup|g| = {g.sup_norm():g} put "
+                         "f * g above the float range: it overflows")
     return GroupFunction(space, out, truncated)
 
 

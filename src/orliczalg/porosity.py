@@ -48,6 +48,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass
 from random import Random
 
@@ -155,6 +156,9 @@ def make_instance(f: GroupFunction, g: GroupFunction, n: int, radius: float,
         raise SpecFormatError(f"level index must be a positive integer, got {n}")
     if radius <= 0:
         raise SpecFormatError(f"ball radius must be positive, got {radius}")
+    if not (0.0 < radius * radius < math.inf and 512.0 * n / (radius * radius) < math.inf):
+        raise SpecFormatError(f"ball radius R = {radius:g} puts R^2 or 512 n / R^2 outside "
+                              "the positive floats")
     if v_radius < 1:
         raise SpecFormatError(f"bad neighborhood radius {v_radius}")
     member, top, arg = level_membership(f, g, n, v_radius)  # ScopeError past the window
@@ -245,14 +249,6 @@ def _mass_checks(lam_k: float, threshold: float, radius: float,
     )
 
 
-def _quadrant_region(space: GroupSpace, f: GroupFunction, g: GroupFunction,
-                     s1: int, s2: int) -> set:
-    def side(fn: GroupFunction, s: int, x) -> bool:
-        re = fn(x).real
-        return re >= 0.0 if s == 1 else re < 0.0
-    return {x for x in space.elements if side(f, s1, x) and side(g, s2, x)}
-
-
 def _translate_candidates(space: GroupSpace, v_radius: int) -> list[int]:
     """0, +s, -s, +2s, ... with s = 2r + 1; a + V stays inside the window."""
     w = space.window_radius
@@ -266,6 +262,38 @@ def _translate_candidates(space: GroupSpace, v_radius: int) -> list[int]:
     return out
 
 
+def _collect_translates(inst: PorosityInstance) -> tuple[tuple[int, int], tuple, tuple]:
+    """Steps 1 and 2 of the construction: (quadrant, base points, K)."""
+    space, r, threshold = inst.f.space, inst.v_radius, inst.threshold
+    candidates = _translate_candidates(space, r)
+
+    # 1. quadrant: (sign Re f(x), sign Re g(x)) at each candidate-translate
+    # point, a real part >= 0 counting as +1; the most frequent one wins
+    fv, gv = dict(inst.f.items()), dict(inst.g.items())
+    quadrant_of = {x: (1 if fv.get(x, 0j).real >= 0.0 else -1,
+                       1 if gv.get(x, 0j).real >= 0.0 else -1)
+                   for a in candidates for x in range(a - r, a + r + 1)}
+    counts = Counter(quadrant_of.values())
+    quadrant = max(QUADRANT_ORDER, key=lambda q: counts[q])  # ties: the first in order
+
+    # 2. greedy disjoint translates until both mass clauses hold: lam(K)
+    # > 512 n / R^2 and (R^2/512) lam(K) > n, which rounding can split
+    collected: list[int] = []
+    base_points: list[int] = []
+    for a in candidates:
+        base_points.append(a)
+        collected.extend(x for x in range(a - r, a + r + 1) if quadrant_of[x] == quadrant)
+        mass = _mass_checks(float(len(collected)), threshold, inst.radius, inst.n)
+        if all(c.passed for c in mass):
+            return quadrant, tuple(base_points), tuple(sorted(collected))
+    step = 2 * r + 1
+    need_translates = math.ceil((threshold + 1) / step)
+    raise InfeasibleWindowError(
+        f"window radius {space.window_radius} cannot hold enough translate "
+        f"mass for lam(K) > {threshold:g}",
+        minimal_radius=need_translates * step + r)
+
+
 def build_witness(inst: PorosityInstance, pair: ComplementaryPair, *,
                   probe_count: int = 100, seed: int = 0) -> PorosityWitness:
     """Run the full construction and probe the avoided ball.
@@ -275,41 +303,8 @@ def build_witness(inst: PorosityInstance, pair: ComplementaryPair, *,
     translates, and TheoremContradictionError (with the failing checks and
     the probes that did not violate) if any of the witness's checks fails.
     """
-    space = inst.f.space
-    r = inst.v_radius
-    R = inst.radius
-    candidates = _translate_candidates(space, r)
-
-    # 1. quadrant: maximize the total available translate measure
-    best_quadrant, best_region, best_total = None, None, -1.0
-    for s1, s2 in QUADRANT_ORDER:
-        region = _quadrant_region(space, inst.f, inst.g, s1, s2)
-        total = sum(1 for a in candidates for j in range(-r, r + 1) if a + j in region)
-        if total > best_total:
-            best_quadrant, best_region, best_total = (s1, s2), region, total
-    s1, s2 = best_quadrant
-
-    # 2. greedy disjoint translates until both mass clauses hold: lam(K)
-    # > 512 n / R^2 and (R^2/512) lam(K) > n, which rounding can split
-    threshold = inst.threshold
-    collected: list[int] = []
-    base_points: list[int] = []
-    for a in candidates:
-        base_points.append(a)
-        collected.extend(x for j in range(-r, r + 1)
-                         if (x := a + j) in best_region)
-        if all(c.passed for c in _mass_checks(float(len(collected)), threshold, R, inst.n)):
-            break
-    else:
-        step = 2 * r + 1
-        need_translates = math.ceil((threshold + 1) / step)
-        raise InfeasibleWindowError(
-            f"window radius {space.window_radius} cannot hold enough translate "
-            f"mass for lam(K) > {threshold:g}",
-            minimal_radius=need_translates * step + r)
-    m0 = len(base_points)
-    K = tuple(sorted(collected))
-    lam_k = float(len(K))
+    space, R, r = inst.f.space, inst.radius, inst.v_radius
+    (s1, s2), base_points, K = _collect_translates(inst)
 
     # 3. plateau over K with epsilon = 1; both costs below 4, sum below 8
     u, cert = build_plateau(space, K, pair, 1.0)
@@ -348,8 +343,8 @@ def build_witness(inst: PorosityInstance, pair: ComplementaryPair, *,
                                   violating_x=best_x, integral_value=best_val))
 
     witness = PorosityWitness(
-        instance=inst, quadrant=(s1, s2), m0=m0, base_points=tuple(base_points),
-        collected=K, lam_k=lam_k, threshold=threshold, plateau_cert=cert, u=u,
+        instance=inst, quadrant=(s1, s2), m0=len(base_points), base_points=base_points,
+        collected=K, lam_k=float(len(K)), threshold=inst.threshold, plateau_cert=cert, u=u,
         dist_f_bound=dist_f, dist_g_bound=dist_g, probes=tuple(probes))
     failures = [c for c in witness.checks() if not c.passed]
     if failures:

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 import sys
 from random import Random
 
@@ -484,3 +485,19 @@ def test_atomic_cost_prices_the_repeated_right_factor_once(z6, monkeypatch):
     # five left factors sit at five points and are solved one by one
     assert solved.count("amemiya") == 1
     assert solved.count("luxemburg") == 5
+
+
+def test_merged_pair_that_overflows_is_out_of_scope():
+    z8 = cyclic(8)
+    with pytest.raises(ScopeError, match=r"sup\|f\| = 1e\+308 over the Haar weight 0.125"):
+        merged_decomposition(GroupFunction.delta(z8, 0, 1e308))
+    f, _ = merged_decomposition(GroupFunction.delta(z8, 0, 1e307)).terms[0]
+    assert f(0) == 8e307
+
+
+@pytest.mark.parametrize("kind, epsilon", [("cosh", 1e20), ("power-2", 1e150),
+                                           ("power-2", 1e308)])
+def test_chain_tail_past_the_inverse_float_range_is_out_of_scope(kind, epsilon):
+    pair = pair_from_name(kind)
+    with pytest.raises(ScopeError, match=re.escape(f"eps = {epsilon:g} gives t =")):
+        build_plateau(integer_window(16), [0], pair, epsilon)

@@ -1,5 +1,6 @@
 """CLI behavior: verbs, exit codes, strict parsing, reproducible reports."""
 
+import argparse
 import dataclasses
 import functools
 import io
@@ -41,8 +42,18 @@ GOLDEN_DIR = Path(__file__).with_name("golden")
 
 @functools.cache
 def parser_tree(command=None):
-    """``cli._build_parser(command)``, built once: None gives the whole tree."""
-    return cli._build_parser(command)
+    """``cli._build_parser(command)``, built once. None gives the whole tree, the
+    reference: the root ``cli._build_parser`` makes, with every builder in
+    ``cli._COMMANDS`` called on it."""
+    if command is not None:
+        return cli._build_parser(command)
+    root = cli._build_parser(None)
+    whole = argparse.ArgumentParser(prog=root.prog, description=root.description)
+    whole.add_argument("--version", action="version", version=cli.__version__)
+    tops = whole.add_subparsers(dest="command", required=True)
+    for _, add in cli._COMMANDS.values():
+        add(tops)
+    return whole
 
 
 def parse_outcome(parser, argv):
@@ -59,7 +70,8 @@ def parse_outcome(parser, argv):
 def assert_one_command_tree_parses_alike(argv):
     """The tree ``main`` builds for argv parses it as the whole tree does."""
     argv = list(argv)
-    assert parse_outcome(parser_tree(argv[0] if argv else None), argv) == \
+    # '' names no command, as the None that main passes for an empty argv does
+    assert parse_outcome(parser_tree(argv[0] if argv else ""), argv) == \
         parse_outcome(parser_tree(), argv)
 
 
@@ -1257,3 +1269,39 @@ def test_pairing_just_inside_the_float_range_keeps_its_report(capsys):
         "config.tol_slack=1e-09 (default)\n"
         "config.tol_value=1e-12 (default)\n"
         "passed=true\n")
+
+
+# -- input past the float range: a scope or parse error, never a traceback ------
+
+W16 = '{"type": "Zwindow", "radius": 16}'
+PAST_THE_FLOATS = {
+    "plateau-cosh-eps1e20": ("aphi", "plateau", "--group", W16, "--nfunction", COSH,
+                             "--set", "[0]", "--epsilon", "1e20"),
+    "unit-cosh-eps1e20": ("unit", "check", "--group", '{"type": "Zn", "n": 6}',
+                          "--nfunction", COSH, "--epsilon", "1e20"),
+    "plateau-power2-eps1e150": ("aphi", "plateau", "--group", W16, "--nfunction", QUAD,
+                                "--set", "[0]", "--epsilon", "1e150"),
+    "convolve-1e200": ("group", "convolve", "--group", Z8,
+                       "--left", "[[0, 1e200, 0]]", "--right", "[[0, 1e200, 0]]"),
+    "submult-1e200": ("aphi", "submult", "--group", Z8, "--nfunction", QUAD,
+                      "--left", "[[0, 1e200, 0]]", "--right", "[[1, 1e200, 0]]"),
+    "bound-1e308": ("aphi", "bound", "--group", Z8, "--nfunction", QUAD,
+                    "--function", "[[0, 1e308, 0]]"),
+}
+
+
+@pytest.mark.parametrize("argv", PAST_THE_FLOATS.values(), ids=PAST_THE_FLOATS)
+def test_input_past_the_float_range_exits_3(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (3, "")
+    assert err.startswith("scope error: ") and err.count("\n") == 1
+    assert "nan" not in err and "inf" not in err
+
+
+@pytest.mark.parametrize("radius", ["1e155", "1e-163", "1e-160"])
+def test_ball_radius_whose_square_leaves_the_floats_exits_2(capsys, radius):
+    # 1e-160 squares to a positive float, but 512 n / R^2 overflows
+    code, out, err = run_cli(capsys, "porosity", "witness", "--R", radius, "--probes", "1")
+    assert (code, out) == (2, "")
+    assert err == (f"parse error: ball radius R = {float(radius):g} puts R^2 or 512 n / R^2 "
+                   "outside the positive floats\n")

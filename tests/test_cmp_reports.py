@@ -3,6 +3,8 @@
 import importlib.util
 from pathlib import Path
 
+import orliczalg.cli as cli
+
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 
@@ -29,3 +31,13 @@ def test_differing_names_changed_and_one_sided_reports_only(tmp_path, monkeypatc
     assert cmp_reports.differing(base, change) == [
         "base-only.txt", "change-only.txt", "changed.txt", "exit.txt"]
     assert cmp_reports.differing(base, base) == []
+
+
+def test_help_runs_cover_every_command_and_verb(monkeypatch):
+    cmp_reports = _load(monkeypatch)
+    assert len(cmp_reports.HELP_RUNS) == 27
+    assert list(cmp_reports.COMMAND_VERBS) == list(cli._COMMANDS)
+    for command, verbs in cmp_reports.COMMAND_VERBS.items():
+        subtree = cli._build_parser(command)._subparsers._group_actions[0].choices[command]
+        choices = [a.choices for a in subtree._actions if a.dest == "verb"]
+        assert list(choices[0] if choices else ()) == list(verbs)

@@ -84,6 +84,27 @@ RUNS.update({
         "--nfunction", PAIR_SPECS["cosh"],
         "--function", json.dumps([[x, 0.75, 0.0] for x in range(6)])),
 })
+# just inside the float range: a larger epsilon, R or value exits 2 or 3
+W16 = '{"type": "Zwindow", "radius": 16}'
+RUNS.update({
+    "aphi-plateau-Zwindow16-cosh-eps1e10": ("aphi", "plateau", "--group", W16, "--nfunction",
+                                            PAIR_SPECS["cosh"], "--set", "[0]",
+                                            "--epsilon", "1e10"),
+    "aphi-plateau-Zwindow16-power-2-eps1e10": ("aphi", "plateau", "--group", W16,
+                                               "--nfunction", PAIR_SPECS["power-2"],
+                                               "--set", "[0]", "--epsilon", "1e10"),
+    "unit-check-Z6-cosh-eps1e10": ("unit", "check", "--group", '{"type": "Zn", "n": 6}',
+                                   "--nfunction", PAIR_SPECS["cosh"], "--epsilon", "1e10"),
+    "witness-R1e154": ("porosity", "witness", "--R", "1e154", "--probes", "5"),
+    "group-convolve-Z8-1e150": ("group", "convolve", "--group", Z8,
+                                "--left", "[[0, 1e150, 0]]", "--right", "[[0, 1e150, 0]]"),
+    "aphi-submult-Z8-power-2-1e150": ("aphi", "submult", "--group", Z8,
+                                      "--nfunction", PAIR_SPECS["power-2"],
+                                      "--left", "[[0, 1e150, 0]]", "--right", "[[1, 1e150, 0]]"),
+    "aphi-bound-Z8-power-2-1e307": ("aphi", "bound", "--group", Z8,
+                                    "--nfunction", PAIR_SPECS["power-2"],
+                                    "--function", "[[0, 1e307, 0]]"),
+})
 
 
 def machine_report(argv) -> str:

@@ -1,6 +1,7 @@
 """Group carriers, convolution against a direct-summation oracle, Leptin sets."""
 
 import itertools
+import math
 from fractions import Fraction
 from random import Random
 
@@ -364,3 +365,15 @@ def test_window_convolution_truncates_exactly_when_a_product_exits():
     assert not edge.truncated
     out = convolve(GroupFunction.indicator(w4, [-2, 3]), GroupFunction.indicator(w4, [2]))
     assert out.truncated and out.support == (0,)
+
+
+def test_convolution_that_overflows_from_finite_operands_is_out_of_scope():
+    z8 = cyclic(8)
+    big = GroupFunction.delta(z8, 0, 1e200)
+    with pytest.raises(ScopeError, match=r"sup\|f\| = 1e\+200 and sup\|g\| = 1e\+200"):
+        convolve(big, big)
+    near = GroupFunction.delta(z8, 0, 1e150)
+    assert convolve(near, near)(0) == 1e150 * 1e150 * z8.haar_weight
+    # a non-finite operand is not an overflow: its convolution stays non-finite
+    inf = GroupFunction.delta(z8, 0, float("inf"))
+    assert not math.isfinite(abs(convolve(inf, GroupFunction.delta(z8, 1))(1)))

@@ -437,3 +437,94 @@ def test_witness_collects_until_both_mass_clauses_hold(window, box):
     assert wit.lam_k == 111.0
     assert wit.guaranteed_integral > inst.n
     assert all(c.passed for c in wit.checks())
+
+
+# -- step 1 (the quadrant) against the four-region scan ------------------------
+
+def _quadrant_region(f, g, s1, s2):
+    """{x : s1 Re f(x) >= 0 or < 0 as s1 is 1 or -1, likewise for g}, read at every window point."""
+    def side(fn, s, x):
+        re = fn(x).real
+        return re >= 0.0 if s == 1 else re < 0.0
+    return {x for x in f.space.elements if side(f, s1, x) and side(g, s2, x)}
+
+
+def reference_collection(inst):
+    """(quadrant, base points, K) of steps 1 and 2 from four regions, the
+    quadrant with the most candidate-translate points in its region winning
+    (ties to the first in order); None for base points and K when the
+    window holds too little mass."""
+    r = inst.v_radius
+    candidates = porosity._translate_candidates(inst.f.space, r)
+    best, region, total = None, None, -1
+    for q in porosity.QUADRANT_ORDER:
+        here = _quadrant_region(inst.f, inst.g, *q)
+        count = sum(1 for a in candidates for j in range(-r, r + 1) if a + j in here)
+        if count > total:
+            best, region, total = q, here, count
+    base_points, collected = [], []
+    for a in candidates:
+        base_points.append(a)
+        collected.extend(x for j in range(-r, r + 1) if (x := a + j) in region)
+        checks = porosity._mass_checks(float(len(collected)), inst.threshold, inst.radius, inst.n)
+        if all(c.passed for c in checks):
+            return best, tuple(base_points), tuple(sorted(collected))
+    return best, None, None
+
+
+def _random_signed(space, rng, density):
+    """A function with random complex values on about ``density`` of the window,
+    real parts leaning to one sign drawn per function; a fifth of them have
+    real part 0.0 or -0.0."""
+    values, lean = {}, rng.choice((-0.6, 0.0, 0.6))
+    for x in space.elements:
+        if rng.random() < density:
+            re = rng.choice((0.0, -0.0)) if rng.random() < 0.2 else rng.uniform(-1.0, 1.0) + lean
+            values[x] = complex(re, rng.uniform(-1.0, 1.0))
+    return GroupFunction(space, values)
+
+
+def _instance(f, g, n, R, v_radius):
+    """An instance that skips the level-set test, which steps 1 and 2 do not read."""
+    return porosity.PorosityInstance(f=f, g=g, n=n, radius=R, v_radius=v_radius,
+                                     max_integral=0.0, boundary_flag=False)
+
+
+def assert_collection_equals_reference(inst):
+    quadrant, base_points, K = reference_collection(inst)
+    if K is None:
+        with pytest.raises(InfeasibleWindowError):
+            porosity._collect_translates(inst)
+    else:
+        assert porosity._collect_translates(inst) == (quadrant, base_points, K)
+
+
+@pytest.mark.parametrize("radius, v_radius, R", [(48, 1, 32.0), (48, 2, 24.0),
+                                                 (64, 3, 32.0), (12, 1, 16.0)])
+@pytest.mark.parametrize("density", [0.1, 0.5, 1.0])
+@pytest.mark.parametrize("seed", range(5))
+def test_quadrant_equals_the_four_region_reference(radius, v_radius, R, density, seed):
+    space, rng = integer_window(radius), Random(seed)
+    f, g = _random_signed(space, rng, density), _random_signed(space, rng, density)
+    assert_collection_equals_reference(_instance(f, g, 11, R, v_radius))
+
+
+def test_quadrant_of_zero_functions_and_zero_real_parts_is_the_first():
+    space = integer_window(32)
+    zero = GroupFunction.zero(space)
+    imaginary = GroupFunction(space, {x: complex(-0.0 if x % 2 else 0.0, x)
+                                      for x in range(-32, 33)})
+    for f, g in ((zero, zero), (imaginary, zero), (zero, imaginary), (imaginary, imaginary)):
+        inst = _instance(f, g, 11, 32.0, 1)
+        assert reference_collection(inst)[0] == (1, 1)
+        assert_collection_equals_reference(inst)
+
+
+def test_quadrant_tie_goes_to_the_first_in_order():
+    # 31 candidate points each in (-1, 1) and (1, -1), and x = 0 in (1, 1)
+    space = integer_window(32)
+    f = GroupFunction(space, {x: -1.0 for x in range(-32, 0)})
+    g = GroupFunction(space, {x: -1.0 for x in range(1, 33)})
+    inst = _instance(f, g, 11, 32.0, 1)
+    assert reference_collection(inst)[0] == (1, -1)
+    assert_collection_equals_reference(inst)
