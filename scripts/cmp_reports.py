@@ -7,7 +7,10 @@ directory (``bench_pairs.extract``). Both sides run the same commands:
 ``suite --seed 7``, ``21`` and ``901``; ``porosity witness --probes 100``
 at seeds 3 and 13 for each catalog pair, and once more each with complex
 ``--f``/``--g`` on [-5, 5] and with ``--v-radius 2 --window 64``;
-``--help`` of the root, of each command and of each verb, which checks the
+``nfunc check`` for each catalog pair in both constructions and for a
+custom table that ends at 10, ``group check`` on Z1 and Z2xZ2xZ3 and
+``characters brute`` on Z1, which print one by one the clauses that the
+suite shows only as folded minima; ``--help`` of the root, of each command and of each verb, which checks the
 argument layer; and every golden run of the working tree's
 ``tests/test_golden.py``. Each report is the exit code and the standard
 output of one command. The script names each report that
@@ -42,6 +45,19 @@ WITNESS_RUNS = {
     "witness-vradius2-window64-probes100": ["porosity", "witness", "--probes", "100",
                                             "--v-radius", "2", "--window", "64"],
 }
+Z1 = '{"type": "Zn", "n": 1}'
+Z2XZ2XZ3 = ('{"type": "product", "factors": [{"type": "Zn", "n": 2}, '
+            '{"type": "Zn", "n": 2}, {"type": "Zn", "n": 3}]}')
+#: a custom table whose cap 10 is one ulp below the last grid point
+TABLE_TO_10 = '{"kind":"custom","table":[[0,0,0],[1,0.5,1],[2,2,2],[4,8,4],[10,50,10]]}'
+CONSTRUCTIONS = ("closed-form", "numeric")
+#: single clauses next to their values, where the suite folds them
+CLAUSE_RUNS = {
+    "nfunc-check-custom-cap10": ["nfunc", "check", "--nfunction", TABLE_TO_10],
+    "group-check-Z1": ["group", "check", "--group", Z1],
+    "group-check-Z2xZ2xZ3": ["group", "check", "--group", Z2XZ2XZ3],
+    "characters-brute-Z1": ["characters", "brute", "--group", Z1],
+}
 
 #: every command and its verbs, for the --help runs
 COMMAND_VERBS = {
@@ -75,7 +91,12 @@ def commands() -> dict[str, list[str]]:
             runs[f"witness-{pair}-probes100-seed{seed}"] = [
                 "porosity", "witness", "--probes", "100", "--seed", str(seed),
                 "--nfunction", spec]
+        for construction in CONSTRUCTIONS:
+            runs[f"nfunc-check-{pair}-{construction}"] = [
+                "nfunc", "check", "--nfunction",
+                json.dumps({**json.loads(spec), "construction": construction})]
     runs.update(WITNESS_RUNS)
+    runs.update(CLAUSE_RUNS)
     runs.update(HELP_RUNS)
     runs.update({f"golden-{name}": list(argv) for name, argv in golden["runs"].items()})
     return runs

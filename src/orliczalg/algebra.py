@@ -19,7 +19,9 @@ lam(EV) < (1 + eps) lam(V), and the lower half of the inverse-product
 bound t < Phi^{-1}(t) Psi^{-1}(t). Every step carries its numeric slack.
 
 ``PlateauCertificate.checks`` is the one definition of the plateau
-clauses, as ``CheckResult``s: the CLI, the witness and the unit check read it.
+clauses and ``SubmultReport.checks`` that of the closure chain, as
+``CheckResult``s (defined in ``errors``, importable from here too): the
+CLI, the suite, the witness and the unit check read them.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable
 
-from .errors import InfeasibleWindowError, OrliczAlgebraError, ScopeError, SpecFormatError
+from .errors import CheckResult, InfeasibleWindowError, OrliczAlgebraError, ScopeError, SpecFormatError
 from .groups import (
     GroupFunction,
     GroupSpace,
@@ -46,20 +48,6 @@ RECONSTRUCTION_TOL = 1e-9
 #: additive cushion on equality-type chain steps, matching the stated
 #: norm-equivalence tolerance
 CHAIN_GUARD = 1e-9
-
-
-@dataclass(frozen=True)
-class CheckResult:
-    """One check clause. It fails when its slack is not finite: NaN or an
-    infinity means the quantity it bounds was never computed as a number."""
-
-    name: str
-    passed: bool
-    slack: float
-    detail: str = ""
-
-    def __post_init__(self):
-        object.__setattr__(self, "passed", bool(self.passed) and math.isfinite(self.slack))
 
 
 @dataclass(frozen=True)
@@ -366,6 +354,11 @@ class SubmultReport:
     @property
     def outer_slack(self) -> float:
         return self.outer - self.middle
+
+    def checks(self, tol_slack: float) -> tuple[CheckResult, CheckResult]:
+        """Both links of the chain, each holding up to ``tol_slack``."""
+        return (CheckResult("inner-chain", self.inner_slack >= -tol_slack, self.inner_slack),
+                CheckResult("outer-chain", self.outer_slack >= -tol_slack, self.outer_slack))
 
 
 def submultiplicativity_report(u: GroupFunction, v: GroupFunction,

@@ -20,15 +20,17 @@ echoed, never silent. Exit codes: 0 all checks pass, 1 check failures,
 an entry reported out of scope while no check failed), 4 a violated
 must-hold inequality (with a state dump).
 
-Each check family is one ``_check_<family>`` function that writes its
-value and check lines into a report. Where the library defines the
-clauses (plateau certificates, witnesses, unit and Segal reports), the
-family only prints the ``CheckResult``s they carry. ``main`` names the
-report, ``verb=<command> <verb>`` (just ``suite`` for the suite), from the
-one ``verb`` dest that every command's verbs share, and the command's
-handler fills it. A verb handler calls a family on that report; ``suite``
-calls it on a throwaway report and folds that into one entry, which
-passes when every check passed and carries the smallest slack.
+Every clause that ``suite`` folds is built as a ``CheckResult`` next to
+its data, in the library (``axiom_checks`` and the other pair clauses in
+``nfunctions``, ``GroupSpace.checks``, ``orlicz_checks``, the plateau,
+submult, witness, Segal and unit reports' ``checks``, and
+``character_checks``). A verb handler prints those clauses between its
+value lines; ``suite`` folds each family's clauses into one entry, which
+passes when every check passed and carries the smallest slack. Only the
+clauses of a single verb that the suite never folds are built here.
+``main`` names the report, ``verb=<command> <verb>`` (just ``suite`` for
+the suite), from the one ``verb`` dest that every command's verbs share,
+and the command's handler fills it.
 
 The environment variable ORLICZALG_CONFIG may point to a JSON file with
 default overrides for {"seed", "format", "output", "tol_slack",
@@ -39,7 +41,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 import time
@@ -65,20 +66,12 @@ from .groups import (
 )
 from .nfunctions import (
     CATALOG_PAIR_NAMES,
-    _capped_grid,
+    axiom_checks,
     conjugate_value,
-    inverse_product_ratio,
-    validate_pair,
-    young_gap,
+    inverse_product_check,
+    young_equality_check,
 )
-from .norms import (
-    char_fn_norm,
-    luxemburg,
-    modular,
-    oracle_agreement_slack,
-    orlicz_norm,
-    shared_solves,
-)
+from .norms import char_fn_norm, luxemburg, modular, orlicz_checks, orlicz_norm, shared_solves
 from .numerics import geometric_grid
 from .porosity import build_witness, make_instance
 from .specio import (
@@ -94,7 +87,13 @@ from .specio import (
     read_json,
     write_text,
 )
-from .structure import convolution_unit, enumerate_characters, multiplicative_functional_search, segal_report
+from .structure import (
+    character_checks,
+    convolution_unit,
+    enumerate_characters,
+    multiplicative_functional_search,
+    segal_report,
+)
 
 CONFIG_ENV = "ORLICZALG_CONFIG"
 CONFIG_KEYS = ("seed", "format", "output", "tol_slack", "tol_value")
@@ -170,154 +169,6 @@ def _split_names(text: str) -> list[str]:
 
 
 # ---------------------------------------------------------------------------
-# check families (see the module docstring)
-# ---------------------------------------------------------------------------
-
-def _check_pair_axioms(rep: Report, pair) -> None:
-    validate_pair(pair)
-    rep.check("axioms", True, 0.0, "convexity, limits, strict growth on grids")
-    rep.check("young-and-biconjugacy", True, 0.0, "grid square + double conjugate")
-
-
-def _check_young_equality(rep: Report, pair) -> None:
-    """|Phi(x) + Psi(y) - x y| at y = phi'(x) within 1e-8, or within the
-    rounding of terms of size x y once that is larger: each term comes
-    out of an exp or a power whose argument is near ln(x y), so it
-    carries about eps (4 + ln(x y)) relative error (p = 200 at x = 10
-    has x y = 1e200, where 1e-8 is far below one ulp). The grid stops where
-    phi'(x) reaches Psi's cap, which rounding can overshoot by one ulp."""
-    phi, psi = pair.phi, pair.psi
-    slacks = []
-    for x in _capped_grid(1e-2, 1e1, min(phi.domain_cap, psi.derivative(psi.domain_cap)), 7):
-        y = min(phi.deriv(x), psi.domain_cap)
-        xy = x * y
-        tol = max(1e-8, sys.float_info.epsilon * xy * (4.0 + math.log(max(xy, 1.0))))
-        slacks.append(tol - abs(young_gap(pair, x, y)))
-    rep.check("young-equality-at-derivative", min(slacks) >= 0.0, min(slacks),
-              "gap at (x, phi'(x))")
-
-
-def _check_inverse_product(rep: Report, pair, cfg: RunConfig) -> None:
-    top = min(pair.phi.evaluate(pair.phi.domain_cap), pair.psi.evaluate(pair.psi.domain_cap))
-    ratios = [inverse_product_ratio(pair, t) for t in _capped_grid(1e-3, 1e3, top, 41)]
-    rep.add("inverse-product.min", min(ratios))
-    rep.add("inverse-product.max", max(ratios))
-    rep.check("inverse-product-range",
-              min(ratios) > 1.0 and max(ratios) <= 2.0 + cfg.tol_slack,
-              min(min(ratios) - 1.0, 2.0 + cfg.tol_slack - max(ratios)),
-              f"t in [1e-3, {'1e3' if top >= 1e3 else f'{top:g}'}], 41 points")
-
-
-def _check_group_laws(rep: Report, space: GroupSpace) -> None:
-    rep.check("laws", True, 0.0,
-              "associativity, identity, inverses (proved where the group is built)")
-    rep.add("abelian", space.is_abelian)
-    rep.add("weight", str(space.weight(space.identity)))
-    if not space.is_window:
-        rep.check("normalized", space.total_mass() == 1, 0.0, "sum of weights = 1")
-
-
-def _check_orlicz(rep: Report, r, lux: float, cfg: RunConfig) -> None:
-    """The Orlicz value r against its dual lower end and the Luxemburg value lux."""
-    rep.add("value", r.value)
-    rep.add("method", r.method)
-    rep.add("oracle-value", r.oracle_value)
-    rep.add("provenance", "computed (minimization) vs computed (dual point at the Amemiya root)")
-    rep.check("oracle-agreement", r.agreed, oracle_agreement_slack(r.value, r.oracle_value))
-    rep.check("norm-equivalence", lux <= r.value + cfg.tol_slack
-              and r.value <= 2.0 * lux + cfg.tol_slack,
-              min(r.value + cfg.tol_slack - lux, 2.0 * lux + cfg.tol_slack - r.value))
-
-
-def _check_plateau(rep: Report, cert, cfg: RunConfig) -> None:
-    rep.add("leptin-ratio", float(cert.leptin.ratio))
-    rep.add("cost-bound", cert.cost_bound)
-    rep.add("cost-phi", cert.cost_phi)
-    rep.add("cost-psi", cert.cost_psi)
-    bounds = {f"chain.{label}.{step.name}": step.bound
-              for label, chain in (("phi", cert.chain_phi), ("psi", cert.chain_psi))
-              for step in chain}
-    for c in cert.checks(cfg.tol_value):
-        if c.name in bounds:
-            rep.add(f"{c.name}.bound", bounds[c.name])
-        rep.record(c)
-
-
-def _check_witness(rep: Report, witness) -> None:
-    threshold, guaranteed, budget, ball, all_violate = witness.checks()
-    rep.add("quadrant", f"({witness.quadrant[0]},{witness.quadrant[1]})")
-    rep.add("m0", witness.m0)
-    rep.add("base-points", list(witness.base_points))
-    rep.add("collected-set", list(witness.collected))
-    rep.add("lam-k", witness.lam_k)
-    rep.add("threshold-512n-R2", witness.threshold)
-    rep.record(threshold)
-    rep.add("guaranteed-integral", witness.guaranteed_integral)
-    rep.record(guaranteed)
-    rep.add("plateau-cost-phi", witness.plateau_cert.cost_phi)
-    rep.add("plateau-cost-psi", witness.plateau_cert.cost_psi)
-    rep.record(budget)
-    rep.add("dist-f-bound", witness.dist_f_bound)
-    rep.add("dist-g-bound", witness.dist_g_bound)
-    rep.record(ball)
-    rep.add("probes", len(witness.probes))
-    rep.add("violations", len(witness.probes) - len(witness.non_violating))
-    rep.record(all_violate)
-    rep.add("min-probe-integral", min(p.integral_value for p in witness.probes))
-    for p in witness.probes:
-        rep.add(f"probe.{p.index}",
-                f"df={p.delta_f.kind}@{p.delta_f.position} "
-                f"dg={p.delta_g.kind}@{p.delta_g.position} "
-                f"budget_f={p.budget_f!r} budget_g={p.budget_g!r} "
-                f"x={p.violating_x} integral={p.integral_value!r} "
-                f"hmin={p.h_min_on_k!r} kmin={p.k_min_on_k!r} urad={p.certified_u_radius}")
-
-
-def _check_segal(rep: Report, sr) -> None:
-    for c in sr.checks:
-        rep.record(c)
-
-
-def _check_unit(rep: Report, ur, cfg: RunConfig) -> None:
-    two_sided, pointwise = ur.checks(cfg.tol_value)
-    rep.add("unit-amplitude", ur.unit.sup_norm())
-    rep.add("basis-sweep-error", ur.max_error)
-    rep.record(two_sided)
-    rep.add("norm-bracket", f"[{ur.bracket.lower!r}, {ur.bracket.upper!r}]")
-    rep.add("pointwise-unit-cost", ur.pointwise_cert.cost_phi)
-    rep.record(pointwise)
-
-
-def _check_submult(rep: Report, sub, cfg: RunConfig) -> None:
-    rep.add("alpha", sub.alpha)
-    rep.add("beta", sub.beta)
-    rep.add("alpha-provenance", "closed-form 1/Phi^(-1)(1), agreement "
-            f"{sub.alpha_agreement:g}")
-    rep.add("upper", sub.upper)
-    rep.add("middle", sub.middle)
-    rep.add("outer", sub.outer)
-    rep.check("inner-chain", sub.inner_slack >= -cfg.tol_slack, sub.inner_slack)
-    rep.check("outer-chain", sub.outer_slack >= -cfg.tol_slack, sub.outer_slack)
-
-
-def _check_characters(rep: Report, space: GroupSpace, enumerated, searched=None) -> None:
-    """The only comparisons of the character routes: the searched characters
-    (when given) against the enumerated ones, and each route's count against |G|."""
-    routes = [enumerated]
-    if searched is not None:
-        rep.check("routes-agree", searched.exponent_set() == enumerated.exponent_set(),
-                  0.0, "exhaustive weight search vs generator-image enumeration")
-        routes.append(searched)
-    chosen = routes[-1]
-    rep.add("count", len(chosen))
-    rep.add("root-order", chosen.order)
-    rep.check("completeness", all(len(r) == space.size for r in routes),
-              float(-max(abs(len(r) - space.size) for r in routes)), "|characters| = |G|")
-    for i, c in enumerate(chosen.characters):
-        rep.add(f"character.{i}", list(c.exponents))
-
-
-# ---------------------------------------------------------------------------
 # verb handlers
 # ---------------------------------------------------------------------------
 
@@ -336,9 +187,11 @@ def _run_nfunc(args, cfg: RunConfig, rep: Report) -> None:
     if args.verb == "check":
         rep.add("complement", pair.psi.label)
         rep.add("construction", pair.construction)
-        _check_pair_axioms(rep, pair)
-        _check_inverse_product(rep, pair, cfg)
-        _check_young_equality(rep, pair)
+        rep.record(*axiom_checks(pair))
+        low, high, in_range = inverse_product_check(pair, cfg.tol_slack)
+        rep.add("inverse-product.min", low)
+        rep.add("inverse-product.max", high)
+        rep.record(in_range, young_equality_check(pair))
         return
     rep.add("construction", pair.construction)
     if args.points is None:
@@ -384,7 +237,12 @@ def _run_norm(args, cfg: RunConfig, rep: Report) -> None:
         rep.check("modular-at-value", r.residual <= max(cfg.tol_value, 1e-10),
                   max(cfg.tol_value, 1e-10) - r.residual, "rho(f/k) = 1 residual")
     else:
-        _check_orlicz(rep, orlicz_norm(pair, f), luxemburg(pair.phi, f).value, cfg)
+        r = orlicz_norm(pair, f)
+        rep.add("value", r.value)
+        rep.add("method", r.method)
+        rep.add("oracle-value", r.oracle_value)
+        rep.add("provenance", "computed (minimization) vs computed (dual point at the Amemiya root)")
+        rep.record(*orlicz_checks(r, luxemburg(pair.phi, f).value, cfg.tol_slack))
 
 
 def _run_group(args, cfg: RunConfig, rep: Report) -> None:
@@ -392,7 +250,11 @@ def _run_group(args, cfg: RunConfig, rep: Report) -> None:
     rep.add("group", space.name)
     rep.add("size", space.size)
     if args.verb == "check":
-        _check_group_laws(rep, space)
+        laws, *normalized = space.checks()
+        rep.record(laws)
+        rep.add("abelian", space.is_abelian)
+        rep.add("weight", str(space.weight(space.identity)))
+        rep.record(*normalized)
     elif args.verb == "convolve":
         f = function_from_rows(space, args.left)
         g = function_from_rows(space, args.right)
@@ -430,11 +292,29 @@ def _run_aphi(args, cfg: RunConfig, rep: Report) -> None:
         plateau_set = [_decode_element(x, "--set") for x in read_json(args.set)]
         _, cert = build_plateau(space, plateau_set, pair, args.epsilon)
         rep.add("epsilon", args.epsilon)
-        _check_plateau(rep, cert, cfg)
+        rep.add("leptin-ratio", float(cert.leptin.ratio))
+        rep.add("cost-bound", cert.cost_bound)
+        rep.add("cost-phi", cert.cost_phi)
+        rep.add("cost-psi", cert.cost_psi)
+        bounds = {f"chain.{label}.{step.name}": step.bound
+                  for label, chain in (("phi", cert.chain_phi), ("psi", cert.chain_psi))
+                  for step in chain}
+        for c in cert.checks(cfg.tol_value):
+            if c.name in bounds:
+                rep.add(f"{c.name}.bound", bounds[c.name])
+            rep.record(c)
     else:  # submult
         u = function_from_rows(space, args.left)
         v = function_from_rows(space, args.right)
-        _check_submult(rep, submultiplicativity_report(u, v, pair), cfg)
+        sub = submultiplicativity_report(u, v, pair)
+        rep.add("alpha", sub.alpha)
+        rep.add("beta", sub.beta)
+        rep.add("alpha-provenance", "closed-form 1/Phi^(-1)(1), agreement "
+                f"{sub.alpha_agreement:g}")
+        rep.add("upper", sub.upper)
+        rep.add("middle", sub.middle)
+        rep.add("outer", sub.outer)
+        rep.record(*sub.checks(cfg.tol_slack))
 
 
 def _default_porosity_function(space: GroupSpace) -> GroupFunction:
@@ -458,18 +338,52 @@ def _run_porosity(args, cfg: RunConfig, rep: Report) -> None:
     rep.add("v-radius", inst.v_radius)
     rep.add("membership-max-integral", inst.max_integral)
     rep.add("boundary-flag", inst.boundary_flag)
-    _check_witness(rep, build_witness(inst, pair, probe_count=args.probes, seed=cfg.seed))
+    witness = build_witness(inst, pair, probe_count=args.probes, seed=cfg.seed)
+    threshold, guaranteed, budget, ball, all_violate = witness.checks()
+    rep.add("quadrant", f"({witness.quadrant[0]},{witness.quadrant[1]})")
+    rep.add("m0", witness.m0)
+    rep.add("base-points", list(witness.base_points))
+    rep.add("collected-set", list(witness.collected))
+    rep.add("lam-k", witness.lam_k)
+    rep.add("threshold-512n-R2", witness.threshold)
+    rep.record(threshold)
+    rep.add("guaranteed-integral", witness.guaranteed_integral)
+    rep.record(guaranteed)
+    rep.add("plateau-cost-phi", witness.plateau_cert.cost_phi)
+    rep.add("plateau-cost-psi", witness.plateau_cert.cost_psi)
+    rep.record(budget)
+    rep.add("dist-f-bound", witness.dist_f_bound)
+    rep.add("dist-g-bound", witness.dist_g_bound)
+    rep.record(ball)
+    rep.add("probes", len(witness.probes))
+    rep.add("violations", len(witness.probes) - len(witness.non_violating))
+    rep.record(all_violate)
+    rep.add("min-probe-integral", min(p.integral_value for p in witness.probes))
+    for p in witness.probes:
+        rep.add(f"probe.{p.index}",
+                f"df={p.delta_f.kind}@{p.delta_f.position} "
+                f"dg={p.delta_g.kind}@{p.delta_g.position} "
+                f"budget_f={p.budget_f!r} budget_g={p.budget_g!r} "
+                f"x={p.violating_x} integral={p.integral_value!r} "
+                f"hmin={p.h_min_on_k!r} kmin={p.k_min_on_k!r} urad={p.certified_u_radius}")
 
 
 def _run_segal(args, cfg: RunConfig, rep: Report) -> None:
     space, pair = _space_and_pair(args, rep)
     rep.add("samples", args.samples)
-    _check_segal(rep, segal_report(space, pair, samples=args.samples, seed=cfg.seed))
+    rep.record(*segal_report(space, pair, samples=args.samples, seed=cfg.seed).checks)
 
 
 def _run_unit(args, cfg: RunConfig, rep: Report) -> None:
     space, pair = _space_and_pair(args, rep)
-    _check_unit(rep, convolution_unit(space, pair, epsilon=args.epsilon), cfg)
+    ur = convolution_unit(space, pair, epsilon=args.epsilon)
+    two_sided, pointwise = ur.checks(cfg.tol_value)
+    rep.add("unit-amplitude", ur.unit.sup_norm())
+    rep.add("basis-sweep-error", ur.max_error)
+    rep.record(two_sided)
+    rep.add("norm-bracket", f"[{ur.bracket.lower!r}, {ur.bracket.upper!r}]")
+    rep.add("pointwise-unit-cost", ur.pointwise_cert.cost_phi)
+    rep.record(pointwise)
 
 
 def _run_characters(args, cfg: RunConfig, rep: Report) -> None:
@@ -478,7 +392,14 @@ def _run_characters(args, cfg: RunConfig, rep: Report) -> None:
     enumerated = enumerate_characters(space)
     searched = (None if args.verb == "enumerate"
                 else multiplicative_functional_search(space, tolerance=cfg.tol_slack))
-    _check_characters(rep, space, enumerated, searched)
+    *agree, complete = character_checks(space, enumerated, searched)
+    chosen = enumerated if searched is None else searched
+    rep.record(*agree)
+    rep.add("count", len(chosen))
+    rep.add("root-order", chosen.order)
+    rep.record(complete)
+    for i, c in enumerate(chosen.characters):
+        rep.add(f"character.{i}", list(c.exponents))
 
 
 # ---------------------------------------------------------------------------
@@ -501,45 +422,41 @@ def _run_suite(args, cfg: RunConfig, rep: Report) -> None:
     entries: dict[str, list] = {}  # entry name -> the CheckResults folded into it
     out_of_scope: list[tuple[str, str]] = []  # (entry name, ScopeError message)
 
-    def entry(name: str, check_family, *args) -> None:
-        """Run one check family on a throwaway report and keep only its checks."""
-        throwaway = Report(name)
-        check_family(throwaway, *args)
-        entries.setdefault(name, []).extend(throwaway.checks)
+    def entry(name: str, *checks) -> None:
+        entries.setdefault(name, []).extend(checks)
 
     for pname, pair in pairs:
-        entry(f"pair-axioms.{pname}", _check_pair_axioms, pair)
-        entry(f"pair-axioms.{pname}", _check_young_equality, pair)
-        entry(f"inverse-product.{pname}", _check_inverse_product, pair, cfg)
+        entry(f"pair-axioms.{pname}", *axiom_checks(pair), young_equality_check(pair))
+        entry(f"inverse-product.{pname}", inverse_product_check(pair, cfg.tol_slack)[2])
 
     for gname in group_names:
         space = group_from_name(gname)
-        entry(f"group-laws.{gname}", _check_group_laws, space)
+        entry(f"group-laws.{gname}", *space.checks())
         for pname, pair in pairs:
             key = f"{gname}.{pname}"
             if space.is_window:
                 _, cert = build_plateau(space, range(-1, 2), pair, 0.5)
-                entry(f"plateau.{key}", _check_plateau, cert, cfg)
+                entry(f"plateau.{key}", *cert.checks(cfg.tol_value))
                 inst = make_instance(_default_porosity_function(space),
                                      _default_porosity_function(space), 11, 32.0, 1)
-                entry(f"porosity.{key}", _check_witness,
-                      build_witness(inst, pair, probe_count=args.probes, seed=cfg.seed))
+                entry(f"porosity.{key}", *build_witness(inst, pair, probe_count=args.probes,
+                                                        seed=cfg.seed).checks())
                 continue
             rng = Random(cfg.seed)
             for _ in range(args.samples):
                 f = random_function(space, rng)
-                entry(f"norm-equivalence.{key}", _check_orlicz, orlicz_norm(pair, f),
-                      luxemburg(pair.phi, f).value, cfg)
-            entry(f"segal.{key}", _check_segal,
-                  segal_report(space, pair, samples=max(4, args.samples // 2), seed=cfg.seed))
-            entry(f"unit.{key}", _check_unit, convolution_unit(space, pair), cfg)
+                entry(f"norm-equivalence.{key}", *orlicz_checks(
+                    orlicz_norm(pair, f), luxemburg(pair.phi, f).value, cfg.tol_slack))
+            entry(f"segal.{key}", *segal_report(space, pair, samples=max(4, args.samples // 2),
+                                                seed=cfg.seed).checks)
+            entry(f"unit.{key}", *convolution_unit(space, pair).checks(cfg.tol_value))
             u, v = random_function(space, rng), random_function(space, rng)
-            entry(f"submult.{key}", _check_submult, submultiplicativity_report(u, v, pair), cfg)
+            entry(f"submult.{key}", *submultiplicativity_report(u, v, pair).checks(cfg.tol_slack))
         if not space.is_window and space.is_abelian:
             try:
-                entry(f"characters.{gname}", _check_characters, space,
-                      enumerate_characters(space),
-                      multiplicative_functional_search(space, tolerance=cfg.tol_slack))
+                entry(f"characters.{gname}", *character_checks(
+                    space, enumerate_characters(space),
+                    multiplicative_functional_search(space, tolerance=cfg.tol_slack)))
             except ScopeError as exc:  # a character search past its node cap
                 out_of_scope.append((f"characters.{gname}", str(exc)))
 

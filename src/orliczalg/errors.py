@@ -1,10 +1,30 @@
-"""Semantic exception hierarchy shared by all modules.
+"""Semantic exception hierarchy and the check clause, shared by all modules.
 
 Exit-code mapping used by the CLI: parse problems exit 2, scope problems
 exit 3, a surfaced contradiction of a verified inequality exits 4.
+
+``CheckResult`` lives in this bottom module so that every module builds the
+check clauses on its own data; reports only print them.
 """
 
 from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+
+
+@dataclass(frozen=True)
+class CheckResult:
+    """One check clause. It fails when its slack is not finite: NaN or an
+    infinity means the quantity it bounds was never computed as a number."""
+
+    name: str
+    passed: bool
+    slack: float
+    detail: str = ""
+
+    def __post_init__(self):
+        object.__setattr__(self, "passed", bool(self.passed) and math.isfinite(self.slack))
 
 
 class OrliczAlgebraError(Exception):

@@ -37,7 +37,7 @@ from fractions import Fraction
 from random import Random
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .errors import InfeasibleWindowError, ScopeError, SpecFormatError, WindowExitError
+from .errors import CheckResult, InfeasibleWindowError, ScopeError, SpecFormatError, WindowExitError
 
 Element = object
 
@@ -126,6 +126,14 @@ class GroupSpace:
                 if self.try_mul(a, b) != self.try_mul(b, a):
                     return (a, b)
         return None
+
+    def checks(self) -> tuple[CheckResult, ...]:
+        """The group laws, proved where the group is built, and a finite group's normalization."""
+        laws = CheckResult("laws", True, 0.0,
+                           "associativity, identity, inverses (proved where the group is built)")
+        if self.is_window:
+            return (laws,)
+        return laws, CheckResult("normalized", self.total_mass() == 1, 0.0, "sum of weights = 1")
 
     def require_finite(self, what: str) -> None:
         if self.is_window:

@@ -27,11 +27,12 @@ evaluate and derivative return inf exactly above that cap.
 from __future__ import annotations
 
 import math
+import sys
 from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from .errors import CapExceededError, InvalidNFunctionError, SpecFormatError
+from .errors import CapExceededError, CheckResult, InvalidNFunctionError, SpecFormatError
 from .numerics import geometric_grid, solve_increasing
 
 #: catalog caps sit where Phi reaches this value, or at a round point below
@@ -421,3 +422,40 @@ def validate_pair(pair: ComplementaryPair) -> None:
             raise InvalidNFunctionError(
                 f"({pair.phi.label}, {pair.psi.label}): biconjugacy off at x = {x:g}: "
                 f"{got:g} vs {want:g}")
+
+
+def axiom_checks(pair: ComplementaryPair) -> tuple[CheckResult, CheckResult]:
+    """The axiom clauses; ``validate_pair`` raises on the first that fails."""
+    validate_pair(pair)
+    return (CheckResult("axioms", True, 0.0, "convexity, limits, strict growth on grids"),
+            CheckResult("young-and-biconjugacy", True, 0.0, "grid square + double conjugate"))
+
+
+def young_equality_check(pair: ComplementaryPair) -> CheckResult:
+    """|Phi(x) + Psi(y) - x y| at y = phi'(x) within 1e-8, or within the
+    rounding of terms of size x y once that is larger: each term comes
+    out of an exp or a power whose argument is near ln(x y), so it
+    carries about eps (4 + ln(x y)) relative error (p = 200 at x = 10
+    has x y = 1e200, where 1e-8 is far below one ulp). The grid stops where
+    phi'(x) reaches Psi's cap, which rounding can overshoot by one ulp."""
+    phi, psi = pair.phi, pair.psi
+    slacks = []
+    for x in _capped_grid(1e-2, 1e1, min(phi.domain_cap, psi.derivative(psi.domain_cap)), 7):
+        y = min(phi.deriv(x), psi.domain_cap)
+        xy = x * y
+        tol = max(1e-8, sys.float_info.epsilon * xy * (4.0 + math.log(max(xy, 1.0))))
+        slacks.append(tol - abs(young_gap(pair, x, y)))
+    return CheckResult("young-equality-at-derivative", min(slacks) >= 0.0, min(slacks),
+                       "gap at (x, phi'(x))")
+
+
+def inverse_product_check(pair: ComplementaryPair,
+                          tol_slack: float) -> tuple[float, float, CheckResult]:
+    """(min, max, clause) of the ratio on 41 points of t in [1e-3, 1e3], capped
+    where Phi or Psi reaches its top value: in (1, 2 + tol_slack]."""
+    top = min(pair.phi.evaluate(pair.phi.domain_cap), pair.psi.evaluate(pair.psi.domain_cap))
+    ratios = [inverse_product_ratio(pair, t) for t in _capped_grid(1e-3, 1e3, top, 41)]
+    low, high = min(ratios), max(ratios)
+    return low, high, CheckResult("inverse-product-range", low > 1.0 and high <= 2.0 + tol_slack,
+                                  min(low - 1.0, 2.0 + tol_slack - high),
+                                  f"t in [1e-3, {'1e3' if top >= 1e3 else f'{top:g}'}], 41 points")

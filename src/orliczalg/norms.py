@@ -60,7 +60,7 @@ from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
 
-from .errors import CapExceededError, ScopeError, SpecFormatError
+from .errors import CapExceededError, CheckResult, ScopeError, SpecFormatError
 from .groups import GroupFunction, GroupSpace
 from .nfunctions import ComplementaryPair, NFunction
 from .numerics import MAX_STEPS, illinois
@@ -311,6 +311,14 @@ def orlicz_norm(pair: ComplementaryPair, f: GroupFunction, *,
     residual = abs(value - oracle_value) if oracle_value is not None else math.nan
     return NormReport(value=value, method="amemiya-min", residual=residual,
                       iterations=iterations, oracle_value=oracle_value, flags=flags)
+
+
+def orlicz_checks(r: NormReport, lux: float, tol_slack: float) -> tuple[CheckResult, CheckResult]:
+    """Report r against its dual lower end, and against the Luxemburg value lux <= r <= 2 lux."""
+    return (CheckResult("oracle-agreement", r.agreed, oracle_agreement_slack(r.value, r.oracle_value)),
+            CheckResult("norm-equivalence",
+                        lux <= r.value + tol_slack and r.value <= 2.0 * lux + tol_slack,
+                        min(r.value + tol_slack - lux, 2.0 * lux + tol_slack - r.value)))
 
 
 def _amemiya_solve(phi: NFunction, f: GroupFunction) -> tuple[float, float, int]:

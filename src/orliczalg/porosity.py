@@ -48,6 +48,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 from collections import Counter
 from dataclasses import dataclass
 from random import Random
@@ -154,6 +155,8 @@ def make_instance(f: GroupFunction, g: GroupFunction, n: int, radius: float,
         raise ScopeError("instance functions must share one window")
     if n < 1 or int(n) != n:
         raise SpecFormatError(f"level index must be a positive integer, got {n}")
+    if 512 * n > sys.float_info.max:
+        raise SpecFormatError(f"level index n = {n} puts 512 n outside the floats")
     if radius <= 0:
         raise SpecFormatError(f"ball radius must be positive, got {radius}")
     if not (0.0 < radius * radius < math.inf and 512.0 * n / (radius * radius) < math.inf):

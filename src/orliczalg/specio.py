@@ -37,8 +37,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Mapping
 
-from .algebra import CheckResult
-from .errors import SpecFormatError
+from .errors import CheckResult, SpecFormatError
 from .groups import (
     GroupFunction,
     GroupSpace,
@@ -272,12 +271,13 @@ class Report:
     def check(self, key: str, passed: bool, slack: float, detail: str = "") -> None:
         self.record(CheckResult(key, passed, slack, detail))
 
-    def record(self, c: CheckResult) -> None:
-        """A check line: pass/fail, numeric slack, optional provenance."""
-        suffix = f" {c.detail}" if c.detail else ""
-        self.lines.append((f"check.{c.name}",
-                           f"{'pass' if c.passed else 'FAIL'} slack={_render_value(c.slack)}{suffix}"))
-        self.checks.append(c)
+    def record(self, *checks: CheckResult) -> None:
+        """A check line for each clause: pass/fail, numeric slack, optional provenance."""
+        for c in checks:
+            suffix = f" {c.detail}" if c.detail else ""
+            self.lines.append((f"check.{c.name}", f"{'pass' if c.passed else 'FAIL'} "
+                               f"slack={_render_value(c.slack)}{suffix}"))
+            self.checks.append(c)
 
     def skip(self, key: str, reason: str) -> None:
         """An ``out-of-scope.<key>`` line for a check that could not run.

@@ -15,7 +15,7 @@ generator images (each character checked on the generators, which
 implies the full table, and at most SEARCH_NODE_LIMIT image choices) and an
 exhaustive search over root-of-unity weight vectors constrained only by
 multiplicativity on point masses. Neither route calls or counts the
-other: the caller's report compares them and checks |characters| = |G|.
+other: ``character_checks`` compares them and checks |characters| = |G|.
 Both use exact exponent arithmetic modulo the group exponent; complex
 values appear only in reports. The search assigns exponents depth-first
 in carrier order and cuts a branch as soon as an assigned table triple
@@ -275,7 +275,7 @@ def enumerate_characters(space: GroupSpace) -> CharacterSet:
     inconsistency. The assignments, the product of the generators'
     orders, can outnumber |G|; past SEARCH_NODE_LIMIT of them this raises
     ScopeError before expanding any. Each character found is checked on
-    the generators. The count |G| is checked by the caller's report.
+    the generators. The count |G| is checked by ``character_checks``.
     """
     _require_finite_abelian(space, "character enumeration")
     L, orders = group_exponent(space)
@@ -424,3 +424,16 @@ def multiplicative_functional_search(space: GroupSpace,
             raise OrliczAlgebraError(
                 f"pairing multiplicativity broke at ({s!r}, {t!r}): |{lhs} - {rhs}|")
     return result
+
+
+def character_checks(space: GroupSpace, enumerated: CharacterSet,
+                     searched: CharacterSet | None = None) -> tuple[CheckResult, ...]:
+    """The only comparisons of the character routes: the searched characters
+    (when given) against the enumerated ones, and each route's count against |G|."""
+    routes = [enumerated] if searched is None else [enumerated, searched]
+    complete = CheckResult("completeness", all(len(r) == space.size for r in routes),
+                           float(-max(abs(len(r) - space.size) for r in routes)), "|characters| = |G|")
+    if searched is None:
+        return (complete,)
+    return (CheckResult("routes-agree", searched.exponent_set() == enumerated.exponent_set(),
+                        0.0, "exhaustive weight search vs generator-image enumeration"), complete)

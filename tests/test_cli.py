@@ -13,12 +13,14 @@ import sys
 import time
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
+from random import Random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import orliczalg.cli as cli
+import orliczalg.nfunctions as nfunctions
 import orliczalg.norms as norms
 import orliczalg.porosity as porosity
 import orliczalg.structure as structure
@@ -29,9 +31,22 @@ from orliczalg.algebra import (
     merged_decomposition,
 )
 from orliczalg.errors import TheoremContradictionError
-from orliczalg.groups import GroupFunction, convolve, integer_window, leptin_search, set_product
-from orliczalg.nfunctions import CATALOG_PAIR_NAMES, ComplementaryPair, power
-from orliczalg.specio import Report, function_from_rows, group_from_spec, pair_from_name
+from orliczalg.groups import (
+    GroupFunction,
+    convolve,
+    integer_window,
+    leptin_search,
+    random_function,
+    set_product,
+)
+from orliczalg.nfunctions import CATALOG_PAIR_NAMES, ComplementaryPair, power, young_equality_check
+from orliczalg.specio import (
+    Report,
+    function_from_rows,
+    function_to_rows,
+    group_from_spec,
+    pair_from_name,
+)
 from test_golden import RUNS as GOLDEN_RUNS
 
 Z8 = '{"type": "Zn", "n": 8}'
@@ -321,6 +336,21 @@ def test_porosity_out_of_range_number_exits_2(capsys, flag, value):
     assert "must be" in err
 
 
+# 512 n leaves the floats from n = 10**306 on; 400 nines do not even convert to a float
+@pytest.mark.parametrize("n", [str(10 ** 306), "9" * 400], ids=["1e306", "400-nines"])
+def test_porosity_n_past_the_float_range_exits_2_naming_n(capsys, n):
+    code, err = _exit_code(capsys, "porosity", "witness", "--n", n, "--probes", "1")
+    assert code == 2
+    assert err.startswith(f"parse error: level index n = {n} puts 512 n outside the floats")
+    assert "Traceback" not in err
+
+
+def test_porosity_n_inside_the_float_range_the_window_cannot_hold_exits_3(capsys):
+    code, err = _exit_code(capsys, "porosity", "witness", "--n", str(10 ** 305), "--probes", "1")
+    assert code == 3
+    assert err.startswith("scope error: window radius 256 cannot hold")
+
+
 def test_porosity_v_radius_beyond_the_window_exits_3(capsys):
     code, err = _exit_code(capsys, "porosity", "witness", "--window", "16", "--V-radius", "17",
                            "--probes", "1")
@@ -349,8 +379,8 @@ def test_nfunc_check_reports_for_every_catalog_kind(capsys, kind, construction):
 @pytest.mark.parametrize("p, q", [(2.0, 3.0), (200.0, 200.0 / 199.0 * (1.0 + 1e-9))])
 def test_young_equality_fails_a_psi_that_is_not_the_complement(p, q):
     rep = Report("young")
-    cli._check_young_equality(rep, ComplementaryPair(phi=power(p), psi=power(q),
-                                                     construction="closed-form"))
+    rep.record(young_equality_check(ComplementaryPair(phi=power(p), psi=power(q),
+                                                      construction="closed-form")))
     assert rep.failures == ["young-equality-at-derivative"]
 
 
@@ -460,7 +490,7 @@ def test_closed_form_agreement_against_a_wrong_complement_fails_with_negative_sl
 
 
 def test_inverse_product_range_below_one_fails_with_negative_slack(capsys, monkeypatch):
-    monkeypatch.setattr(cli, "inverse_product_ratio", lambda pair, t: 0.9)
+    monkeypatch.setattr(nfunctions, "inverse_product_ratio", lambda pair, t: 0.9)
     code, out, _ = run_cli(capsys, "nfunc", "check", "--nfunction", QUAD)
     assert code == 1
     line = next(x for x in out.splitlines() if x.startswith("check.inverse-product-range="))
@@ -760,6 +790,54 @@ def test_suite_characters_entry_is_the_fold_of_characters_brute(capsys, consiste
     code, out, _ = run_cli(capsys, "characters", "brute", "--group", Z6)
     assert code == 0
     assert _fold(f"check.characters={consistency_suite['check.characters.Z6']}") == _fold(out)
+
+
+def _entries(suite: dict, *names: str) -> str:
+    """The suite's check lines of the named entries, as a report for ``_fold``."""
+    return "\n".join(f"check.{name}={suite[f'check.{name}']}" for name in names)
+
+
+@pytest.mark.parametrize("group, spec", [("Z6", Z6),
+                                         ("Zwindow256", '{"type": "Zwindow", "radius": 256}')])
+def test_suite_group_laws_entry_is_the_fold_of_group_check(capsys, consistency_suite, group, spec):
+    code, out, _ = run_cli(capsys, "group", "check", "--group", spec)
+    assert code == 0
+    assert _fold(_entries(consistency_suite, f"group-laws.{group}")) == _fold(out)
+
+
+@pytest.mark.parametrize("pair", sorted(CONSISTENCY_PAIRS))
+def test_suite_pair_entries_are_the_fold_of_nfunc_check(capsys, consistency_suite, pair):
+    code, out, _ = run_cli(capsys, "nfunc", "check", "--nfunction", CONSISTENCY_PAIRS[pair])
+    assert code == 0
+    entries = _entries(consistency_suite, f"pair-axioms.{pair}", f"inverse-product.{pair}")
+    assert _fold(entries) == _fold(out)
+
+
+def _suite_draws(count: int) -> list[str]:
+    """The first ``count`` functions the consistency suite draws on Z6 for a
+    pair, as function data: its 8 (default --samples) norm samples, then u and v."""
+    space, rng = group_from_spec(Z6), Random(7)
+    return [json.dumps(function_to_rows(random_function(space, rng))) for _ in range(count)]
+
+
+@pytest.mark.parametrize("pair", sorted(CONSISTENCY_PAIRS))
+def test_suite_norm_equivalence_entry_is_the_fold_of_norm_orlicz(capsys, consistency_suite, pair):
+    outs = []
+    for f in _suite_draws(8):
+        code, out, _ = run_cli(capsys, "norm", "orlicz", "--group", Z6,
+                               "--nfunction", CONSISTENCY_PAIRS[pair], "--function", f)
+        assert code == 0
+        outs.append(out)
+    assert _fold(_entries(consistency_suite, f"norm-equivalence.Z6.{pair}")) == _fold("".join(outs))
+
+
+@pytest.mark.parametrize("pair", sorted(CONSISTENCY_PAIRS))
+def test_suite_submult_entry_is_the_fold_of_aphi_submult(capsys, consistency_suite, pair):
+    u, v = _suite_draws(10)[8:]
+    code, out, _ = run_cli(capsys, "aphi", "submult", "--group", Z6,
+                           "--nfunction", CONSISTENCY_PAIRS[pair], "--left", u, "--right", v)
+    assert code == 0
+    assert _fold(_entries(consistency_suite, f"submult.Z6.{pair}")) == _fold(out)
 
 
 def test_nfunc_check_custom_table_ending_at_ten_passes(capsys):

@@ -1,6 +1,8 @@
 """The report comparison of scripts/cmp_reports.py, on hand-made directories."""
 
 import importlib.util
+import io
+from contextlib import redirect_stdout
 from pathlib import Path
 
 import orliczalg.cli as cli
@@ -41,3 +43,13 @@ def test_help_runs_cover_every_command_and_verb(monkeypatch):
         subtree = cli._build_parser(command)._subparsers._group_actions[0].choices[command]
         choices = [a.choices for a in subtree._actions if a.dest == "verb"]
         assert list(choices[0] if choices else ()) == list(verbs)
+
+
+def test_clause_runs_are_passing_commands(monkeypatch):
+    cmp_reports = _load(monkeypatch)
+    assert len(cmp_reports.CLAUSE_RUNS) == 4
+    for name, argv in cmp_reports.CLAUSE_RUNS.items():
+        out = io.StringIO()
+        with redirect_stdout(out):
+            assert cli.main(list(argv)) == 0, name
+        assert "check." in out.getvalue(), name
