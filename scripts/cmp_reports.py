@@ -14,7 +14,9 @@ suite shows only as folded minima; ``--help`` of the root, of each command and o
 argument layer; and every golden run of the working tree's
 ``tests/test_golden.py``. Each report is the exit code and the standard
 output of one command. The script names each report that
-differs, or that only one side has, and exits 1 if any does, else 0.
+differs, with the keys whose values differ (as ``tests/test_golden.py``
+does when it rewrites a golden), or that only one side has, and exits 1
+if any does, else 0.
 Reports are written to a new temporary directory, which is removed when
 every report matches and kept, with its path printed, when one differs.
 Standard library only.
@@ -122,6 +124,19 @@ def differing(a: Path, b: Path) -> list[str]:
                     and (a / name).read_bytes() == (b / name).read_bytes())]
 
 
+def _fields(path: Path) -> dict[str, str]:
+    """A report's lines as key -> value; a line without "=" is a key of its own."""
+    lines = path.read_text(encoding="utf-8").splitlines()
+    return {key: value for key, _, value in (line.partition("=") for line in lines)}
+
+
+def changed_keys(a: Path, b: Path) -> list[str]:
+    """Keys whose value differs between report files a and b, or that only one has."""
+    before, after = _fields(a), _fields(b)
+    return [key for key in dict.fromkeys([*before, *after])
+            if before.get(key) != after.get(key)]
+
+
 def main(argv: list[str] | None = None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--base", required=True, help="revision to compare against")
@@ -139,7 +154,11 @@ def main(argv: list[str] | None = None) -> int:
         if not diff:
             shutil.rmtree(out, ignore_errors=True)
     for name in diff:
-        print(f"differs: {name}")
+        base, change = out / "base" / name, out / "change" / name
+        if base.is_file() and change.is_file():
+            print(f"differs: {name}: {', '.join(changed_keys(base, change))}")
+        else:
+            print(f"differs: {name}: only in {'base' if base.is_file() else 'change'}")
     print(f"{len(runs) - len(diff)} of {len(runs)} reports identical to {args.base}")
     if diff:
         print(f"reports kept in {out}/base and {out}/change")

@@ -181,7 +181,8 @@ def cosh_minus_one() -> NFunction:
     def ev(x: float) -> float:
         if x > cap:
             return math.inf
-        return math.cosh(x) - 1.0
+        s = math.sinh(0.5 * x)  # 2 sinh(x/2)^2: cosh(x) - 1 cancels at small x
+        return 2.0 * s * s
 
     def dv(x: float) -> float:
         if x > cap:

@@ -6,13 +6,18 @@ rho_Phi(c f): the solves below evaluate it at each step on f as given,
 without building a scaled function, and ``slope=True`` adds
 c d/dc rho_Phi(c f) from the same pass.
 
-Every norm is one monotone root solve through ``numerics.illinois``
-(Illinois regula falsi), started from the bracket [0, x] on which the
-solved map rises from 0 (``_feasible_end``):
+Every norm is one monotone root solve, ``_window_root``: in r, the
+solve's scale times sup|f|, it ends at an evaluated point where the
+solved quantity lies in [1 - RESIDUAL_TOL, 1]. It runs
+``numerics.illinois`` on the log of that quantity against log r, aimed
+at the middle of the window: a straight line for Phi(x) = x^p/p, so a
+power-pair solve takes 3 or 4 modular passes, and nearly straight for
+the other catalog pairs.
 
 * The Luxemburg norm N_Phi(f) = inf{k > 0 : rho_Phi(f/k) <= 1} solves
-  rho_Phi(s f) = 1 in s = 1/k. The reported value is k at the feasible
-  end, where rho_Phi(f/k) <= 1 in floats, so it is a sound upper bound.
+  rho_Phi(s f) = 1 in s = 1/k. The reported value is k at the evaluated
+  point where rho_Phi(f/k) <= 1 in floats, so it is a sound upper bound;
+  aiming below 1 leaves it about RESIDUAL_TOL/2 of room in rho.
 * The Orlicz norm, defined as sup{ sum |f g| dlam : rho_Psi(g) <= 1 }, is
   the Amemiya minimum
 
@@ -26,9 +31,10 @@ solved map rises from 0 (``_feasible_end``):
 * The lower end of the bracket is the dual point at the Amemiya root:
   g = phi(k |f|) meets Young's equality with k f, so at the root
   rho_Psi(g) = h(k) = 1 and the Hoelder pairing sum |f g| dlam equals
-  the norm. One direct pass of Psi certifies rho_Psi(g) <= 1 in floats;
-  where it reads above 1, g is divided by its Luxemburg norm N_Psi(g),
-  which certifies it. The pairing is then a lower bound by weak duality
+  the norm. The solve ends about RESIDUAL_TOL/2 below the root, so one
+  direct pass of Psi certifies rho_Psi(g) <= 1 in floats; where it reads
+  above 1, g is divided by its Luxemburg norm N_Psi(g), which certifies
+  it. The pairing is then a lower bound by weak duality
   for any k, and the objective (1 + rho_Phi(k f)) / k the upper bound.
   Value and lower end must agree to a relative ``ORACLE_AGREEMENT_RTOL``
   (``oracle_agreement_slack`` >= 0, the one definition of agreement) or
@@ -49,8 +55,9 @@ solved again. The dual point of a cross-checked call still runs on every
 call. Outside any scope every call solves directly.
 
 A function so small that a solve's scale 1/k (Luxemburg) or k (Amemiya)
-leaves the floats is out of scope: the solve raises ``ScopeError``
-rather than read the overflow as a cap and report a wrong end.
+leaves the floats at its root is out of scope: the solve raises
+``ScopeError`` rather than read the overflow as a cap and report a wrong
+end.
 """
 
 from __future__ import annotations
@@ -68,6 +75,8 @@ from .numerics import MAX_STEPS, illinois
 ORACLE_AGREEMENT_RTOL = 1e-6
 #: feasible-side stop of the norm solves: rho within this of 1
 RESIDUAL_TOL = 1e-12
+#: the solves aim at the middle of their window [1 - RESIDUAL_TOL, 1], in log
+_AIM = math.log1p(-0.5 * RESIDUAL_TOL)
 #: the method label of the Luxemburg solve
 METHOD = "illinois"
 
@@ -156,46 +165,72 @@ def _solve_once(kind: str, phi: NFunction, f: GroupFunction, solve):
     return result
 
 
-def _feasible_end(excess) -> tuple[float, float, int]:
-    """Root of an increasing ``excess`` with excess(0) = -1 (rho of 0, minus 1).
+def _window_root(value_at, slope: float) -> tuple[float, float, int]:
+    """Evaluated point r where an increasing value_at(r) lies in [1 - RESIDUAL_TOL, 1].
 
-    Callers scale their variable by sup|f|, so the root is near 1: the
-    first point is 1, doubled until excess > 0, so that [0, x] or a
-    feasible point and x bracket the root; then ``illinois`` runs.
-    Returns the feasible end (r, excess(r)), excess(r) <= 0, and the
-    number of evaluations. Stops at excess >= -RESIDUAL_TOL on the
-    feasible side, at bracket collapse, or after MAX_STEPS evaluations.
+    Callers scale their variable by sup|f|, so the root is near r = 1.
+    ``illinois`` solves F(t) = log value_at(e^t) - log(1 - RESIDUAL_TOL/2)
+    = 0. ``slope`` is a lower bound on F's slope: the second point
+    t = -F(0) / slope lies across the root in exact arithmetic; without a
+    bound (slope 0), or where rounding leaves it on the same side, the
+    bracket steps by a factor e in r. A point whose scale leaves the
+    floats (ScopeError) reads as infeasible; the error is raised only
+    where the solve ends against such a point outside the window. Returns
+    the evaluated (r, value_at(r)) with the largest value <= 1 ((0, 0) if
+    none) and the number of evaluations. Stops once that value is in the
+    window, at bracket collapse, or after MAX_STEPS evaluations.
     """
-    x, lo, e_lo, steps = 1.0, 0.0, -1.0, 0
-    while True:
-        e = excess(x)
-        steps += 1
-        if e > 0.0:
-            break
-        lo, e_lo = x, e
-        if _close(e):
-            return lo, e_lo, steps
+    best_r, best_v = 0.0, 0.0
+    past_t, past = math.inf, None   # least t whose scale left the floats, and its error
+
+    def log_excess(t: float) -> float:
+        nonlocal best_r, best_v, past_t, past
+        try:
+            r = math.exp(t)
+        except OverflowError:
+            r = math.inf
+        try:
+            v = value_at(r)
+        except ScopeError as err:
+            if t < past_t:
+                past_t, past = t, err
+            return math.inf
+        if best_v < v <= 1.0:
+            best_r, best_v = r, v
+        return math.log(v) - _AIM if v > 0.0 else -math.inf
+
+    def in_window() -> bool:
+        return -RESIDUAL_TOL <= best_v - 1.0 <= 0.0
+
+    t, e, steps = 0.0, log_excess(0.0), 1
+    step = -e / slope if slope > 0.0 and math.isfinite(e) else math.copysign(1.0, -e)
+    while not in_window():
         if steps >= MAX_STEPS:
-            raise ArithmeticError("bracket expansion found no infeasible point")
-        x *= 2.0
-    end = illinois(excess, lo, e_lo, x, e, done=_close, max_steps=MAX_STEPS - steps)
-    return end.lo, end.f_lo, steps + end.steps
-
-
-def _close(e: float) -> bool:
-    """On the feasible side of the root and within RESIDUAL_TOL of it."""
-    return -RESIDUAL_TOL <= e <= 0.0
+            raise ArithmeticError("bracket expansion found no sign change")
+        u = t + step
+        eu = log_excess(u)
+        steps += 1
+        if (eu > 0.0) != (e > 0.0):
+            lo, f_lo, hi, f_hi = (t, e, u, eu) if t < u else (u, eu, t, e)
+            end = illinois(log_excess, lo, f_lo, hi, f_hi, done=lambda _: in_window(),
+                           max_steps=MAX_STEPS - steps)
+            steps += end.steps
+            if not in_window() and end.hi >= past_t:
+                raise past
+            break
+        t, e, step = u, eu, math.copysign(1.0, step)
+    return best_r, best_v, steps
 
 
 def luxemburg(phi: NFunction, f: GroupFunction) -> NormReport:
     """Luxemburg-Nakano norm: the root of rho_Phi(s f) = 1 in s = 1/k.
 
-    s -> rho_Phi(s f) is convex and increasing with value 0 at s = 0, so
-    the Illinois kernel solves it (in r = s sup|f|) from the bracket
-    [0, r], r doubled from 1 until it is infeasible. Returns k = 1/s at
-    the feasible end, where rho_Phi(f/k) <= 1 holds in floats (a sound
-    upper bound); residual is |rho_Phi(f/value) - 1|. Stops at a residual
-    of 1e-12, at bracket collapse, or at 200 steps in all.
+    s -> rho_Phi(s f) is convex and increasing with value 0 at s = 0;
+    ``_window_root`` solves it in r = s sup|f|, on log rho against log r.
+    Returns k = 1/s at the evaluated point where rho_Phi(f/k) <= 1 holds
+    in floats (a sound upper bound); residual is |rho_Phi(f/value) - 1|.
+    Stops at a residual of at most 1e-12, at bracket collapse, or at 200
+    steps in all.
     """
     if f.is_zero:
         return NormReport(value=0.0, method=METHOD, residual=0.0, iterations=0)
@@ -205,19 +240,22 @@ def luxemburg(phi: NFunction, f: GroupFunction) -> NormReport:
 def _luxemburg_solve(phi: NFunction, f: GroupFunction) -> NormReport:
     top = f.sup_norm()
 
-    def excess(r: float) -> float:
+    def rho(r: float) -> float:
         # evaluated at 1/k, k = sup|f| / r, so that the reported k reproduces it
         k = top / r
         scale = _finite_scale(1.0 / k if k else math.inf, top)
         try:
-            return modular(phi, f, scale) - 1.0
+            return modular(phi, f, scale)
         except CapExceededError:
             return math.inf
 
-    r, e, steps = _feasible_end(excess)
+    # Phi(x)/x is nondecreasing (Krasnosel'skii-Rutickii), so log rho has
+    # slope >= 1 in log r, for tabulated Phi as well
+    r, rho_r, steps = _window_root(rho, 1.0)
     if r == 0.0:
         raise ArithmeticError("Luxemburg solve found no feasible point")
-    return NormReport(value=top / r, method=METHOD, residual=abs(e), iterations=steps)
+    return NormReport(value=top / r, method=METHOD, residual=abs(rho_r - 1.0),
+                      iterations=steps)
 
 
 def _finite_scale(scale: float, top: float) -> float:
@@ -283,13 +321,14 @@ def orlicz_norm(pair: ComplementaryPair, f: GroupFunction, *,
 
         h(k) = sum_x Psi(phi(k |f(x)|)) weight(x) = k d/dk rho_Phi(k f) - rho_Phi(k f)
 
-    is increasing with h(0) = 0, so the Illinois kernel finds it like the
+    is increasing with h(0) = 0, so ``_window_root`` finds it like the
     Luxemburg root (in r = k sup|f|); one ``modular(..., slope=True)``
     pass gives h and the objective at each k. The value is the least
     objective over the k evaluated, so it is an upper bound for the norm.
     With ``cross_check`` the report's ``oracle_value`` is the certified
-    lower end of the duality bracket, from the dual point at the feasible
-    end k of the solve (``_dual_point``); it runs no second solve.
+    lower end of the duality bracket, from the dual point at the evaluated
+    k with h(k) <= 1 where the solve ends (``_dual_point``); it runs no
+    second solve.
     """
     flags: tuple[str, ...] = ()
     if f.is_zero:
@@ -326,7 +365,7 @@ def _amemiya_solve(phi: NFunction, f: GroupFunction) -> tuple[float, float, int]
     top = f.sup_norm()
     value = math.inf
 
-    def young_excess(r: float) -> float:
+    def young(r: float) -> float:
         nonlocal value
         k = _finite_scale(r / top, top)
         try:
@@ -334,9 +373,10 @@ def _amemiya_solve(phi: NFunction, f: GroupFunction) -> tuple[float, float, int]
         except CapExceededError:
             return math.inf
         value = min(value, (1.0 + rho) / k)
-        return slope - rho - 1.0
+        return slope - rho
 
-    r, _, iterations = _feasible_end(young_excess)
+    # a tabulated Phi gives Young's function no slope bound in log r
+    r, _, iterations = _window_root(young, 0.0)
     return value, r, iterations
 
 

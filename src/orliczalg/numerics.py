@@ -7,7 +7,13 @@ variant of regula falsi (Dowell and Jarratt, BIT 11, 1971): each step
 evaluates the secant point of the two ends of opposite sign, and the
 value held for an end that is kept twice in a row is halved, so both
 ends move and convergence is superlinear. The kernel returns both ends
-with their values; each caller keeps the end it certifies.
+with their values, and it stops where the caller's ``done`` says so;
+each caller keeps the point it certifies. The kernel is exact on a
+straight line, so callers hand it the most nearly linear form of their
+map: the norm solves give it log rho against the log of their scale,
+which is a line for power functions, and stop on the modular they
+evaluated, not on the value handed to the kernel. The inverses run in
+x, from a doubling bracket.
 
 ``bisect_increasing`` and ``golden_min`` are the linear methods the
 kernel replaced. The library no longer calls them; they stay only as

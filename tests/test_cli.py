@@ -193,9 +193,9 @@ def test_a_tiny_norm_whose_solve_scale_stays_finite_keeps_its_report(capsys):
     assert out.splitlines()[4:10] == [
         "value=2.121320343559643e-308",
         "method=amemiya-min",
-        "oracle-value=2.121320343559632e-308",
+        "oracle-value=2.121320343559113e-308",
         "provenance=computed (minimization) vs computed (dual point at the Amemiya root)",
-        "check.oracle-agreement=pass slack=2.1213203326e-314",
+        "check.oracle-agreement=pass slack=2.121319814e-314",
         "check.norm-equivalence=pass slack=1e-09",
     ]
 
@@ -1337,10 +1337,10 @@ def test_pairing_just_inside_the_float_range_keeps_its_report(capsys):
         "support-size=1\n"
         "value=3.535533905932738e+307\n"
         "method=amemiya-min\n"
-        "oracle-value=3.5355339059327204e+307\n"
+        "oracle-value=3.5355339059318547e+307\n"
         "provenance=computed (minimization) vs computed (dual point at the Amemiya root)\n"
-        "check.oracle-agreement=pass slack=3.535533888469135e+301\n"
-        "check.norm-equivalence=pass slack=1.696464263104512e+293\n"
+        "check.oracle-agreement=pass slack=3.5355330227734007e+301\n"
+        "check.norm-equivalence=pass slack=8.831593369691135e+294\n"
         "config.seed=0 (default)\n"
         "config.format=machine (default)\n"
         "config.output=None (default)\n"

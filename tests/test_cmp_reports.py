@@ -33,6 +33,38 @@ def test_differing_names_changed_and_one_sided_reports_only(tmp_path, monkeypatc
     assert cmp_reports.differing(base, change) == [
         "base-only.txt", "change-only.txt", "changed.txt", "exit.txt"]
     assert cmp_reports.differing(base, base) == []
+    assert cmp_reports.changed_keys(base / "changed.txt", change / "changed.txt") == ["value"]
+    assert cmp_reports.changed_keys(base / "exit.txt", change / "exit.txt") == ["exit"]
+    assert cmp_reports.changed_keys(base / "same.txt", change / "same.txt") == []
+
+
+def test_changed_keys_names_added_dropped_and_bare_lines(tmp_path, monkeypatch):
+    cmp_reports = _load(monkeypatch)
+    base, change = tmp_path / "base.txt", tmp_path / "change.txt"
+    base.write_text("exit=0\nvalue=1.0\ndropped=x\nusage: orliczalg suite\n")
+    change.write_text("exit=0\nvalue=1.0\nadded=y\nusage: orliczalg suite [-h]\n")
+    assert cmp_reports.changed_keys(base, change) == [
+        "dropped", "usage: orliczalg suite", "added", "usage: orliczalg suite [-h]"]
+
+
+def test_main_names_the_keys_of_each_differing_report(tmp_path, monkeypatch, capsys):
+    cmp_reports = _load(monkeypatch)
+    reports = {"change": {"a": "exit=0\nvalue=2.0\n", "new": "exit=0\n"},
+               "base": {"a": "exit=0\nvalue=1.0\n"}}
+    monkeypatch.setattr(cmp_reports, "commands", lambda: {"a": [], "new": []})
+    monkeypatch.setattr(cmp_reports, "extract", lambda rev: tmp_path / "base-tree")
+    monkeypatch.setattr(cmp_reports.tempfile, "mkdtemp", lambda prefix: str(tmp_path / "out"))
+
+    def write_reports(root, runs, dest):
+        dest.mkdir(parents=True)
+        for name, text in reports[dest.name].items():
+            (dest / f"{name}.txt").write_text(text)
+
+    monkeypatch.setattr(cmp_reports, "write_reports", write_reports)
+    assert cmp_reports.main(["--base", "REV"]) == 1
+    assert capsys.readouterr().out.splitlines()[:3] == [
+        "differs: a.txt: value", "differs: new.txt: only in change",
+        "0 of 2 reports identical to REV"]
 
 
 def test_help_runs_cover_every_command_and_verb(monkeypatch):

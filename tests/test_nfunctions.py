@@ -1,7 +1,9 @@
 """N-function axioms, conjugation against closed forms, inequality checks."""
 
 import math
+import sys
 
+import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -64,6 +66,21 @@ def test_inverse_against_closed_forms():
     assert abs(cosh_minus_one().inverse(1.0) - math.acosh(2.0)) <= 1e-10
     for pair in ALL_PAIRS:
         assert pair.phi.inverse(0.0) == 0.0
+
+
+def test_cosh_inverse_against_200_bit_arithmetic():
+    # cosh(x) - 1 = 2 sinh(x/2)^2 has no cancellation, so Phi^{-1}(t) =
+    # 2 asinh(sqrt(t/2)) is found to a few ulps; evaluated as cosh(x) - 1
+    # it was off by 4e-5 at t = 1e-12 and read 0 from t = 1e-16. Below
+    # about 1e-116 the inverse's bracket [0, 1] is too wide for the step cap
+    # of the solve, for power(2) as well, so the grid stops at 1e-100.
+    phi = cosh_minus_one()
+    with mpmath.workprec(200):
+        for t in [m * 10.0 ** -e for e in range(101) for m in (1.0, 2.5, 6.0)]:
+            if t > 1.0:
+                continue
+            exact = 2 * mpmath.asinh(mpmath.sqrt(mpmath.mpf(t) / 2))
+            assert abs(phi.inverse(t) - exact) <= 4 * sys.float_info.epsilon * exact, t
 
 
 def test_inverse_is_two_sided():

@@ -32,7 +32,7 @@ from orliczalg.norms import (
     orlicz_norm,
     shared_solves,
 )
-from orliczalg.numerics import golden_min
+from orliczalg.numerics import golden_min, illinois
 from orliczalg.specio import pair_from_name
 
 ALL_PAIRS = [pair_from_name(name) for name in CATALOG_PAIR_NAMES]
@@ -364,8 +364,13 @@ def _oracle_maximizer(pair, f):
         except CapExceededError:
             return math.inf
 
-    r, _, steps = norms._feasible_end(excess)
-    g = g_at(r / top)
+    # r doubled from 1 until infeasible, then the Illinois kernel on the excess
+    x, lo, e_lo, steps = 1.0, 0.0, -1.0, 1
+    while (e := excess(x)) <= 0.0:
+        x, lo, e_lo, steps = 2.0 * x, x, e, steps + 1
+    end = illinois(excess, lo, e_lo, x, e, done=lambda v: -1e-12 <= v <= 0.0)
+    g = g_at(end.lo / top)
+    steps += end.steps
     scale = luxemburg(psi, g).value
     if scale > 1.0:
         g = g.scale(1.0 / scale)
@@ -476,6 +481,30 @@ def test_norms_equal_per_step_scaled_reference(pair_name):
                 pair, random_function(space, rng, amplitude=3.0))
 
 
+def test_modular_passes_of_the_solves_on_the_reference_sample(counted):
+    # The sample above, solved once per norm: N_Phi, N_Psi and the Amemiya
+    # solve. Each solve runs in log-log coordinates, where a power pair's
+    # map is a straight line. The doubling bracket with Illinois on
+    # rho - 1 that it replaced took 8 to 12 passes per power-pair solve
+    # and 1,795 on the whole sample; this solve takes 1,050.
+    total = 0
+    for pair_name in CATALOG_PAIR_NAMES:
+        pair = pair_from_name(pair_name)
+        rng = Random(18)
+        for space in (cyclic(8), integer_window(16), cyclic(64)):
+            for _ in range(5):
+                f = random_function(space, rng, amplitude=3.0)
+                for solve in (lambda: luxemburg(pair.phi, f), lambda: luxemburg(pair.psi, f),
+                              lambda: orlicz_norm(pair, f, cross_check=False)):
+                    before = counted["modular"]
+                    solve()
+                    passes = counted["modular"] - before
+                    if pair_name.startswith("power"):
+                        assert passes <= 4, (pair_name, passes)
+                    total += passes
+    assert total <= 1100
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.sampled_from(CATALOG_PAIR_NAMES),
        st.sampled_from([cyclic(8), integer_window(16), cyclic(64)]),
@@ -487,22 +516,42 @@ def test_norms_agree_with_linear_references(pair_name, space, seed):
 
 def test_dual_point_lower_end_against_the_mu_solve():
     # The lower end pairs f with phi(k f) at the Amemiya root k; the
-    # mu-solve oracle finds its dual point with a second solve.
-    rescaled = 0
+    # mu-solve oracle finds its dual point with a second solve. The solve
+    # ends inside its window, so the direct Psi pass certifies g: no
+    # rescale (test_dual_point_rescales_a_g_past_the_root drives one).
     for pair in ALL_PAIRS:
         for space in (cyclic(8), cyclic(64), integer_window(128)):
             for seed in range(30):
                 f = random_function(space, Random(seed), amplitude=3.0)
                 rep, g, steps = _bracket(pair, f)
-                assert modular(pair.psi, g) <= 1.0  # certified feasible
+                assert steps == 0 and modular(pair.psi, g) <= 1.0  # certified feasible
                 value, lower = rep.value, rep.oracle_value
                 rounding = (len(f.support) + 4) * sys.float_info.epsilon
                 assert lower <= value * (1.0 + rounding), (pair.phi.label, seed)
                 assert value - lower <= 1e-9 * value, (pair.phi.label, seed)
                 reference, _, _ = _oracle_maximizer(pair, f)
                 assert abs(lower - reference) <= 1e-9 * reference, (pair.phi.label, seed)
-                rescaled += steps > 0
-    assert rescaled > 0  # the Luxemburg rescale ran where the direct Psi pass read > 1
+
+
+def test_dual_point_rescales_a_g_past_the_root():
+    # Just past the Amemiya root h(k) = rho_Psi(phi(k |f|)) > 1, so the
+    # direct Psi pass fails and g is divided by N_Psi(g); the pairing of f
+    # with the rescaled g is still a lower bound for the norm.
+    for pair in ALL_PAIRS:
+        for space in (cyclic(8), cyclic(64), integer_window(128)):
+            for seed in range(5):
+                f = random_function(space, Random(seed), amplitude=3.0)
+                value, r, _ = norms._amemiya_solve(pair.phi, f)
+                k = r / f.sup_norm() * (1.0 + 1e-6)
+                past = GroupFunction(space, {x: pair.phi.derivative(abs(k * v))
+                                             for x, v in f.items()})
+                assert modular(pair.psi, past) > 1.0, (pair.phi.label, seed)
+                lower, g, steps = _dual_point(pair, f, k)
+                assert steps > 0, (pair.phi.label, seed)  # the Luxemburg rescale ran
+                assert modular(pair.psi, g) <= 1.0, (pair.phi.label, seed)
+                rounding = (len(f.support) + 4) * sys.float_info.epsilon
+                assert lower <= value * (1.0 + rounding), (pair.phi.label, seed)
+                assert value - lower <= 1e-6 * value, (pair.phi.label, seed)
 
 
 def test_dual_point_certified_without_a_rescale(z8):
