@@ -10,7 +10,10 @@ at seeds 3 and 13 for each catalog pair, and once more each with complex
 ``nfunc check`` for each catalog pair in both constructions and for a
 custom table that ends at 10, ``group check`` on Z1 and Z2xZ2xZ3 and
 ``characters brute`` on Z1, which print one by one the clauses that the
-suite shows only as folded minima; ``--help`` of the root, of each command and of each verb, which checks the
+suite shows only as folded minima; for that table and for one with a
+flat run of equal slopes, ``nfunc conjugate``, ``norm orlicz`` and
+``aphi bound`` on Z8 and ``unit check`` on Z6, which read the table's
+closed-form derivative inverse; ``--help`` of the root, of each command and of each verb, which checks the
 argument layer; and every golden run of the working tree's
 ``tests/test_golden.py``. Each report is the exit code and the standard
 output of one command. The script names each report that
@@ -48,10 +51,14 @@ WITNESS_RUNS = {
                                             "--v-radius", "2", "--window", "64"],
 }
 Z1 = '{"type": "Zn", "n": 1}'
+Z6 = '{"type": "Zn", "n": 6}'
+Z8 = '{"type": "Zn", "n": 8}'
 Z2XZ2XZ3 = ('{"type": "product", "factors": [{"type": "Zn", "n": 2}, '
             '{"type": "Zn", "n": 2}, {"type": "Zn", "n": 3}]}')
 #: a custom table whose cap 10 is one ulp below the last grid point
 TABLE_TO_10 = '{"kind":"custom","table":[[0,0,0],[1,0.5,1],[2,2,2],[4,8,4],[10,50,10]]}'
+#: a custom table whose slope stays 1 on [1, 2], capped at 3
+TABLE_FLAT_RUN = '{"kind":"custom","table":[[0,0,0],[1,0.5,1],[2,1.5,1],[3,3,2]]}'
 CONSTRUCTIONS = ("closed-form", "numeric")
 #: single clauses next to their values, where the suite folds them
 CLAUSE_RUNS = {
@@ -60,6 +67,22 @@ CLAUSE_RUNS = {
     "group-check-Z2xZ2xZ3": ["group", "check", "--group", Z2XZ2XZ3],
     "characters-brute-Z1": ["characters", "brute", "--group", Z1],
 }
+#: function data on Z8 whose norms stay inside both tables' caps
+Z8_SPREAD = json.dumps([[0, 1, 0], [1, 0.75, 0.25], [2, -0.5, 0], [3, 0.25, -0.5],
+                        [4, 1, 0], [5, 0.5, 0.5], [6, -0.75, 0], [7, 0.5, 0]])
+#: the verbs that read a tabulated pair's derivative inverse, through the
+#: numeric conjugate and the Amemiya solve of the swapped pair
+TABLE_RUNS = {}
+for _table, _spec in (("table-cap10", TABLE_TO_10), ("table-flat-run", TABLE_FLAT_RUN)):
+    TABLE_RUNS.update({
+        f"nfunc-conjugate-{_table}": ["nfunc", "conjugate", "--nfunction", _spec],
+        f"norm-orlicz-Z8-{_table}": ["norm", "orlicz", "--group", Z8,
+                                      "--nfunction", _spec, "--function", Z8_SPREAD],
+        f"aphi-bound-Z8-{_table}": ["aphi", "bound", "--group", Z8,
+                                     "--nfunction", _spec, "--function", Z8_SPREAD],
+        f"unit-check-Z6-{_table}": ["unit", "check", "--group", Z6,
+                                     "--nfunction", _spec],
+    })
 
 #: every command and its verbs, for the --help runs
 COMMAND_VERBS = {
@@ -99,6 +122,7 @@ def commands() -> dict[str, list[str]]:
                 json.dumps({**json.loads(spec), "construction": construction})]
     runs.update(WITNESS_RUNS)
     runs.update(CLAUSE_RUNS)
+    runs.update(TABLE_RUNS)
     runs.update(HELP_RUNS)
     runs.update({f"golden-{name}": list(argv) for name, argv in golden["runs"].items()})
     return runs

@@ -66,6 +66,7 @@ from .groups import (
 )
 from .nfunctions import (
     CATALOG_PAIR_NAMES,
+    _capped_grid,
     axiom_checks,
     conjugate_value,
     inverse_product_check,
@@ -195,8 +196,10 @@ def _run_nfunc(args, cfg: RunConfig, rep: Report) -> None:
         return
     rep.add("construction", pair.construction)
     if args.points is None:
-        points = geometric_grid(1e-2, 1e2, 9)
-        rep.add("points", "geometric 1e-2..1e2 x9 (default)")
+        points = _capped_grid(1e-2, 1e2, pair.psi.domain_cap, 9)
+        top = ("1e2" if points == geometric_grid(1e-2, 1e2, 9)
+               else f"{points[-1]:g} (Psi's domain cap)")
+        rep.add("points", f"geometric 1e-2..{top} x9 (default)")
     else:
         points = _parse_points(args.points, pair.psi)
     for y in points:
@@ -371,7 +374,7 @@ def _run_porosity(args, cfg: RunConfig, rep: Report) -> None:
 def _run_segal(args, cfg: RunConfig, rep: Report) -> None:
     space, pair = _space_and_pair(args, rep)
     rep.add("samples", args.samples)
-    rep.record(*segal_report(space, pair, samples=args.samples, seed=cfg.seed).checks)
+    rep.record(*segal_report(space, pair, samples=args.samples, seed=cfg.seed))
 
 
 def _run_unit(args, cfg: RunConfig, rep: Report) -> None:
@@ -448,7 +451,7 @@ def _run_suite(args, cfg: RunConfig, rep: Report) -> None:
                 entry(f"norm-equivalence.{key}", *orlicz_checks(
                     orlicz_norm(pair, f), luxemburg(pair.phi, f).value, cfg.tol_slack))
             entry(f"segal.{key}", *segal_report(space, pair, samples=max(4, args.samples // 2),
-                                                seed=cfg.seed).checks)
+                                                seed=cfg.seed))
             entry(f"unit.{key}", *convolution_unit(space, pair).checks(cfg.tol_value))
             u, v = random_function(space, rng), random_function(space, rng)
             entry(f"submult.{key}", *submultiplicativity_report(u, v, pair).checks(cfg.tol_slack))

@@ -8,8 +8,9 @@ nonnegative axis,
 
     Psi(y) = sup{ x*|y| - Phi(x) : x >= 0 },
 
-computed here by solving phi(x) = y on the derivative (the supremum of
-a concave objective). Every constructor supplies the derivative, and
+attained at x = phi^{-1}(y), the inverse of the derivative. Every
+constructor supplies the derivative and its inverse in closed form (a
+table's is the exact inverse of its piecewise-linear derivative), and
 everything is evaluated on demand.
 
 Catalog (classical examples):
@@ -28,7 +29,7 @@ from __future__ import annotations
 
 import math
 import sys
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -38,8 +39,6 @@ from .numerics import geometric_grid, solve_increasing
 #: catalog caps sit where Phi reaches this value, or at a round point below
 OVERFLOW_GUARD = 1e300
 
-ROOT_VALUE_TOL = 1e-12
-
 
 @dataclass(frozen=True)
 class NFunction:
@@ -47,15 +46,14 @@ class NFunction:
 
     ``evaluate`` and ``derivative`` act on the nonnegative axis; evenness
     is structural (callers go through ``__call__``, which applies abs).
-    ``derivative_inverse`` is an optional closed-form inverse of the
-    derivative; a monotone root-finder substitutes when absent.
+    ``derivative_inverse`` is the inverse of the derivative on its range.
     """
 
     label: str
     evaluate: Callable[[float], float]
     derivative: Callable[[float], float]
     domain_cap: float
-    derivative_inverse: Callable[[float], float] | None = None
+    derivative_inverse: Callable[[float], float]
 
     def __call__(self, x: float) -> float:
         a = abs(x)
@@ -72,19 +70,10 @@ class NFunction:
         return self.derivative(a)
 
     def deriv_inverse(self, y: float) -> float:
-        """Solve deriv(x) = y for x >= 0 (y within the derivative's range)."""
+        """The x >= 0 with deriv(x) = y (y within the derivative's range)."""
         if y < 0:
             raise ValueError("derivative inverse requires y >= 0")
-        if self.derivative_inverse is not None:
-            return self.derivative_inverse(y)
-        if y == 0.0:
-            return 0.0
-        if self.derivative(self.domain_cap) < y:
-            raise CapExceededError(
-                f"{self.label}: derivative stays below {y:g} up to the domain cap")
-        res = solve_increasing(self.derivative, y, start=min(1.0, self.domain_cap),
-                               limit=self.domain_cap, value_tol=ROOT_VALUE_TOL)
-        return res.x
+        return self.derivative_inverse(y)
 
     def inverse(self, t: float) -> float:
         """Phi^{-1}(t) by ``solve_increasing`` (doubling bracket, then the Illinois
@@ -99,9 +88,7 @@ class NFunction:
                 f"{self.evaluate(self.domain_cap):g}")
         # Run to bracket collapse: downstream ratio checks need far better
         # than the contractual 1e-12 (1+t) value residual at small t.
-        res = solve_increasing(self.evaluate, t, start=min(1.0, self.domain_cap),
-                               limit=self.domain_cap, value_tol=0.0)
-        return res.x
+        return solve_increasing(self.evaluate, t, cap=self.domain_cap).x
 
 
 # ---------------------------------------------------------------------------
@@ -220,7 +207,10 @@ def from_table(rows: Sequence[Sequence[float]]) -> NFunction:
     piecewise-linear interpolant exactly, which keeps (eval, deriv)
     consistent and convex by construction. The Phi column is only
     validated against that integral; a disagreement rejects the table.
-    The last abscissa becomes the domain cap.
+    The last abscissa becomes the domain cap. The derivative's inverse is
+    exact: it interpolates the slope column back to x, returns the left
+    end of a run of equal slopes (every point of the run attains the
+    same x y - Phi(x)), and raises CapExceededError above the last slope.
     """
     if len(rows) < 3:
         raise InvalidNFunctionError("table needs at least 3 rows")
@@ -257,8 +247,18 @@ def from_table(rows: Sequence[Sequence[float]]) -> NFunction:
             return cum[-1] + slopes[-1] * (x - xs[-1])
         return cum[j] + 0.5 * (slopes[j] + dv(x)) * (x - xs[j])
 
+    def dv_inv(y: float) -> float:
+        j = bisect_left(slopes, y)  # slopes[0] = 0, so y = 0 gives x = 0
+        if j == len(slopes):
+            raise CapExceededError(
+                f"tabulated: derivative stays below {y:g} up to the domain cap")
+        if slopes[j] == y:
+            return xs[j]
+        t = (y - slopes[j - 1]) / (slopes[j] - slopes[j - 1])
+        return xs[j - 1] + t * (xs[j] - xs[j - 1])
+
     return NFunction(label="tabulated", evaluate=ev, derivative=dv,
-                     domain_cap=xs[-1])
+                     domain_cap=xs[-1], derivative_inverse=dv_inv)
 
 
 # ---------------------------------------------------------------------------
@@ -282,22 +282,14 @@ def conjugate_value(phi: NFunction, y: float) -> tuple[float, bool]:
 
 
 def conjugate(phi: NFunction) -> NFunction:
-    """Numeric complementary N-function of phi.
-
-    Values are computed on demand and memoized.
-    """
-    memo: dict[float, float] = {}
+    """Numeric complementary N-function of phi, evaluated on demand."""
 
     def ev(y: float) -> float:
-        hit = memo.get(y)
-        if hit is not None:
-            return hit
         value, truncated = conjugate_value(phi, y)
         if truncated:
             raise CapExceededError(
                 f"conjugate of {phi.label}: y = {y:g} beyond the derivative range; "
                 "use conjugate_value for the cap-limited answer")
-        memo[y] = value
         return value
 
     return NFunction(label=f"conjugate({phi.label})", evaluate=ev,

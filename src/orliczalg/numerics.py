@@ -1,8 +1,9 @@
 """Scalar root-finding kernels.
 
 One bracketed root kernel, ``illinois``, serves every library solve: the
-Luxemburg and Amemiya norm solves in ``norms``, and
-``solve_increasing`` for the N-function inverses. It is the Illinois
+Luxemburg and Amemiya norm solves in ``norms``, and ``solve_increasing``
+for the inverse Phi^{-1} of an N-function (each N-function carries the
+inverse of its derivative, which needs no solve). It is the Illinois
 variant of regula falsi (Dowell and Jarratt, BIT 11, 1971): each step
 evaluates the secant point of the two ends of opposite sign, and the
 value held for an end that is kept twice in a row is halved, so both
@@ -12,8 +13,8 @@ each caller keeps the point it certifies. The kernel is exact on a
 straight line, so callers hand it the most nearly linear form of their
 map: the norm solves give it log rho against the log of their scale,
 which is a line for power functions, and stop on the modular they
-evaluated, not on the value handed to the kernel. The inverses run in
-x, from a doubling bracket.
+evaluated, not on the value handed to the kernel. Phi^{-1} runs in x,
+from a doubling bracket, to bracket collapse.
 
 ``bisect_increasing`` and ``golden_min`` are the linear methods the
 kernel replaced. The library no longer calls them; they stay only as
@@ -98,16 +99,14 @@ class RootResult:
     iterations: int
 
 
-def solve_increasing(f: Callable[[float], float], target: float, *, start: float,
-                     limit: float, value_tol: float) -> RootResult:
-    """Solve f(x) = target for nondecreasing f with f(0) <= target.
+def solve_increasing(f: Callable[[float], float], target: float, *, cap: float) -> RootResult:
+    """Solve f(x) = target for nondecreasing f on [0, cap] with f(0) <= target.
 
-    A doubling bracket from ``start`` (no point above ``limit``; raises
-    OverflowError if f(limit) is still below the target), then ``illinois``
-    until |f(x) - target| <= value_tol (1 + |target|); ``value_tol = 0``
-    runs to bracket collapse. Reports the evaluated point of least residual.
+    A doubling bracket from min(1, cap) (no point above ``cap``; raises
+    OverflowError if f(cap) is still below the target), then ``illinois``
+    to bracket collapse or an exact hit. Reports the evaluated point of
+    least residual |f(x) - target|.
     """
-    scale = value_tol * (1.0 + abs(target))
     best_x, best_r = 0.0, math.inf
 
     def residual(x: float) -> float:
@@ -120,17 +119,18 @@ def solve_increasing(f: Callable[[float], float], target: float, *, start: float
     lo, r_lo = 0.0, residual(0.0)
     if r_lo > 0.0:
         raise ValueError("f(0) already exceeds the target")
-    hi, r_hi = start, residual(start)
+    hi = min(1.0, cap)
+    r_hi = residual(hi)
     steps = 2
-    while r_hi <= 0.0 and best_r > scale:
-        if hi >= limit:
-            raise OverflowError(f"no x <= {limit:g} with f(x) >= {target:g}")
+    while r_hi < 0.0:
+        if hi >= cap:
+            raise OverflowError(f"no x <= {cap:g} with f(x) >= {target:g}")
         lo, r_lo = hi, r_hi
-        hi = min(2.0 * hi, limit)
+        hi = min(2.0 * hi, cap)
         r_hi = residual(hi)
         steps += 1
-    if best_r > scale:
-        steps += illinois(residual, lo, r_lo, hi, r_hi, done=lambda r: abs(r) <= scale).steps
+    if best_r > 0.0:
+        steps += illinois(residual, lo, r_lo, hi, r_hi, done=lambda r: r == 0.0).steps
     return RootResult(x=best_x, iterations=steps)
 
 

@@ -51,15 +51,6 @@ DOMINATION_TOL = 1e-9
 SEARCH_NODE_LIMIT = 2 ** 21
 
 
-@dataclass(frozen=True)
-class SegalReport:
-    checks: tuple[CheckResult, ...]
-
-    @property
-    def passed(self) -> bool:
-        return all(c.passed for c in self.checks)
-
-
 def _translated_decomposition(d: Decomposition, t, side: str) -> Decomposition:
     """L_t acts on left factors, R_t on the target via L_t of right factors."""
     if side == "left":
@@ -72,8 +63,8 @@ def _translated_decomposition(d: Decomposition, t, side: str) -> Decomposition:
 
 
 def segal_report(space: GroupSpace, pair: ComplementaryPair, *, samples: int = 20,
-                 seed: int = 0) -> SegalReport:
-    """Machine check of the symmetric Segal axioms on a finite group."""
+                 seed: int = 0) -> tuple[CheckResult, ...]:
+    """Machine check of the symmetric Segal axioms on a finite group: one clause per axiom."""
     space.require_finite("Segal report")
     rng = Random(seed)
     checks: list[CheckResult] = []
@@ -135,7 +126,7 @@ def segal_report(space: GroupSpace, pair: ComplementaryPair, *, samples: int = 2
         name="translation-continuity", passed=ident_dev == 0.0, slack=-ident_dev,
         detail="finite carrier: orbit maps have finite range, identity acts exactly"))
 
-    return SegalReport(checks=tuple(checks))
+    return tuple(checks)
 
 
 # ---------------------------------------------------------------------------

@@ -187,9 +187,9 @@ def test_criterion_8_segal_battery():
         for name in CATALOG_PAIR_NAMES:
             pair = pair_from_name(name)
             rep = segal_report(space, pair, samples=8, seed=88)
-            assert rep.passed, (space.name, name,
-                                [(c.name, c.slack) for c in rep.checks if not c.passed])
-            inv = next(c for c in rep.checks if c.name == "translation-cost-invariance")
+            assert all(c.passed for c in rep), (space.name, name,
+                                                [(c.name, c.slack) for c in rep if not c.passed])
+            inv = next(c for c in rep if c.name == "translation-cost-invariance")
             assert inv.passed  # deviation bounded by 1e-12 inside the check
             for _ in range(4):
                 f = random_function(space, rng)

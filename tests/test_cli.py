@@ -172,6 +172,17 @@ def test_scope_error_exits_3(capsys):
     assert code == 3
 
 
+@pytest.mark.parametrize("argv, size", [
+    (("group", "check", "--group", '{"type":"Zn","n":100000000}'), 100000000),
+    (("porosity", "witness", "--window", "100000000"), 200000001),
+    (("suite", "--groups", "Z100000000", "--pairs", "power-2"), 100000000),
+])
+def test_a_carrier_over_the_limit_exits_3_naming_its_size(capsys, argv, size):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 3
+    assert f"a carrier of {size} points exceeds the carrier limit" in err
+
+
 @pytest.mark.parametrize("verb, group, nfunction, value", [
     ("luxemburg", '{"type": "Zn", "n": 64}', '{"kind": "entropy"}', 1e-307),
     ("orlicz", '{"type": "Zn", "n": 4}', QUAD, 1e-308),
@@ -849,7 +860,21 @@ def test_nfunc_check_custom_table_ending_at_ten_passes(capsys):
     assert "passed=true" in out
 
 
-@pytest.mark.parametrize("field, check", [("imag_error", "imag-residue"),
+@pytest.mark.parametrize("table, top", [
+    ('[[0,0,0],[1,0.5,1],[2,2,2],[4,8,4],[10,50,10]]', "10"),
+    ('[[0,0,0],[1,0.5,1],[2,1.5,1],[3,3,2]]', "2"),  # a flat run of slope 1 on [1, 2]
+])
+def test_nfunc_conjugate_default_grid_stops_at_psi_domain_cap(capsys, table, top):
+    code, out, err = run_cli(capsys, "nfunc", "conjugate", "--nfunction",
+                             f'{{"kind":"custom","table":{table}}}')
+    assert code == 0, err
+    assert f"points=geometric 1e-2..{top} (Psi's domain cap) x9 (default)" in out
+    assert out.count("closed-form-agreement") == 9
+    assert f"conjugate.{top}=" in out
+    assert "passed=true" in out
+
+
+@pytest.mark.parametrize("field, check",[("imag_error", "imag-residue"),
                                           ("reflected_error", "reflected-decomposition")])
 def test_plateau_certificate_clause_fails_verb_and_suite(capsys, monkeypatch, field, check):
     real_build_plateau = cli.build_plateau

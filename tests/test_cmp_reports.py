@@ -85,3 +85,13 @@ def test_clause_runs_are_passing_commands(monkeypatch):
         with redirect_stdout(out):
             assert cli.main(list(argv)) == 0, name
         assert "check." in out.getvalue(), name
+
+
+def test_table_runs_are_passing_commands(monkeypatch):
+    cmp_reports = _load(monkeypatch)
+    assert len(cmp_reports.TABLE_RUNS) == 8
+    for name, argv in cmp_reports.TABLE_RUNS.items():
+        out = io.StringIO()
+        with redirect_stdout(out):
+            assert cli.main(list(argv)) == 0, name
+        assert "passed=true" in out.getvalue(), name

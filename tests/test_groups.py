@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from orliczalg.errors import InfeasibleWindowError, ScopeError, SpecFormatError, WindowExitError
 from orliczalg.groups import (
+    CARRIER_LIMIT,
     GroupFunction,
     TableGroup,
     convolve,
@@ -252,6 +253,18 @@ def test_table_group_rejects_bad_table():
     with pytest.raises(ScopeError, match=r"associativity fails at \(1,1,2\)"):
         # identity row and column, and 1 * 1 = 2 * 2 = 0, but (1 1) 2 = 2 and 1 (1 2) = 0
         TableGroup("bad", [0, 1, 2], [[0, 1, 2], [1, 0, 1], [2, 1, 0]], 0)
+
+
+def test_carriers_over_the_limit_are_refused_before_they_are_built():
+    with pytest.raises(ScopeError, match="Z1000000000000: a carrier of 1000000000000 points"):
+        cyclic(10 ** 12)
+    with pytest.raises(ScopeError, match="a carrier of 2000000000001 points"):
+        integer_window(10 ** 12)
+    # each factor is small; their product is refused before itertools.product runs
+    with pytest.raises(ScopeError, match="Z4000xZ4000: a carrier of 16000000 points"):
+        direct_product(cyclic(4000), cyclic(4000))
+    with pytest.raises(ScopeError, match=f"a carrier of {CARRIER_LIMIT + 1} points"):
+        TableGroup("huge", range(CARRIER_LIMIT + 1), [], 0)
 
 
 def test_space_mismatch_rejected():

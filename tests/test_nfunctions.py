@@ -2,6 +2,8 @@
 
 import math
 import sys
+from bisect import bisect_right
+from random import Random
 
 import mpmath
 import pytest
@@ -149,7 +151,8 @@ def test_validate_rejects_non_nfunction():
     # linear near zero: Phi(x)/x has a positive floor, not an N-function
     from orliczalg.nfunctions import NFunction
     bad = NFunction(label="linearish", evaluate=lambda x: x,
-                    derivative=lambda x: 1.0, domain_cap=1e6)
+                    derivative=lambda x: 1.0, domain_cap=1e6,
+                    derivative_inverse=lambda y: 0.0)
     with pytest.raises(InvalidNFunctionError):
         validate_nfunction(bad)
 
@@ -159,7 +162,8 @@ def test_validate_skips_leading_underflow_but_not_a_later_zero():
     validate_nfunction(power(200.0))  # x^200 / 200 is 0.0 at x = 1e-6
     assert power(200.0)(1e-6) == 0.0
     dip = NFunction(label="dip", evaluate=lambda x: 0.0 if 1e-3 < x < 1e-2
-                    else x * x, derivative=lambda x: 2.0 * x, domain_cap=1e6)
+                    else x * x, derivative=lambda x: 2.0 * x, domain_cap=1e6,
+                    derivative_inverse=lambda y: 0.5 * y)
     with pytest.raises(InvalidNFunctionError, match="not strictly increasing"):
         validate_nfunction(dip)
 
@@ -179,6 +183,75 @@ def test_tabulated_function_round_trip():
     assert tab.inverse(2.0) == pytest.approx(2.0)
     pair = numeric_pair(tab)
     assert pair.psi(1.0) == pytest.approx(0.5, rel=1e-10)
+
+
+TABLE_TO_10 = [[0, 0, 0], [1, 0.5, 1], [2, 2, 2], [4, 8, 4], [10, 50, 10]]
+TABLE_FLAT_RUN = [[0, 0, 0], [1, 0.5, 1], [2, 1.5, 1], [3, 3, 2]]  # slope 1 on [1, 2]
+
+
+def _random_convex_table(rng: Random) -> list[list[float]]:
+    """(x, Phi, phi) rows with random gaps and slope steps, some of them flat runs."""
+    rows, x, phi, slope = [[0.0, 0.0, 0.0]], 0.0, 0.0, 0.0
+    for _ in range(rng.randint(2, 12)):
+        step = rng.uniform(0.01, 5.0)
+        rise = 0.0 if slope > 0.0 and rng.random() < 0.3 else rng.uniform(0.01, 5.0)
+        phi += (slope + 0.5 * rise) * step
+        x, slope = x + step, slope + rise
+        rows.append([x, phi, slope])
+    return rows
+
+
+def _inverse_cases():
+    rng = Random(23)
+    return [TABLE_TO_10, TABLE_FLAT_RUN] + [_random_convex_table(rng) for _ in range(40)]
+
+
+def test_table_derivative_inverse_round_trips_within_16_ulps():
+    # phi(x) moves by phi''(x) ulp(x) between neighbouring floats x, so no
+    # inverse can round-trip closer than that: the random tables, whose
+    # phi'' reaches 500, allow it on top of the 16 ulps of y
+    for case, rows in enumerate(_inverse_cases()):
+        tab = from_table(rows)
+        xs, slopes = [r[0] for r in rows], [r[2] for r in rows]
+        for y in [slopes[-1] * k / 97.0 for k in range(1, 98)] + geometric_grid(
+                1e-12, slopes[-1], 25):
+            y = min(y, slopes[-1])
+            x = tab.deriv_inverse(y)
+            assert 0.0 <= x <= tab.domain_cap
+            j = min(bisect_right(xs, x), len(xs) - 1)
+            curvature = (slopes[j] - slopes[j - 1]) / (xs[j] - xs[j - 1]) if case >= 2 else 0.0
+            assert abs(tab.deriv(x) - y) <= 16 * math.ulp(y) + curvature * math.ulp(x), (rows, y)
+
+
+def test_table_derivative_inverse_at_knots_flat_runs_and_ends():
+    for rows in _inverse_cases():
+        tab = from_table(rows)
+        xs, slopes = [r[0] for r in rows], [r[2] for r in rows]
+        assert tab.deriv_inverse(0.0) == 0.0
+        for j, (x, s) in enumerate(zip(xs, slopes)):
+            # on a knot: x itself, or the left end of the run of equal slopes it ends
+            left = min(i for i in range(len(xs)) if slopes[i] == s)
+            assert tab.deriv_inverse(s) == xs[left], (rows, j)
+            if j > left:  # strictly inside the run [xs[left], xs[j]]
+                assert tab.deriv_inverse(s) < x
+        # the last slope is the top of the derivative's range
+        assert tab.deriv_inverse(slopes[-1]) <= tab.domain_cap
+        with pytest.raises(CapExceededError):
+            tab.deriv_inverse(math.nextafter(slopes[-1], math.inf))
+    flat = from_table(TABLE_FLAT_RUN)
+    assert flat.deriv_inverse(1.0) == 1.0  # phi = 1 on all of [1, 2]
+    assert flat.deriv_inverse(1.5) == 2.5
+    assert flat.deriv_inverse(2.0) == 3.0
+    with pytest.raises(CapExceededError):
+        flat.deriv_inverse(2.5)
+    assert from_table(TABLE_TO_10).deriv_inverse(3.0) == 3.0
+
+
+def test_an_nfunction_needs_its_derivative_inverse():
+    from orliczalg.nfunctions import NFunction
+    with pytest.raises(TypeError):
+        NFunction(label="square", evaluate=lambda x: x * x,
+                  derivative=lambda x: 2.0 * x, domain_cap=1e6)
 
 
 def test_validate_pair_accepts_a_table_capped_below_the_grid_top():

@@ -67,7 +67,7 @@ def test_illinois_treats_an_infinite_end_by_bisection():
 
 
 def test_solve_increasing_runs_to_collapse_at_zero_tolerance():
-    res = solve_increasing(lambda x: x ** 3, 2.0, start=1.0, limit=1e10, value_tol=0.0)
+    res = solve_increasing(lambda x: x ** 3, 2.0, cap=1e10)
     x = res.x
     # no neighbouring float has a smaller residual
     for y in (math.nextafter(x, 0.0), math.nextafter(x, 2.0)):
@@ -79,13 +79,12 @@ def test_solve_increasing_runs_to_collapse_at_zero_tolerance():
 
 def test_solve_increasing_reports_the_point_of_least_residual():
     # a plateau of equal values around the target's crossing, then a jump
-    res = solve_increasing(lambda x: math.floor(x * 8.0) / 8.0, 0.5, start=1.0,
-                           limit=4.0, value_tol=1e-12)
+    res = solve_increasing(lambda x: math.floor(x * 8.0) / 8.0, 0.5, cap=4.0)
     assert math.floor(res.x * 8.0) / 8.0 == 0.5
 
 
 def test_solve_increasing_raises_past_its_limit():
     with pytest.raises(OverflowError):
-        solve_increasing(lambda x: x, 10.0, start=1.0, limit=4.0, value_tol=1e-12)
+        solve_increasing(lambda x: x, 10.0, cap=4.0)
     with pytest.raises(ValueError):
-        solve_increasing(lambda x: x + 1.0, 0.5, start=1.0, limit=4.0, value_tol=1e-12)
+        solve_increasing(lambda x: x + 1.0, 0.5, cap=4.0)
