@@ -13,9 +13,11 @@ the work counters.
 
 The output file BENCH_<pr>.json at the repo root holds, per workload and
 end-to-end metric of BENCHMARK.json, both sides' samples with their
-median and quartiles and the number of pairs the change won; the failed
-and attempted operation counts; the traced counters of both sides and
-the names of those that differ; and host metadata. Standard library only.
+median and quartiles, the number of pairs the change won and a
+``verdict`` (gain, regression or within bound, also printed in the
+closing summary); the failed and attempted operation counts; the traced
+counters of both sides and the names of those that differ; and host
+metadata. Standard library only.
 """
 from __future__ import annotations
 
@@ -65,17 +67,41 @@ def spread(samples: list[float]) -> dict:
     return {"median": median, "q1": q1, "q3": q3, "samples": samples}
 
 
+def wins(base: list[float], change: list[float], better: str) -> int:
+    """Pairs in which the change reads better than the base; ties count for neither."""
+    if better == "lower":
+        return sum(c < b for b, c in zip(base, change))
+    return sum(c > b for b, c in zip(base, change))
+
+
+def verdict(base: list[float], change: list[float], better: str, bound: float) -> str:
+    """``gain``, ``regression`` or ``within bound`` for one metric's paired samples.
+
+    A gain wins at least nine tenths of the pairs and moves the median the
+    better way by more than the base's interquartile range. A regression
+    moves the median the worse way by more than ``bound`` times the base
+    median (the benchmark's relative bound). Anything else is within bound.
+    """
+    b, c = spread(base), spread(change)
+    better_by = b["median"] - c["median"] if better == "lower" else c["median"] - b["median"]
+    if 10 * wins(base, change, better) >= 9 * len(base) and better_by > b["q3"] - b["q1"]:
+        return "gain"
+    if -better_by > bound * abs(b["median"]):
+        return "regression"
+    return "within bound"
+
+
 def compare(runs: dict[str, list[dict]], metrics: list[dict]) -> dict:
-    """Per end-to-end metric: both sides' spread and the change's pair wins."""
+    """Per end-to-end metric: both sides' spread, the change's pair wins and the verdict."""
     out = {}
     for m in metrics:
-        name, lower = m["name"], m["better"] == "lower"
+        name = m["name"]
         base = [r["metrics"][name]["value"] for r in runs["base"]]
         change = [r["metrics"][name]["value"] for r in runs["change"]]
-        wins = sum((c < b) if lower else (c > b) for b, c in zip(base, change))
         out[name] = {"unit": m["unit"], "better": m["better"], "bound": m["bound"],
                      "base": spread(base), "change": spread(change),
-                     "change_wins": wins, "pairs": len(base)}
+                     "change_wins": wins(base, change, m["better"]), "pairs": len(base),
+                     "verdict": verdict(base, change, m["better"], m["bound"])}
     return out
 
 
@@ -170,7 +196,7 @@ def main(argv: list[str] | None = None) -> int:
                    encoding="utf-8")
     for workload, r in report.items():
         cells = [f"{name} {m['base']['median']:.4g} -> {m['change']['median']:.4g} "
-                 f"(wins {m['change_wins']}/{m['pairs']})"
+                 f"(wins {m['change_wins']}/{m['pairs']}, {m['verdict']})"
                  for name, m in r["end_to_end"].items()]
         print(f"{workload}: " + "; ".join(cells)
               + f"; counters differ: {r['counters_differ'] or 'none'}")

@@ -28,6 +28,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
+from operator import add
 from typing import Iterable
 
 from .errors import CheckResult, InfeasibleWindowError, OrliczAlgebraError, ScopeError, SpecFormatError
@@ -58,10 +60,10 @@ class Decomposition:
     target: GroupFunction
 
     def reconstruct(self) -> GroupFunction:
-        total = GroupFunction.zero(self.target.space)
-        for f, g in self.terms:
-            total = total + convolve(f, reflect(g))
-        return total
+        """sum_i f_i * (g_i)^, summed from the first term's convolution (zero()
+        when there are no terms)."""
+        convs = [convolve(f, reflect(g)) for f, g in self.terms]
+        return reduce(add, convs) if convs else GroupFunction.zero(self.target.space)
 
     def reconstruction_error(self) -> float:
         return self.reconstruct().max_abs_diff(self.target)

@@ -34,6 +34,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from random import Random
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -233,10 +234,17 @@ class TableGroup(GroupSpace):
         self._mul, self._inv = mul, inv
 
     def try_mul(self, a, b):
-        return self.elements[self._mul[self.index(a)][self.index(b)]]
+        index = self._index
+        try:
+            return self.elements[self._mul[index[a]][index[b]]]
+        except KeyError as exc:
+            raise SpecFormatError(f"{self.name}: {exc.args[0]!r} not in carrier") from None
 
     def inv(self, a):
-        return self.elements[self._inv[self.index(a)]]
+        try:
+            return self.elements[self._inv[self._index[a]]]
+        except KeyError:
+            raise SpecFormatError(f"{self.name}: {a!r} not in carrier") from None
 
 
 class IntegerWindow(GroupSpace):
@@ -287,24 +295,24 @@ class GroupFunction:
     """Finitely supported complex function; immutable by convention.
 
     Values are stored in carrier order at construction, so ``support``
-    and ``items()`` walk them without sorting. ``truncated`` marks results
-    whose true value depends on mass outside an integer window; it
-    propagates through every operation.
+    and ``items()`` walk them without sorting. The constructor sorts the
+    given points once by the carrier's index map, whose lookup is also
+    the containment check, and keeps ``complex(v)`` of the non-zero
+    values. ``truncated`` marks results whose true value depends on mass
+    outside an integer window; it propagates through every operation.
     """
 
     __slots__ = ("space", "_values", "truncated")
 
     def __init__(self, space: GroupSpace, values: Mapping[Element, complex],
                  truncated: bool = False):
-        vals: dict[Element, complex] = {}
-        for x, v in values.items():
-            if not space.contains(x):
-                raise SpecFormatError(f"{space.name}: support point {x!r} not in carrier")
-            c = complex(v)
-            if c != 0:
-                vals[x] = c
+        try:
+            keys = sorted(values, key=space._index.__getitem__)
+        except KeyError as exc:
+            raise SpecFormatError(
+                f"{space.name}: support point {exc.args[0]!r} not in carrier") from None
         self.space = space
-        self._values = {x: vals[x] for x in sorted(vals, key=space.index)}
+        self._values = {x: c for x in keys if (c := complex(values[x]))}
         self.truncated = truncated
 
     # -- constructors ---------------------------------------------------
@@ -343,7 +351,7 @@ class GroupFunction:
         return not self._values
 
     def sup_norm(self) -> float:
-        return max((abs(v) for v in self._values.values()), default=0.0)
+        return max(map(abs, self._values.values()), default=0.0)
 
     def one_norm(self) -> float:
         w = self.space.haar_weight
@@ -364,8 +372,9 @@ class GroupFunction:
 
     def max_abs_diff(self, other: "GroupFunction") -> float:
         _same_space(self, other)
-        keys = set(self._values) | set(other._values)
-        return max((abs(self(x) - other(x)) for x in keys), default=0.0)
+        a, b = self._values, other._values
+        return max((abs(a.get(x, 0j) - b.get(x, 0j)) for x in a.keys() | b.keys()),
+                   default=0.0)
 
     def __repr__(self) -> str:
         flag = ", truncated" if self.truncated else ""
@@ -394,14 +403,14 @@ def convolve(f: GroupFunction, g: GroupFunction) -> GroupFunction:
     space = f.space
     truncated = f.truncated or g.truncated
     out: dict[Element, complex] = {}
-    wy = space.haar_weight
+    mul, get, wy = space.try_mul, out.get, space.haar_weight
     for y, fv in f.items():
         for z, gv in g.items():
-            x = space.try_mul(y, z)
+            x = mul(y, z)
             if x is None:
                 truncated = True
                 continue
-            out[x] = out.get(x, 0j) + fv * gv * wy
+            out[x] = get(x, 0j) + fv * gv * wy
     if not all(map(cmath.isfinite, out.values())) \
             and math.isfinite(f.sup_norm()) and math.isfinite(g.sup_norm()):
         raise ScopeError(f"sup|f| = {f.sup_norm():g} and sup|g| = {g.sup_norm():g} put "
@@ -430,7 +439,7 @@ def reflect(f: GroupFunction) -> GroupFunction:
 
 def translate_left(t: Element, f: GroupFunction) -> GroupFunction:
     """(L_t f)(x) = f(t^{-1} x); support moves to t * supp f."""
-    return _relabel(f, lambda y: f.space.try_mul(t, y))
+    return _relabel(f, partial(f.space.try_mul, t))
 
 
 def translate_right(t: Element, f: GroupFunction) -> GroupFunction:

@@ -40,13 +40,16 @@ from .numerics import geometric_grid, solve_increasing
 OVERFLOW_GUARD = 1e300
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NFunction:
     """A Young function of N-type, entered through (eval, deriv) closures.
 
     ``evaluate`` and ``derivative`` act on the nonnegative axis; evenness
     is structural (callers go through ``__call__``, which applies abs).
     ``derivative_inverse`` is the inverse of the derivative on its range.
+    An N-function equals and hashes as itself only: each constructor
+    builds fresh closures, which compare by identity anyway, so two
+    separately built ``power(2)`` are distinct (as memo keys too).
     """
 
     label: str

@@ -47,17 +47,22 @@ dual constraint is stated on the modular.
 Inside ``shared_solves()`` (one CLI command, one ``decomposition_cost``)
 each distinct solve runs once: the Luxemburg solve and the Amemiya solve
 of ``orlicz_norm`` are stored under (kind, N-function, Haar weight,
-values in carrier order), the only inputs a solve reads. A hit is the
-same float operations on the same inputs, so it returns the bits a fresh
-solve would: a translate or relabelling whose values keep their order,
-or an equal function on another carrier of the same weight, is not
-solved again. The dual point of a cross-checked call still runs on every
-call. Outside any scope every call solves directly.
+values in carrier order), the only inputs a solve reads. The N-function
+is keyed by identity, as it compares: two separately built ``power(2)``
+are two keys. A hit is the same float operations on the same inputs, so
+it returns the bits a fresh solve would: a translate or relabelling
+whose values keep their order, or an equal function on another carrier
+of the same weight, is not solved again. The dual point of a
+cross-checked call still runs on every call. Outside any scope every
+call solves directly.
 
 A function so small that a solve's scale 1/k (Luxemburg) or k (Amemiya)
 leaves the floats at its root is out of scope: the solve raises
 ``ScopeError`` rather than read the overflow as a cap and report a wrong
-end.
+end. So is a function whose root lies past Phi's domain cap: a scale that
+takes |k f| past the cap reads as infeasible, and the solve raises
+``ScopeError`` naming the cap only where it ends against such a point
+outside its window.
 """
 
 from __future__ import annotations
@@ -149,11 +154,11 @@ def shared_solves():
 def _solve_once(kind: str, phi: NFunction, f: GroupFunction, solve):
     """``solve()``, or what it returned for the same key in the active scope.
 
-    The key is what a solve reads: Phi, the space's one Haar weight and
-    the values in carrier order. Support positions and the carrier itself
-    are not in it, since no solve reads them, so a translate with its
-    values in the same order is the same solve. A solve that raises
-    stores nothing.
+    The key is what a solve reads: Phi (by identity), the space's one
+    Haar weight and the values in carrier order. Support positions and
+    the carrier itself are not in it, since no solve reads them, so a
+    translate with its values in the same order is the same solve. A
+    solve that raises stores nothing.
     """
     memo = _SOLVES.get()
     if memo is None:
@@ -243,11 +248,7 @@ def _luxemburg_solve(phi: NFunction, f: GroupFunction) -> NormReport:
     def rho(r: float) -> float:
         # evaluated at 1/k, k = sup|f| / r, so that the reported k reproduces it
         k = top / r
-        scale = _finite_scale(1.0 / k if k else math.inf, top)
-        try:
-            return modular(phi, f, scale)
-        except CapExceededError:
-            return math.inf
+        return _capped_modular(phi, f, _finite_scale(1.0 / k if k else math.inf, top))
 
     # Phi(x)/x is nondecreasing (Krasnosel'skii-Rutickii), so log rho has
     # slope >= 1 in log r, for tabulated Phi as well
@@ -264,6 +265,16 @@ def _finite_scale(scale: float, top: float) -> float:
         raise ScopeError(f"sup|f| = {top:g} is below the float range of the norm "
                          "solve: its scale overflows")
     return scale
+
+
+def _capped_modular(phi: NFunction, f: GroupFunction, scale: float, *,
+                    slope: bool = False) -> float | tuple[float, float]:
+    """``modular``, or ScopeError naming Phi's cap where scale f leaves Phi's domain."""
+    try:
+        return modular(phi, f, scale, slope=slope)
+    except CapExceededError:
+        raise ScopeError(f"{phi.label}: the norm's root for sup|f| = {f.sup_norm():g} "
+                         f"lies past its domain cap {phi.domain_cap:g}") from None
 
 
 def char_fn_norm(phi: NFunction, space: GroupSpace, subset) -> float:
@@ -368,10 +379,7 @@ def _amemiya_solve(phi: NFunction, f: GroupFunction) -> tuple[float, float, int]
     def young(r: float) -> float:
         nonlocal value
         k = _finite_scale(r / top, top)
-        try:
-            rho, slope = modular(phi, f, k, slope=True)
-        except CapExceededError:
-            return math.inf
+        rho, slope = _capped_modular(phi, f, k, slope=True)
         value = min(value, (1.0 + rho) / k)
         return slope - rho
 

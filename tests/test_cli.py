@@ -197,6 +197,38 @@ def test_a_norm_whose_solve_scale_overflows_exits_3(capsys, verb, group, nfuncti
     assert f"sup|f| = {value:g}" in err
 
 
+#: a custom table capped at 3, where Phi(3) = 3
+TABLE_CAP3 = '{"kind":"custom","table":[[0,0,0],[1,0.5,1],[2,1.5,1],[3,3,2]]}'
+
+
+@pytest.mark.parametrize("verb, top", [
+    (("norm", "luxemburg"), 100),
+    (("norm", "orlicz"), 100),
+    # the merged pair's f is u / weight = 800 δ_0
+    (("aphi", "bound"), 800),
+])
+def test_a_norm_whose_root_lies_past_the_cap_exits_3_naming_it(capsys, verb, top):
+    # rho(f/k) = Phi(100/k)/8 = 1 needs Phi = 8, above Phi(cap) = 3: the solve
+    # ends against the cap outside its window instead of failing a check
+    code, out, err = run_cli(capsys, *verb, "--group", Z8, "--nfunction", TABLE_CAP3,
+                             "--function", "[[0,100,0]]")
+    assert code == 3
+    assert out == ""
+    assert err == (f"scope error: tabulated: the norm's root for sup|f| = {top} "
+                   "lies past its domain cap 3\n")
+
+
+def test_a_norm_whose_root_lies_inside_the_cap_keeps_its_report(capsys):
+    # the constant 1 on Z8: rho(f/k) = Phi(1/k) = 1 at 1/k = 1.5, below the cap
+    code, out, _ = run_cli(capsys, "norm", "luxemburg", "--group", Z8, "--nfunction",
+                           TABLE_CAP3, "--function", json.dumps([[x, 1, 0] for x in range(8)]))
+    assert code == 0
+    value = float(next(line[len("value="):] for line in out.splitlines()
+                       if line.startswith("value=")))
+    assert value == pytest.approx(1 / 1.5, rel=1e-12)
+    assert "check.modular-at-value=pass" in out and "passed=true" in out
+
+
 def test_a_tiny_norm_whose_solve_scale_stays_finite_keeps_its_report(capsys):
     code, out, _ = run_cli(capsys, "norm", "orlicz", "--group", '{"type": "Zn", "n": 4}',
                            "--nfunction", QUAD, "--function", "[[0, 3e-308, 0]]")
