@@ -14,7 +14,7 @@ the work counters.
 The output file BENCH_<pr>.json at the repo root holds, per workload and
 end-to-end metric of BENCHMARK.json, both sides' samples with their
 median and quartiles, the number of pairs the change won and a
-``verdict`` (gain, regression or within bound, also printed in the
+``verdict`` (gain, regression, unresolved or within bound, printed in the
 closing summary); the failed and attempted operation counts; the traced
 counters of both sides and the names of those that differ; and host
 metadata. Standard library only.
@@ -75,12 +75,17 @@ def wins(base: list[float], change: list[float], better: str) -> int:
 
 
 def verdict(base: list[float], change: list[float], better: str, bound: float) -> str:
-    """``gain``, ``regression`` or ``within bound`` for one metric's paired samples.
+    """``gain``, ``regression``, ``unresolved`` or ``within bound`` for one
+    metric's paired samples.
 
     A gain wins at least nine tenths of the pairs and moves the median the
     better way by more than the base's interquartile range. A regression
     moves the median the worse way by more than ``bound`` times the base
-    median (the benchmark's relative bound). Anything else is within bound.
+    median (the benchmark's relative bound). Otherwise, where the base's
+    interquartile range is wider than that bound, the runs cannot tell a
+    change inside the bound from none, so the metric is unresolved unless
+    every change run reads better than every base run. Anything else is
+    within bound.
     """
     b, c = spread(base), spread(change)
     better_by = b["median"] - c["median"] if better == "lower" else c["median"] - b["median"]
@@ -88,6 +93,9 @@ def verdict(base: list[float], change: list[float], better: str, bound: float) -
         return "gain"
     if -better_by > bound * abs(b["median"]):
         return "regression"
+    separated = (max(change) < min(base)) if better == "lower" else (min(change) > max(base))
+    if b["q3"] - b["q1"] > bound * abs(b["median"]) and not separated:
+        return "unresolved"
     return "within bound"
 
 

@@ -67,10 +67,7 @@ CLAUSE_RUNS = {
     "group-check-Z2xZ2xZ3": ["group", "check", "--group", Z2XZ2XZ3],
     "characters-brute-Z1": ["characters", "brute", "--group", Z1],
 }
-#: function data on Z8 whose norms stay inside both tables' caps; the merged
-#: pair's g under the flat run's conjugate (cap 2) does not, so that
-#: ``aphi bound``, like the flat run's ``unit check`` (sup|f| = 36 against
-#: cap 3), exits 3
+#: function data on Z8 whose norms stay inside both tables' caps
 Z8_SPREAD = json.dumps([[0, 1, 0], [1, 0.75, 0.25], [2, -0.5, 0], [3, 0.25, -0.5],
                         [4, 1, 0], [5, 0.5, 0.5], [6, -0.75, 0], [7, 0.5, 0]])
 #: the verbs that read a tabulated pair's derivative inverse, through the

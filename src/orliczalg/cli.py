@@ -72,7 +72,15 @@ from .nfunctions import (
     inverse_product_check,
     young_equality_check,
 )
-from .norms import char_fn_norm, luxemburg, modular, orlicz_checks, orlicz_norm, shared_solves
+from .norms import (
+    char_fn_norm,
+    luxemburg,
+    modular,
+    orlicz_checks,
+    orlicz_norm,
+    root_inside_cap,
+    shared_solves,
+)
 from .numerics import geometric_grid
 from .porosity import build_witness, make_instance
 from .specio import (
@@ -232,7 +240,7 @@ def _run_norm(args, cfg: RunConfig, rep: Report) -> None:
         rep.add("value", modular(pair.phi, f))
         rep.add("provenance", "computed (direct sum)")
     elif args.verb == "luxemburg":
-        r = luxemburg(pair.phi, f)
+        r = root_inside_cap(pair.phi, f, luxemburg(pair.phi, f))
         rep.add("value", r.value)
         rep.add("method", r.method)
         rep.add("residual", r.residual)
@@ -240,12 +248,13 @@ def _run_norm(args, cfg: RunConfig, rep: Report) -> None:
         rep.check("modular-at-value", r.residual <= max(cfg.tol_value, 1e-10),
                   max(cfg.tol_value, 1e-10) - r.residual, "rho(f/k) = 1 residual")
     else:
-        r = orlicz_norm(pair, f)
+        r = root_inside_cap(pair.phi, f, orlicz_norm(pair, f))
+        lux = root_inside_cap(pair.phi, f, luxemburg(pair.phi, f)).value
         rep.add("value", r.value)
         rep.add("method", r.method)
         rep.add("oracle-value", r.oracle_value)
         rep.add("provenance", "computed (minimization) vs computed (dual point at the Amemiya root)")
-        rep.record(*orlicz_checks(r, luxemburg(pair.phi, f).value, cfg.tol_slack))
+        rep.record(*orlicz_checks(r, lux, cfg.tol_slack))
 
 
 def _run_group(args, cfg: RunConfig, rep: Report) -> None:

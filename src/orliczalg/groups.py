@@ -91,7 +91,11 @@ class GroupSpace:
         try:
             return self._index[x]
         except KeyError:
-            raise SpecFormatError(f"{self.name}: {x!r} not in carrier") from None
+            raise self.off_carrier(x) from None
+
+    def off_carrier(self, x: Element, role: str = "") -> SpecFormatError:
+        """The error for a point x that is not in the carrier; ``role`` prefixes x."""
+        return SpecFormatError(f"{self.name}: {role}{x!r} not in carrier")
 
     def weight(self, x: Element) -> Fraction:
         return self._weight
@@ -238,13 +242,13 @@ class TableGroup(GroupSpace):
         try:
             return self.elements[self._mul[index[a]][index[b]]]
         except KeyError as exc:
-            raise SpecFormatError(f"{self.name}: {exc.args[0]!r} not in carrier") from None
+            raise self.off_carrier(exc.args[0]) from None
 
     def inv(self, a):
         try:
             return self.elements[self._inv[self._index[a]]]
         except KeyError:
-            raise SpecFormatError(f"{self.name}: {a!r} not in carrier") from None
+            raise self.off_carrier(a) from None
 
 
 class IntegerWindow(GroupSpace):
@@ -309,8 +313,7 @@ class GroupFunction:
         try:
             keys = sorted(values, key=space._index.__getitem__)
         except KeyError as exc:
-            raise SpecFormatError(
-                f"{space.name}: support point {exc.args[0]!r} not in carrier") from None
+            raise space.off_carrier(exc.args[0], "support point ") from None
         self.space = space
         self._values = {x: c for x in keys if (c := complex(values[x]))}
         self.truncated = truncated

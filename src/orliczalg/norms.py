@@ -59,10 +59,12 @@ call solves directly.
 A function so small that a solve's scale 1/k (Luxemburg) or k (Amemiya)
 leaves the floats at its root is out of scope: the solve raises
 ``ScopeError`` rather than read the overflow as a cap and report a wrong
-end. So is a function whose root lies past Phi's domain cap: a scale that
-takes |k f| past the cap reads as infeasible, and the solve raises
-``ScopeError`` naming the cap only where it ends against such a point
-outside its window.
+end. A scale that takes |k f| past Phi's domain cap reads as infeasible
+too; a solve that ends against such a point outside its window returns
+its best feasible point, still a sound upper bound, flagged ``PAST_CAP``.
+Pricing reads that bound; a caller that reports the root calls
+``root_inside_cap``, which turns the flag into ``ScopeError`` naming the
+cap.
 """
 
 from __future__ import annotations
@@ -84,6 +86,8 @@ RESIDUAL_TOL = 1e-12
 _AIM = math.log1p(-0.5 * RESIDUAL_TOL)
 #: the method label of the Luxemburg solve
 METHOD = "illinois"
+#: the flag of a solve that ended against Phi's domain cap outside its window
+PAST_CAP = "past-domain-cap"
 
 #: the solves of the active ``shared_solves()`` scope, None outside any scope
 _SOLVES: ContextVar[dict | None] = ContextVar("orliczalg_norm_solves", default=None)
@@ -97,7 +101,8 @@ class NormReport:
     is the cross-check when one was run: for the Orlicz norm, the
     certified lower end of the duality bracket; ``flags`` carries a
     cross-check failure the caller must not ignore ("oracle-disagreement",
-    "oracle-nonconvergence").
+    "oracle-nonconvergence"), and ``PAST_CAP`` where the root lies past
+    Phi's domain cap, so that value is a feasible point, not the root.
     """
 
     value: float
@@ -170,7 +175,7 @@ def _solve_once(kind: str, phi: NFunction, f: GroupFunction, solve):
     return result
 
 
-def _window_root(value_at, slope: float) -> tuple[float, float, int]:
+def _window_root(value_at, slope: float) -> tuple[float, float, int, bool]:
     """Evaluated point r where an increasing value_at(r) lies in [1 - RESIDUAL_TOL, 1].
 
     Callers scale their variable by sup|f|, so the root is near r = 1.
@@ -182,20 +187,27 @@ def _window_root(value_at, slope: float) -> tuple[float, float, int]:
     floats (ScopeError) reads as infeasible; the error is raised only
     where the solve ends against such a point outside the window. Returns
     the evaluated (r, value_at(r)) with the largest value <= 1 ((0, 0) if
-    none) and the number of evaluations. Stops once that value is in the
-    window, at bracket collapse, or after MAX_STEPS evaluations.
+    none), the number of evaluations, and whether the solve ended outside
+    the window against a point past Phi's domain cap (CapExceededError,
+    also read as infeasible): the root then lies past the cap, and r is
+    still a feasible point. Stops once that value is in the window, at
+    bracket collapse, or after MAX_STEPS evaluations.
     """
     best_r, best_v = 0.0, 0.0
     past_t, past = math.inf, None   # least t whose scale left the floats, and its error
+    cap_t = math.inf                # least t whose scale left Phi's domain
 
     def log_excess(t: float) -> float:
-        nonlocal best_r, best_v, past_t, past
+        nonlocal best_r, best_v, past_t, past, cap_t
         try:
             r = math.exp(t)
         except OverflowError:
             r = math.inf
         try:
             v = value_at(r)
+        except CapExceededError:
+            cap_t = min(cap_t, t)
+            return math.inf
         except ScopeError as err:
             if t < past_t:
                 past_t, past = t, err
@@ -207,7 +219,7 @@ def _window_root(value_at, slope: float) -> tuple[float, float, int]:
     def in_window() -> bool:
         return -RESIDUAL_TOL <= best_v - 1.0 <= 0.0
 
-    t, e, steps = 0.0, log_excess(0.0), 1
+    t, e, steps, past_cap = 0.0, log_excess(0.0), 1, False
     step = -e / slope if slope > 0.0 and math.isfinite(e) else math.copysign(1.0, -e)
     while not in_window():
         if steps >= MAX_STEPS:
@@ -222,9 +234,10 @@ def _window_root(value_at, slope: float) -> tuple[float, float, int]:
             steps += end.steps
             if not in_window() and end.hi >= past_t:
                 raise past
+            past_cap = not in_window() and end.hi >= cap_t
             break
         t, e, step = u, eu, math.copysign(1.0, step)
-    return best_r, best_v, steps
+    return best_r, best_v, steps, past_cap
 
 
 def luxemburg(phi: NFunction, f: GroupFunction) -> NormReport:
@@ -248,15 +261,15 @@ def _luxemburg_solve(phi: NFunction, f: GroupFunction) -> NormReport:
     def rho(r: float) -> float:
         # evaluated at 1/k, k = sup|f| / r, so that the reported k reproduces it
         k = top / r
-        return _capped_modular(phi, f, _finite_scale(1.0 / k if k else math.inf, top))
+        return modular(phi, f, _finite_scale(1.0 / k if k else math.inf, top))
 
     # Phi(x)/x is nondecreasing (Krasnosel'skii-Rutickii), so log rho has
     # slope >= 1 in log r, for tabulated Phi as well
-    r, rho_r, steps = _window_root(rho, 1.0)
+    r, rho_r, steps, past_cap = _window_root(rho, 1.0)
     if r == 0.0:
         raise ArithmeticError("Luxemburg solve found no feasible point")
     return NormReport(value=top / r, method=METHOD, residual=abs(rho_r - 1.0),
-                      iterations=steps)
+                      iterations=steps, flags=(PAST_CAP,) if past_cap else ())
 
 
 def _finite_scale(scale: float, top: float) -> float:
@@ -267,14 +280,16 @@ def _finite_scale(scale: float, top: float) -> float:
     return scale
 
 
-def _capped_modular(phi: NFunction, f: GroupFunction, scale: float, *,
-                    slope: bool = False) -> float | tuple[float, float]:
-    """``modular``, or ScopeError naming Phi's cap where scale f leaves Phi's domain."""
-    try:
-        return modular(phi, f, scale, slope=slope)
-    except CapExceededError:
+def root_inside_cap(phi: NFunction, f: GroupFunction, r: NormReport) -> NormReport:
+    """r, or ScopeError naming Phi's cap where r's solve of f ended against it.
+
+    For the callers that report a root; an upper bound alone, as in
+    pricing, may read r's feasible value past the flag.
+    """
+    if PAST_CAP in r.flags:
         raise ScopeError(f"{phi.label}: the norm's root for sup|f| = {f.sup_norm():g} "
-                         f"lies past its domain cap {phi.domain_cap:g}") from None
+                         f"lies past its domain cap {phi.domain_cap:g}")
+    return r
 
 
 def char_fn_norm(phi: NFunction, space: GroupSpace, subset) -> float:
@@ -341,12 +356,12 @@ def orlicz_norm(pair: ComplementaryPair, f: GroupFunction, *,
     k with h(k) <= 1 where the solve ends (``_dual_point``); it runs no
     second solve.
     """
-    flags: tuple[str, ...] = ()
     if f.is_zero:
         return NormReport(value=0.0, method="amemiya-min", residual=0.0, iterations=0,
                           oracle_value=0.0 if cross_check else None)
-    value, r, iterations = _solve_once("amemiya", pair.phi, f,
-                                       lambda: _amemiya_solve(pair.phi, f))
+    value, r, iterations, past_cap = _solve_once("amemiya", pair.phi, f,
+                                                 lambda: _amemiya_solve(pair.phi, f))
+    flags: tuple[str, ...] = (PAST_CAP,) if past_cap else ()
     oracle_value = None
     if cross_check:
         try:
@@ -371,21 +386,22 @@ def orlicz_checks(r: NormReport, lux: float, tol_slack: float) -> tuple[CheckRes
                         min(r.value + tol_slack - lux, 2.0 * lux + tol_slack - r.value)))
 
 
-def _amemiya_solve(phi: NFunction, f: GroupFunction) -> tuple[float, float, int]:
-    """(least objective evaluated, feasible end r = k sup|f|, evaluations)."""
+def _amemiya_solve(phi: NFunction, f: GroupFunction) -> tuple[float, float, int, bool]:
+    """(least objective evaluated, feasible end r = k sup|f|, evaluations,
+    whether the root lies past Phi's cap)."""
     top = f.sup_norm()
     value = math.inf
 
     def young(r: float) -> float:
         nonlocal value
         k = _finite_scale(r / top, top)
-        rho, slope = _capped_modular(phi, f, k, slope=True)
+        rho, slope = modular(phi, f, k, slope=True)
         value = min(value, (1.0 + rho) / k)
         return slope - rho
 
     # a tabulated Phi gives Young's function no slope bound in log r
-    r, _, iterations = _window_root(young, 0.0)
-    return value, r, iterations
+    r, _, iterations, past_cap = _window_root(young, 0.0)
+    return value, r, iterations, past_cap
 
 
 def holder_pairing(f: GroupFunction, g: GroupFunction) -> float:

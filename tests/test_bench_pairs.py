@@ -52,6 +52,30 @@ def test_verdict(bench_pairs, change, better, expected):
     assert bench_pairs.verdict(BASE, change, better, 0.24) == expected
 
 
+@pytest.mark.parametrize("change, better, expected", [
+    # the base IQR 0.04 is wider than the bound 0.02 x median 1.0: a change
+    # of 0.01 either way cannot be told from none
+    (shifted(BASE, 0.01), "lower", "unresolved"),
+    (shifted(BASE, -0.01), "lower", "unresolved"),
+    # every pair wins, by 0.03 inside the IQR, yet the runs overlap
+    (shifted(BASE, 0.03), "higher", "unresolved"),
+    # worse by 0.05, past the bound, stays a regression
+    (shifted(BASE, 0.05), "lower", "regression"),
+])
+def test_verdict_under_a_spread_wider_than_the_bound(bench_pairs, change, better, expected):
+    assert bench_pairs.verdict(BASE, change, better, 0.02) == expected
+
+
+def test_verdict_of_runs_that_separate_under_a_wide_spread(bench_pairs):
+    # the base IQR 0.21 spans the bound 0.02 x median 1.0, but every change
+    # run reads below every base run: within bound, though not a gain
+    base = [0.99, 0.99, 0.99, 1.0, 1.0, 1.0, 1.2, 1.2, 1.2, 1.2]
+    spread = bench_pairs.spread(base)
+    assert spread["q3"] - spread["q1"] > 0.02 * spread["median"]
+    assert bench_pairs.verdict(base, [0.985] * 10, "lower", 0.02) == "within bound"
+    assert bench_pairs.verdict(base, [0.995] * 10, "lower", 0.02) == "unresolved"
+
+
 def test_compare_stores_the_verdict_and_the_wins(bench_pairs):
     def runs(samples):
         return [{"metrics": {"run_s": {"value": x}}} for x in samples]

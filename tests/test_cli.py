@@ -201,21 +201,26 @@ def test_a_norm_whose_solve_scale_overflows_exits_3(capsys, verb, group, nfuncti
 TABLE_CAP3 = '{"kind":"custom","table":[[0,0,0],[1,0.5,1],[2,1.5,1],[3,3,2]]}'
 
 
-@pytest.mark.parametrize("verb, top", [
-    (("norm", "luxemburg"), 100),
-    (("norm", "orlicz"), 100),
-    # the merged pair's f is u / weight = 800 δ_0
-    (("aphi", "bound"), 800),
-])
-def test_a_norm_whose_root_lies_past_the_cap_exits_3_naming_it(capsys, verb, top):
+@pytest.mark.parametrize("verb", [("norm", "luxemburg"), ("norm", "orlicz")])
+def test_a_norm_whose_root_lies_past_the_cap_exits_3_naming_it(capsys, verb):
     # rho(f/k) = Phi(100/k)/8 = 1 needs Phi = 8, above Phi(cap) = 3: the solve
-    # ends against the cap outside its window instead of failing a check
+    # ends against the cap outside its window, so there is no root to report
     code, out, err = run_cli(capsys, *verb, "--group", Z8, "--nfunction", TABLE_CAP3,
                              "--function", "[[0,100,0]]")
     assert code == 3
     assert out == ""
-    assert err == (f"scope error: tabulated: the norm's root for sup|f| = {top} "
+    assert err == ("scope error: tabulated: the norm's root for sup|f| = 100 "
                    "lies past its domain cap 3\n")
+
+
+def test_a_bound_priced_past_the_cap_keeps_its_upper_end(capsys):
+    # pricing needs only upper bounds: the Luxemburg solve's feasible point
+    # at the cap, k = 100/3, and the Amemiya objective it evaluated
+    code, out, _ = run_cli(capsys, "aphi", "bound", "--group", Z8, "--nfunction", TABLE_CAP3,
+                           "--function", "[[0,100,0]]")
+    assert code == 0
+    assert "lower=100.0\nupper=183.33333333333334\n" in out
+    assert "check.bracket-order=pass" in out and "passed=true" in out
 
 
 def test_a_norm_whose_root_lies_inside_the_cap_keeps_its_report(capsys):

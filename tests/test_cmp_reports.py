@@ -2,7 +2,7 @@
 
 import importlib.util
 import io
-from contextlib import redirect_stderr, redirect_stdout
+from contextlib import redirect_stdout
 from pathlib import Path
 
 import orliczalg.cli as cli
@@ -87,34 +87,11 @@ def test_clause_runs_are_passing_commands(monkeypatch):
         assert "check." in out.getvalue(), name
 
 
-#: table runs whose norm root lies past a domain cap: the flat-run table's
-#: (3, at sup|f| = 36 for the unit on Z6) and its conjugate's (2, for the
-#: merged pair's g = 1 on Z8); they exit 3 naming the N-function and cap
-PAST_CAP = {
-    "aphi-bound-Z8-table-flat-run": "conjugate(tabulated): the norm's root for sup|f| = 1 "
-                                    "lies past its domain cap 2",
-    "unit-check-Z6-table-flat-run": "tabulated: the norm's root for sup|f| = 36 "
-                                    "lies past its domain cap 3",
-}
-
-
 def test_table_runs_are_passing_commands(monkeypatch):
     cmp_reports = _load(monkeypatch)
     assert len(cmp_reports.TABLE_RUNS) == 8
     for name, argv in cmp_reports.TABLE_RUNS.items():
-        if name in PAST_CAP:
-            continue
         out = io.StringIO()
         with redirect_stdout(out):
             assert cli.main(list(argv)) == 0, name
         assert "passed=true" in out.getvalue(), name
-
-
-def test_table_runs_past_a_cap_exit_3_naming_it(monkeypatch):
-    cmp_reports = _load(monkeypatch)
-    for name, message in PAST_CAP.items():
-        out, err = io.StringIO(), io.StringIO()
-        with redirect_stdout(out), redirect_stderr(err):
-            assert cli.main(list(cmp_reports.TABLE_RUNS[name])) == 3, name
-        assert out.getvalue() == "", name
-        assert err.getvalue() == f"scope error: {message}\n", name

@@ -22,7 +22,7 @@ from orliczalg.groups import (
     translate_left,
     translate_right,
 )
-from orliczalg.nfunctions import CATALOG_PAIR_NAMES, pair_power
+from orliczalg.nfunctions import CATALOG_PAIR_NAMES, ComplementaryPair, from_table, pair_power, power
 from orliczalg.norms import (
     char_fn_norm,
     holder_pairing,
@@ -541,7 +541,7 @@ def test_dual_point_rescales_a_g_past_the_root():
         for space in (cyclic(8), cyclic(64), integer_window(128)):
             for seed in range(5):
                 f = random_function(space, Random(seed), amplitude=3.0)
-                value, r, _ = norms._amemiya_solve(pair.phi, f)
+                value, r, _, _ = norms._amemiya_solve(pair.phi, f)
                 k = r / f.sup_norm() * (1.0 + 1e-6)
                 past = GroupFunction(space, {x: pair.phi.derivative(abs(k * v))
                                              for x, v in f.items()})
@@ -552,6 +552,38 @@ def test_dual_point_rescales_a_g_past_the_root():
                 rounding = (len(f.support) + 4) * sys.float_info.epsilon
                 assert lower <= value * (1.0 + rounding), (pair.phi.label, seed)
                 assert value - lower <= 1e-6 * value, (pair.phi.label, seed)
+
+
+#: a table capped at 3, where Phi(3) = 3
+FLAT_RUN = from_table([[0, 0, 0], [1, 0.5, 1], [2, 1.5, 1], [3, 3, 2]])
+
+
+def test_a_luxemburg_root_past_the_cap_is_flagged_and_still_an_upper_bound(z8):
+    # rho(f/k) = Phi(100/k)/8 = 1 needs Phi = 8, above Phi(3) = 3: the solve
+    # ends at the cap, k = 100/3, a feasible point flagged for the root's callers
+    f = GroupFunction.delta(z8, 0).scale(100.0)
+    rep = luxemburg(FLAT_RUN, f)
+    assert rep.flags == (norms.PAST_CAP,)
+    assert rep.value == pytest.approx(100.0 / 3.0, rel=1e-12)
+    assert modular(FLAT_RUN, f, 1.0 / rep.value) <= 1.0
+    with pytest.raises(ScopeError, match=r"^tabulated: the norm's root for sup\|f\| = 100 "
+                                         r"lies past its domain cap 3$"):
+        norms.root_inside_cap(FLAT_RUN, f, rep)
+    inside = luxemburg(FLAT_RUN, GroupFunction.constant(z8, 1.0))
+    assert inside.flags == () and norms.root_inside_cap(FLAT_RUN, f, inside) is inside
+
+
+def test_dual_point_rescale_past_psis_cap_keeps_its_lower_end(z8):
+    # g = phi(|k f|) = 100 delta_0 meets Psi's cap 3, and N_Psi(g)'s root lies
+    # past it; the rescale divides g by the solve's feasible upper bound 100/3,
+    # so g stays feasible and the pairing stays a lower end
+    pair = ComplementaryPair(phi=power(2.0), psi=FLAT_RUN, construction="numeric")
+    f = GroupFunction.delta(z8, 0)
+    lower, g, steps = _dual_point(pair, f, 100.0)
+    assert steps > 0
+    assert g.sup_norm() == pytest.approx(3.0, rel=1e-12)
+    assert modular(FLAT_RUN, g) <= 1.0
+    assert lower == pytest.approx(3.0 / 8.0, rel=1e-12)
 
 
 def test_dual_point_certified_without_a_rescale(z8):
