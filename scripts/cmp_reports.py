@@ -13,11 +13,16 @@ custom table that ends at 10, ``group check`` on Z1 and Z2xZ2xZ3 and
 suite shows only as folded minima; for that table and for one with a
 flat run of equal slopes, ``nfunc conjugate``, ``norm orlicz`` and
 ``aphi bound`` on Z8 and ``unit check`` on Z6, which read the table's
-closed-form derivative inverse; ``--help`` of the root, of each command and of each verb, which checks the
-argument layer; and every golden run of the working tree's
-``tests/test_golden.py``. Each report is the exit code and the standard
-output of one command. The script names each report that
-differs, with the keys whose values differ (as ``tests/test_golden.py``
+closed-form derivative inverse; ``characters enumerate`` and
+``characters brute`` on Z16 listed by element order, whose greedy
+generators are dependent, ``characters enumerate`` on Z2xZ4xZ3, and
+``group leptin`` on Zwindow16 with a compact set whose KU leaves the
+window (exit 3, naming the minimal radius); ``--help`` of the root, of
+each command and of each verb, which checks the argument layer; and
+every golden run of the working tree's ``tests/test_golden.py``. Each
+report is the exit code, the standard output and the standard error
+(each line prefixed ``stderr=``) of one command. The script names each
+report that differs, with the keys whose values differ (as ``tests/test_golden.py``
 does when it rewrites a golden), or that only one side has, and exits 1
 if any does, else 0.
 Reports are written to a new temporary directory, which is removed when
@@ -28,6 +33,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import shutil
 import subprocess
@@ -66,6 +72,23 @@ CLAUSE_RUNS = {
     "group-check-Z1": ["group", "check", "--group", Z1],
     "group-check-Z2xZ2xZ3": ["group", "check", "--group", Z2XZ2XZ3],
     "characters-brute-Z1": ["characters", "brute", "--group", Z1],
+}
+#: Z16 listed by increasing element order (0, 8, 4, 12, 2, ...): its greedy
+#: generators 8, 4, 2, 1 are dependent
+Z16_BY_ORDER = sorted(range(16), key=lambda x: (16 // math.gcd(x, 16), x))
+Z16_RELABELLED = json.dumps({"type": "table", "elements": Z16_BY_ORDER,
+                             "mul": [[Z16_BY_ORDER.index((a + b) % 16) for b in Z16_BY_ORDER]
+                                     for a in Z16_BY_ORDER], "identity": 0})
+Z2XZ4XZ3 = ('{"type": "product", "factors": [{"type": "Zn", "n": 2}, '
+            '{"type": "Zn", "n": 4}, {"type": "Zn", "n": 3}]}')
+#: dependent generators and the window's edge, where set arithmetic leaves the carrier
+EDGE_RUNS = {
+    "characters-enumerate-Z16-by-order": ["characters", "enumerate", "--group", Z16_RELABELLED],
+    "characters-brute-Z16-by-order": ["characters", "brute", "--group", Z16_RELABELLED],
+    "characters-enumerate-Z2xZ4xZ3": ["characters", "enumerate", "--group", Z2XZ4XZ3],
+    "group-leptin-Zwindow16-past-the-edge": [
+        "group", "leptin", "--group", '{"type": "Zwindow", "radius": 16}',
+        "--compact", "[-10, 10]", "--epsilon", "0.5"],
 }
 #: function data on Z8 whose norms stay inside both tables' caps
 Z8_SPREAD = json.dumps([[0, 1, 0], [1, 0.75, 0.25], [2, -0.5, 0], [3, 0.25, -0.5],
@@ -122,6 +145,7 @@ def commands() -> dict[str, list[str]]:
                 json.dumps({**json.loads(spec), "construction": construction})]
     runs.update(WITNESS_RUNS)
     runs.update(CLAUSE_RUNS)
+    runs.update(EDGE_RUNS)
     runs.update(TABLE_RUNS)
     runs.update(HELP_RUNS)
     runs.update({f"golden-{name}": list(argv) for name, argv in golden["runs"].items()})
@@ -129,13 +153,14 @@ def commands() -> dict[str, list[str]]:
 
 
 def write_reports(root: Path, runs: dict[str, list[str]], dest: Path) -> None:
-    """Each command's exit code and stdout, run on root's source, in dest/<name>.txt."""
+    """Each command's exit code, stdout and stderr, run on root's source, in dest/<name>.txt."""
     dest.mkdir(parents=True, exist_ok=True)
     env = dict(os.environ, PYTHONPATH=str(root / "src"))
     for name, argv in runs.items():
         proc = subprocess.run([sys.executable, "-m", "orliczalg.cli", *argv], cwd=root,
                               env=env, capture_output=True, text=True, timeout=600)
-        (dest / f"{name}.txt").write_text(f"exit={proc.returncode}\n{proc.stdout}",
+        stderr = "".join(f"stderr={line}\n" for line in proc.stderr.splitlines())
+        (dest / f"{name}.txt").write_text(f"exit={proc.returncode}\n{proc.stdout}{stderr}",
                                           encoding="utf-8")
 
 

@@ -20,8 +20,8 @@ bound t < Phi^{-1}(t) Psi^{-1}(t). Every step carries its numeric slack.
 
 ``PlateauCertificate.checks`` is the one definition of the plateau
 clauses and ``SubmultReport.checks`` that of the closure chain, as
-``CheckResult``s (defined in ``errors``, importable from here too): the
-CLI, the suite, the witness and the unit check read them.
+``CheckResult``s (defined in ``errors``): the CLI, the suite, the
+witness and the unit check read them.
 """
 
 from __future__ import annotations

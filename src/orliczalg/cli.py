@@ -469,7 +469,7 @@ def _run_suite(args, cfg: RunConfig, rep: Report) -> None:
                 entry(f"characters.{gname}", *character_checks(
                     space, enumerate_characters(space),
                     multiplicative_functional_search(space, tolerance=cfg.tol_slack)))
-            except ScopeError as exc:  # a character search past its node cap
+            except ScopeError as exc:  # past the enumeration's or the search's limit
                 out_of_scope.append((f"characters.{gname}", str(exc)))
 
     folded = sorted((name, all(c.passed for c in checks), min(c.slack for c in checks))

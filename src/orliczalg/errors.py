@@ -57,10 +57,6 @@ class InvalidNFunctionError(OrliczAlgebraError, ValueError):
     strict monotonicity)."""
 
 
-class WindowExitError(OrliczAlgebraError):
-    """A group operation on an integer window left the representable range."""
-
-
 class InfeasibleWindowError(OrliczAlgebraError):
     """The window is too small to carry out a construction; carries the
     estimated minimal radius when one is known."""

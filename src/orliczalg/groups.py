@@ -9,8 +9,8 @@ live at desk scale:
   standing in for the noncompact group Z. An operation whose product
   y z exits the window (``try_mul`` returns None) drops that mass and
   marks its output ``truncated`` instead of failing; set arithmetic that
-  feeds measure comparisons (Leptin search) is done in unbounded integers
-  so the counts are exact.
+  feeds measure comparisons (Leptin search) goes through
+  ``IntegerWindow.mul``, the product in Z, so the counts are exact.
 
 Only unimodular carriers arise here (finite groups and abelian discrete
 groups); weights are uniform, so left invariance of the measure is
@@ -32,13 +32,14 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from random import Random
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .errors import CheckResult, InfeasibleWindowError, ScopeError, SpecFormatError, WindowExitError
+from .errors import CheckResult, InfeasibleWindowError, ScopeError, SpecFormatError
 
 Element = object
 
@@ -119,11 +120,8 @@ class GroupSpace:
         raise NotImplementedError
 
     def mul(self, a: Element, b: Element) -> Element:
-        out = self.try_mul(a, b)
-        if out is None:
-            raise WindowExitError(
-                f"{self.name}: product {a!r}*{b!r} exits the window")
-        return out
+        """Product in the group: ``try_mul``, never None on a finite carrier."""
+        return self.try_mul(a, b)
 
     def inv(self, a: Element) -> Element:
         raise NotImplementedError
@@ -252,7 +250,11 @@ class TableGroup(GroupSpace):
 
 
 class IntegerWindow(GroupSpace):
-    """Symmetric slice [-W, W] of Z with counting measure."""
+    """Symmetric slice [-W, W] of Z with counting measure; ``mul`` and ``inv``
+    act in Z, ``try_mul`` in the carrier."""
+
+    mul = staticmethod(operator.add)
+    inv = staticmethod(operator.neg)
 
     def __init__(self, radius: int):
         if radius <= 0:
@@ -265,9 +267,6 @@ class IntegerWindow(GroupSpace):
     def try_mul(self, a, b):
         s = a + b
         return s if abs(s) <= self.window_radius else None
-
-    def inv(self, a):
-        return -a
 
 
 def cyclic(n: int) -> GroupSpace:
@@ -454,17 +453,13 @@ def translate_right(t: Element, f: GroupFunction) -> GroupFunction:
 def set_product(space: GroupSpace, left: Iterable[Element], right: Iterable[Element]) -> frozenset:
     """{a b : a in left, b in right} in the underlying group.
 
-    For windows this is computed in unbounded integers so that measure
-    comparisons stay exact; members may lie outside the carrier.
+    On a window this is the sum in Z, so that measure comparisons stay
+    exact; members may lie outside the carrier.
     """
-    if space.is_window:
-        return frozenset(a + b for a in left for b in right)
     return frozenset(space.mul(a, b) for a in left for b in right)
 
 
 def set_inverse(space: GroupSpace, points: Iterable[Element]) -> frozenset:
-    if space.is_window:
-        return frozenset(-a for a in points)
     return frozenset(space.inv(a) for a in points)
 
 

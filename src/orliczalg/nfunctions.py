@@ -58,19 +58,19 @@ class NFunction:
     domain_cap: float
     derivative_inverse: Callable[[float], float]
 
-    def __call__(self, x: float) -> float:
+    def _capped(self, x: float) -> float:
+        """|x|, or CapExceededError when it exceeds the domain cap."""
         a = abs(x)
         if a > self.domain_cap:
             raise CapExceededError(
                 f"{self.label}: |x| = {a:g} exceeds domain cap {self.domain_cap:g}")
-        return self.evaluate(a)
+        return a
+
+    def __call__(self, x: float) -> float:
+        return self.evaluate(self._capped(x))
 
     def deriv(self, x: float) -> float:
-        a = abs(x)
-        if a > self.domain_cap:
-            raise CapExceededError(
-                f"{self.label}: |x| = {a:g} exceeds domain cap {self.domain_cap:g}")
-        return self.derivative(a)
+        return self.derivative(self._capped(x))
 
     def deriv_inverse(self, y: float) -> float:
         """The x >= 0 with deriv(x) = y (y within the derivative's range)."""
@@ -108,15 +108,11 @@ def power(p: float) -> NFunction:
     cap = math.exp((math.log(OVERFLOW_GUARD) + math.log(p)) / p)  # x^p / p = OVERFLOW_GUARD
 
     def ev(x: float) -> float:
-        if x == 0.0:
-            return 0.0
         if x > cap:
             return math.inf
         return x ** p / p
 
     def dv(x: float) -> float:
-        if x == 0.0:
-            return 0.0
         if x > cap:
             return math.inf
         return x ** (p - 1.0)

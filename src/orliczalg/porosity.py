@@ -53,8 +53,9 @@ from collections import Counter
 from dataclasses import dataclass
 from random import Random
 
-from .algebra import CheckResult, PlateauCertificate, build_plateau
+from .algebra import PlateauCertificate, build_plateau
 from .errors import (
+    CheckResult,
     InfeasibleWindowError,
     OrliczAlgebraError,
     ScopeError,

@@ -11,10 +11,13 @@ statements here rather than topological ones.
 Characters of the convolution algebra on a finite abelian group are the
 functionals u -> sum_x u(x) w(x) lam(x) for group homomorphisms w into
 roots of unity. Two independent routes are provided: enumeration by
-generator images (each character checked on the generators, which
-implies the full table, and at most SEARCH_NODE_LIMIT image choices) and an
-exhaustive search over root-of-unity weight vectors constrained only by
-multiplicativity on point masses. Neither route calls or counts the
+extension along greedy generators (each character of the span so far
+extends in exactly m ways to the next generator of order m modulo that
+span, so |G| characters and |G|^2 exponents are built, at most
+CARRIER_LIMIT of them; each character is checked on the generators,
+which implies the full table) and an exhaustive search over
+root-of-unity weight vectors constrained only by multiplicativity on
+point masses. Neither route calls or counts the
 other: ``character_checks`` compares them and checks |characters| = |G|.
 Both use exact exponent arithmetic modulo the group exponent; complex
 values appear only in reports. The search assigns exponents depth-first
@@ -26,13 +29,11 @@ SEARCH_NODE_LIMIT exponent trials.
 from __future__ import annotations
 
 import cmath
-import itertools
 import math
 from dataclasses import dataclass
 from random import Random
 
 from .algebra import (
-    CheckResult,
     Decomposition,
     NormBracket,
     PlateauCertificate,
@@ -41,8 +42,16 @@ from .algebra import (
     decomposition_cost,
     plateau_from_sets,
 )
-from .errors import OrliczAlgebraError, ScopeError
-from .groups import GroupFunction, GroupSpace, convolve, random_function, translate_left, translate_right
+from .errors import CheckResult, OrliczAlgebraError, ScopeError
+from .groups import (
+    CARRIER_LIMIT,
+    GroupFunction,
+    GroupSpace,
+    convolve,
+    random_function,
+    translate_left,
+    translate_right,
+)
 from .nfunctions import ComplementaryPair
 
 TRANSLATION_COST_TOL = 1e-12
@@ -259,51 +268,43 @@ def _greedy_generators(space: GroupSpace) -> list:
 
 
 def enumerate_characters(space: GroupSpace) -> CharacterSet:
-    """All homomorphisms w: G -> roots of unity, by generator images.
+    """All homomorphisms w: G -> roots of unity, by extension along greedy generators.
 
-    Greedy generators are not necessarily independent, so every image
-    assignment is expanded over the group and dropped on any
-    inconsistency. The assignments, the product of the generators'
-    orders, can outnumber |G|; past SEARCH_NODE_LIMIT of them this raises
-    ScopeError before expanding any. Each character found is checked on
-    the generators. The count |G| is checked by ``character_checks``.
+    With H the span of the earlier generators, g the next one and m the
+    order of g modulo H, a character w of H extends to H<g> in exactly m
+    ways: w(g) = s with m s = w(g^m) (mod L), that is s = w(g^m)/m + k L/m
+    for k < m (m divides L and w(g^m)), and w(h g^j) = w(h) + j s on the
+    cosets H g^j, j < m. Every extension is a character, so the last step
+    yields exactly |G| of them. The |G|^2 exponents built are checked
+    against ``CARRIER_LIMIT`` before any is; past it this raises
+    ScopeError. Each character is checked on the generators. The count
+    |G| is checked by ``character_checks``.
     """
     _require_finite_abelian(space, "character enumeration")
-    L, orders = group_exponent(space)
+    if space.size ** 2 > CARRIER_LIMIT:
+        raise ScopeError(f"character enumeration on {space.name} builds {space.size ** 2} "
+                         f"exponents, past the carrier limit of {CARRIER_LIMIT}")
+    L, _ = group_exponent(space)
     generators = _greedy_generators(space)
-    choices = math.prod(orders[g] for g in generators)
-    if choices > SEARCH_NODE_LIMIT:
-        raise ScopeError(
-            f"character enumeration on {space.name} needs {choices} generator-image "
-            f"choices, past the cap of {SEARCH_NODE_LIMIT}")
-    found: list[Character] = []
-    for ks in itertools.product(*(range(orders[g]) for g in generators)):
-        expo = _expand_exponents(space, generators, ks, L, orders)
-        if expo is not None:
-            found.append(Character(order=L, exponents=expo))
+    span = [space.identity]  # H, in the order of the exponent lists below
+    where = {space.identity: 0}
+    tables = [[0]]  # the characters of H, as exponents along span
+    for g in generators:
+        powers, acc = [], g
+        while acc not in where:  # g, ..., g^(m-1) lie outside H, g^m in it
+            powers.append(acc)
+            acc = space.mul(acc, g)
+        m, at_gm = len(powers) + 1, where[acc]
+        span += [space.mul(h, gj) for gj in powers for h in span]
+        where = {x: i for i, x in enumerate(span)}
+        tables = [w + [(e + j * s) % L for j in range(1, m) for e in w]
+                  for w in tables for s in range(w[at_gm] // m, L, L // m)]
+    order = [where[x] for x in space.elements]
+    found = [Character(order=L, exponents=tuple(w[i] for i in order)) for w in tables]
     for c in found:
         _verify_homomorphism(space, c, generators)
     found.sort(key=lambda c: c.exponents)
     return CharacterSet(order=L, characters=tuple(found))
-
-
-def _expand_exponents(space: GroupSpace, generators, ks, L: int,
-                      orders) -> tuple[int, ...] | None:
-    """Exponents over G (the generators span it) of the images ks, or None on a clash."""
-    expo: dict = {space.identity: 0}
-    for g, k in zip(generators, ks):
-        step = (L // orders[g]) * k
-        for base in list(expo):
-            acc_elt, acc_exp = base, expo[base]
-            for _ in range(1, orders[g]):
-                acc_elt = space.mul(acc_elt, g)
-                acc_exp = (acc_exp + step) % L
-                if acc_elt in expo:
-                    if expo[acc_elt] != acc_exp:
-                        return None
-                else:
-                    expo[acc_elt] = acc_exp
-    return tuple(expo[x] for x in space.elements)
 
 
 def _verify_homomorphism(space: GroupSpace, c: Character, generators) -> None:

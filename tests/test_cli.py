@@ -1120,31 +1120,62 @@ def test_parse_errors_exit_2(capsys, monkeypatch, tmp_path, argv, config, messag
     assert (code, out, err) == (2, "", f"parse error: {message}\n")
 
 
-# Z16 listed by increasing element order (0, 8, 4, 12, 2, ...): the greedy
-# generators 8, 4, 2, 1 give 2 * 4 * 8 * 16 = 1,024 image choices, past a cap
-# of 100 that the named Z16 (16 choices) stays under
-Z16_BY_ORDER = sorted(range(16), key=lambda x: (16 // math.gcd(x, 16), x))
-Z16_RELABELLED = _table(Z16_BY_ORDER, [[Z16_BY_ORDER.index((a + b) % 16) for b in Z16_BY_ORDER]
-                                       for a in Z16_BY_ORDER])
+def _by_element_order(n: int) -> str:
+    """Zn as a table over its carrier listed by increasing element order
+    (0, n/2, n/4, 3n/4, ...), where the greedy generators are dependent."""
+    elements = sorted(range(n), key=lambda x: (n // math.gcd(x, n), x))
+    return _table(elements, [[elements.index((a + b) % n) for b in elements] for a in elements])
 
 
-def test_character_enumeration_past_the_cap_exits_3(capsys, monkeypatch):
-    monkeypatch.setattr(structure, "SEARCH_NODE_LIMIT", LOW_NODE_CAP)
+# Z16 by element order: the greedy generators 8, 4, 2, 1 have orders 2, 4, 8, 16
+Z16_RELABELLED = _by_element_order(16)
+
+
+def _character_runs(n: int) -> list[tuple[str, ...]]:
+    """The three commands that enumerate the characters of Zn."""
+    spec = f'{{"type": "Zn", "n": {n}}}'
+    return [("characters", "enumerate", "--group", spec), ("characters", "brute", "--group", spec),
+            ("suite", "--groups", f"Z{n}", "--pairs", "")]
+
+
+@pytest.mark.parametrize("at", range(3), ids=["enumerate", "brute", "suite"])
+def test_character_enumeration_past_the_exponent_limit_exits_3(capsys, monkeypatch, at):
+    # Z16 builds 16^2 = 256 exponents: one past a limit of 255, checked
+    # before the group exponent, which would fail here
+    argv = _character_runs(16)[at]
+    monkeypatch.setattr(structure, "CARRIER_LIMIT", 255)
+    with monkeypatch.context() as m:
+        m.setattr(structure, "group_exponent", None)
+        started = time.monotonic()
+        code, out, err = run_cli(capsys, *argv)
+        assert time.monotonic() - started < 1.0
+    message = "character enumeration on Z16 builds 256 exponents, past the carrier limit of 255"
+    assert code == 3
+    if argv[0] == "suite":
+        assert f"out-of-scope.characters.Z16={message}\n" in out
+    else:
+        assert (out, err) == ("", f"scope error: {message}\n")
+    monkeypatch.setattr(structure, "CARRIER_LIMIT", 256)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0, err
+    assert ("check.characters.Z16=pass" if argv[0] == "suite" else "count=16\n") in out
+
+
+@pytest.mark.parametrize("at", range(3), ids=["enumerate", "brute", "suite"])
+def test_a_group_past_the_exponent_limit_exits_3_at_once(capsys, at):
     started = time.monotonic()
-    code, out, err = run_cli(capsys, "characters", "enumerate", "--group", Z16_RELABELLED)
-    assert time.monotonic() - started < 1.0
-    assert (code, out) == (3, "")
-    assert err == ("scope error: character enumeration on table needs 1024 generator-image "
-                   "choices, past the cap of 100\n")
-    code, out, err = run_cli(capsys, "suite", "--groups", Z16_RELABELLED, "--pairs", "")
+    code, out, err = run_cli(capsys, *_character_runs(100000)[at])
     assert time.monotonic() - started < 1.0
     assert code == 3
-    assert (f"out-of-scope.characters.{Z16_RELABELLED}=character enumeration on table "
-            "needs 1024") in out
-    code, out, err = run_cli(capsys, "characters", "enumerate", "--group",
-                             '{"type": "Zn", "n": 16}')
+    assert ("character enumeration on Z100000 builds 10000000000 exponents, past the "
+            "carrier limit of 10000000") in out + err
+
+
+def test_z128_by_element_order_enumerates_its_128_characters(capsys):
+    code, out, err = run_cli(capsys, "characters", "enumerate", "--group", _by_element_order(128))
     assert code == 0, err
-    assert "count=16\n" in out
+    assert "count=128\n" in out
+    assert "check.completeness=pass slack=0.0" in out
 
 
 Z2XZ3 = '{"type": "product", "factors": [{"type": "Zn", "n": 2}, {"type": "Zn", "n": 3}]}'

@@ -6,6 +6,7 @@ from contextlib import redirect_stdout
 from pathlib import Path
 
 import orliczalg.cli as cli
+from test_cli import Z16_RELABELLED
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
@@ -95,3 +96,16 @@ def test_table_runs_are_passing_commands(monkeypatch):
         with redirect_stdout(out):
             assert cli.main(list(argv)) == 0, name
         assert "passed=true" in out.getvalue(), name
+
+
+def test_edge_runs_exit_as_named(monkeypatch, capsys):
+    cmp_reports = _load(monkeypatch)
+    assert cmp_reports.Z16_RELABELLED == Z16_RELABELLED
+    codes = {}
+    for name, argv in cmp_reports.EDGE_RUNS.items():
+        codes[name] = cli.main(list(argv))
+    out, err = capsys.readouterr()
+    assert codes == {"characters-enumerate-Z16-by-order": 0, "characters-brute-Z16-by-order": 0,
+                     "characters-enumerate-Z2xZ4xZ3": 0, "group-leptin-Zwindow16-past-the-edge": 3}
+    assert out.count("count=16\n") == 2 and "count=24\n" in out
+    assert err == "scope error: Zwindow16: Leptin set for eps=0.5 needs radius 30\n"

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from orliczalg.errors import InfeasibleWindowError, ScopeError, SpecFormatError, WindowExitError
+from orliczalg.errors import InfeasibleWindowError, ScopeError, SpecFormatError
 from orliczalg.groups import (
     CARRIER_LIMIT,
     GroupFunction,
@@ -21,6 +21,7 @@ from orliczalg.groups import (
     leptin_search,
     random_function,
     reflect,
+    set_inverse,
     set_product,
     symmetric_group3,
     translate_left,
@@ -195,10 +196,9 @@ def test_window_convolution_truncation_flag():
     assert out(0) == pytest.approx(3.0)  # counting measure
 
 
-def test_window_mul_exit_raises():
+def test_window_mul_is_the_sum_in_z_and_try_mul_stays_in_the_window():
     w = integer_window(2)
-    with pytest.raises(WindowExitError):
-        w.mul(2, 2)
+    assert w.mul(2, 2) == 4
     assert w.try_mul(2, 2) is None
 
 
@@ -240,6 +240,16 @@ def test_set_product_window_is_exact_beyond_carrier():
     w = integer_window(3)
     prod = set_product(w, [2, 3], [2, 3])
     assert prod == {4, 5, 6}  # allowed to exceed the carrier
+
+
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(st.integers(1, 6), st.lists(st.integers(-12, 12), max_size=6),
+       st.lists(st.integers(-12, 12), max_size=6))
+def test_window_set_arithmetic_is_integer_arithmetic(radius, left, right):
+    # points on both sides of the window [-radius, radius]
+    w = integer_window(radius)
+    assert set_product(w, left, right) == {a + b for a in left for b in right}
+    assert set_inverse(w, left) == {-a for a in left}
 
 
 def test_table_group_rejects_bad_table():

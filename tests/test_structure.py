@@ -3,6 +3,7 @@
 import cmath
 import itertools
 import math
+import time
 
 import pytest
 from hypothesis import example, given, settings
@@ -24,6 +25,7 @@ from orliczalg.nfunctions import CATALOG_PAIR_NAMES, pair_power
 from orliczalg.specio import group_from_name, pair_from_name
 from orliczalg.structure import (
     Character,
+    CharacterSet,
     _greedy_generators,
     _verify_homomorphism,
     convolution_unit,
@@ -59,6 +61,36 @@ def product_reference(space) -> frozenset[tuple[int, ...]]:
                for i in range(n) for j in range(n)):
             found.add(tuple(expo))
     return frozenset(found)
+
+
+def clash_reference(space) -> CharacterSet:
+    """Reference for the enumeration: every combination of images of the
+    greedy generators (the product of their orders, which can far outnumber
+    |G|), expanded over the group and dropped on a clash."""
+    L, orders = group_exponent(space)
+    generators = _greedy_generators(space)
+    found = []
+    for ks in itertools.product(*(range(orders[g]) for g in generators)):
+        expo = _expand_or_clash(space, generators, ks, L, orders)
+        if expo is not None:
+            found.append(Character(order=L, exponents=expo))
+    found.sort(key=lambda c: c.exponents)
+    return CharacterSet(order=L, characters=tuple(found))
+
+
+def _expand_or_clash(space, generators, ks, L, orders):
+    """Exponents over G of the generator images ks, or None on a clash."""
+    expo = {space.identity: 0}
+    for g, k in zip(generators, ks):
+        step = (L // orders[g]) * k
+        for base in list(expo):
+            acc_elt, acc_exp = base, expo[base]
+            for _ in range(1, orders[g]):
+                acc_elt = space.mul(acc_elt, g)
+                acc_exp = (acc_exp + step) % L
+                if expo.setdefault(acc_elt, acc_exp) != acc_exp:
+                    return None
+    return tuple(expo[x] for x in space.elements)
 
 
 def relabelled(space, perm) -> TableGroup:
@@ -308,17 +340,50 @@ def test_generator_check_accepts_exactly_the_homomorphisms(space):
     assert accepted == enumerate_characters(space).exponent_set()
 
 
-def test_enumeration_refuses_generator_images_past_the_cap_before_expanding(monkeypatch):
+def by_element_order(n: int) -> list[int]:
+    """The carrier of Zn listed by increasing element order (0, n/2, ...): the
+    greedy generators are then dependent, n/2, n/4, ... on Z(2^k)."""
+    return sorted(range(n), key=lambda x: (n // math.gcd(x, n), x))
+
+
+REFERENCE_GROUPS = [f"Z{n}" for n in range(1, 17)] + ["Z2xZ2", "Z2xZ4", "Z3xZ3", "Z2xZ2xZ3"]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@example(("Z16", by_element_order(16)))
+@given(st.sampled_from(REFERENCE_GROUPS).flatmap(
+    lambda name: st.tuples(st.just(name),
+                           st.permutations(range(group_from_name(name).size)))))
+def test_enumeration_matches_the_clash_reference_on_a_random_relabelling(name_and_perm):
+    name, perm = name_and_perm
+    table = relabelled(group_from_name(name), perm)
+    enumerated, reference = enumerate_characters(table), clash_reference(table)
+    assert enumerated.order == reference.order
+    assert [c.exponents for c in enumerated.characters] == \
+        [c.exponents for c in reference.characters]
+
+
+def test_enumeration_of_z64_by_element_order_builds_only_its_characters():
+    # the greedy generators 32, 16, ..., 1 give 2^21 image choices, 64 of them characters
+    table = relabelled(cyclic(64), by_element_order(64))
+    started = time.monotonic()
+    characters = enumerate_characters(table)
+    assert time.monotonic() - started < 1.0
+    assert len(characters) == 64
+    assert characters.exponent_set() == {tuple(c.exponents[i] for i in by_element_order(64))
+                                         for c in enumerate_characters(cyclic(64)).characters}
+
+
+def test_enumeration_refuses_past_the_exponent_limit_before_building_any(monkeypatch):
     import orliczalg.structure as structure
-    # Z16 listed by increasing element order: the greedy generators 8, 4, 2, 1
-    # have orders 2, 4, 8, 16, so 1,024 image choices where the named Z16 has 16
-    perm = sorted(range(16), key=lambda x: (16 // math.gcd(x, 16), x))
-    monkeypatch.setattr(structure, "SEARCH_NODE_LIMIT", 100)
+    # Z16 builds 16^2 = 256 exponents, one past a limit of 255
+    monkeypatch.setattr(structure, "CARRIER_LIMIT", 255)
     with monkeypatch.context() as m:
-        m.setattr(structure, "_expand_exponents", None)  # an expansion would call None
-        with pytest.raises(ScopeError, match="on table needs 1024 generator-image choices, "
-                                             "past the cap of 100"):
-            enumerate_characters(relabelled(cyclic(16), perm))
+        m.setattr(structure, "group_exponent", None)  # any work past the check would call None
+        with pytest.raises(ScopeError, match="character enumeration on Z16 builds 256 exponents, "
+                                             "past the carrier limit of 255"):
+            enumerate_characters(cyclic(16))
+    monkeypatch.setattr(structure, "CARRIER_LIMIT", 256)
     assert len(enumerate_characters(cyclic(16))) == 16
 
 
