@@ -17,7 +17,11 @@ closed-form derivative inverse; ``characters enumerate`` and
 ``characters brute`` on Z16 listed by element order, whose greedy
 generators are dependent, ``characters enumerate`` on Z2xZ4xZ3, and
 ``group leptin`` on Zwindow16 with a compact set whose KU leaves the
-window (exit 3, naming the minimal radius); ``--help`` of the root, of
+window (exit 3, naming the minimal radius); ``aphi plateau`` on
+Zwindow16 with the set [0] under power-2 at eps = 1e150 and under
+entropy at eps = 1e50, and ``unit check`` on Z6 under cosh at eps =
+1e20, whose t = 1/((1+eps) lam(V)) is a normal float far below 1, where
+Phi^{-1} once read 0; ``--help`` of the root, of
 each command and of each verb, which checks the argument layer; and
 every golden run of the working tree's ``tests/test_golden.py``. Each
 report is the exit code, the standard output and the standard error
@@ -90,6 +94,18 @@ EDGE_RUNS = {
         "group", "leptin", "--group", '{"type": "Zwindow", "radius": 16}',
         "--compact", "[-10, 10]", "--epsilon", "0.5"],
 }
+W16 = '{"type": "Zwindow", "radius": 16}'
+#: eps whose t = 1/((1+eps) lam(V)) is a normal float far below 1
+SMALL_T_RUNS = {
+    "aphi-plateau-Zwindow16-power-2-eps1e150": [
+        "aphi", "plateau", "--group", W16, "--nfunction", '{"kind": "power", "p": 2}',
+        "--set", "[0]", "--epsilon", "1e150"],
+    "aphi-plateau-Zwindow16-entropy-eps1e50": [
+        "aphi", "plateau", "--group", W16, "--nfunction", '{"kind": "entropy"}',
+        "--set", "[0]", "--epsilon", "1e50"],
+    "unit-check-Z6-cosh-eps1e20": ["unit", "check", "--group", Z6,
+                                   "--nfunction", '{"kind": "cosh"}', "--epsilon", "1e20"],
+}
 #: function data on Z8 whose norms stay inside both tables' caps
 Z8_SPREAD = json.dumps([[0, 1, 0], [1, 0.75, 0.25], [2, -0.5, 0], [3, 0.25, -0.5],
                         [4, 1, 0], [5, 0.5, 0.5], [6, -0.75, 0], [7, 0.5, 0]])
@@ -146,6 +162,7 @@ def commands() -> dict[str, list[str]]:
     runs.update(WITNESS_RUNS)
     runs.update(CLAUSE_RUNS)
     runs.update(EDGE_RUNS)
+    runs.update(SMALL_T_RUNS)
     runs.update(TABLE_RUNS)
     runs.update(HELP_RUNS)
     runs.update({f"golden-{name}": list(argv) for name, argv in golden["runs"].items()})

@@ -197,14 +197,19 @@ def _chain_tail(pair: ComplementaryPair, lam_v: float, lam_ev: float,
                            CHAIN_GUARD))
     # Leptin ratio: lam(EV) < (1+eps) lam(V), both inverses move the same way
     t = 1.0 / ((1.0 + epsilon) * lam_v)
-    inv_phi, inv_psi = phi.inverse(t), psi.inverse(t)  # 0.0 where t underflows to 0.0
+    v4 = 2.0 * (1.0 + epsilon)
+    given = f"eps = {epsilon:g} gives t = 1/((1+eps) lam(V)) = {t:g}"
+    if t == 0.0:
+        raise ScopeError(f"{given}: t underflows to 0")
+    if v4 == math.inf:
+        raise ScopeError(f"{given}, but the bound 2 (1+eps) overflows")
+    inv_phi, inv_psi = phi.inverse(t), psi.inverse(t)
     if not (inv_phi > 0.0 and inv_psi > 0.0):
-        raise ScopeError(f"eps = {epsilon:g} gives t = 1/((1+eps) lam(V)) = {t:g}, below "
-                         "the float range of Phi^(-1) and Psi^(-1): an inverse reads 0")
+        raise ScopeError(f"{given}, where {'Phi' if inv_phi == 0.0 else 'Psi'}^(-1)(t) "
+                         "underflows to 0")
     v3 = 2.0 / (lam_v * inv_phi * inv_psi)
     steps.append(ChainStep("leptin-ratio-monotonicity", v3, v3 - v2))
     # lower half of the inverse-product inequality: t < Phi^{-1}(t) Psi^{-1}(t)
-    v4 = 2.0 * (1.0 + epsilon)
     steps.append(ChainStep("inverse-product-lower-bound", v4, v4 - v3))
     return tuple(steps)
 

@@ -228,7 +228,8 @@ def _run_norm(args, cfg: RunConfig, rep: Report) -> None:
         subset = [_decode_element(x, "--subset") for x in read_json(args.subset)]
         value = char_fn_norm(pair.phi, space, subset)
         rep.add("value", value)
-        rep.add("provenance", "closed-form (inverse by regula falsi)")
+        rep.add("provenance", "closed-form (inverse in closed form)" if pair.phi.evaluate_inverse
+                else "closed-form (inverse by log-coordinate solve)")
         chk = luxemburg(pair.phi, GroupFunction.indicator(space, subset))
         rep.add("illinois-value", chk.value)
         rep.check("closed-form-vs-illinois", abs(value - chk.value) <= 1e-10,

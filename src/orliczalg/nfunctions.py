@@ -11,7 +11,10 @@ nonnegative axis,
 attained at x = phi^{-1}(y), the inverse of the derivative. Every
 constructor supplies the derivative and its inverse in closed form (a
 table's is the exact inverse of its piecewise-linear derivative), and
-everything is evaluated on demand.
+everything is evaluated on demand. The inverse Phi^{-1} is a closed form
+for power, cosh-1 and tables (a table's Phi is quadratic on each
+segment); every other N-function inverts by the one log-coordinate solve
+``numerics.invert_increasing``.
 
 Catalog (classical examples):
 
@@ -34,7 +37,7 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from .errors import CapExceededError, CheckResult, InvalidNFunctionError, SpecFormatError
-from .numerics import geometric_grid, solve_increasing
+from .numerics import geometric_grid, invert_increasing
 
 #: catalog caps sit where Phi reaches this value, or at a round point below
 OVERFLOW_GUARD = 1e300
@@ -46,10 +49,12 @@ class NFunction:
 
     ``evaluate`` and ``derivative`` act on the nonnegative axis; evenness
     is structural (callers go through ``__call__``, which applies abs).
-    ``derivative_inverse`` is the inverse of the derivative on its range.
-    An N-function equals and hashes as itself only: each constructor
-    builds fresh closures, which compare by identity anyway, so two
-    separately built ``power(2)`` are distinct (as memo keys too).
+    ``derivative_inverse`` is the inverse of the derivative on its range,
+    ``evaluate_inverse`` a closed form of Phi^{-1} on (0, Phi(domain cap)],
+    or None where Phi^{-1} runs the shared solve ``invert_increasing``, to
+    bracket collapse. An N-function equals and hashes as itself only: each
+    constructor builds fresh closures, which compare by identity anyway,
+    so two separately built ``power(2)`` are distinct (as memo keys too).
     """
 
     label: str
@@ -57,6 +62,7 @@ class NFunction:
     derivative: Callable[[float], float]
     domain_cap: float
     derivative_inverse: Callable[[float], float]
+    evaluate_inverse: Callable[[float], float] | None = None
 
     def _capped(self, x: float) -> float:
         """|x|, or CapExceededError when it exceeds the domain cap."""
@@ -79,8 +85,8 @@ class NFunction:
         return self.derivative_inverse(y)
 
     def inverse(self, t: float) -> float:
-        """Phi^{-1}(t) by ``solve_increasing`` (doubling bracket, then the Illinois
-        kernel) run to bracket collapse; |Phi(x) - t| <= 1e-12 (1+t)."""
+        """Phi^{-1}(t) for 0 <= t <= Phi(domain cap): ``evaluate_inverse``, or
+        the shared solve where it is None."""
         if t < 0:
             raise ValueError(f"{self.label}: inverse requires t >= 0, got {t:g}")
         if t == 0.0:
@@ -89,9 +95,24 @@ class NFunction:
             raise CapExceededError(
                 f"{self.label}: t = {t:g} above Phi(domain cap) = "
                 f"{self.evaluate(self.domain_cap):g}")
-        # Run to bracket collapse: downstream ratio checks need far better
-        # than the contractual 1e-12 (1+t) value residual at small t.
-        return solve_increasing(self.evaluate, t, cap=self.domain_cap).x
+        if self.evaluate_inverse is None:
+            return invert_increasing(self.evaluate, t, cap=self.domain_cap).x
+        return self.evaluate_inverse(t)
+
+
+def _horner(coefficients: tuple[float, ...], x: float) -> float:
+    """The polynomial with these coefficients, highest degree first, at x."""
+    total = 0.0
+    for c in coefficients:
+        total = total * x + c
+    return total
+
+
+#: (1+x) log(1+x) - x = x^2 sum_{k>=2} (-1)^k x^(k-2) / (k (k-1)); 16 terms
+#: keep 5e-16 relative below x = 0.125, where the closed form cancels
+_ENTROPY_SERIES = tuple((-1.0) ** k / (k * (k - 1)) for k in range(17, 1, -1))
+#: e^y - y - 1 = y^2 sum_{k>=2} y^(k-2) / k!; 14 terms keep 5e-16 below y = 0.5
+_EXP_SERIES = tuple(1.0 / math.factorial(k) for k in range(15, 1, -1))
 
 
 # ---------------------------------------------------------------------------
@@ -120,8 +141,15 @@ def power(p: float) -> NFunction:
     def dv_inv(y: float) -> float:
         return y ** (1.0 / (p - 1.0)) if y > 0.0 else 0.0
 
+    def ev_inv(t: float) -> float:
+        # (p t)^(1/p), then one Newton step on x^p / p = t: 1/p rounds where
+        # it is inexact, which the power multiplies at small t
+        x = min((p * t) ** (1.0 / p), cap)
+        y = x ** (p - 1.0)
+        return min(x - (x * y / p - t) / y, cap)
+
     return NFunction(label=f"power(p={p:g})", evaluate=ev, derivative=dv,
-                     domain_cap=cap, derivative_inverse=dv_inv)
+                     domain_cap=cap, derivative_inverse=dv_inv, evaluate_inverse=ev_inv)
 
 
 def entropy() -> NFunction:
@@ -131,6 +159,8 @@ def entropy() -> NFunction:
     def ev(x: float) -> float:
         if x > cap:
             return math.inf
+        if x < 0.125:
+            return _horner(_ENTROPY_SERIES, x) * x * x
         return (1.0 + x) * math.log1p(x) - x
 
     def dv(x: float) -> float:
@@ -149,6 +179,8 @@ def entropy_dual() -> NFunction:
     def ev(y: float) -> float:
         if y > cap:
             return math.inf
+        if y < 0.5:
+            return _horner(_EXP_SERIES, y) * y * y
         return math.expm1(y) - y
 
     def dv(y: float) -> float:
@@ -175,8 +207,11 @@ def cosh_minus_one() -> NFunction:
             return math.inf
         return math.sinh(x)
 
-    return NFunction(label="cosh-1", evaluate=ev, derivative=dv,
-                     domain_cap=cap, derivative_inverse=math.asinh)
+    def ev_inv(t: float) -> float:
+        return min(2.0 * math.asinh(math.sqrt(0.5 * t)), cap)
+
+    return NFunction(label="cosh-1", evaluate=ev, derivative=dv, domain_cap=cap,
+                     derivative_inverse=math.asinh, evaluate_inverse=ev_inv)
 
 
 def cosh_dual() -> NFunction:
@@ -186,7 +221,8 @@ def cosh_dual() -> NFunction:
     def ev(y: float) -> float:
         if y > cap:
             return math.inf
-        return y * math.asinh(y) - math.hypot(1.0, y) + 1.0
+        # sqrt(1+y^2) - 1 = y^2 / (sqrt(1+y^2) + 1), which does not cancel at small y
+        return y * math.asinh(y) - y * y / (math.hypot(1.0, y) + 1.0)
 
     def dv(y: float) -> float:
         if y > cap:
@@ -210,6 +246,9 @@ def from_table(rows: Sequence[Sequence[float]]) -> NFunction:
     exact: it interpolates the slope column back to x, returns the left
     end of a run of equal slopes (every point of the run attains the
     same x y - Phi(x)), and raises CapExceededError above the last slope.
+    Phi^{-1} is exact too: on a segment Phi is cum + s h + a h^2 in
+    h = x - x_j, whose root is taken in the form 2c / (s + sqrt(s^2 + 4ac)),
+    which does not cancel.
     """
     if len(rows) < 3:
         raise InvalidNFunctionError("table needs at least 3 rows")
@@ -256,8 +295,15 @@ def from_table(rows: Sequence[Sequence[float]]) -> NFunction:
         t = (y - slopes[j - 1]) / (slopes[j] - slopes[j - 1])
         return xs[j - 1] + t * (xs[j] - xs[j - 1])
 
-    return NFunction(label="tabulated", evaluate=ev, derivative=dv,
-                     domain_cap=xs[-1], derivative_inverse=dv_inv)
+    def ev_inv(t: float) -> float:
+        j = min(bisect_right(cum, t), len(cum) - 1) - 1
+        s, width = slopes[j], xs[j + 1] - xs[j]
+        a, c = 0.5 * (slopes[j + 1] - s) / width, t - cum[j]
+        h = 2.0 * c / (s + math.hypot(s, 2.0 * math.sqrt(a) * math.sqrt(c)))
+        return min(xs[j] + h, xs[j + 1])
+
+    return NFunction(label="tabulated", evaluate=ev, derivative=dv, domain_cap=xs[-1],
+                     derivative_inverse=dv_inv, evaluate_inverse=ev_inv)
 
 
 # ---------------------------------------------------------------------------

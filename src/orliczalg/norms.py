@@ -77,7 +77,7 @@ from dataclasses import dataclass
 from .errors import CapExceededError, CheckResult, ScopeError, SpecFormatError
 from .groups import GroupFunction, GroupSpace
 from .nfunctions import ComplementaryPair, NFunction
-from .numerics import MAX_STEPS, illinois
+from .numerics import log_root
 
 ORACLE_AGREEMENT_RTOL = 1e-6
 #: feasible-side stop of the norm solves: rho within this of 1
@@ -179,13 +179,11 @@ def _window_root(value_at, slope: float) -> tuple[float, float, int, bool]:
     """Evaluated point r where an increasing value_at(r) lies in [1 - RESIDUAL_TOL, 1].
 
     Callers scale their variable by sup|f|, so the root is near r = 1.
-    ``illinois`` solves F(t) = log value_at(e^t) - log(1 - RESIDUAL_TOL/2)
-    = 0. ``slope`` is a lower bound on F's slope: the second point
-    t = -F(0) / slope lies across the root in exact arithmetic; without a
-    bound (slope 0), or where rounding leaves it on the same side, the
-    bracket steps by a factor e in r. A point whose scale leaves the
-    floats (ScopeError) reads as infeasible; the error is raised only
-    where the solve ends against such a point outside the window. Returns
+    ``numerics.log_root`` solves F(t) = log value_at(e^t) - log(1 -
+    RESIDUAL_TOL/2) = 0 from t = 0, with ``slope`` a lower bound on F's
+    slope (0 for none). A point whose scale leaves the floats (ScopeError)
+    reads as infeasible; the error is raised only where the solve ends
+    against such a point outside the window. Returns
     the evaluated (r, value_at(r)) with the largest value <= 1 ((0, 0) if
     none), the number of evaluations, and whether the solve ended outside
     the window against a point past Phi's domain cap (CapExceededError,
@@ -219,25 +217,12 @@ def _window_root(value_at, slope: float) -> tuple[float, float, int, bool]:
     def in_window() -> bool:
         return -RESIDUAL_TOL <= best_v - 1.0 <= 0.0
 
-    t, e, steps, past_cap = 0.0, log_excess(0.0), 1, False
-    step = -e / slope if slope > 0.0 and math.isfinite(e) else math.copysign(1.0, -e)
-    while not in_window():
-        if steps >= MAX_STEPS:
-            raise ArithmeticError("bracket expansion found no sign change")
-        u = t + step
-        eu = log_excess(u)
-        steps += 1
-        if (eu > 0.0) != (e > 0.0):
-            lo, f_lo, hi, f_hi = (t, e, u, eu) if t < u else (u, eu, t, e)
-            end = illinois(log_excess, lo, f_lo, hi, f_hi, done=lambda _: in_window(),
-                           max_steps=MAX_STEPS - steps)
-            steps += end.steps
-            if not in_window() and end.hi >= past_t:
-                raise past
-            past_cap = not in_window() and end.hi >= cap_t
-            break
-        t, e, step = u, eu, math.copysign(1.0, step)
-    return best_r, best_v, steps, past_cap
+    end = log_root(log_excess, slope, done=lambda _: in_window())
+    if in_window():
+        return best_r, best_v, end.steps, False
+    if end.hi >= past_t:
+        raise past
+    return best_r, best_v, end.steps, end.hi >= cap_t
 
 
 def luxemburg(phi: NFunction, f: GroupFunction) -> NormReport:

@@ -1,20 +1,24 @@
 """Scalar root-finding kernels.
 
 One bracketed root kernel, ``illinois``, serves every library solve: the
-Luxemburg and Amemiya norm solves in ``norms``, and ``solve_increasing``
-for the inverse Phi^{-1} of an N-function (each N-function carries the
-inverse of its derivative, which needs no solve). It is the Illinois
-variant of regula falsi (Dowell and Jarratt, BIT 11, 1971): each step
-evaluates the secant point of the two ends of opposite sign, and the
-value held for an end that is kept twice in a row is halved, so both
-ends move and convergence is superlinear. The kernel returns both ends
-with their values, and it stops where the caller's ``done`` says so;
-each caller keeps the point it certifies. The kernel is exact on a
-straight line, so callers hand it the most nearly linear form of their
-map: the norm solves give it log rho against the log of their scale,
-which is a line for power functions, and stop on the modular they
-evaluated, not on the value handed to the kernel. Phi^{-1} runs in x,
-from a doubling bracket, to bracket collapse.
+Luxemburg and Amemiya norm solves in ``norms``, and ``invert_increasing``
+for the inverse Phi^{-1} of an N-function that has no closed form for it
+(power, cosh-1 and tables have one; every N-function carries the inverse
+of its derivative, which needs no solve). It is the Illinois variant of
+regula falsi (Dowell and Jarratt, BIT 11, 1971): each step evaluates the
+secant point of the two ends of opposite sign, and the value held for an
+end that is kept twice in a row is halved, so both ends move and
+convergence is superlinear. The kernel returns both ends with their
+values, and it stops where the caller's ``done`` says so; each caller
+keeps the point it certifies. The kernel is exact on a straight line, so
+callers hand it the most nearly linear form of their map: ``log_root``,
+the one bracket for an increasing map of a log coordinate, steps across
+the root from a lower bound on the slope and hands the kernel the first
+sign change. The norm solves run it on log rho against the log of their
+scale, which is a line for power functions, and stop on the modular they
+evaluated, not on the value handed to the kernel; Phi^{-1} runs it on
+log Phi against log x (slope >= 1, since Phi(x)/x is nondecreasing),
+then finishes in x to bracket collapse.
 
 ``bisect_increasing`` and ``golden_min`` are the linear methods the
 kernel replaced. The library no longer calls them; they stay only as
@@ -24,21 +28,24 @@ reference routes for the tests.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 #: step cap of every root solve
 MAX_STEPS = 200
+#: where ``invert_increasing`` leaves log coordinates for x
+LOG_TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class Bracket:
+class Bracket(NamedTuple):
     """The ends of a root bracket after a solve, with the values of f there.
 
     ``lo < hi``; one of ``f_lo``, ``f_hi`` is <= 0 and the other > 0, and
-    ``steps`` counts the evaluations of f the solve made.
+    ``steps`` counts the evaluations of f the solve made. A named tuple:
+    every solve builds one or more, at a third of a frozen dataclass's cost.
     """
 
     lo: float
@@ -99,38 +106,95 @@ class RootResult:
     iterations: int
 
 
-def solve_increasing(f: Callable[[float], float], target: float, *, cap: float) -> RootResult:
-    """Solve f(x) = target for nondecreasing f on [0, cap] with f(0) <= target.
+def log_root(f: Callable[[float], float], slope: float, *,
+             done: Callable[[float], bool], max_steps: int = MAX_STEPS) -> Bracket:
+    """Root of an increasing f(s) of a log coordinate s = log x, from s = 0.
 
-    A doubling bracket from min(1, cap) (no point above ``cap``; raises
-    OverflowError if f(cap) is still below the target), then ``illinois``
-    to bracket collapse or an exact hit. Reports the evaluated point of
-    least residual |f(x) - target|.
+    ``slope`` is a lower bound on f's slope: the second point s = -f(0) /
+    slope lies across the root in exact arithmetic; without a bound (slope
+    0), or where rounding leaves it on the same side, the bracket steps by
+    1 (a factor e in x). ``illinois`` then runs from the first sign
+    change. Stops once ``done(f(s))`` holds for a new point s, at bracket
+    collapse, or after ``max_steps`` evaluations in all (ArithmeticError
+    if no sign change turned up by then). Returns the last bracket, or
+    lo = hi = the last point where ``done`` held before a sign change.
     """
-    best_x, best_r = 0.0, math.inf
+    s, e, steps = 0.0, f(0.0), 1
+    step = -e / slope if slope > 0.0 and math.isfinite(e) else math.copysign(1.0, -e)
+    while not done(e):
+        if steps >= max_steps:
+            raise ArithmeticError("bracket expansion found no sign change")
+        u = s + step
+        eu = f(u)
+        steps += 1
+        if (eu > 0.0) != (e > 0.0):
+            lo, f_lo, hi, f_hi = (s, e, u, eu) if s < u else (u, eu, s, e)
+            end = illinois(f, lo, f_lo, hi, f_hi, done=done, max_steps=max_steps - steps)
+            return Bracket(end.lo, end.f_lo, end.hi, end.f_hi, steps + end.steps)
+        s, e, step = u, eu, math.copysign(1.0, step)
+    return Bracket(s, e, s, e, steps)
 
-    def residual(x: float) -> float:
-        nonlocal best_x, best_r
-        r = f(x) - target
+
+def invert_increasing(f: Callable[[float], float], target: float, *, cap: float) -> RootResult:
+    """Solve f(x) = target > 0 on [0, cap] for increasing f with f(0) = 0 and
+    f(x)/x nondecreasing (an N-function), without evaluating f above cap.
+
+    First ``log_root`` on log f(x) - log target in s = log(x / min(1, cap)),
+    whose slope is at least 1 since f(x)/x is nondecreasing, to within
+    LOG_TOL of 0 (a point past the cap reads +inf); then ``illinois`` in x
+    to bracket collapse or an exact hit, since e^s loses log2|s| bits.
+    That stage reads the residual r = (f(x) - target) / target: an
+    absolute one underflows in the secant step at tiny targets. Reports
+    the evaluated point of least |r|; OverflowError where f(cap) is below
+    the target.
+    """
+    best_x, best_r = 0.0, 1.0
+    lo, r_lo, hi, r_hi = 0.0, -1.0, math.inf, math.inf
+    steps = 0
+
+    def value(x: float) -> float:
+        """f(x), with its residual recorded."""
+        nonlocal best_x, best_r, lo, r_lo, hi, r_hi, steps
+        v = f(x)
+        r = (v - target) / target
+        steps += 1
         if abs(r) < best_r:
             best_x, best_r = x, abs(r)
-        return r
+        if r <= 0.0:
+            if x > lo:
+                lo, r_lo = x, r
+        elif x < hi:
+            hi, r_hi = x, r
+        return v
 
-    lo, r_lo = 0.0, residual(0.0)
-    if r_lo > 0.0:
-        raise ValueError("f(0) already exceeds the target")
-    hi = min(1.0, cap)
-    r_hi = residual(hi)
-    steps = 2
-    while r_hi < 0.0:
-        if hi >= cap:
-            raise OverflowError(f"no x <= {cap:g} with f(x) >= {target:g}")
-        lo, r_lo = hi, r_hi
-        hi = min(2.0 * hi, cap)
-        r_hi = residual(hi)
-        steps += 1
-    if best_r > 0.0:
-        steps += illinois(residual, lo, r_lo, hi, r_hi, done=lambda r: r == 0.0).steps
+    def residual(x: float) -> float:
+        return (value(x) - target) / target
+
+    log_target, start = math.log(target), min(1.0, cap)
+
+    def log_excess(s: float) -> float:
+        try:
+            x = start * math.exp(s)
+        except OverflowError:
+            return math.inf
+        if x > cap:
+            return math.inf
+        v = value(x)
+        return math.log(v) - log_target if v > 0.0 else -math.inf
+
+    log_root(log_excess, 1.0, done=lambda e: abs(e) <= LOG_TOL)
+    if hi > cap and residual(cap) < 0.0:
+        raise OverflowError(f"no x <= {cap:g} with f(x) >= {target:g}")
+    # f(x)/x nondecreasing puts the root within a factor 1 +- best_r of the
+    # point of least residual: a probe just across it, one secant step and
+    # a second probe leave illinois a bracket a few ulps wide
+    for max_steps in (1, MAX_STEPS):
+        if best_r == 0.0:
+            break
+        spread = 2.0 * best_r + 4.0 * sys.float_info.epsilon
+        residual(min(best_x * (1.0 + spread), cap) if best_x == lo
+                 else best_x * (1.0 - spread))
+        illinois(residual, lo, r_lo, hi, r_hi, done=lambda r: r == 0.0, max_steps=max_steps)
     return RootResult(x=best_x, iterations=steps)
 
 

@@ -495,9 +495,23 @@ def test_merged_pair_that_overflows_is_out_of_scope():
     assert f(0) == 8e307
 
 
-@pytest.mark.parametrize("kind, epsilon", [("cosh", 1e20), ("power-2", 1e150),
-                                           ("power-2", 1e308)])
+@pytest.mark.parametrize("kind, epsilon", [("power-2", 1e308)])
 def test_chain_tail_past_the_inverse_float_range_is_out_of_scope(kind, epsilon):
     pair = pair_from_name(kind)
     with pytest.raises(ScopeError, match=re.escape(f"eps = {epsilon:g} gives t =")):
         build_plateau(integer_window(16), [0], pair, epsilon)
+
+
+def test_chain_tail_names_a_t_that_underflows_and_a_bound_that_overflows():
+    pair = pair_from_name("power-2")
+    with pytest.raises(ScopeError, match=r"= 0: t underflows to 0$"):
+        algebra._chain_tail(pair, 2.0, 2.0, 1e308, 1.0)
+    with pytest.raises(ScopeError, match=r"= 1e-308, but the bound 2 \(1\+eps\) overflows$"):
+        algebra._chain_tail(pair, 1.0, 1.0, 1e308, 1.0)
+
+
+@pytest.mark.parametrize("kind, epsilon", [("cosh", 1e20), ("power-2", 1e150),
+                                           ("entropy", 1e50)])
+def test_chain_tail_at_a_normal_float_t_certifies(kind, epsilon):
+    _, cert = build_plateau(integer_window(16), [0], pair_from_name(kind), epsilon)
+    assert all(c.passed for c in cert.checks())

@@ -1446,12 +1446,8 @@ def test_pairing_just_inside_the_float_range_keeps_its_report(capsys):
 
 W16 = '{"type": "Zwindow", "radius": 16}'
 PAST_THE_FLOATS = {
-    "plateau-cosh-eps1e20": ("aphi", "plateau", "--group", W16, "--nfunction", COSH,
-                             "--set", "[0]", "--epsilon", "1e20"),
-    "unit-cosh-eps1e20": ("unit", "check", "--group", '{"type": "Zn", "n": 6}',
-                          "--nfunction", COSH, "--epsilon", "1e20"),
-    "plateau-power2-eps1e150": ("aphi", "plateau", "--group", W16, "--nfunction", QUAD,
-                                "--set", "[0]", "--epsilon", "1e150"),
+    "plateau-power2-eps1e308": ("aphi", "plateau", "--group", W16, "--nfunction", QUAD,
+                                "--set", "[0]", "--epsilon", "1e308"),
     "convolve-1e200": ("group", "convolve", "--group", Z8,
                        "--left", "[[0, 1e200, 0]]", "--right", "[[0, 1e200, 0]]"),
     "submult-1e200": ("aphi", "submult", "--group", Z8, "--nfunction", QUAD,
@@ -1467,6 +1463,27 @@ def test_input_past_the_float_range_exits_3(capsys, argv):
     assert (code, out) == (3, "")
     assert err.startswith("scope error: ") and err.count("\n") == 1
     assert "nan" not in err and "inf" not in err
+
+
+#: t = 1/((1+eps) lam(V)) is a normal float here, far below where the
+#: inverses' solve used to read 0
+INSIDE_THE_FLOATS = {
+    "plateau-cosh-eps1e20": ("aphi", "plateau", "--group", W16, "--nfunction", COSH,
+                             "--set", "[0]", "--epsilon", "1e20"),
+    "unit-cosh-eps1e20": ("unit", "check", "--group", '{"type": "Zn", "n": 6}',
+                          "--nfunction", COSH, "--epsilon", "1e20"),
+    "plateau-power2-eps1e150": ("aphi", "plateau", "--group", W16, "--nfunction", QUAD,
+                                "--set", "[0]", "--epsilon", "1e150"),
+    "plateau-entropy-eps1e50": ("aphi", "plateau", "--group", W16, "--nfunction",
+                                '{"kind": "entropy"}', "--set", "[0]", "--epsilon", "1e50"),
+}
+
+
+@pytest.mark.parametrize("argv", INSIDE_THE_FLOATS.values(), ids=INSIDE_THE_FLOATS)
+def test_epsilon_whose_t_is_a_normal_float_certifies(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert out.endswith("passed=true\n")
 
 
 @pytest.mark.parametrize("radius", ["1e155", "1e-163", "1e-160"])

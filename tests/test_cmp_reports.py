@@ -98,6 +98,16 @@ def test_table_runs_are_passing_commands(monkeypatch):
         assert "passed=true" in out.getvalue(), name
 
 
+def test_small_t_runs_are_passing_commands(monkeypatch):
+    cmp_reports = _load(monkeypatch)
+    assert len(cmp_reports.SMALL_T_RUNS) == 3
+    for name, argv in cmp_reports.SMALL_T_RUNS.items():
+        out = io.StringIO()
+        with redirect_stdout(out):
+            assert cli.main(list(argv)) == 0, name
+        assert out.getvalue().endswith("passed=true\n"), name
+
+
 def test_edge_runs_exit_as_named(monkeypatch, capsys):
     cmp_reports = _load(monkeypatch)
     assert cmp_reports.Z16_RELABELLED == Z16_RELABELLED

@@ -4,7 +4,8 @@ import math
 
 import pytest
 
-from orliczalg.numerics import MAX_STEPS, bisect_increasing, illinois, solve_increasing
+from orliczalg.numerics import (MAX_STEPS, bisect_increasing, illinois, invert_increasing,
+                                log_root)
 
 
 def _recording(f):
@@ -66,25 +67,46 @@ def test_illinois_treats_an_infinite_end_by_bisection():
     assert b.lo == pytest.approx(0.75, abs=1e-15)
 
 
-def test_solve_increasing_runs_to_collapse_at_zero_tolerance():
-    res = solve_increasing(lambda x: x ** 3, 2.0, cap=1e10)
-    x = res.x
-    # no neighbouring float has a smaller residual
-    for y in (math.nextafter(x, 0.0), math.nextafter(x, 2.0)):
-        assert abs(x ** 3 - 2.0) <= abs(y ** 3 - 2.0)
-    ref = bisect_increasing(lambda x: x ** 3, 2.0, 1.0, 2.0, value_tol=0.0)
-    assert abs(x ** 3 - 2.0) <= abs(ref.x ** 3 - 2.0)
+def _no_neighbour_is_closer(f, x, target):
+    return all(abs(f(x) - target) <= abs(f(y) - target)
+               for y in (math.nextafter(x, 0.0), math.nextafter(x, math.inf)))
+
+
+@pytest.mark.parametrize("target", [2.0, 1e-300, 7e290])
+def test_invert_increasing_runs_to_collapse(target):
+    def cube(x):
+        return x ** 3 / 3.0
+
+    res = invert_increasing(cube, target, cap=1e100)
+    assert _no_neighbour_is_closer(cube, res.x, target)
+    ref = bisect_increasing(cube, target, 0.0, 1e100, value_tol=0.0)
+    assert abs(cube(res.x) - target) <= abs(cube(ref.x) - target)
     assert res.iterations < ref.iterations
 
 
-def test_solve_increasing_reports_the_point_of_least_residual():
-    # a plateau of equal values around the target's crossing, then a jump
-    res = solve_increasing(lambda x: math.floor(x * 8.0) / 8.0, 0.5, cap=4.0)
-    assert math.floor(res.x * 8.0) / 8.0 == 0.5
+def test_invert_increasing_reports_the_point_of_least_residual():
+    f, points = _recording(lambda x: x * x / 2.0)
+    res = invert_increasing(f, 0.3, cap=10.0)
+    assert abs(res.x * res.x / 2.0 - 0.3) == min(abs(x * x / 2.0 - 0.3) for x in points)
+    assert res.iterations == len(points)
+    # a run of equal values around the crossing: an exact hit ends the solve
+    res = invert_increasing(lambda x: math.floor(x * x * 8.0) / 8.0, 0.5, cap=4.0)
+    assert math.floor(res.x * res.x * 8.0) / 8.0 == 0.5
 
 
-def test_solve_increasing_raises_past_its_limit():
+def test_invert_increasing_raises_past_the_cap_and_never_evaluates_above_it():
+    f, points = _recording(lambda x: x * x / 2.0)
     with pytest.raises(OverflowError):
-        solve_increasing(lambda x: x, 10.0, cap=4.0)
-    with pytest.raises(ValueError):
-        solve_increasing(lambda x: x + 1.0, 0.5, cap=4.0)
+        invert_increasing(f, 10.0, cap=4.0)
+    assert max(points) == 4.0
+    f, points = _recording(lambda x: x * x / 2.0)
+    assert invert_increasing(f, 8.0, cap=4.0).x == 4.0
+    assert max(points) == 4.0
+
+
+def test_log_root_brackets_a_line_in_one_step_from_its_slope_bound():
+    f, points = _recording(lambda s: 2.0 * s - 3.0)
+    b = log_root(f, 1.0, done=lambda e: e == 0.0)
+    assert points[:2] == [0.0, 3.0]
+    assert (b.lo, b.f_lo, b.hi) == (1.5, 0.0, 3.0)
+    assert b.steps == len(points) == 3
