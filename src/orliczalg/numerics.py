@@ -37,7 +37,7 @@ _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 #: step cap of every root solve
 MAX_STEPS = 200
 #: where ``invert_increasing`` leaves log coordinates for x
-LOG_TOL = 1e-9
+LOG_TOL = 1e-4
 
 
 class Bracket(NamedTuple):
@@ -107,7 +107,7 @@ class RootResult:
 
 
 def log_root(f: Callable[[float], float], slope: float, *,
-             done: Callable[[float], bool], max_steps: int = MAX_STEPS) -> Bracket:
+             done: Callable[[float], bool]) -> Bracket:
     """Root of an increasing f(s) of a log coordinate s = log x, from s = 0.
 
     ``slope`` is a lower bound on f's slope: the second point s = -f(0) /
@@ -115,21 +115,21 @@ def log_root(f: Callable[[float], float], slope: float, *,
     0), or where rounding leaves it on the same side, the bracket steps by
     1 (a factor e in x). ``illinois`` then runs from the first sign
     change. Stops once ``done(f(s))`` holds for a new point s, at bracket
-    collapse, or after ``max_steps`` evaluations in all (ArithmeticError
-    if no sign change turned up by then). Returns the last bracket, or
+    collapse, or after MAX_STEPS evaluations in all (ArithmeticError if
+    no sign change turned up by then). Returns the last bracket, or
     lo = hi = the last point where ``done`` held before a sign change.
     """
     s, e, steps = 0.0, f(0.0), 1
     step = -e / slope if slope > 0.0 and math.isfinite(e) else math.copysign(1.0, -e)
     while not done(e):
-        if steps >= max_steps:
+        if steps >= MAX_STEPS:
             raise ArithmeticError("bracket expansion found no sign change")
         u = s + step
         eu = f(u)
         steps += 1
         if (eu > 0.0) != (e > 0.0):
             lo, f_lo, hi, f_hi = (s, e, u, eu) if s < u else (u, eu, s, e)
-            end = illinois(f, lo, f_lo, hi, f_hi, done=done, max_steps=max_steps - steps)
+            end = illinois(f, lo, f_lo, hi, f_hi, done=done, max_steps=MAX_STEPS - steps)
             return Bracket(end.lo, end.f_lo, end.hi, end.f_hi, steps + end.steps)
         s, e, step = u, eu, math.copysign(1.0, step)
     return Bracket(s, e, s, e, steps)
@@ -141,30 +141,29 @@ def invert_increasing(f: Callable[[float], float], target: float, *, cap: float)
 
     First ``log_root`` on log f(x) - log target in s = log(x / min(1, cap)),
     whose slope is at least 1 since f(x)/x is nondecreasing, to within
-    LOG_TOL of 0 (a point past the cap reads +inf); then ``illinois`` in x
-    to bracket collapse or an exact hit, since e^s loses log2|s| bits.
-    That stage reads the residual r = (f(x) - target) / target: an
-    absolute one underflows in the secant step at tiny targets. Reports
-    the evaluated point of least |r|; OverflowError where f(cap) is below
-    the target.
+    LOG_TOL of 0 (a point past the cap reads +inf). Then ``illinois`` in
+    x, to bracket collapse or an exact hit, since e^s loses log2|s| bits:
+    f(x)/x nondecreasing puts the root within a factor 1 +- |r| of the
+    point of least residual r (for |r| <= 1/2), so a single probe across
+    that factor closes the bracket. The x stage reads the residual
+    r = (f(x) - target) / target: an absolute one underflows in the
+    secant step at tiny targets. Reports the evaluated point of least
+    |r|; OverflowError where f(cap) is below the target. Where the probe
+    does not cross the target (a value of f rounded by more than 4 ulps,
+    as entropy's is on [0.125, 4), can hide the crossing at a tiny r),
+    the x stage is skipped.
     """
-    best_x, best_r = 0.0, 1.0
-    lo, r_lo, hi, r_hi = 0.0, -1.0, math.inf, math.inf
+    best_x, best_r = 0.0, math.inf     # the point of least |residual|, and its residual
     steps = 0
 
     def value(x: float) -> float:
-        """f(x), with its residual recorded."""
-        nonlocal best_x, best_r, lo, r_lo, hi, r_hi, steps
+        """f(x), with the point of least residual recorded."""
+        nonlocal best_x, best_r, steps
         v = f(x)
-        r = (v - target) / target
         steps += 1
-        if abs(r) < best_r:
-            best_x, best_r = x, abs(r)
-        if r <= 0.0:
-            if x > lo:
-                lo, r_lo = x, r
-        elif x < hi:
-            hi, r_hi = x, r
+        r = (v - target) / target
+        if abs(r) < abs(best_r):
+            best_x, best_r = x, r
         return v
 
     def residual(x: float) -> float:
@@ -183,18 +182,20 @@ def invert_increasing(f: Callable[[float], float], target: float, *, cap: float)
         return math.log(v) - log_target if v > 0.0 else -math.inf
 
     log_root(log_excess, 1.0, done=lambda e: abs(e) <= LOG_TOL)
-    if hi > cap and residual(cap) < 0.0:
-        raise OverflowError(f"no x <= {cap:g} with f(x) >= {target:g}")
-    # f(x)/x nondecreasing puts the root within a factor 1 +- best_r of the
-    # point of least residual: a probe just across it, one secant step and
-    # a second probe leave illinois a bracket a few ulps wide
-    for max_steps in (1, MAX_STEPS):
-        if best_r == 0.0:
-            break
-        spread = 2.0 * best_r + 4.0 * sys.float_info.epsilon
-        residual(min(best_x * (1.0 + spread), cap) if best_x == lo
-                 else best_x * (1.0 - spread))
-        illinois(residual, lo, r_lo, hi, r_hi, done=lambda r: r == 0.0, max_steps=max_steps)
+    if best_r != 0.0:
+        spread = 2.0 * abs(best_r) + 4.0 * sys.float_info.epsilon
+        x, r = best_x, best_r
+        if r < 0.0:
+            y = min(x * (1.0 + spread), cap)
+            r_y = residual(y)
+            if r_y < 0.0 and y == cap:
+                raise OverflowError(f"no x <= {cap:g} with f(x) >= {target:g}")
+            bracket = (x, r, y, r_y)
+        else:
+            y = x * (1.0 - spread)
+            bracket = (y, residual(y), x, r)
+        if bracket[1] <= 0.0 < bracket[3]:
+            illinois(residual, *bracket, done=lambda r: r == 0.0)
     return RootResult(x=best_x, iterations=steps)
 
 
