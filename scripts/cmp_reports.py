@@ -21,7 +21,10 @@ window (exit 3, naming the minimal radius); ``aphi plateau`` on
 Zwindow16 with the set [0] under power-2 at eps = 1e150 and under
 entropy at eps = 1e50, and ``unit check`` on Z6 under cosh at eps =
 1e20, whose t = 1/((1+eps) lam(V)) is a normal float far below 1, where
-Phi^{-1} once read 0; ``--help`` of the root, of
+Phi^{-1} once read 0; the inputs that exit 2 as malformed
+(``nfunc conjugate`` under entropy at ``--points 688`` and under power-1.5
+at ``--points 1.2e100``, past phi(Phi's domain cap), and ``nfunc check``
+with p = 1 and with a 2-row table); ``--help`` of the root, of
 each command and of each verb, which checks the argument layer; and
 every golden run of the working tree's ``tests/test_golden.py``. Each
 report is the exit code, the standard output and the standard error
@@ -123,6 +126,18 @@ for _table, _spec in (("table-cap10", TABLE_TO_10), ("table-flat-run", TABLE_FLA
                                      "--nfunction", _spec],
     })
 
+#: N-function input that builds no N-function, or leaves the conjugate's domain
+PARSE_ERROR_RUNS = {
+    "nfunc-conjugate-entropy-points688": ["nfunc", "conjugate", "--nfunction",
+                                          '{"kind": "entropy"}', "--points", "688"],
+    "nfunc-conjugate-power-1.5-points1.2e100": ["nfunc", "conjugate", "--nfunction",
+                                                '{"kind": "power", "p": 1.5}',
+                                                "--points", "1.2e100"],
+    "nfunc-check-power-1": ["nfunc", "check", "--nfunction", '{"kind": "power", "p": 1}'],
+    "nfunc-check-table-two-rows": ["nfunc", "check", "--nfunction",
+                                   '{"kind": "custom", "table": [[0, 0, 0], [1, 0.5, 1]]}'],
+}
+
 #: every command and its verbs, for the --help runs
 COMMAND_VERBS = {
     "nfunc": ("conjugate", "check"),
@@ -164,6 +179,7 @@ def commands() -> dict[str, list[str]]:
     runs.update(EDGE_RUNS)
     runs.update(SMALL_T_RUNS)
     runs.update(TABLE_RUNS)
+    runs.update(PARSE_ERROR_RUNS)
     runs.update(HELP_RUNS)
     runs.update({f"golden-{name}": list(argv) for name, argv in golden["runs"].items()})
     return runs

@@ -146,15 +146,21 @@ def _load_config(args: argparse.Namespace) -> RunConfig:
     return cfg
 
 
-def _parse_points(text: str, psi) -> list[float]:
-    """The ordinates of ``--points``: at least one, each within Psi's domain cap."""
+def _parse_points(text: str, pair) -> list[float]:
+    """The ordinates of ``--points``: at least one, each within Psi's domain cap
+    and within phi(Phi's domain cap), where the numeric conjugate is defined."""
     points = [finite_float(t, "--points entry") for t in text.split(",") if t.strip()]
     if not points:
         raise SpecFormatError("--points lists no ordinate")
+    phi, psi = pair.phi, pair.psi
+    top = phi.derivative(phi.domain_cap)
     for y in points:
         if abs(y) > psi.domain_cap:
             raise SpecFormatError(f"--points entry {y:g} exceeds the domain cap "
                                   f"{psi.domain_cap:g} of {psi.label}")
+        if abs(y) > top:
+            raise SpecFormatError(f"--points entry {y:g} exceeds {top:g}, the derivative "
+                                  f"of {phi.label} at its domain cap")
     return points
 
 
@@ -204,17 +210,16 @@ def _run_nfunc(args, cfg: RunConfig, rep: Report) -> None:
         return
     rep.add("construction", pair.construction)
     if args.points is None:
-        points = _capped_grid(1e-2, 1e2, pair.psi.domain_cap, 9)
-        top = ("1e2" if points == geometric_grid(1e-2, 1e2, 9)
-               else f"{points[-1]:g} (Psi's domain cap)")
+        cap, phi_top = pair.psi.domain_cap, pair.phi.derivative(pair.phi.domain_cap)
+        points = _capped_grid(1e-2, 1e2, min(cap, phi_top), 9)
+        top = ("1e2" if points == geometric_grid(1e-2, 1e2, 9) else
+               f"{points[-1]:g} ({'Psi' if cap <= phi_top else 'phi at Phi'}'s domain cap)")
         rep.add("points", f"geometric 1e-2..{top} x9 (default)")
     else:
-        points = _parse_points(args.points, pair.psi)
+        points = _parse_points(args.points, pair)
     for y in points:
-        value, truncated = conjugate_value(pair.phi, y)
+        value = conjugate_value(pair.phi, y)[0]
         rep.add(f"conjugate.{y:g}", value)
-        if truncated:
-            rep.add(f"conjugate.{y:g}.truncated", "true (cap-limited)")
         closed = pair.psi(y)
         tol = 1e-6 * (1.0 + abs(closed))
         rep.check(f"closed-form-agreement.{y:g}", abs(value - closed) <= tol,

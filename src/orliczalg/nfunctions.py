@@ -24,8 +24,11 @@ Catalog (classical examples):
 
 plus expression-free tabulated functions where the derivative column is
 authoritative and the value column is validated against its integral.
-Each catalog function states its domain cap in closed form, and its
-evaluate and derivative return inf exactly above that cap.
+Each N-function is a bare map on [0, domain cap], where the catalog
+states the cap in closed form. The domain is checked once, where a value
+enters: ``NFunction.__call__``, ``deriv`` and ``inverse``,
+``norms.modular`` and ``numerics.invert_increasing``; past the cap a
+bare ``evaluate`` or ``derivative`` is undefined.
 """
 
 from __future__ import annotations
@@ -47,14 +50,16 @@ OVERFLOW_GUARD = 1e300
 class NFunction:
     """A Young function of N-type, entered through (eval, deriv) closures.
 
-    ``evaluate`` and ``derivative`` act on the nonnegative axis; evenness
-    is structural (callers go through ``__call__``, which applies abs).
-    ``derivative_inverse`` is the inverse of the derivative on its range,
-    ``evaluate_inverse`` a closed form of Phi^{-1} on (0, Phi(domain cap)],
-    or None where Phi^{-1} runs the shared solve ``invert_increasing``, to
-    bracket collapse. An N-function equals and hashes as itself only: each
-    constructor builds fresh closures, which compare by identity anyway,
-    so two separately built ``power(2)`` are distinct (as memo keys too).
+    ``evaluate`` and ``derivative`` are bare maps on [0, domain_cap]: they
+    neither check nor extend that domain. ``__call__``, ``deriv`` and
+    ``inverse`` raise CapExceededError past it; the first two apply abs,
+    which makes the function even. ``derivative_inverse`` is the inverse
+    of the derivative on its range, ``evaluate_inverse`` a closed form of
+    Phi^{-1} on (0, Phi(domain cap)], or None where Phi^{-1} runs the
+    shared solve ``invert_increasing``, to bracket collapse. An N-function
+    equals and hashes as itself only: each constructor builds fresh
+    closures, which compare by identity anyway, so two separately built
+    ``power(2)`` are distinct (as memo keys too).
     """
 
     label: str
@@ -77,12 +82,6 @@ class NFunction:
 
     def deriv(self, x: float) -> float:
         return self.derivative(self._capped(x))
-
-    def deriv_inverse(self, y: float) -> float:
-        """The x >= 0 with deriv(x) = y (y within the derivative's range)."""
-        if y < 0:
-            raise ValueError("derivative inverse requires y >= 0")
-        return self.derivative_inverse(y)
 
     def inverse(self, t: float) -> float:
         """Phi^{-1}(t) for 0 <= t <= Phi(domain cap): ``evaluate_inverse``, or
@@ -129,13 +128,9 @@ def power(p: float) -> NFunction:
     cap = math.exp((math.log(OVERFLOW_GUARD) + math.log(p)) / p)  # x^p / p = OVERFLOW_GUARD
 
     def ev(x: float) -> float:
-        if x > cap:
-            return math.inf
         return x ** p / p
 
     def dv(x: float) -> float:
-        if x > cap:
-            return math.inf
         return x ** (p - 1.0)
 
     def dv_inv(y: float) -> float:
@@ -154,42 +149,26 @@ def power(p: float) -> NFunction:
 
 def entropy() -> NFunction:
     """Phi(x) = (1+x) log(1+x) - x."""
-    cap = 1e297
 
     def ev(x: float) -> float:
-        if x > cap:
-            return math.inf
         if x < 0.125:
             return _horner(_ENTROPY_SERIES, x) * x * x
         return (1.0 + x) * math.log1p(x) - x
 
-    def dv(x: float) -> float:
-        if x > cap:
-            return math.inf
-        return math.log1p(x)
-
-    return NFunction(label="entropy", evaluate=ev, derivative=dv,
-                     domain_cap=cap, derivative_inverse=math.expm1)
+    return NFunction(label="entropy", evaluate=ev, derivative=math.log1p,
+                     domain_cap=1e297, derivative_inverse=math.expm1)
 
 
 def entropy_dual() -> NFunction:
     """Phi(y) = e^y - y - 1, the closed-form complement of entropy()."""
-    cap = math.log(OVERFLOW_GUARD)
 
     def ev(y: float) -> float:
-        if y > cap:
-            return math.inf
         if y < 0.5:
             return _horner(_EXP_SERIES, y) * y * y
         return math.expm1(y) - y
 
-    def dv(y: float) -> float:
-        if y > cap:
-            return math.inf
-        return math.expm1(y)
-
-    return NFunction(label="exp-minus-linear", evaluate=ev,
-                     derivative=dv, domain_cap=cap, derivative_inverse=math.log1p)
+    return NFunction(label="exp-minus-linear", evaluate=ev, derivative=math.expm1,
+                     domain_cap=math.log(OVERFLOW_GUARD), derivative_inverse=math.log1p)
 
 
 def cosh_minus_one() -> NFunction:
@@ -197,42 +176,25 @@ def cosh_minus_one() -> NFunction:
     cap = math.acosh(OVERFLOW_GUARD)
 
     def ev(x: float) -> float:
-        if x > cap:
-            return math.inf
         s = math.sinh(0.5 * x)  # 2 sinh(x/2)^2: cosh(x) - 1 cancels at small x
         return 2.0 * s * s
-
-    def dv(x: float) -> float:
-        if x > cap:
-            return math.inf
-        return math.sinh(x)
 
     def ev_inv(t: float) -> float:
         return min(2.0 * math.asinh(math.sqrt(0.5 * t)), cap)
 
-    return NFunction(label="cosh-1", evaluate=ev, derivative=dv, domain_cap=cap,
+    return NFunction(label="cosh-1", evaluate=ev, derivative=math.sinh, domain_cap=cap,
                      derivative_inverse=math.asinh, evaluate_inverse=ev_inv)
 
 
 def cosh_dual() -> NFunction:
     """Phi(y) = y asinh(y) - sqrt(1+y^2) + 1, the closed-form complement of cosh-1."""
-    cap = 1e150
 
     def ev(y: float) -> float:
-        if y > cap:
-            return math.inf
         # sqrt(1+y^2) - 1 = y^2 / (sqrt(1+y^2) + 1), which does not cancel at small y
         return y * math.asinh(y) - y * y / (math.hypot(1.0, y) + 1.0)
 
-    def dv(y: float) -> float:
-        if y > cap:
-            return math.inf
-        return math.asinh(y)
-
-    # the derivative's inverse is sinh, cosh-1's derivative
-    return NFunction(label="asinh-integral", evaluate=ev,
-                     derivative=dv, domain_cap=cap,
-                     derivative_inverse=cosh_minus_one().derivative)
+    return NFunction(label="asinh-integral", evaluate=ev, derivative=math.asinh,
+                     domain_cap=1e150, derivative_inverse=math.sinh)
 
 
 def from_table(rows: Sequence[Sequence[float]]) -> NFunction:
@@ -281,8 +243,8 @@ def from_table(rows: Sequence[Sequence[float]]) -> NFunction:
 
     def ev(x: float) -> float:
         j = bisect_right(xs, x) - 1
-        if j >= len(xs) - 1:
-            return cum[-1] + slopes[-1] * (x - xs[-1])
+        if j >= len(xs) - 1:  # x at the cap
+            return cum[-1]
         return cum[j] + 0.5 * (slopes[j] + dv(x)) * (x - xs[j])
 
     def dv_inv(y: float) -> float:
@@ -322,23 +284,20 @@ def conjugate_value(phi: NFunction, y: float) -> tuple[float, bool]:
     if phi.derivative(phi.domain_cap) < a:
         x = phi.domain_cap
         return x * a - phi.evaluate(x), True
-    x = min(phi.deriv_inverse(a), phi.domain_cap)  # the inverse may round past the cap
+    x = min(phi.derivative_inverse(a), phi.domain_cap)  # the inverse may round past the cap
     return x * a - phi.evaluate(x), False
 
 
 def conjugate(phi: NFunction) -> NFunction:
-    """Numeric complementary N-function of phi, evaluated on demand."""
+    """Numeric complementary N-function of phi, evaluated on demand on
+    [0, phi'(Phi's domain cap)], where the supremum is attained."""
 
     def ev(y: float) -> float:
-        value, truncated = conjugate_value(phi, y)
-        if truncated:
-            raise CapExceededError(
-                f"conjugate of {phi.label}: y = {y:g} beyond the derivative range; "
-                "use conjugate_value for the cap-limited answer")
-        return value
+        return conjugate_value(phi, y)[0]
 
     return NFunction(label=f"conjugate({phi.label})", evaluate=ev,
-                     derivative=phi.deriv_inverse, domain_cap=phi.derivative(phi.domain_cap),
+                     derivative=phi.derivative_inverse,
+                     domain_cap=phi.derivative(phi.domain_cap),
                      derivative_inverse=phi.derivative)
 
 

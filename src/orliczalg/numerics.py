@@ -156,18 +156,15 @@ def invert_increasing(f: Callable[[float], float], target: float, *, cap: float)
     best_x, best_r = 0.0, math.inf     # the point of least |residual|, and its residual
     steps = 0
 
-    def value(x: float) -> float:
-        """f(x), with the point of least residual recorded."""
+    def record(x: float) -> tuple[float, float]:
+        """(f(x), its residual), with the point of least residual recorded."""
         nonlocal best_x, best_r, steps
         v = f(x)
         steps += 1
         r = (v - target) / target
         if abs(r) < abs(best_r):
             best_x, best_r = x, r
-        return v
-
-    def residual(x: float) -> float:
-        return (value(x) - target) / target
+        return v, r
 
     log_target, start = math.log(target), min(1.0, cap)
 
@@ -178,7 +175,7 @@ def invert_increasing(f: Callable[[float], float], target: float, *, cap: float)
             return math.inf
         if x > cap:
             return math.inf
-        v = value(x)
+        v = record(x)[0]
         return math.log(v) - log_target if v > 0.0 else -math.inf
 
     log_root(log_excess, 1.0, done=lambda e: abs(e) <= LOG_TOL)
@@ -187,15 +184,15 @@ def invert_increasing(f: Callable[[float], float], target: float, *, cap: float)
         x, r = best_x, best_r
         if r < 0.0:
             y = min(x * (1.0 + spread), cap)
-            r_y = residual(y)
+            r_y = record(y)[1]
             if r_y < 0.0 and y == cap:
                 raise OverflowError(f"no x <= {cap:g} with f(x) >= {target:g}")
             bracket = (x, r, y, r_y)
         else:
             y = x * (1.0 - spread)
-            bracket = (y, residual(y), x, r)
+            bracket = (y, record(y)[1], x, r)
         if bracket[1] <= 0.0 < bracket[3]:
-            illinois(residual, *bracket, done=lambda r: r == 0.0)
+            illinois(lambda x: record(x)[1], *bracket, done=lambda r: r == 0.0)
     return RootResult(x=best_x, iterations=steps)
 
 

@@ -19,7 +19,10 @@ A pair spec is an N-function spec; catalog kinds get their closed-form
 complements, custom tables a numeric conjugate, and
 {"construction": "numeric"} forces the numeric route for any kind. Each
 kind takes only its own keys, "construction" is "closed-form" (not for
-custom tables) or "numeric", and every number must be finite.
+custom tables) or "numeric", and every number must be finite. A spec
+whose values build no N-function (p <= 1, a table that is not convex
+or whose value column disagrees with its derivative) is malformed input
+too: a SpecFormatError.
 
 Function data files are rows [element, re, im]; elements of product
 groups are written as (nested) lists.
@@ -37,7 +40,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Mapping
 
-from .errors import CheckResult, SpecFormatError
+from .errors import CheckResult, InvalidNFunctionError, SpecFormatError
 from .groups import (
     GroupFunction,
     GroupSpace,
@@ -204,18 +207,22 @@ def pair_from_spec(spec: Any) -> ComplementaryPair:
     if construction not in allowed:
         raise SpecFormatError(f"{kind} spec: construction {construction!r} not in {allowed}")
     numeric = construction == "numeric"
-    if kind == "power":
-        p = finite_float(spec["p"], "power spec: 'p'")
-        return numeric_pair(power(p)) if numeric else pair_power(p)
-    if kind == "entropy":
-        return numeric_pair(entropy()) if numeric else pair_entropy()
-    if kind == "cosh":
-        return numeric_pair(cosh_minus_one()) if numeric else pair_cosh()
-    table = spec["table"]
-    if not isinstance(table, list) or any(not isinstance(r, list) or len(r) != 3 for r in table):
-        raise SpecFormatError("custom spec: 'table' must be a list of [x, value, slope] rows")
-    return numeric_pair(from_table([[finite_float(v, f"custom spec: table row {i}") for v in row]
-                                    for i, row in enumerate(table)]))
+    try:
+        if kind == "power":
+            p = finite_float(spec["p"], "power spec: 'p'")
+            return numeric_pair(power(p)) if numeric else pair_power(p)
+        if kind == "entropy":
+            return numeric_pair(entropy()) if numeric else pair_entropy()
+        if kind == "cosh":
+            return numeric_pair(cosh_minus_one()) if numeric else pair_cosh()
+        table = spec["table"]
+        if not isinstance(table, list) or any(not isinstance(r, list) or len(r) != 3
+                                              for r in table):
+            raise SpecFormatError("custom spec: 'table' must be a list of [x, value, slope] rows")
+        return numeric_pair(from_table([[finite_float(v, f"custom spec: table row {i}")
+                                         for v in row] for i, row in enumerate(table)]))
+    except InvalidNFunctionError as exc:  # the spec's values build no N-function
+        raise SpecFormatError(str(exc)) from None
 
 
 def pair_from_name(name: str) -> ComplementaryPair:

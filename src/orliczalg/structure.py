@@ -23,7 +23,8 @@ Both use exact exponent arithmetic modulo the group exponent; complex
 values appear only in reports. The search assigns exponents depth-first
 in carrier order and cuts a branch as soon as an assigned table triple
 breaks multiplicativity; it stops with a ScopeError after
-SEARCH_NODE_LIMIT exponent trials.
+SEARCH_NODE_LIMIT exponent trials, or before it builds its table when
+(|G| - 1) L trials, its least count, already pass that cap.
 """
 
 from __future__ import annotations
@@ -357,12 +358,20 @@ def multiplicative_functional_search(space: GroupSpace,
     member, so every vector that survives the last depth satisfies the
     whole table and every vector that is cut breaks it.
     ``tolerance`` gates a float spot-check of the convolution identity.
-    Raises ScopeError after SEARCH_NODE_LIMIT exponent trials.
+    Raises ScopeError after SEARCH_NODE_LIMIT exponent trials, and before
+    building the table when (|G| - 1) L trials pass it: the all-zero vector
+    passes every triple, so the search tries all L exponents at each of
+    the |G| - 1 depths under it.
     """
     _require_finite_abelian(space, "multiplicative functional search")
     L, _ = group_exponent(space)
     e_idx = space.index(space.identity)
     n = space.size
+    if (n - 1) * L > SEARCH_NODE_LIMIT:
+        raise ScopeError(
+            f"multiplicative functional search on {space.name} needs at least "
+            f"(|G| - 1) L = {(n - 1) * L} nodes (exponent trials), past the cap of "
+            f"{SEARCH_NODE_LIMIT}")
     # abelian: (a, b) and (b, a) give one product and one constraint
     products = {(ia, ib): space.index(space.mul(a, space.elements[ib]))
                 for ia, a in enumerate(space.elements) for ib in range(ia, n)}

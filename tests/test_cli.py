@@ -159,6 +159,26 @@ def test_malformed_group_spec_exits_2(capsys):
     assert "line 1" in err and "column" in err
 
 
+@pytest.mark.parametrize("spec, code, message", [
+    ('{"type": "Zn", "n": 0}', 2, "parse error: cyclic order must be positive, got 0"),
+    ('{"type": "Zwindow", "radius": 0}', 2, "parse error: window radius must be positive, got 0"),
+    ('{"type": "product", "factors": []}', 2, "parse error: product needs at least one factor"),
+    ('{"type": "product", "factors": [{"type": "Zn", "n": 2}, {"type": "Zwindow", "radius": 2}]}',
+     3, "scope error: window factors in products are out of scope"),
+    ('{"type": "table", "elements": [0, 1], "mul": [[0, 1], [1, 2]], "identity": 0}',
+     2, "parse error: table: mul table entry 2 out of range"),
+    ('{"type": "table", "elements": [0, 0], "mul": [[0, 1], [1, 0]], "identity": 0}',
+     2, "parse error: table: duplicate carrier elements"),
+    ('{"type": "table", "elements": [0, 1], "mul": [[0, 1], [1, 0]], "identity": 5}',
+     2, "parse error: table: identity not in carrier"),
+    ('{"type": "table", "elements": [0, 1], "mul": [[1, 0], [0, 1]], "identity": 0}',
+     3, "scope error: table: identity law fails at 0"),
+], ids=["Z0", "Zwindow0", "empty-product", "window-factor", "entry-out-of-range",
+        "duplicate-elements", "identity-outside", "identity-law"])
+def test_group_spec_that_builds_no_group_exits_2_or_3(capsys, spec, code, message):
+    assert run_cli(capsys, "group", "check", "--group", spec) == (code, "", f"{message}\n")
+
+
 def test_unknown_key_rejected_exits_2(capsys):
     code, _, err = run_cli(capsys, "group", "check", "--group",
                            '{"type": "Zn", "n": 4, "extra": 1}')
@@ -738,8 +758,25 @@ def test_suite_power_1_pair_fails_like_the_power_1_spec(capsys):
     spec_code, _, spec_err = run_cli(capsys, "nfunc", "check", "--nfunction",
                                      '{"kind": "power", "p": 1}')
     assert out == ""
-    assert (code, err) == (spec_code, spec_err) == (1, "error: power kind requires "
+    assert (code, err) == (spec_code, spec_err) == (2, "parse error: power kind requires "
                                                        "p > 1, got 1.0\n")
+
+
+@pytest.mark.parametrize("spec, message", [
+    ('{"kind": "power", "p": 1}', "power kind requires p > 1, got 1.0"),
+    ('{"kind": "custom", "table": [[0, 0, 0], [1, 0.5, 1]]}', "table needs at least 3 rows"),
+    ('{"kind": "custom", "table": [[0, 1, 0], [1, 1.5, 1], [2, 3, 2]]}',
+     "table must start with the row (0, 0, 0)"),
+    ('{"kind": "custom", "table": [[0, 0, 0], [1, 0.5, 1], [1, 0.5, 2]]}',
+     "table abscissae must be strictly increasing"),
+    ('{"kind": "custom", "table": [[0, 0, 0], [1, 1, 2], [2, 2.5, 1]]}',
+     "derivative column must be nondecreasing (convexity)"),
+    ('{"kind": "custom", "table": [[0, 0, 0], [1, 0.5, 1], [2, 3, 2]]}',
+     "table row 2: value column 3 inconsistent with the integrated derivative 2"),
+], ids=["power-1", "two-rows", "first-row", "abscissae", "decreasing-slope", "value-column"])
+def test_nfunc_spec_that_builds_no_nfunction_exits_2(capsys, spec, message):
+    code, out, err = run_cli(capsys, "nfunc", "check", "--nfunction", spec)
+    assert (code, out, err) == (2, "", f"parse error: {message}\n")
 
 
 @pytest.mark.parametrize("name", ["foo", "power-x", "power-nan"])

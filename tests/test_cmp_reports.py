@@ -119,3 +119,12 @@ def test_edge_runs_exit_as_named(monkeypatch, capsys):
                      "characters-enumerate-Z2xZ4xZ3": 0, "group-leptin-Zwindow16-past-the-edge": 3}
     assert out.count("count=16\n") == 2 and "count=24\n" in out
     assert err == "scope error: Zwindow16: Leptin set for eps=0.5 needs radius 30\n"
+
+
+def test_parse_error_runs_exit_2(monkeypatch, capsys):
+    cmp_reports = _load(monkeypatch)
+    assert len(cmp_reports.PARSE_ERROR_RUNS) == 4
+    for name, argv in cmp_reports.PARSE_ERROR_RUNS.items():
+        assert cli.main(list(argv)) == 2, name
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("parse error: "), name

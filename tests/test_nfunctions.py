@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from orliczalg import cli, nfunctions
 from orliczalg.errors import CapExceededError, InvalidNFunctionError, SpecFormatError
 from orliczalg.nfunctions import (
     CATALOG_PAIR_NAMES,
@@ -216,7 +217,7 @@ def test_table_derivative_inverse_round_trips_within_16_ulps():
         for y in [slopes[-1] * k / 97.0 for k in range(1, 98)] + geometric_grid(
                 1e-12, slopes[-1], 25):
             y = min(y, slopes[-1])
-            x = tab.deriv_inverse(y)
+            x = tab.derivative_inverse(y)
             assert 0.0 <= x <= tab.domain_cap
             j = min(bisect_right(xs, x), len(xs) - 1)
             curvature = (slopes[j] - slopes[j - 1]) / (xs[j] - xs[j - 1]) if case >= 2 else 0.0
@@ -227,24 +228,24 @@ def test_table_derivative_inverse_at_knots_flat_runs_and_ends():
     for rows in _inverse_cases():
         tab = from_table(rows)
         xs, slopes = [r[0] for r in rows], [r[2] for r in rows]
-        assert tab.deriv_inverse(0.0) == 0.0
+        assert tab.derivative_inverse(0.0) == 0.0
         for j, (x, s) in enumerate(zip(xs, slopes)):
             # on a knot: x itself, or the left end of the run of equal slopes it ends
             left = min(i for i in range(len(xs)) if slopes[i] == s)
-            assert tab.deriv_inverse(s) == xs[left], (rows, j)
+            assert tab.derivative_inverse(s) == xs[left], (rows, j)
             if j > left:  # strictly inside the run [xs[left], xs[j]]
-                assert tab.deriv_inverse(s) < x
+                assert tab.derivative_inverse(s) < x
         # the last slope is the top of the derivative's range
-        assert tab.deriv_inverse(slopes[-1]) <= tab.domain_cap
+        assert tab.derivative_inverse(slopes[-1]) <= tab.domain_cap
         with pytest.raises(CapExceededError):
-            tab.deriv_inverse(math.nextafter(slopes[-1], math.inf))
+            tab.derivative_inverse(math.nextafter(slopes[-1], math.inf))
     flat = from_table(TABLE_FLAT_RUN)
-    assert flat.deriv_inverse(1.0) == 1.0  # phi = 1 on all of [1, 2]
-    assert flat.deriv_inverse(1.5) == 2.5
-    assert flat.deriv_inverse(2.0) == 3.0
+    assert flat.derivative_inverse(1.0) == 1.0  # phi = 1 on all of [1, 2]
+    assert flat.derivative_inverse(1.5) == 2.5
+    assert flat.derivative_inverse(2.0) == 3.0
     with pytest.raises(CapExceededError):
-        flat.deriv_inverse(2.5)
-    assert from_table(TABLE_TO_10).deriv_inverse(3.0) == 3.0
+        flat.derivative_inverse(2.5)
+    assert from_table(TABLE_TO_10).derivative_inverse(3.0) == 3.0
 
 
 def test_an_nfunction_needs_its_derivative_inverse():
@@ -310,3 +311,38 @@ def test_power_is_finite_at_its_cap_up_to_the_max_exponent():
         assert math.isfinite(fn(fn.domain_cap)), fn.label
     with pytest.raises(SpecFormatError, match="requires p <= 1e\\+08"):
         power(2e8)  # x^p at the cap would overflow a float
+
+
+def _domain_asserting(calls):
+    """An NFunction constructor whose evaluate and derivative assert x <= domain_cap."""
+    build = nfunctions.NFunction
+
+    def within(fn, cap, label):
+        def bare(x):
+            calls.append(label)
+            assert x <= cap, f"{label} read at {x!r}, past its domain cap {cap!r}"
+            return fn(x)
+        return bare
+
+    def factory(**fields):
+        cap, label = fields["domain_cap"], fields["label"]
+        fields["evaluate"] = within(fields["evaluate"], cap, label)
+        fields["derivative"] = within(fields["derivative"], cap, label)
+        return build(**fields)
+
+    return factory
+
+
+@pytest.mark.parametrize("argv", [
+    ("suite", "--seed", "7"),
+    *(("porosity", "witness", "--probes", "20", "--nfunction", spec)
+      for spec in ('{"kind": "power", "p": 2}', '{"kind": "power", "p": 3}',
+                   '{"kind": "entropy"}', '{"kind": "cosh"}')),
+], ids=["suite-seed7", "witness-power-2", "witness-power-3", "witness-entropy", "witness-cosh"])
+def test_bare_maps_are_read_only_within_their_domain(monkeypatch, capsys, argv):
+    # the catalog keeps no guard of its own: every reader stays within the cap
+    calls = []
+    monkeypatch.setattr(nfunctions, "NFunction", _domain_asserting(calls))
+    assert cli.main(list(argv)) == 0
+    assert capsys.readouterr().out.endswith("passed=true\n")
+    assert len(calls) > 100

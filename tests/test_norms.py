@@ -298,7 +298,7 @@ def _reference_oracle(pair, f, max_iter=200):
             if a == 0.0:
                 continue
             try:
-                y = psi.deriv_inverse(a / mu)
+                y = psi.derivative_inverse(a / mu)
             except CapExceededError:
                 y = psi.domain_cap
             if y > 0.0:
@@ -352,7 +352,7 @@ def _oracle_maximizer(pair, f):
         vals = {}
         for x, v in f.items():
             try:
-                y = psi.deriv_inverse(abs(v) * t)
+                y = psi.derivative_inverse(abs(v) * t)
             except CapExceededError:
                 y = psi.domain_cap
             vals[x] = min(y, psi.domain_cap)

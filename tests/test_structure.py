@@ -399,6 +399,20 @@ def test_search_runs_at_the_limit_and_refuses_one_above(monkeypatch):
         multiplicative_functional_search(z4)
 
 
+def test_search_refuses_before_its_table_when_it_must_pass_the_cap(monkeypatch):
+    # Z1449: 1448 depths under the all-zero vector, 1449 trials at each
+    import orliczalg.structure as structure
+
+    def unreachable(*args):
+        raise AssertionError("the table was built")
+
+    monkeypatch.setattr(structure, "_closure_order", unreachable)
+    with pytest.raises(ScopeError, match=r"search on Z1449 needs at least \(\|G\| - 1\) L = "
+                                         r"2098152 nodes \(exponent trials\), past the cap of "
+                                         r"2097152"):
+        multiplicative_functional_search(cyclic(1449))
+
+
 def test_density_spanning_fails_on_a_plateau_off_its_point(monkeypatch):
     import orliczalg.structure as structure
     space = cyclic(4)
