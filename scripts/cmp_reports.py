@@ -7,6 +7,8 @@ directory (``bench_pairs.extract``). Both sides run the same commands:
 ``suite --seed 7``, ``21`` and ``901``; ``porosity witness --probes 100``
 at seeds 3 and 13 for each catalog pair, and once more each with complex
 ``--f``/``--g`` on [-5, 5] and with ``--v-radius 2 --window 64``;
+``porosity witness --window 4`` and ``suite --groups Zwindow4 --pairs
+power-2``, whose default f and g do not fit the window (exit 3);
 ``nfunc check`` for each catalog pair in both constructions and for a
 custom table that ends at 10, ``group check`` on Z1 and Z2xZ2xZ3 and
 ``characters brute`` on Z1, which print one by one the clauses that the
@@ -62,6 +64,11 @@ WITNESS_RUNS = {
                                   "--f", COMPLEX_F, "--g", COMPLEX_G],
     "witness-vradius2-window64-probes100": ["porosity", "witness", "--probes", "100",
                                             "--v-radius", "2", "--window", "64"],
+}
+#: the default f and g, the indicator of [-5, 5], on a window too small to hold them
+SMALL_WINDOW_RUNS = {
+    "witness-window4": ["porosity", "witness", "--window", "4"],
+    "suite-Zwindow4-power-2": ["suite", "--groups", "Zwindow4", "--pairs", "power-2"],
 }
 Z1 = '{"type": "Zn", "n": 1}'
 Z6 = '{"type": "Zn", "n": 6}'
@@ -175,6 +182,7 @@ def commands() -> dict[str, list[str]]:
                 "nfunc", "check", "--nfunction",
                 json.dumps({**json.loads(spec), "construction": construction})]
     runs.update(WITNESS_RUNS)
+    runs.update(SMALL_WINDOW_RUNS)
     runs.update(CLAUSE_RUNS)
     runs.update(EDGE_RUNS)
     runs.update(SMALL_T_RUNS)

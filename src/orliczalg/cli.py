@@ -336,6 +336,10 @@ def _run_aphi(args, cfg: RunConfig, rep: Report) -> None:
 
 
 def _default_porosity_function(space: GroupSpace) -> GroupFunction:
+    """The indicator of [-5, 5]; a window too small to hold it is out of scope."""
+    if space.window_radius < 5:
+        raise InfeasibleWindowError("the default indicator of [-5, 5] needs window radius 5",
+                                    minimal_radius=5)
     return GroupFunction.indicator(space, range(-5, 6))
 
 

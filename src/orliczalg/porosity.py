@@ -26,11 +26,15 @@ bound. The steps are concrete on a window:
    (intersection norm). The bumps are one certified plateau over
    {-1, 0, 1} moved by translation, which keeps values and costs bit for
    bit under counting measure; so the window must hold the bump's support
-   at every probe position in [-hw, hw], hw = max(4, W // 4). A probe
-   h = f~ + delta f, k = g~ + delta g is never built as a function: it is
-   read as the maps y -> |h(y)| and y -> |k(y)| on the supports, made from
-   the values of f~ and g~ and the drawn summand with the same complex
-   additions ``GroupFunction.__add__`` makes, in carrier order,
+   at every probe position in [-hw, hw], hw = max(4, W // 4). Neither a
+   summand nor a probe is built as a function. The drawn summand is read
+   as its few (point, value) pairs in carrier order, the values the
+   scaled atom or the moved and scaled bump would hold. A probe
+   h = f~ + delta f, k = g~ + delta g is read as the maps y -> |h(y)| and
+   y -> |k(y)| on the supports, made from the values of f~ and g~ and
+   those pairs with the same complex additions ``GroupFunction.__add__``
+   makes, in carrier order. The points of K + [-rho, rho] in the window,
+   where |k| is checked, are listed once per witness,
 6. for each probe, find x in V with sum_y |h(y)| |k(y - x)| > n. The max
    over V is one kernel, ``_level_max``, which ``level_membership`` (the
    membership test of ``make_instance``) calls as well.
@@ -52,6 +56,7 @@ import sys
 from collections import Counter
 from dataclasses import dataclass
 from random import Random
+from typing import NamedTuple
 
 from .algebra import PlateauCertificate, build_plateau
 from .errors import (
@@ -62,7 +67,7 @@ from .errors import (
     SpecFormatError,
     TheoremContradictionError,
 )
-from .groups import GroupFunction, GroupSpace, translate_left
+from .groups import GroupFunction, GroupSpace
 from .nfunctions import ComplementaryPair
 from .norms import luxemburg, orlicz_norm
 
@@ -174,8 +179,7 @@ def make_instance(f: GroupFunction, g: GroupFunction, n: int, radius: float,
                             boundary_flag=supports_touch_boundary(f, g))
 
 
-@dataclass(frozen=True)
-class Perturbation:
+class Perturbation(NamedTuple):
     """One certified-small summand of a probe."""
 
     kind: str            # "atom" | "plateau"
@@ -185,8 +189,7 @@ class Perturbation:
     cost_psi: float      # same on the Psi side (used for intersection budgets)
 
 
-@dataclass(frozen=True)
-class ProbeRecord:
+class ProbeRecord(NamedTuple):
     index: int
     delta_f: Perturbation
     delta_g: Perturbation
@@ -327,17 +330,18 @@ def build_witness(inst: PorosityInstance, pair: ComplementaryPair, *,
     _require_certified(space, bump[1], "probe bump", shift=_probe_half_width)
     f_values, g_values = dict(f_tilde.items()), dict(g_tilde.items())
     f_abs, g_abs = _abs_values(f_tilde), _abs_values(g_tilde)
+    neighborhoods = _neighborhoods(space, K, r)
     probes = []
     for idx in range(probe_count):
-        delta_f, df_fn = _draw_perturbation(space, *bump, rng, R, kappa_phi, kappa_psi,
-                                            intersection=False)
-        delta_g, dg_fn = _draw_perturbation(space, *bump, rng, R, kappa_phi, kappa_psi,
-                                            intersection=True)
-        h = _perturbed_abs(f_values, f_abs, df_fn)
-        k = _perturbed_abs(g_values, g_abs, dg_fn)
+        delta_f, df_pairs = _draw_perturbation(space, *bump, rng, R, kappa_phi, kappa_psi,
+                                               intersection=False)
+        delta_g, dg_pairs = _draw_perturbation(space, *bump, rng, R, kappa_phi, kappa_psi,
+                                               intersection=True)
+        h = _perturbed_abs(space, f_values, f_abs, df_pairs)
+        k = _perturbed_abs(space, g_values, g_abs, dg_pairs)
         h_min = min(h.get(x, 0.0) for x in K)
         k_min = min(k.get(x, 0.0) for x in K)
-        u_rad = _certified_neighborhood(space, k, K, R, r)
+        u_rad = _certified_neighborhood(k, neighborhoods, R)
         best_val, best_x = _level_max(h, k, space.haar_weight, r)
         probes.append(ProbeRecord(index=idx, delta_f=delta_f, delta_g=delta_g,
                                   budget_f=delta_f.cost_phi,
@@ -395,13 +399,17 @@ def _atom_costs(space: GroupSpace, pair: ComplementaryPair) -> tuple[float, floa
 
 def _draw_perturbation(space: GroupSpace, bump: GroupFunction, bump_cert: PlateauCertificate,
                        rng: Random, R: float, kappa_phi: float, kappa_psi: float, *,
-                       intersection: bool) -> tuple[Perturbation, GroupFunction]:
-    """A certified-small random summand.
+                       intersection: bool) -> tuple[Perturbation, tuple]:
+    """A certified-small random summand, as its record and its (point,
+    value) pairs in carrier order.
 
     The scale is chosen so that the certified cost bound (Phi side, or
     the sum of both sides for intersection budgets) is eta * R/32 with
     eta < BALL_SAFETY, which keeps the probe strictly inside the ball.
-    Plateau summands are ``bump`` moved to the drawn position, under ``bump_cert``.
+    Plateau summands are ``bump`` moved to the drawn position, under
+    ``bump_cert``: the pairs are (pos y, amp v) for each (y, v) of the
+    bump, the values ``translate_left(pos, bump).scale(amp)`` holds, and
+    like that function they leave out a zero value.
     """
     w = space.window_radius
     eta = rng.uniform(0.0, BALL_SAFETY)
@@ -411,33 +419,38 @@ def _draw_perturbation(space: GroupSpace, bump: GroupFunction, bump_cert: Platea
         pos = rng.randint(-w, w)
         unit_cost = (kappa_phi + kappa_psi) if intersection else kappa_phi
         amp = (budget / unit_cost) * phase
-        fn = GroupFunction.delta(space, pos, amp)
+        pairs = ((pos, amp),) if amp else ()    # a zero atom has no support
         return Perturbation(kind="atom", position=pos, amplitude=amp,
                             cost_phi=abs(amp) * kappa_phi,
-                            cost_psi=abs(amp) * kappa_psi), fn
+                            cost_psi=abs(amp) * kappa_psi), pairs
     pos = rng.randint(-_probe_half_width(w), _probe_half_width(w))
-    moved = translate_left(pos, bump)
-    if moved.truncated:
-        raise InfeasibleWindowError(f"the probe bump at {pos} exits the window")
     unit_cost = (bump_cert.cost_phi + bump_cert.cost_psi) if intersection \
         else bump_cert.cost_phi
     amp = (budget / unit_cost) * phase
+    pairs = []
+    for y, v in bump.items():
+        x = space.try_mul(pos, y)
+        if x is None:
+            raise InfeasibleWindowError(f"the probe bump at {pos} exits the window")
+        if (d := amp * v):
+            pairs.append((x, d))
     return Perturbation(kind="plateau", position=pos, amplitude=amp,
                         cost_phi=abs(amp) * bump_cert.cost_phi,
-                        cost_psi=abs(amp) * bump_cert.cost_psi), moved.scale(amp)
+                        cost_psi=abs(amp) * bump_cert.cost_psi), tuple(pairs)
 
 
-def _perturbed_abs(values: dict, values_abs: dict, delta: GroupFunction) -> dict:
+def _perturbed_abs(space: GroupSpace, values: dict, values_abs: dict, pairs: tuple) -> dict:
     """|c + delta| on its support, in carrier order, where ``values`` maps
-    supp c to c and ``values_abs`` to |c|.
+    supp c to c, ``values_abs`` maps it to |c|, and ``pairs`` are the
+    (point, value) pairs of delta.
 
     Each value is the one ``c + delta`` would hold: c(y) + delta(y), a
     point new to the support starting from 0j. Zeros leave the map, and
-    keys are re-sorted only when delta adds a point.
+    keys are re-sorted by the carrier's index only when delta adds a point.
     """
     out = dict(values_abs)
     grew = False
-    for y, d in delta.items():
+    for y, d in pairs:
         old = values.get(y)
         if old is None:
             grew, old = True, 0j
@@ -447,16 +460,24 @@ def _perturbed_abs(values: dict, values_abs: dict, delta: GroupFunction) -> dict
         else:
             del out[y]
     if grew:
-        out = {y: out[y] for y in sorted(out, key=delta.space.index)}
+        out = {y: out[y] for y in sorted(out, key=space.index)}
     return out
 
 
-def _certified_neighborhood(space: GroupSpace, k_abs: dict, K: tuple,
-                            R: float, r: int) -> int:
-    """Largest rho <= r with |k| > R/32 on [-rho, rho] + K (rho = 0 always
-    holds when |k| > R/32 on K itself); ``k_abs`` maps supp k to |k|."""
-    for rho in range(r, -1, -1):
-        if all(k_abs.get(x + j, 0.0) > R / 32.0 for x in K for j in range(-rho, rho + 1)
-               if abs(x + j) <= space.window_radius):
+def _neighborhoods(space: GroupSpace, K: tuple, r: int) -> tuple[tuple[int, tuple], ...]:
+    """(rho, the points of K + [-rho, rho] inside the window) for rho = r, ..., 1."""
+    w = space.window_radius
+    return tuple((rho, tuple(sorted({x + j for x in K for j in range(-rho, rho + 1)
+                                     if abs(x + j) <= w})))
+                 for rho in range(r, 0, -1))
+
+
+def _certified_neighborhood(k_abs: dict, neighborhoods: tuple, R: float) -> int:
+    """Largest rho <= r with |k| > R/32 on [-rho, rho] + K, read from the
+    points of ``_neighborhoods``; 0 when none holds (rho = 0 needs no look
+    at K). ``k_abs`` maps supp k to |k|."""
+    floor = R / 32.0
+    for rho, points in neighborhoods:
+        if all(k_abs.get(x, 0.0) > floor for x in points):
             return rho
     return 0

@@ -386,6 +386,25 @@ def test_porosity_window_truncating_k_plateau_exits_3(capsys, window):
     assert "needs window radius 10" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("porosity", "witness", "--window", "4"),
+    ("porosity", "witness", "--window", "1"),
+    ("porosity", "witness", "--window", "3", "--f", "[[0, 1, 0]]"),
+    ("suite", "--groups", "Zwindow4", "--pairs", "power-2"),
+], ids=["witness-window4", "witness-window1", "witness-window3-default-g", "suite-Zwindow4"])
+def test_default_witness_functions_off_a_small_window_exit_3(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (3, "")
+    assert err == "scope error: the default indicator of [-5, 5] needs window radius 5\n"
+
+
+def test_witness_data_off_a_small_window_stays_a_parse_error(capsys):
+    code, out, err = run_cli(capsys, "porosity", "witness", "--window", "3",
+                             "--f", "[[0, 1, 0]]", "--g", "[[7, 1, 0]]")
+    assert (code, out) == (2, "")
+    assert err.startswith("parse error: ")
+
+
 def _exit_code(capsys, *argv) -> tuple[int, str]:
     """Exit code and stderr of a run, whether argparse or the handler rejects it."""
     try:
@@ -1321,6 +1340,7 @@ def test_witness_whose_probes_do_not_violate_exits_4(capsys, monkeypatch):
     assert (code, out) == (4, "")
     assert "witness checks failed: all-probes-violate" in err
     assert "state.failures=[CheckResult(name='all-probes-violate'" in err
+    assert "state.non_violating=(ProbeRecord(index=0, delta_f=Perturbation(kind=" in err
 
 
 TINY = ("norm", "orlicz", "--group", '{"type":"Zn","n":4}',

@@ -213,14 +213,14 @@ def _fresh_bump_draw(fresh_bumps, name):
         if rng.random() < 0.5:
             pos = rng.randint(-w, w)
             amp = (budget / ((kappa_phi + kappa_psi) if intersection else kappa_phi)) * phase
-            return (Perturbation("atom", pos, amp, abs(amp) * kappa_phi,
-                                 abs(amp) * kappa_psi), GroupFunction.delta(space, pos, amp))
+            return (Perturbation("atom", pos, amp, abs(amp) * kappa_phi, abs(amp) * kappa_psi),
+                    tuple(GroupFunction.delta(space, pos, amp).items()))
         pos = rng.randint(-max(4, w // 4), max(4, w // 4))
         fresh, cert = fresh_bumps[name, pos]
         amp = (budget / ((cert.cost_phi + cert.cost_psi) if intersection
                          else cert.cost_phi)) * phase
         return (Perturbation("plateau", pos, amp, abs(amp) * cert.cost_phi,
-                             abs(amp) * cert.cost_psi), fresh.scale(amp))
+                             abs(amp) * cert.cost_psi), tuple(fresh.scale(amp).items()))
     return draw
 
 
@@ -256,9 +256,17 @@ def _reference_level_max(h, k, r):
     return best, best_x
 
 
+def _reference_summand(space, bump, delta):
+    """The summand of a Perturbation record, built as a GroupFunction."""
+    if delta.kind == "atom":
+        return GroupFunction.delta(space, delta.position, delta.amplitude)
+    return translate_left(delta.position, bump).scale(delta.amplitude)
+
+
 def reference_probes(inst, pair, wit, probe_count, seed):
     """wit's probes evaluated on h = f~ + delta f and k = g~ + delta g built as
-    GroupFunctions, with the draws of the same seed."""
+    GroupFunctions, with the draws of the same seed; each summand is rebuilt
+    from its record, never read from the drawn pairs."""
     space, R, r, K = inst.f.space, inst.radius, inst.v_radius, wit.collected
     s1, s2 = wit.quadrant
     f_tilde = inst.f + wit.u.scale(s1 * R / 8.0)
@@ -268,11 +276,12 @@ def reference_probes(inst, pair, wit, probe_count, seed):
     bump = build_plateau(space, range(-1, 2), pair, 1.0)
     records = []
     for idx in range(probe_count):
-        delta_f, df = porosity._draw_perturbation(space, *bump, rng, R, *kappa,
-                                                  intersection=False)
-        delta_g, dg = porosity._draw_perturbation(space, *bump, rng, R, *kappa,
-                                                  intersection=True)
-        h, k = f_tilde + df, g_tilde + dg
+        delta_f, _ = porosity._draw_perturbation(space, *bump, rng, R, *kappa,
+                                                 intersection=False)
+        delta_g, _ = porosity._draw_perturbation(space, *bump, rng, R, *kappa,
+                                                 intersection=True)
+        h = f_tilde + _reference_summand(space, bump[0], delta_f)
+        k = g_tilde + _reference_summand(space, bump[0], delta_g)
         best, best_x = _reference_level_max(h, k, r)
         records.append(ProbeRecord(
             index=idx, delta_f=delta_f, delta_g=delta_g, budget_f=delta_f.cost_phi,
@@ -323,15 +332,16 @@ def test_perturbation_that_cancels_a_value_leaves_the_support(window, box, monke
     assert (f_tilde + cancel).support == tuple(x for x in f_tilde.support if x != y)
     f_values = dict(f_tilde.items())
     f_abs = {x: abs(v) for x, v in f_tilde.items()}
-    h = porosity._perturbed_abs(f_values, f_abs, cancel)
+    h = porosity._perturbed_abs(window, f_values, f_abs, tuple(cancel.items()))
     assert y not in h and list(h) == [x for x in f_abs if x != y]
     real = porosity._draw_perturbation
 
     def cancelling(space, *args, intersection):
-        delta, fn = real(space, *args, intersection=intersection)
+        delta, pairs = real(space, *args, intersection=intersection)
         if intersection:
-            return delta, fn
-        return dataclasses.replace(delta, kind="atom", position=y, amplitude=-f_tilde(y)), cancel
+            return delta, pairs
+        return (delta._replace(kind="atom", position=y, amplitude=-f_tilde(y)),
+                tuple(cancel.items()))
 
     monkeypatch.setattr(porosity, "_draw_perturbation", cancelling)
     wit = build_witness(inst, pair, probe_count=10, seed=3)
@@ -347,9 +357,48 @@ def test_perturbed_abs_equals_the_group_function_sum(window):
         if rng.random() < 0.5:      # overlap the supports
             delta = GroupFunction(window, {x: v for x, (_, v) in zip(c.support, delta.items())})
         want = {x: abs(v) for x, v in (c + delta).items()}
-        got = porosity._perturbed_abs(dict(c.items()), {x: abs(v) for x, v in c.items()},
-                                      delta)
+        got = porosity._perturbed_abs(window, dict(c.items()),
+                                      {x: abs(v) for x, v in c.items()}, tuple(delta.items()))
         assert list(got.items()) == list(want.items())
+
+
+@pytest.mark.parametrize("name", CATALOG)
+def test_probes_build_no_group_function(box, monkeypatch, name):
+    # every GroupFunction of a witness is built before its probe loop
+    inst = make_instance(box, box, 11, 32.0, 1)
+    pair = pair_from_name(name)
+    real = GroupFunction.__init__
+    built = []
+
+    def counting(self, *args, **kwargs):
+        built.append(None)
+        real(self, *args, **kwargs)
+
+    monkeypatch.setattr(GroupFunction, "__init__", counting)
+    counts = []
+    for probe_count in (1, 100):
+        built.clear()
+        build_witness(inst, pair, probe_count=probe_count, seed=21)
+        counts.append(len(built))
+    assert counts[0] == counts[1]
+
+
+def test_certified_neighborhood_equals_the_reference():
+    # dense k near the edge of a small window, one value exactly at the
+    # floor R/32, so that the floor, its strictness and the window's edge
+    # all decide rho
+    space, rng = integer_window(12), Random(6)
+    radii = []
+    for _ in range(200):
+        r, R = rng.randint(1, 3), 32.0 * rng.uniform(0.05, 0.6)
+        k = random_function(space, rng, support_size=rng.randint(15, 25))
+        k = GroupFunction(space, {**dict(k.items()), rng.randint(-12, 12): R / 32.0})
+        K = tuple(sorted(rng.sample(range(-12, 13), rng.randint(1, 4))))
+        got = porosity._certified_neighborhood({x: abs(v) for x, v in k.items()},
+                                               porosity._neighborhoods(space, K, r), R)
+        assert got == _reference_neighborhood(space, k, K, R, r)
+        radii.append(got)
+    assert set(radii) == {0, 1, 2, 3}
 
 
 def test_level_membership_equals_the_level_integral_maximum(window):
