@@ -33,7 +33,11 @@ report is the exit code, the standard output and the standard error
 (each line prefixed ``stderr=``) of one command. The script names each
 report that differs, with the keys whose values differ (as ``tests/test_golden.py``
 does when it rewrites a golden), or that only one side has, and exits 1
-if any does, else 0.
+if any does, else 0. A key whose value parses as a number on both sides
+(a check's value as its slack) is then sized, one line per report, by
+its relative change |change - base| / |base|, and the line ends with the
+report's largest relative change among the keys that are not slacks
+(``check.*`` and the suite's ``slack.*``).
 Reports are written to a new temporary directory, which is removed when
 every report matches and kept, with its path printed, when one differs.
 Standard library only.
@@ -227,6 +231,43 @@ def changed_keys(a: Path, b: Path) -> list[str]:
             if before.get(key) != after.get(key)]
 
 
+def _number(value: str | None) -> float | None:
+    """A report value as a number: the value itself, or a check line's slack."""
+    if value is None:
+        return None
+    verdict, _, slack = value.partition(" slack=")
+    try:
+        return float(slack.split(" ")[0] if verdict in ("pass", "FAIL") else value)
+    except ValueError:
+        return None
+
+
+def relative_change(before: str | None, after: str | None) -> float | None:
+    """|after - before| / |before| where both values parse as numbers, else None."""
+    b, a = _number(before), _number(after)
+    if a is None or b is None:
+        return None
+    if a == b:
+        return 0.0
+    return abs(a - b) / abs(b) if b else math.inf
+
+
+def sized_changes(a: Path, b: Path) -> str:
+    """The relative change of each changed key of report files a and b whose
+    values parse as numbers, and the largest among the non-slack keys; ""
+    where no changed key is numeric."""
+    before, after = _fields(a), _fields(b)
+    sizes = {key: size for key in changed_keys(a, b)
+             if (size := relative_change(before.get(key), after.get(key))) is not None}
+    text = ", ".join(f"{key} {size:.3g}" for key, size in sizes.items())
+    solved = {key: size for key, size in sizes.items()
+              if not key.startswith(("check.", "slack."))}
+    if solved:
+        key = max(solved, key=solved.__getitem__)
+        text += f"; largest non-slack: {key} {solved[key]:.3g}"
+    return text
+
+
 def main(argv: list[str] | None = None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--base", required=True, help="revision to compare against")
@@ -252,6 +293,10 @@ def main(argv: list[str] | None = None) -> int:
     print(f"{len(runs) - len(diff)} of {len(runs)} reports identical to {args.base}")
     if diff:
         print(f"reports kept in {out}/base and {out}/change")
+    for name in diff:
+        base, change = out / "base" / name, out / "change" / name
+        if base.is_file() and change.is_file() and (sizes := sized_changes(base, change)):
+            print(f"relative: {name}: {sizes}")
     return 1 if diff else 0
 
 

@@ -9,10 +9,13 @@ c d/dc rho_Phi(c f) from the same pass.
 Every norm is one monotone root solve, ``_window_root``: in r, the
 solve's scale times sup|f|, it ends at an evaluated point where the
 solved quantity lies in [1 - RESIDUAL_TOL, 1]. It runs
-``numerics.illinois`` on the log of that quantity against log r, aimed
-at the middle of the window: a straight line for Phi(x) = x^p/p, so a
-power-pair solve takes 3 or 4 modular passes, and nearly straight for
-the other catalog pairs.
+``numerics.log_root`` on the log of that quantity against log r, aimed
+at the middle of the window: a straight line for Phi(x) = x^p/p, and
+nearly straight for the other catalog pairs. The first pass, at r = 1,
+also measures the log-slope S/rho of the modular there, and the first
+step follows it, so a power-pair solve takes 2 or 3 modular passes; an
+entropy or cosh solve takes 5 to 8, stepping along secants and then in
+the Anderson-Bjorck bracket.
 
 * The Luxemburg norm N_Phi(f) = inf{k > 0 : rho_Phi(f/k) <= 1} solves
   rho_Phi(s f) = 1 in s = 1/k. The reported value is k at the evaluated
@@ -84,8 +87,8 @@ ORACLE_AGREEMENT_RTOL = 1e-6
 RESIDUAL_TOL = 1e-12
 #: the solves aim at the middle of their window [1 - RESIDUAL_TOL, 1], in log
 _AIM = math.log1p(-0.5 * RESIDUAL_TOL)
-#: the method label of the Luxemburg solve
-METHOD = "illinois"
+#: the method label of the Luxemburg solve: its bracket kernel, ``numerics.regula_falsi``
+METHOD = "regula-falsi"
 #: the flag of a solve that ended against Phi's domain cap outside its window
 PAST_CAP = "past-domain-cap"
 
@@ -175,54 +178,65 @@ def _solve_once(kind: str, phi: NFunction, f: GroupFunction, solve):
     return result
 
 
-def _window_root(value_at, slope: float) -> tuple[float, float, int, bool]:
+def _window_root(value_at) -> tuple[float, float, int, bool]:
     """Evaluated point r where an increasing value_at(r) lies in [1 - RESIDUAL_TOL, 1].
 
     Callers scale their variable by sup|f|, so the root is near r = 1.
-    ``numerics.log_root`` solves F(t) = log value_at(e^t) - log(1 -
-    RESIDUAL_TOL/2) = 0 from t = 0, with ``slope`` a lower bound on F's
-    slope (0 for none). A point whose scale leaves the floats (ScopeError)
-    reads as infeasible; the error is raised only where the solve ends
-    against such a point outside the window. Returns
-    the evaluated (r, value_at(r)) with the largest value <= 1 ((0, 0) if
-    none), the number of evaluations, and whether the solve ended outside
-    the window against a point past Phi's domain cap (CapExceededError,
-    also read as infeasible): the root then lies past the cap, and r is
-    still a feasible point. Stops once that value is in the window, at
-    bracket collapse, or after MAX_STEPS evaluations.
+    ``value_at(r, slope)`` returns the value at r and, where ``slope`` is
+    set, the pass's log-slope D = S / rho, with S = r d/dr rho and rho the
+    modular at r (NaN where rho = 0); otherwise NaN. ``numerics.log_root``
+    solves F(t) = log value_at(e^t) - log(1 - RESIDUAL_TOL/2) = 0 from
+    t = 0, whose pass alone asks for D, for the first step: D is F's slope
+    at 0 for a Luxemburg solve, and for an Amemiya solve on a power pair
+    (Young's function h = S - rho is then a multiple of rho). A point whose
+    scale leaves the floats (ScopeError) reads as infeasible; the error is
+    raised only where the solve ends against such a point outside the
+    window. Returns the evaluated (r, value_at(r)) with the largest value
+    <= 1 ((0, 0) if none), the number of evaluations, and whether the
+    solve ended outside the window against a point past Phi's domain cap
+    (CapExceededError, also read as infeasible): the root then lies past
+    the cap, and r is still a feasible point. Stops once that value is in
+    the window, at bracket collapse, or after MAX_STEPS evaluations.
     """
     best_r, best_v = 0.0, 0.0
     past_t, past = math.inf, None   # least t whose scale left the floats, and its error
     cap_t = math.inf                # least t whose scale left Phi's domain
 
-    def log_excess(t: float) -> float:
+    def log_excess(t: float, slope: bool = False) -> tuple[float, float]:
+        """(F(t), D at e^t where ``slope`` is set, else NaN)."""
         nonlocal best_r, best_v, past_t, past, cap_t
         try:
             r = math.exp(t)
         except OverflowError:
             r = math.inf
         try:
-            v = value_at(r)
+            v, d = value_at(r, slope)
         except CapExceededError:
             cap_t = min(cap_t, t)
-            return math.inf
+            return math.inf, math.nan
         except ScopeError as err:
             if t < past_t:
                 past_t, past = t, err
-            return math.inf
+            return math.inf, math.nan
         if best_v < v <= 1.0:
             best_r, best_v = r, v
-        return math.log(v) - _AIM if v > 0.0 else -math.inf
+        return (math.log(v) - _AIM if v > 0.0 else -math.inf), d
 
     def in_window() -> bool:
         return -RESIDUAL_TOL <= best_v - 1.0 <= 0.0
 
-    end = log_root(log_excess, slope, done=lambda _: in_window())
+    end = log_root(lambda t: log_excess(t)[0], *log_excess(0.0, True),
+                   done=lambda _: in_window())
     if in_window():
         return best_r, best_v, end.steps, False
     if end.hi >= past_t:
         raise past
     return best_r, best_v, end.steps, end.hi >= cap_t
+
+
+def _log_slope(rho: float, total: float) -> float:
+    """D = S / rho of one ``modular(..., slope=True)`` pass (rho, S); NaN where rho = 0."""
+    return total / rho if rho > 0.0 else math.nan
 
 
 def luxemburg(phi: NFunction, f: GroupFunction) -> NormReport:
@@ -243,14 +257,16 @@ def luxemburg(phi: NFunction, f: GroupFunction) -> NormReport:
 def _luxemburg_solve(phi: NFunction, f: GroupFunction) -> NormReport:
     top = f.sup_norm()
 
-    def rho(r: float) -> float:
+    def rho(r: float, slope: bool) -> tuple[float, float]:
         # evaluated at 1/k, k = sup|f| / r, so that the reported k reproduces it
         k = top / r
-        return modular(phi, f, _finite_scale(1.0 / k if k else math.inf, top))
+        c = _finite_scale(1.0 / k if k else math.inf, top)
+        if slope:
+            value, total = modular(phi, f, c, slope=True)
+            return value, _log_slope(value, total)
+        return modular(phi, f, c), math.nan
 
-    # Phi(x)/x is nondecreasing (Krasnosel'skii-Rutickii), so log rho has
-    # slope >= 1 in log r, for tabulated Phi as well
-    r, rho_r, steps, past_cap = _window_root(rho, 1.0)
+    r, rho_r, steps, past_cap = _window_root(rho)
     if r == 0.0:
         raise ArithmeticError("Luxemburg solve found no feasible point")
     return NormReport(value=top / r, method=METHOD, residual=abs(rho_r - 1.0),
@@ -377,15 +393,14 @@ def _amemiya_solve(phi: NFunction, f: GroupFunction) -> tuple[float, float, int,
     top = f.sup_norm()
     value = math.inf
 
-    def young(r: float) -> float:
+    def young(r: float, slope: bool) -> tuple[float, float]:
         nonlocal value
         k = _finite_scale(r / top, top)
-        rho, slope = modular(phi, f, k, slope=True)
+        rho, total = modular(phi, f, k, slope=True)
         value = min(value, (1.0 + rho) / k)
-        return slope - rho
+        return total - rho, _log_slope(rho, total) if slope else math.nan
 
-    # a tabulated Phi gives Young's function no slope bound in log r
-    r, _, iterations, past_cap = _window_root(young, 0.0)
+    r, _, iterations, past_cap = _window_root(young)
     return value, r, iterations, past_cap
 
 

@@ -1,24 +1,28 @@
 """Scalar root-finding kernels.
 
-One bracketed root kernel, ``illinois``, serves every library solve: the
-Luxemburg and Amemiya norm solves in ``norms``, and ``invert_increasing``
-for the inverse Phi^{-1} of an N-function that has no closed form for it
-(power, cosh-1 and tables have one; every N-function carries the inverse
-of its derivative, which needs no solve). It is the Illinois variant of
-regula falsi (Dowell and Jarratt, BIT 11, 1971): each step evaluates the
-secant point of the two ends of opposite sign, and the value held for an
-end that is kept twice in a row is halved, so both ends move and
-convergence is superlinear. The kernel returns both ends with their
-values, and it stops where the caller's ``done`` says so; each caller
-keeps the point it certifies. The kernel is exact on a straight line, so
-callers hand it the most nearly linear form of their map: ``log_root``,
-the one bracket for an increasing map of a log coordinate, steps across
-the root from a lower bound on the slope and hands the kernel the first
-sign change. The norm solves run it on log rho against the log of their
-scale, which is a line for power functions, and stop on the modular they
-evaluated, not on the value handed to the kernel; Phi^{-1} runs it on
-log Phi against log x (slope >= 1, since Phi(x)/x is nondecreasing),
-then finishes in x to bracket collapse.
+One bracketed root kernel, ``regula_falsi``, serves every library solve:
+the Luxemburg and Amemiya norm solves in ``norms``, and
+``invert_increasing`` for the inverse Phi^{-1} of an N-function that has
+no closed form for it (power, cosh-1 and tables have one; every
+N-function carries the inverse of its derivative, which needs no solve).
+It is the Anderson-Bjorck variant of regula falsi (Anderson and Bjorck,
+BIT 13, 1973), which refines the Illinois rule of Dowell and Jarratt
+(BIT 11, 1971): each step evaluates the secant point of the two ends of
+opposite sign, and the value held for an end that is kept twice in a row
+is scaled down by how much the other end's value just shrank (halved
+where that says nothing), so both ends move and convergence is
+superlinear. The kernel returns both ends with their values, and it
+stops where the caller's ``done`` says so; each caller keeps the point
+it certifies. The kernel is exact on a straight line, so callers hand it
+the most nearly linear form of their map: ``log_root``, the one bracket
+for an increasing map of a log coordinate, steps from the caller's first
+point along its measured slope (or a lower bound on it), then along
+secants, and hands the kernel the first sign change. The norm solves run
+it on log rho against the log of their scale, which is a line for power
+functions, and stop on the modular they evaluated, not on the value
+handed to the kernel; Phi^{-1} runs it on log Phi against log x (slope
+>= 1, since Phi(x)/x is nondecreasing), then finishes in x to bracket
+collapse.
 
 ``bisect_increasing`` and ``golden_min`` are the linear methods the
 kernel replaced. The library no longer calls them; they stay only as
@@ -55,22 +59,24 @@ class Bracket(NamedTuple):
     steps: int
 
 
-def illinois(f: Callable[[float], float], lo: float, f_lo: float, hi: float, f_hi: float,
-             *, done: Callable[[float], bool], max_steps: int = MAX_STEPS) -> Bracket:
-    """Illinois regula falsi for a root of a monotone f on [lo, hi].
+def regula_falsi(f: Callable[[float], float], lo: float, f_lo: float, hi: float, f_hi: float,
+                 *, done: Callable[[float], bool], max_steps: int = MAX_STEPS) -> Bracket:
+    """Anderson-Bjorck regula falsi for a root of a monotone f on [lo, hi].
 
     ``f_lo`` and ``f_hi`` are f(lo) and f(hi); one must be <= 0 and the
     other > 0 (ValueError otherwise). Each step evaluates f once, at the
     secant point of the two ends, or at the midpoint where the secant
     point is not strictly inside (lo, hi) (an end of infinite value, or a
     step that rounds onto an end), and the new point replaces the end on
-    its side. Stops when ``done(f(x))`` holds for a new point x, when the
+    its side. The value held for an end kept a second step in a row is
+    scaled by m = 1 - f(x) / f(the end just replaced), or by 1/2 where
+    m <= 0. Stops when ``done(f(x))`` holds for a new point x, when the
     midpoint itself collapses onto an end, or after ``max_steps`` steps.
     """
     if not (f_lo <= 0.0 < f_hi or f_hi <= 0.0 < f_lo):
         raise ValueError(f"no sign change on [{lo:g}, {hi:g}]: f = {f_lo:g}, {f_hi:g}")
     lo_side = f_lo <= 0.0
-    w_lo, w_hi = f_lo, f_hi     # secant weights: the values, halved by the Illinois rule
+    w_lo, w_hi = f_lo, f_hi     # secant weights: the values, scaled on a kept end
     kept = 0                    # -1: lo was replaced last step, +1: hi was
     steps = 0
     while steps < max_steps:
@@ -83,18 +89,23 @@ def illinois(f: Callable[[float], float], lo: float, f_lo: float, hi: float, f_h
         fx = f(x)
         steps += 1
         if (fx <= 0.0) == lo_side:
-            lo, f_lo, w_lo = x, fx, fx
             if kept == -1:
-                w_hi *= 0.5
-            kept = -1
+                w_hi *= _kept_scale(fx, f_lo)
+            lo, f_lo, w_lo, kept = x, fx, fx, -1
         else:
-            hi, f_hi, w_hi = x, fx, fx
             if kept == 1:
-                w_lo *= 0.5
-            kept = 1
+                w_lo *= _kept_scale(fx, f_hi)
+            hi, f_hi, w_hi, kept = x, fx, fx, 1
         if done(fx):
             break
     return Bracket(lo=lo, f_lo=f_lo, hi=hi, f_hi=f_hi, steps=steps)
+
+
+def _kept_scale(fx: float, f_replaced: float) -> float:
+    """Anderson and Bjorck's factor 1 - fx / f_replaced for a kept end, or 1/2
+    where it is not positive (Anderson and Bjorck, BIT 13, 1973)."""
+    m = 1.0 - fx / f_replaced if f_replaced else 0.0
+    return m if m > 0.0 else 0.5
 
 
 @dataclass(frozen=True)
@@ -106,32 +117,36 @@ class RootResult:
     iterations: int
 
 
-def log_root(f: Callable[[float], float], slope: float, *,
+def log_root(f: Callable[[float], float], f0: float, slope: float, *,
              done: Callable[[float], bool]) -> Bracket:
     """Root of an increasing f(s) of a log coordinate s = log x, from s = 0.
 
-    ``slope`` is a lower bound on f's slope: the second point s = -f(0) /
-    slope lies across the root in exact arithmetic; without a bound (slope
-    0), or where rounding leaves it on the same side, the bracket steps by
-    1 (a factor e in x). ``illinois`` then runs from the first sign
-    change. Stops once ``done(f(s))`` holds for a new point s, at bracket
-    collapse, or after MAX_STEPS evaluations in all (ArithmeticError if
-    no sign change turned up by then). Returns the last bracket, or
-    lo = hi = the last point where ``done`` held before a sign change.
+    ``f0`` is f(0), evaluated by the caller, and ``slope`` f's slope there,
+    measured or a lower bound: the first step is the tangent step
+    -f0 / slope. Where a step does not cross the root, the next is the
+    secant step through the last two points. A step falls back to 1 toward
+    the root (a factor e in x) where its slope is not finite and positive,
+    the last value is not finite, or it would not move s. ``regula_falsi``
+    then runs from the first sign change. Stops once ``done(f(s))`` holds
+    for a new point s, at bracket collapse, or after MAX_STEPS evaluations
+    in all, the caller's first one included (ArithmeticError if no sign
+    change turned up by then). Returns the last bracket, or lo = hi = the
+    last point where ``done`` held before a sign change.
     """
-    s, e, steps = 0.0, f(0.0), 1
-    step = -e / slope if slope > 0.0 and math.isfinite(e) else math.copysign(1.0, -e)
+    s, e, steps = 0.0, f0, 1
     while not done(e):
         if steps >= MAX_STEPS:
             raise ArithmeticError("bracket expansion found no sign change")
-        u = s + step
+        u = s - e / slope if 0.0 < slope < math.inf else math.nan
+        if u == s or not math.isfinite(u):
+            u = s - 1.0 if e > 0.0 else s + 1.0
         eu = f(u)
         steps += 1
         if (eu > 0.0) != (e > 0.0):
             lo, f_lo, hi, f_hi = (s, e, u, eu) if s < u else (u, eu, s, e)
-            end = illinois(f, lo, f_lo, hi, f_hi, done=done, max_steps=MAX_STEPS - steps)
+            end = regula_falsi(f, lo, f_lo, hi, f_hi, done=done, max_steps=MAX_STEPS - steps)
             return Bracket(end.lo, end.f_lo, end.hi, end.f_hi, steps + end.steps)
-        s, e, step = u, eu, math.copysign(1.0, step)
+        s, e, slope = u, eu, (eu - e) / (u - s)
     return Bracket(s, e, s, e, steps)
 
 
@@ -141,8 +156,8 @@ def invert_increasing(f: Callable[[float], float], target: float, *, cap: float)
 
     First ``log_root`` on log f(x) - log target in s = log(x / min(1, cap)),
     whose slope is at least 1 since f(x)/x is nondecreasing, to within
-    LOG_TOL of 0 (a point past the cap reads +inf). Then ``illinois`` in
-    x, to bracket collapse or an exact hit, since e^s loses log2|s| bits:
+    LOG_TOL of 0 (a point past the cap reads +inf). Then ``regula_falsi``
+    in x, to bracket collapse or an exact hit, since e^s loses log2|s| bits:
     f(x)/x nondecreasing puts the root within a factor 1 +- |r| of the
     point of least residual r (for |r| <= 1/2), so a single probe across
     that factor closes the bracket. The x stage reads the residual
@@ -178,7 +193,7 @@ def invert_increasing(f: Callable[[float], float], target: float, *, cap: float)
         v = record(x)[0]
         return math.log(v) - log_target if v > 0.0 else -math.inf
 
-    log_root(log_excess, 1.0, done=lambda e: abs(e) <= LOG_TOL)
+    log_root(log_excess, log_excess(0.0), 1.0, done=lambda e: abs(e) <= LOG_TOL)
     if best_r != 0.0:
         spread = 2.0 * abs(best_r) + 4.0 * sys.float_info.epsilon
         x, r = best_x, best_r
@@ -192,7 +207,7 @@ def invert_increasing(f: Callable[[float], float], target: float, *, cap: float)
             y = x * (1.0 - spread)
             bracket = (y, record(y)[1], x, r)
         if bracket[1] <= 0.0 < bracket[3]:
-            illinois(lambda x: record(x)[1], *bracket, done=lambda r: r == 0.0)
+            regula_falsi(lambda x: record(x)[1], *bracket, done=lambda r: r == 0.0)
     return RootResult(x=best_x, iterations=steps)
 
 
@@ -200,7 +215,7 @@ def bisect_increasing(f: Callable[[float], float], target: float, lo: float, hi:
                       *, value_tol: float = 1e-12) -> RootResult:
     """Bisection for f(x) = target, nondecreasing f on [lo, hi]: a test reference.
 
-    The library solves through ``illinois``; tests compare against this.
+    The library solves through ``regula_falsi``; tests compare against this.
     Stops when |f(mid) - target| <= value_tol * (1 + |target|), the
     interval collapses to adjacent floats, or after 200 steps. Reports as
     ``x`` the evaluated point with the smallest residual.
@@ -240,7 +255,7 @@ class MinResult:
 def golden_min(f: Callable[[float], float], lo: float, hi: float) -> MinResult:
     """Golden-section minimization of a unimodal f on [lo, hi]: a test reference.
 
-    The library's Amemiya solve is a root solve through ``illinois``;
+    The library's Amemiya solve is a root solve through ``regula_falsi``;
     tests compare against this. Runs to a relative bracket width of 1e-12
     or at most 400 steps; reports the smallest value seen.
     """

@@ -50,6 +50,7 @@ simply records where the maximum lands.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 import sys
@@ -337,8 +338,8 @@ def build_witness(inst: PorosityInstance, pair: ComplementaryPair, *,
                                                intersection=False)
         delta_g, dg_pairs = _draw_perturbation(space, *bump, rng, R, kappa_phi, kappa_psi,
                                                intersection=True)
-        h = _perturbed_abs(space, f_values, f_abs, df_pairs)
-        k = _perturbed_abs(space, g_values, g_abs, dg_pairs)
+        h = _perturbed_abs(f_values, f_abs, df_pairs)
+        k = _perturbed_abs(g_values, g_abs, dg_pairs)
         h_min = min(h.get(x, 0.0) for x in K)
         k_min = min(k.get(x, 0.0) for x in K)
         u_rad = _certified_neighborhood(k, neighborhoods, R)
@@ -439,29 +440,34 @@ def _draw_perturbation(space: GroupSpace, bump: GroupFunction, bump_cert: Platea
                         cost_psi=abs(amp) * bump_cert.cost_psi), tuple(pairs)
 
 
-def _perturbed_abs(space: GroupSpace, values: dict, values_abs: dict, pairs: tuple) -> dict:
+def _perturbed_abs(values: dict, values_abs: dict, pairs: tuple) -> dict:
     """|c + delta| on its support, in carrier order, where ``values`` maps
     supp c to c, ``values_abs`` maps it to |c|, and ``pairs`` are the
-    (point, value) pairs of delta.
+    (point, value) pairs of delta, all on one integer window.
 
-    Each value is the one ``c + delta`` would hold: c(y) + delta(y), a
-    point new to the support starting from 0j. Zeros leave the map, and
-    keys are re-sorted by the carrier's index only when delta adds a point.
+    Each value is the one ``c + delta`` would hold: c(y) + delta(y), or
+    delta(y) at a point new to the support. Zeros leave the map. A window's
+    carrier order is the order of its integers, so a new point is spliced
+    in where it bisects the points of the support.
     """
     out = dict(values_abs)
-    grew = False
+    added = []
     for y, d in pairs:
         old = values.get(y)
         if old is None:
-            grew, old = True, 0j
+            added.append((y, abs(d)))
+            continue
         v = old + d
         if v != 0:
             out[y] = abs(v)
         else:
             del out[y]
-    if grew:
-        out = {y: out[y] for y in sorted(out, key=space.index)}
-    return out
+    if not added:
+        return out
+    items = list(out.items())
+    for item in added:
+        items.insert(bisect.bisect(items, item), item)
+    return dict(items)
 
 
 def _neighborhoods(space: GroupSpace, K: tuple, r: int) -> tuple[tuple[int, tuple], ...]:

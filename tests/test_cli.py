@@ -111,7 +111,7 @@ def test_charfn_cross_check(capsys):
     code, out, _ = run_cli(capsys, "norm", "charfn", "--group", Z8,
                            "--nfunction", QUAD, "--subset", "[0,1,2,3]")
     assert code == 0
-    assert "check.closed-form-vs-illinois=pass" in out
+    assert "check.closed-form-vs-regula-falsi=pass" in out
 
 
 @pytest.mark.parametrize("group, subset, element", [
@@ -261,9 +261,9 @@ def test_a_tiny_norm_whose_solve_scale_stays_finite_keeps_its_report(capsys):
     assert out.splitlines()[4:10] == [
         "value=2.121320343559643e-308",
         "method=amemiya-min",
-        "oracle-value=2.121320343559113e-308",
+        "oracle-value=2.121320343559112e-308",
         "provenance=computed (minimization) vs computed (dual point at the Amemiya root)",
-        "check.oracle-agreement=pass slack=2.121319814e-314",
+        "check.oracle-agreement=pass slack=2.121319813e-314",
         "check.norm-equivalence=pass slack=1e-09",
     ]
 
@@ -395,7 +395,31 @@ def test_porosity_window_truncating_k_plateau_exits_3(capsys, window):
 def test_default_witness_functions_off_a_small_window_exit_3(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
     assert (code, out) == (3, "")
-    assert err == "scope error: the default indicator of [-5, 5] needs window radius 5\n"
+    assert err == ("scope error: the witness on the default indicator of [-5, 5] "
+                   "needs window radius 10\n")
+
+
+@pytest.mark.parametrize("window", range(4, 11))
+def test_default_witness_functions_name_the_window_that_runs(capsys, window):
+    # windows 4-9 once named radius 5, 7 or 10, whichever step failed first
+    code, out, err = run_cli(capsys, "porosity", "witness", "--window", str(window),
+                             "--probes", "5")
+    if window < 10:
+        assert (code, out) == (3, "")
+        assert err == ("scope error: the witness on the default indicator of [-5, 5] "
+                       "needs window radius 10\n")
+    else:
+        assert (code, err) == (0, "") and out.endswith("passed=true\n")
+
+
+def test_a_radius_past_the_default_window_is_named_without_building_it(capsys, monkeypatch):
+    built = []
+    monkeypatch.setattr(cli, "integer_window",
+                        lambda radius: built.append(radius) or integer_window(radius))
+    code, out, err = run_cli(capsys, "porosity", "witness", "--n", "100000", "--probes", "5")
+    assert (code, out) == (3, "") and built == [256]
+    assert err == ("scope error: window radius 256 cannot hold enough translate mass for "
+                   "lam(K) > 50000\n")
 
 
 def test_witness_data_off_a_small_window_stays_a_parse_error(capsys):
@@ -1485,12 +1509,12 @@ def test_pairing_just_inside_the_float_range_keeps_its_report(capsys):
         "group=Z4\n"
         "nfunction=power(p=2)\n"
         "support-size=1\n"
-        "value=3.535533905932738e+307\n"
+        "value=3.5355339059327373e+307\n"
         "method=amemiya-min\n"
         "oracle-value=3.5355339059318547e+307\n"
         "provenance=computed (minimization) vs computed (dual point at the Amemiya root)\n"
-        "check.oracle-agreement=pass slack=3.5355330227734007e+301\n"
-        "check.norm-equivalence=pass slack=8.831593369691135e+294\n"
+        "check.oracle-agreement=pass slack=3.5355330232723603e+301\n"
+        "check.norm-equivalence=pass slack=8.836582970464972e+294\n"
         "config.seed=0 (default)\n"
         "config.format=machine (default)\n"
         "config.output=None (default)\n"

@@ -2,6 +2,7 @@
 
 import importlib.util
 import io
+import math
 from contextlib import redirect_stdout
 from pathlib import Path
 
@@ -128,3 +129,47 @@ def test_parse_error_runs_exit_2(monkeypatch, capsys):
         assert cli.main(list(argv)) == 2, name
         out, err = capsys.readouterr()
         assert out == "" and err.startswith("parse error: "), name
+
+
+def test_sized_changes_give_each_numeric_move_and_the_largest_solved_one(tmp_path, monkeypatch):
+    cmp_reports = _load(monkeypatch)
+    base, change = tmp_path / "base.txt", tmp_path / "change.txt"
+    base.write_text("exit=0\nvalue=0.5\niterations=9\nmethod=illinois\nzero=0.0\n"
+                    "check.bound=pass slack=2.0 rho(f/k) <= 1\nslack.min=4.0\nsame=1.0\n")
+    change.write_text("exit=0\nvalue=0.5000000000000001\niterations=6\nmethod=regula-falsi\n"
+                      "zero=1e-300\ncheck.bound=FAIL slack=-1.0 rho(f/k) <= 1\nslack.min=5.0\n"
+                      "same=1.0\n")
+    assert cmp_reports.relative_change("0.5", "0.5000000000000001") == 2 ** -52
+    assert cmp_reports.relative_change("pass slack=2.0 detail", "FAIL slack=-1.0") == 1.5
+    assert cmp_reports.relative_change("0.0", "1e-300") == math.inf
+    assert cmp_reports.relative_change("illinois", "regula-falsi") is None
+    assert cmp_reports.relative_change("1.0", None) is None
+    assert cmp_reports.sized_changes(base, change) == (
+        "value 2.22e-16, iterations 0.333, zero inf, check.bound 1.5, slack.min 0.25; "
+        "largest non-slack: zero inf")
+    base.write_text("exit=0\nmethod=illinois\ncheck.x=pass slack=1.0\n")
+    change.write_text("exit=0\nmethod=regula-falsi\ncheck.x=pass slack=3.0\n")
+    assert cmp_reports.sized_changes(base, change) == "check.x 2"
+    change.write_text("exit=0\nmethod=regula-falsi\ncheck.x=pass slack=1.0\n")
+    assert cmp_reports.sized_changes(base, change) == ""
+
+
+def test_main_sizes_the_numeric_moves_after_the_summary(tmp_path, monkeypatch, capsys):
+    cmp_reports = _load(monkeypatch)
+    reports = {"change": {"a": "exit=0\nvalue=2.0\n", "b": "exit=0\nmethod=x\n"},
+               "base": {"a": "exit=0\nvalue=1.0\n", "b": "exit=0\nmethod=y\n"}}
+    monkeypatch.setattr(cmp_reports, "commands", lambda: {"a": [], "b": []})
+    monkeypatch.setattr(cmp_reports, "extract", lambda rev: tmp_path / "base-tree")
+    monkeypatch.setattr(cmp_reports.tempfile, "mkdtemp", lambda prefix: str(tmp_path / "out"))
+
+    def write_reports(root, runs, dest):
+        dest.mkdir(parents=True)
+        for name, text in reports[dest.name].items():
+            (dest / f"{name}.txt").write_text(text)
+
+    monkeypatch.setattr(cmp_reports, "write_reports", write_reports)
+    assert cmp_reports.main(["--base", "REV"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[:3] == ["differs: a.txt: value", "differs: b.txt: method",
+                         "0 of 2 reports identical to REV"]
+    assert lines[4:] == ["relative: a.txt: value 1; largest non-slack: value 1"]

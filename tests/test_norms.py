@@ -32,7 +32,7 @@ from orliczalg.norms import (
     orlicz_norm,
     shared_solves,
 )
-from orliczalg.numerics import golden_min, illinois
+from orliczalg.numerics import golden_min, regula_falsi
 from orliczalg.specio import pair_from_name
 
 ALL_PAIRS = [pair_from_name(name) for name in CATALOG_PAIR_NAMES]
@@ -340,7 +340,7 @@ def _oracle_maximizer(pair, f):
     """The mu-solve dual oracle: a lower end found without the Amemiya root.
 
     Solves rho_Psi(g) = 1 over g_x = (Psi')^{-1}(t |f_x|), t = 1/mu, with
-    the library's Illinois kernel (in r = t sup|f|), builds g at the
+    the library's bracket kernel (in r = t sup|f|), builds g at the
     feasible end and divides it by max(1, N_Psi(g)). Returns the pairing
     sum |f g| dlam, g and the solve's steps. ``_reference_oracle`` is the
     same program by plain bisection, too slow for a wide sweep.
@@ -364,11 +364,11 @@ def _oracle_maximizer(pair, f):
         except CapExceededError:
             return math.inf
 
-    # r doubled from 1 until infeasible, then the Illinois kernel on the excess
+    # r doubled from 1 until infeasible, then the bracket kernel on the excess
     x, lo, e_lo, steps = 1.0, 0.0, -1.0, 1
     while (e := excess(x)) <= 0.0:
         x, lo, e_lo, steps = 2.0 * x, x, e, steps + 1
-    end = illinois(excess, lo, e_lo, x, e, done=lambda v: -1e-12 <= v <= 0.0)
+    end = regula_falsi(excess, lo, e_lo, x, e, done=lambda v: -1e-12 <= v <= 0.0)
     g = g_at(end.lo / top)
     steps += end.steps
     scale = luxemburg(psi, g).value
@@ -503,6 +503,26 @@ def test_modular_passes_of_the_solves_on_the_reference_sample(counted):
                         assert passes <= 4, (pair_name, passes)
                     total += passes
     assert total <= 1100
+
+
+def test_modular_passes_of_the_norms_sweep_at_seed_21(counted):
+    # The benchmark's norms sweep on the inputs of its traced pass at seed
+    # 21: two functions per shape and pair, each through a Luxemburg, a
+    # cross-checked and a plain Orlicz solve and a chi_F norm, with no solve
+    # memo. The slope bound 1 and the Illinois kernel took 448 passes; the
+    # measured first step, the secant approach and the Anderson-Bjorck
+    # kernel take 345.
+    rng = Random(Random(21).randrange(2**31))
+    shapes = ((cyclic(64), 64), (cyclic(256), 128), (integer_window(512), 64))
+    for pair in ALL_PAIRS:
+        for space, size in shapes:
+            for _ in range(2):
+                f = random_function(space, rng, support_size=size)
+                luxemburg(pair.phi, f)
+                orlicz_norm(pair, f)
+                orlicz_norm(pair, f, cross_check=False)
+                char_fn_norm(pair.phi, space, f.support)
+    assert counted["modular"] <= 345
 
 
 @settings(max_examples=30, deadline=None)

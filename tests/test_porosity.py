@@ -332,7 +332,7 @@ def test_perturbation_that_cancels_a_value_leaves_the_support(window, box, monke
     assert (f_tilde + cancel).support == tuple(x for x in f_tilde.support if x != y)
     f_values = dict(f_tilde.items())
     f_abs = {x: abs(v) for x, v in f_tilde.items()}
-    h = porosity._perturbed_abs(window, f_values, f_abs, tuple(cancel.items()))
+    h = porosity._perturbed_abs(f_values, f_abs, tuple(cancel.items()))
     assert y not in h and list(h) == [x for x in f_abs if x != y]
     real = porosity._draw_perturbation
 
@@ -357,9 +357,53 @@ def test_perturbed_abs_equals_the_group_function_sum(window):
         if rng.random() < 0.5:      # overlap the supports
             delta = GroupFunction(window, {x: v for x, (_, v) in zip(c.support, delta.items())})
         want = {x: abs(v) for x, v in (c + delta).items()}
-        got = porosity._perturbed_abs(window, dict(c.items()),
+        got = porosity._perturbed_abs(dict(c.items()),
                                       {x: abs(v) for x, v in c.items()}, tuple(delta.items()))
         assert list(got.items()) == list(want.items())
+
+
+def _resorted_abs(space, values, values_abs, pairs):
+    """|c + delta| with the whole support re-sorted by carrier index: the
+    reference for the splice of ``_perturbed_abs``."""
+    out = dict(values_abs)
+    for y, d in pairs:
+        v = values.get(y, 0j) + d
+        if v != 0:
+            out[y] = abs(v)
+        else:
+            del out[y]
+    return {y: out[y] for y in sorted(out, key=space.index)}
+
+
+def test_perturbed_abs_splices_new_points_as_the_resort_would(window, monkeypatch):
+    rng = Random(29)
+    for _ in range(300):
+        c = random_function(window, rng, support_size=rng.randint(0, 40))
+        values = dict(c.items())
+        w = window.window_radius
+        if rng.random() < 0.5:      # an atom, on or off the support
+            y = rng.choice(c.support) if c.support and rng.random() < 0.5 \
+                else rng.randint(-w, w)
+            pairs = [(y, complex(rng.uniform(-1, 1), rng.uniform(-1, 1)))]
+        else:                       # a bump of three points
+            pos = rng.randint(-w + 1, w - 1)
+            pairs = [(pos + j, complex(rng.uniform(-1, 1), rng.uniform(-1, 1)))
+                     for j in (-1, 0, 1)]
+        for i, (y, _) in enumerate(pairs):  # cancel a value on the support
+            if y in values and rng.random() < 0.3:
+                pairs[i] = (y, -values[y])
+        pairs = tuple(pairs)
+        values_abs = {x: abs(v) for x, v in c.items()}
+        got = porosity._perturbed_abs(values, values_abs, pairs)
+        assert list(got.items()) == list(_resorted_abs(window, values, values_abs, pairs).items())
+    # the splice reads no carrier index: a window's order is its integers'
+    c = random_function(window, rng, support_size=200)
+    calls = []
+    real = type(window).index
+    monkeypatch.setattr(type(window), "index", lambda self, x: calls.append(x) or real(self, x))
+    y = next(x for x in range(-256, 257) if x not in dict(c.items()))
+    porosity._perturbed_abs(dict(c.items()), {x: abs(v) for x, v in c.items()}, ((y, 1.0 + 0j),))
+    assert calls == []
 
 
 @pytest.mark.parametrize("name", CATALOG)

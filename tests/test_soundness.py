@@ -2,19 +2,23 @@
 
 Each check recomputes what a certificate claims from outside the norm
 solves: the modular at the reported Luxemburg value in 200-bit mpmath with
-the exact Haar weight, the bracket of a one-point function against its sup
-norm, and the pointwise unit's cost against the exact cost 1 of 1_G. No
-tolerance is allowed: a certified upper end must not read below the
-quantity it bounds.
+the exact Haar weight, the Orlicz ends (the Psi-modular of the dual point
+and its pairing against the Amemiya objective) the same way, the bracket
+of a one-point function against its sup norm, and the pointwise unit's
+cost against the exact cost 1 of 1_G. No tolerance is allowed where a
+certified end must not cross the quantity it bounds; the reported Orlicz
+value, a float objective, is held to the rounding of its sum.
 """
 
 import io
+import sys
 from contextlib import redirect_stdout
 from random import Random
 
 import mpmath
 
 import orliczalg.cli as cli
+import orliczalg.norms as norms
 from orliczalg.algebra import algebra_norm_upper
 from orliczalg.groups import (
     GroupFunction,
@@ -86,3 +90,49 @@ def test_pointwise_unit_cost_on_z6_cosh_is_at_least_one():
                          "--nfunction", '{"kind": "cosh"}']) == 0
     report = dict(line.split("=", 1) for line in out.getvalue().splitlines())
     assert float(report["pointwise-unit-cost"]) >= 1.0
+
+
+#: Psi of each catalog pair in mpmath: the complement of EXACT_PHI
+EXACT_PSI = {
+    "power-2": lambda y: y * y / 2,
+    "power-3": lambda y: 2 * y * mpmath.sqrt(y) / 3,
+    "entropy": lambda y: mpmath.expm1(y) - y,
+    "cosh": lambda y: y * mpmath.asinh(y) - mpmath.sqrt(1 + y * y) + 1,
+}
+
+
+def _exact_abs(v):
+    if not v.imag:
+        return mpmath.mpf(abs(v.real))
+    return mpmath.sqrt(mpmath.mpf(v.real) ** 2 + mpmath.mpf(v.imag) ** 2)
+
+
+def test_orlicz_ends_are_sound_in_exact_arithmetic():
+    # The dual point g = phi(k |f|) at the Amemiya solve's feasible end k is
+    # Psi-feasible, so by Young's inequality its pairing with f is at most
+    # the objective (1 + rho_Phi(k f)) / k at that evaluated k; the reported
+    # value is the least objective evaluated, within the rounding of an
+    # n-term sum of that exact objective.
+    problems = []
+    with mpmath.workprec(200):
+        for space in (cyclic(64), cyclic(4096)):
+            w = mpmath.mpf(1) / space.size
+            for seed in range(10):
+                f = random_function(space, Random(seed))
+                f_abs = {x: _exact_abs(v) for x, v in f.items()}
+                rounding = (len(f.support) + 4) * sys.float_info.epsilon
+                for name in CATALOG_PAIR_NAMES:
+                    pair, phi, psi = pair_from_name(name), EXACT_PHI[name], EXACT_PSI[name]
+                    value, r, _, past_cap = norms._amemiya_solve(pair.phi, f)
+                    k = r / f.sup_norm()
+                    _, g, _ = norms._dual_point(pair, f, k)
+                    k = mpmath.mpf(k)
+                    g_abs = {x: _exact_abs(v) for x, v in g.items()}
+                    rho_psi = mpmath.fsum(psi(a) for a in g_abs.values()) * w
+                    pairing = mpmath.fsum(a * g_abs[x] for x, a in f_abs.items()) * w
+                    objective = (1 + mpmath.fsum(phi(k * a) for a in f_abs.values()) * w) / k
+                    if past_cap or rho_psi > 1 or pairing > objective or \
+                            abs(value - objective) > rounding * objective:
+                        problems.append((name, space.name, seed, float(rho_psi),
+                                         float(objective - pairing), float(value - objective)))
+    assert problems == []
