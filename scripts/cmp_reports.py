@@ -3,44 +3,18 @@
     python3 scripts/cmp_reports.py --base REV
 
 The base revision is extracted with ``git archive`` into a temporary
-directory (``bench_pairs.extract``). Both sides run the same commands:
-``suite --seed 7``, ``21`` and ``901``; ``porosity witness --probes 100``
-at seeds 3 and 13 for each catalog pair, and once more each with complex
-``--f``/``--g`` on [-5, 5] and with ``--v-radius 2 --window 64``;
-``porosity witness --window 4`` and ``suite --groups Zwindow4 --pairs
-power-2``, whose default f and g do not fit the window (exit 3);
-``nfunc check`` for each catalog pair in both constructions and for a
-custom table that ends at 10, ``group check`` on Z1 and Z2xZ2xZ3 and
-``characters brute`` on Z1, which print one by one the clauses that the
-suite shows only as folded minima; for that table and for one with a
-flat run of equal slopes, ``nfunc conjugate``, ``norm orlicz`` and
-``aphi bound`` on Z8 and ``unit check`` on Z6, which read the table's
-closed-form derivative inverse; ``characters enumerate`` and
-``characters brute`` on Z16 listed by element order, whose greedy
-generators are dependent, ``characters enumerate`` on Z2xZ4xZ3, and
-``group leptin`` on Zwindow16 with a compact set whose KU leaves the
-window (exit 3, naming the minimal radius); ``aphi plateau`` on
-Zwindow16 with the set [0] under power-2 at eps = 1e150 and under
-entropy at eps = 1e50, and ``unit check`` on Z6 under cosh at eps =
-1e20, whose t = 1/((1+eps) lam(V)) is a normal float far below 1, where
-Phi^{-1} once read 0; the inputs that exit 2 as malformed
-(``nfunc conjugate`` under entropy at ``--points 688`` and under power-1.5
-at ``--points 1.2e100``, past phi(Phi's domain cap), and ``nfunc check``
-with p = 1 and with a 2-row table); ``--help`` of the root, of
-each command and of each verb, which checks the argument layer; and
-every golden run of the working tree's ``tests/test_golden.py``. Each
-report is the exit code, the standard output and the standard error
-(each line prefixed ``stderr=``) of one command. The script names each
-report that differs, with the keys whose values differ (as ``tests/test_golden.py``
-does when it rewrites a golden), or that only one side has, and exits 1
-if any does, else 0. A key whose value parses as a number on both sides
-(a check's value as its slack) is then sized, one line per report, by
-its relative change |change - base| / |base|, and the line ends with the
-report's largest relative change among the keys that are not slacks
-(``check.*`` and the suite's ``slack.*``).
-Reports are written to a new temporary directory, which is removed when
-every report matches and kept, with its path printed, when one differs.
-Standard library only.
+directory (``bench_pairs.extract``), and both sides run the same commands:
+the suite and witness runs at fixed seeds, ``nfunc check`` of each catalog
+pair in both constructions, one table of runs per edge that a change has
+touched (each table's comment names its inputs and the exit code it
+expects), ``--help`` of every command and verb, and every golden run of
+the working tree's ``tests/test_golden.py``. Each report is the exit code,
+the standard output and the standard error (each line prefixed
+``stderr=``) of one command. The script names each report that differs,
+with the keys whose values differ or that only one side has, and sizes
+each numeric change by |change - base| / |base|; it exits 1 if any report
+differs, else 0. Reports are kept in a temporary directory, with its path
+printed, only when one differs. Standard library only.
 """
 from __future__ import annotations
 
@@ -149,6 +123,30 @@ PARSE_ERROR_RUNS = {
                                    '{"kind": "custom", "table": [[0, 0, 0], [1, 0.5, 1]]}'],
 }
 
+Z4 = '{"type": "Zn", "n": 4}'
+#: custom tables with domain caps 2 and 1
+TABLE_TO_2 = '{"kind": "custom", "table": [[0, 0, 0], [1, 0.5, 1], [2, 2, 2]]}'
+TABLE_TO_1 = '{"kind": "custom", "table": [[0, 0, 0], [0.5, 0.125, 0.5], [1, 0.5, 1]]}'
+#: values that leave a table's domain: a scope error (exit 3)
+CAP_RUNS = {
+    "norm-modular-Z4-past-the-cap": ["norm", "modular", "--group", Z4, "--nfunction", TABLE_TO_2,
+                                     "--function", "[[0, 5, 0]]"],
+    "norm-charfn-Z4-past-the-cap": ["norm", "charfn", "--group", Z4, "--nfunction", TABLE_TO_2,
+                                    "--subset", "[0]"],
+    "aphi-submult-Z4-past-the-cap": ["aphi", "submult", "--group", Z4, "--nfunction", TABLE_TO_1,
+                                     "--left", "[[0, 1, 0]]", "--right", "[[1, 1, 0]]"],
+    "unit-check-Z4-past-the-cap": ["unit", "check", "--group", Z4, "--nfunction", TABLE_TO_1],
+}
+#: the character search under a zero slack tolerance (exit 0), and a power
+#: spec whose p is a JSON string (exit 2)
+INPUT_RUNS = {
+    "characters-brute-Z12-tol-slack0": ["characters", "brute", "--group",
+                                        '{"type": "Zn", "n": 12}', "--tol-slack", "0"],
+    "norm-luxemburg-Z4-power-p-string": ["norm", "luxemburg", "--group", Z4, "--nfunction",
+                                         '{"kind": "power", "p": "3"}',
+                                         "--function", "[[0, 1, 0]]"],
+}
+
 #: every command and its verbs, for the --help runs
 COMMAND_VERBS = {
     "nfunc": ("conjugate", "check"),
@@ -192,6 +190,8 @@ def commands() -> dict[str, list[str]]:
     runs.update(SMALL_T_RUNS)
     runs.update(TABLE_RUNS)
     runs.update(PARSE_ERROR_RUNS)
+    runs.update(CAP_RUNS)
+    runs.update(INPUT_RUNS)
     runs.update(HELP_RUNS)
     runs.update({f"golden-{name}": list(argv) for name, argv in golden["runs"].items()})
     return runs

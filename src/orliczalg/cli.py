@@ -85,12 +85,15 @@ from .numerics import geometric_grid
 from .porosity import build_witness, make_instance
 from .specio import (
     Report,
+    _check_keys,
     _decode_element,
     finite_float,
     function_from_rows,
     function_to_rows,
     group_from_name,
     group_from_spec,
+    json_int,
+    json_number,
     pair_from_name,
     pair_from_spec,
     read_json,
@@ -128,12 +131,14 @@ def _load_config(args: argparse.Namespace) -> RunConfig:
     path = os.environ.get(CONFIG_ENV)
     if path:
         data = read_json(path)
-        unknown = set(data) - set(CONFIG_KEYS)
-        if unknown:
-            raise SpecFormatError(f"config file: unknown keys {sorted(unknown)}")
+        _check_keys(data, set(), set(CONFIG_KEYS), "config file")
         for key, value in data.items():
             if key in ("tol_slack", "tol_value"):
-                value = finite_float(value, f"config file: {key}")
+                value = json_number(value, f"config file: {key}")
+            elif key == "seed":
+                value = json_int(value, "config file: seed")
+            elif key == "output" and not isinstance(value, str):
+                raise SpecFormatError(f"config file: output must be a string, got {value!r}")
             setattr(cfg, key, value)
             cfg.defaulted.discard(key)
     for key in CONFIG_KEYS:
@@ -218,7 +223,7 @@ def _run_nfunc(args, cfg: RunConfig, rep: Report) -> None:
     else:
         points = _parse_points(args.points, pair)
     for y in points:
-        value = conjugate_value(pair.phi, y)[0]
+        value = conjugate_value(pair.phi, y)
         rep.add(f"conjugate.{y:g}", value)
         closed = pair.psi(y)
         tol = 1e-6 * (1.0 + abs(closed))
@@ -449,8 +454,7 @@ def _run_characters(args, cfg: RunConfig, rep: Report) -> None:
     space = group_from_spec(args.group)
     rep.add("group", space.name)
     enumerated = enumerate_characters(space)
-    searched = (None if args.verb == "enumerate"
-                else multiplicative_functional_search(space, tolerance=cfg.tol_slack))
+    searched = None if args.verb == "enumerate" else multiplicative_functional_search(space)
     *agree, complete = character_checks(space, enumerated, searched)
     chosen = enumerated if searched is None else searched
     rep.record(*agree)
@@ -518,8 +522,7 @@ def _run_suite(args, cfg: RunConfig, rep: Report) -> None:
         if not space.is_window and space.is_abelian:
             try:
                 entry(f"characters.{gname}", *character_checks(
-                    space, enumerate_characters(space),
-                    multiplicative_functional_search(space, tolerance=cfg.tol_slack)))
+                    space, enumerate_characters(space), multiplicative_functional_search(space)))
             except ScopeError as exc:  # past the enumeration's or the search's limit
                 out_of_scope.append((f"characters.{gname}", str(exc)))
 
@@ -703,7 +706,7 @@ def main(argv: list[str] | None = None) -> int:
     except SpecFormatError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2
-    except (ScopeError, InfeasibleWindowError) as exc:
+    except ScopeError as exc:
         print(f"scope error: {exc}", file=sys.stderr)
         return 3
     except TheoremContradictionError as exc:

@@ -1,7 +1,8 @@
 """Semantic exception hierarchy and the check clause, shared by all modules.
 
 Exit-code mapping used by the CLI: parse problems exit 2, scope problems
-exit 3, a surfaced contradiction of a verified inequality exits 4.
+(CapExceededError and InfeasibleWindowError among them) exit 3, a
+contradiction of a verified inequality exits 4, any other error exits 1.
 
 ``CheckResult`` lives in this bottom module so that every module builds the
 check clauses on its own data; reports only print them.
@@ -48,7 +49,7 @@ class ScopeError(OrliczAlgebraError):
     enumerator)."""
 
 
-class CapExceededError(OrliczAlgebraError, OverflowError):
+class CapExceededError(ScopeError, OverflowError):
     """Evaluation past the numeric domain cap of an N-function."""
 
 
@@ -57,7 +58,7 @@ class InvalidNFunctionError(OrliczAlgebraError, ValueError):
     strict monotonicity)."""
 
 
-class InfeasibleWindowError(OrliczAlgebraError):
+class InfeasibleWindowError(ScopeError):
     """The window is too small to carry out a construction; carries the
     estimated minimal radius when one is known."""
 

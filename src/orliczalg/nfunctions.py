@@ -272,30 +272,21 @@ def from_table(rows: Sequence[Sequence[float]]) -> NFunction:
 # conjugation
 # ---------------------------------------------------------------------------
 
-def conjugate_value(phi: NFunction, y: float) -> tuple[float, bool]:
-    """(sup_{x in [0, cap]} x|y| - Phi(x), truncated?).
-
-    ``truncated`` is True when |y| is beyond the derivative's range within
-    the domain cap, so the reported supremum is cap-limited.
-    """
+def conjugate_value(phi: NFunction, y: float) -> float:
+    """sup_{x in [0, cap]} x|y| - Phi(x), attained at x = phi'^{-1}(|y|) for the
+    |y| up to phi(Phi's domain cap) that every caller keeps to."""
     a = abs(y)
     if a == 0.0:
-        return 0.0, False
-    if phi.derivative(phi.domain_cap) < a:
-        x = phi.domain_cap
-        return x * a - phi.evaluate(x), True
+        return 0.0
     x = min(phi.derivative_inverse(a), phi.domain_cap)  # the inverse may round past the cap
-    return x * a - phi.evaluate(x), False
+    return x * a - phi.evaluate(x)
 
 
 def conjugate(phi: NFunction) -> NFunction:
     """Numeric complementary N-function of phi, evaluated on demand on
     [0, phi'(Phi's domain cap)], where the supremum is attained."""
-
-    def ev(y: float) -> float:
-        return conjugate_value(phi, y)[0]
-
-    return NFunction(label=f"conjugate({phi.label})", evaluate=ev,
+    return NFunction(label=f"conjugate({phi.label})",
+                     evaluate=lambda y: conjugate_value(phi, y),
                      derivative=phi.derivative_inverse,
                      domain_cap=phi.derivative(phi.domain_cap),
                      derivative_inverse=phi.derivative)

@@ -407,10 +407,10 @@ def _draw_perturbation(space: GroupSpace, bump: GroupFunction, bump_cert: Platea
     The scale is chosen so that the certified cost bound (Phi side, or
     the sum of both sides for intersection budgets) is eta * R/32 with
     eta < BALL_SAFETY, which keeps the probe strictly inside the ball.
-    Plateau summands are ``bump`` moved to the drawn position, under
-    ``bump_cert``: the pairs are (pos y, amp v) for each (y, v) of the
-    bump, the values ``translate_left(pos, bump).scale(amp)`` holds, and
-    like that function they leave out a zero value.
+    Plateau summands are ``bump``, which the window holds at every probe
+    position, moved to the drawn position under ``bump_cert``: the pairs
+    are (pos + y, amp v) for each (y, v) of the bump with amp v nonzero,
+    the values ``translate_left(pos, bump).scale(amp)`` holds.
     """
     w = space.window_radius
     eta = rng.uniform(0.0, BALL_SAFETY)
@@ -428,16 +428,10 @@ def _draw_perturbation(space: GroupSpace, bump: GroupFunction, bump_cert: Platea
     unit_cost = (bump_cert.cost_phi + bump_cert.cost_psi) if intersection \
         else bump_cert.cost_phi
     amp = (budget / unit_cost) * phase
-    pairs = []
-    for y, v in bump.items():
-        x = space.try_mul(pos, y)
-        if x is None:
-            raise InfeasibleWindowError(f"the probe bump at {pos} exits the window")
-        if (d := amp * v):
-            pairs.append((x, d))
+    pairs = tuple((pos + y, d) for y, v in bump.items() if (d := amp * v))
     return Perturbation(kind="plateau", position=pos, amplitude=amp,
                         cost_phi=abs(amp) * bump_cert.cost_phi,
-                        cost_psi=abs(amp) * bump_cert.cost_psi), tuple(pairs)
+                        cost_psi=abs(amp) * bump_cert.cost_psi), pairs
 
 
 def _perturbed_abs(values: dict, values_abs: dict, pairs: tuple) -> dict:

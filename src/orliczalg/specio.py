@@ -19,10 +19,10 @@ A pair spec is an N-function spec; catalog kinds get their closed-form
 complements, custom tables a numeric conjugate, and
 {"construction": "numeric"} forces the numeric route for any kind. Each
 kind takes only its own keys, "construction" is "closed-form" (not for
-custom tables) or "numeric", and every number must be finite. A spec
-whose values build no N-function (p <= 1, a table that is not convex
-or whose value column disagrees with its derivative) is malformed input
-too: a SpecFormatError.
+custom tables) or "numeric", and every number must be a finite JSON
+number, not a string or a bool. A spec whose values build no N-function
+(p <= 1, a table that is not convex or whose value column disagrees
+with its derivative) is malformed input too: a SpecFormatError.
 
 Function data files are rows [element, re, im]; elements of product
 groups are written as (nested) lists.
@@ -81,6 +81,8 @@ def read_json(source: str | Path) -> Any:
     except json.JSONDecodeError as exc:
         raise SpecFormatError(f"{name}: {exc.msg}", line=exc.lineno,
                               column=exc.colno) from exc
+    except ValueError as exc:  # an integer literal past the digit limit of int()
+        raise SpecFormatError(f"{name}: {exc}") from None
 
 
 def write_text(path: str, text: str) -> None:
@@ -96,11 +98,18 @@ def finite_float(value: Any, what: str = "value") -> float:
     a ValueError, which argparse reports as a usage error (exit 2)."""
     try:
         number = float(value)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         number = math.nan
     if not math.isfinite(number):
         raise SpecFormatError(f"{what} must be a finite number, got {value!r}")
     return number
+
+
+def json_number(value: Any, what: str) -> float:
+    """A finite JSON int or float as a float, else SpecFormatError (a bool or string too)."""
+    if type(value) not in (int, float):  # a bool is an int, but no JSON number
+        raise SpecFormatError(f"{what} must be a finite number, got {value!r}")
+    return finite_float(value, what)
 
 
 def json_int(value: Any, what: str) -> int:
@@ -209,7 +218,7 @@ def pair_from_spec(spec: Any) -> ComplementaryPair:
     numeric = construction == "numeric"
     try:
         if kind == "power":
-            p = finite_float(spec["p"], "power spec: 'p'")
+            p = json_number(spec["p"], "power spec: 'p'")
             return numeric_pair(power(p)) if numeric else pair_power(p)
         if kind == "entropy":
             return numeric_pair(entropy()) if numeric else pair_entropy()
@@ -219,7 +228,7 @@ def pair_from_spec(spec: Any) -> ComplementaryPair:
         if not isinstance(table, list) or any(not isinstance(r, list) or len(r) != 3
                                               for r in table):
             raise SpecFormatError("custom spec: 'table' must be a list of [x, value, slope] rows")
-        return numeric_pair(from_table([[finite_float(v, f"custom spec: table row {i}")
+        return numeric_pair(from_table([[json_number(v, f"custom spec: table row {i}")
                                          for v in row] for i, row in enumerate(table)]))
     except InvalidNFunctionError as exc:  # the spec's values build no N-function
         raise SpecFormatError(str(exc)) from None
@@ -229,7 +238,7 @@ def pair_from_name(name: str) -> ComplementaryPair:
     """The catalog pair of a battery name ("power-<p>", "entropy", "cosh"),
     through its N-function spec; a bad name is a SpecFormatError."""
     if name.startswith("power-"):
-        return pair_from_spec({"kind": "power", "p": name[len("power-"):]})
+        return pair_from_spec({"kind": "power", "p": finite_float(name[len("power-"):], name)})
     return pair_from_spec({"kind": name})
 
 
@@ -245,13 +254,12 @@ def function_from_rows(space: GroupSpace, rows: Any) -> GroupFunction:
         x = _decode_element(row[0], f"function data row {i}")
         if not space.contains(x):
             raise SpecFormatError(f"function data row {i}: {x!r} not in {space.name}")
+        if any(type(v) not in (int, float) for v in row[1:]):
+            raise SpecFormatError(f"function data row {i}: values must be numbers")
         try:
-            real, imag = float(row[1]), float(row[2])
-        except (TypeError, ValueError):
-            raise SpecFormatError(f"function data row {i}: values must be numbers") from None
-        if not (math.isfinite(real) and math.isfinite(imag)):
-            raise SpecFormatError(f"function data row {i}: non-finite value")
-        vals[x] = complex(real, imag)
+            vals[x] = complex(*(finite_float(v) for v in row[1:]))
+        except SpecFormatError:
+            raise SpecFormatError(f"function data row {i}: non-finite value") from None
     return GroupFunction(space, vals)
 
 

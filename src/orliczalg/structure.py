@@ -12,19 +12,19 @@ Characters of the convolution algebra on a finite abelian group are the
 functionals u -> sum_x u(x) w(x) lam(x) for group homomorphisms w into
 roots of unity. Two independent routes are provided: enumeration by
 extension along greedy generators (each character of the span so far
-extends in exactly m ways to the next generator of order m modulo that
-span, so |G| characters and |G|^2 exponents are built, at most
-CARRIER_LIMIT of them; each character is checked on the generators,
-which implies the full table) and an exhaustive search over
-root-of-unity weight vectors constrained only by multiplicativity on
-point masses. Neither route calls or counts the
-other: ``character_checks`` compares them and checks |characters| = |G|.
-Both use exact exponent arithmetic modulo the group exponent; complex
-values appear only in reports. The search assigns exponents depth-first
-in carrier order and cuts a branch as soon as an assigned table triple
-breaks multiplicativity; it stops with a ScopeError after
-SEARCH_NODE_LIMIT exponent trials, or before it builds its table when
-(|G| - 1) L trials, its least count, already pass that cap.
+extends in exactly m ways to the next generator, the first element outside
+it, of order m modulo it, so |G| characters and |G|^2 exponents are built,
+at most CARRIER_LIMIT of them; each character is checked on the generators,
+which implies the full table) and an exhaustive search over root-of-unity
+weight vectors constrained only by multiplicativity on point masses.
+Neither route calls or counts the other: ``character_checks`` compares them
+and checks |characters| = |G|. Both use exact exponent arithmetic modulo
+the group exponent; complex values appear only in reports. The search
+assigns exponents depth-first in closure order and cuts a branch as soon as
+an assigned table triple breaks multiplicativity; it stops with a
+ScopeError after SEARCH_NODE_LIMIT exponent trials, or before it builds its
+table when (|G| - 1) L trials, its least count, already pass that cap. Its
+float spot-check of the pairing holds to PAIRING_TOL, not to a run's flags.
 """
 
 from __future__ import annotations
@@ -59,6 +59,7 @@ TRANSLATION_COST_TOL = 1e-12
 DOMINATION_TOL = 1e-9
 #: most exponent trials (search nodes) the character search makes before it stops
 SEARCH_NODE_LIMIT = 2 ** 21
+PAIRING_TOL = 1e-9  # |lhs - rhs| allowed in the search's float spot-check
 
 
 def _translated_decomposition(d: Decomposition, t, side: str) -> Decomposition:
@@ -247,33 +248,13 @@ def _require_finite_abelian(space: GroupSpace, what: str) -> None:
                          f"non-commuting pair {a!r}, {b!r}")
 
 
-def _greedy_generators(space: GroupSpace) -> list:
-    """Generators in carrier order: each element outside the span of the
-    earlier ones joins, so together they generate G."""
-    generators: list = []
-    span = {space.identity}
-    for x in space.elements:
-        if x in span:
-            continue
-        generators.append(x)
-        new = set(span)
-        acc = x
-        while True:
-            frontier = {space.mul(y, acc) for y in span}
-            if frontier <= new:
-                break
-            new |= frontier
-            acc = space.mul(acc, x)
-        span = new
-    return generators
-
-
 def enumerate_characters(space: GroupSpace) -> CharacterSet:
     """All homomorphisms w: G -> roots of unity, by extension along greedy generators.
 
-    With H the span of the earlier generators, g the next one and m the
-    order of g modulo H, a character w of H extends to H<g> in exactly m
-    ways: w(g) = s with m s = w(g^m) (mod L), that is s = w(g^m)/m + k L/m
+    The next generator g is the first element, in carrier order, outside
+    H, the span of the earlier generators. With m the order of g modulo
+    H, a character w of H extends to H<g> in exactly m ways:
+    w(g) = s with m s = w(g^m) (mod L), that is s = w(g^m)/m + k L/m
     for k < m (m divides L and w(g^m)), and w(h g^j) = w(h) + j s on the
     cosets H g^j, j < m. Every extension is a character, so the last step
     yields exactly |G| of them. The |G|^2 exponents built are checked
@@ -286,11 +267,14 @@ def enumerate_characters(space: GroupSpace) -> CharacterSet:
         raise ScopeError(f"character enumeration on {space.name} builds {space.size ** 2} "
                          f"exponents, past the carrier limit of {CARRIER_LIMIT}")
     L, _ = group_exponent(space)
-    generators = _greedy_generators(space)
+    generators = []
     span = [space.identity]  # H, in the order of the exponent lists below
     where = {space.identity: 0}
     tables = [[0]]  # the characters of H, as exponents along span
-    for g in generators:
+    for g in space.elements:
+        if g in where:
+            continue
+        generators.append(g)
         powers, acc = [], g
         while acc not in where:  # g, ..., g^(m-1) lie outside H, g^m in it
             powers.append(acc)
@@ -341,8 +325,7 @@ def _closure_order(n: int, e_idx: int, products: dict) -> list[int]:
     return order
 
 
-def multiplicative_functional_search(space: GroupSpace,
-                                     tolerance: float = 1e-9) -> CharacterSet:
+def multiplicative_functional_search(space: GroupSpace) -> CharacterSet:
     """Independent oracle: exhaustive root-of-unity weight search, pruned.
 
     Solves phi(delta_s * delta_t) = phi(delta_s) phi(delta_t) for a
@@ -357,7 +340,7 @@ def multiplicative_functional_search(space: GroupSpace,
     triple (a, b, ab) is checked at the depth that assigns its last
     member, so every vector that survives the last depth satisfies the
     whole table and every vector that is cut breaks it.
-    ``tolerance`` gates a float spot-check of the convolution identity.
+    A float spot-check of the convolution identity holds to PAIRING_TOL.
     Raises ScopeError after SEARCH_NODE_LIMIT exponent trials, and before
     building the table when (|G| - 1) L trials pass it: the all-zero vector
     passes every triple, so the search tries all L exponents at each of
@@ -416,12 +399,11 @@ def multiplicative_functional_search(space: GroupSpace,
     # float spot-check: the pairing is multiplicative on point masses
     rng = Random(0)
     for c in result.characters:
-        s = rng.choice(space.elements)
-        t = rng.choice(space.elements)
+        s, t = rng.choice(space.elements), rng.choice(space.elements)
         ds, dt = GroupFunction.delta(space, s), GroupFunction.delta(space, t)
         lhs = c.pairing(convolve(ds, dt))
         rhs = c.pairing(ds) * c.pairing(dt)
-        if abs(lhs - rhs) > tolerance:
+        if abs(lhs - rhs) > PAIRING_TOL:
             raise OrliczAlgebraError(
                 f"pairing multiplicativity broke at ({s!r}, {t!r}): |{lhs} - {rhs}|")
     return result

@@ -677,7 +677,9 @@ def test_suite_with_a_group_beyond_the_search_limit_exits_3(capsys, monkeypatch)
 
 @pytest.mark.parametrize("norm_verb", ["modular", "luxemburg", "orlicz"])
 @pytest.mark.parametrize("row", ["[[0, NaN, 0]]", "[[0, Infinity, 0]]",
-                                 "[[1, 0.5, -Infinity]]"])
+                                 "[[1, 0.5, -Infinity]]",
+                                 pytest.param("[[0, 1" + "0" * 400 + ", 0]]",
+                                              id="integer-past-the-floats")])
 def test_non_finite_function_data_exits_2(capsys, norm_verb, row):
     code, out, err = run_cli(capsys, "norm", norm_verb, "--group", Z8,
                              "--nfunction", QUAD, "--function", row)
@@ -686,7 +688,8 @@ def test_non_finite_function_data_exits_2(capsys, norm_verb, row):
     assert "non-finite value" in err
 
 
-@pytest.mark.parametrize("row", ['[[0, "a", 0]]', "[[0, null, 0]]", "[[0, 1, [2]]]"])
+@pytest.mark.parametrize("row", ['[[0, "a", 0]]', "[[0, null, 0]]", "[[0, 1, [2]]]",
+                                 '[[0, "0.5", 0]]', "[[0, 0.5, true]]", "[[0, false, 0]]"])
 def test_non_numeric_function_data_exits_2(capsys, row):
     code, out, err = run_cli(capsys, "norm", "luxemburg", "--group", Z8,
                              "--nfunction", QUAD, "--function", row)
@@ -1033,7 +1036,7 @@ def test_non_finite_float_flag_exits_2(capsys, argv):
     assert "invalid finite_float value" in captured.err
 
 
-@pytest.mark.parametrize("value", ["NaN", "Infinity", '"x"'])
+@pytest.mark.parametrize("value", ["NaN", "Infinity", '"x"', '"1e-3"', "true"])
 def test_non_finite_config_tolerance_exits_2(capsys, monkeypatch, tmp_path, value):
     config = tmp_path / "config.json"
     config.write_text(f'{{"tol_value": {value}}}', encoding="utf-8")
@@ -1065,8 +1068,17 @@ def test_charfn_empty_subset_exits_2(capsys):
     ('{"kind": "custom", "table": [[0,0,0],[1,0.5,1],[2,2,Infinity]]}',
      "table row 2 must be a finite number"),
     ('{"kind": "custom", "table": [[0,0,0],[1,0.5]]}', "[x, value, slope] rows"),
+    ('{"kind": "power", "p": "3"}', "'p' must be a finite number, got '3'"),
+    ('{"kind": "power", "p": true}', "'p' must be a finite number, got True"),
+    ('{"kind": "power", "p": 1' + "0" * 400 + "}", "'p' must be a finite number"),
+    ('{"kind": "custom", "table": [[0,0,0],[true,"0.5",1],[2,2,2]]}',
+     "table row 1 must be a finite number, got True"),
+    ('{"kind": "custom", "table": [[0,0,0],[1,"0.5",1],[2,2,2]]}',
+     "table row 1 must be a finite number, got '0.5'"),
 ], ids=["construction-typo", "custom-closed-form", "cosh-foreign-keys", "entropy-p",
-        "power-table", "nan-p", "nan-table-value", "inf-table-slope", "short-row"])
+        "power-table", "nan-p", "nan-table-value", "inf-table-slope", "short-row",
+        "string-p", "bool-p", "integer-past-the-floats-p", "bool-table-value",
+        "string-table-value"])
 def test_strict_pair_spec_exits_2(capsys, spec, message):
     code, out, err = run_cli(capsys, "nfunc", "check", "--nfunction", spec)
     assert code == 2
@@ -1574,3 +1586,106 @@ def test_ball_radius_whose_square_leaves_the_floats_exits_2(capsys, radius):
     assert (code, out) == (2, "")
     assert err == (f"parse error: ball radius R = {float(radius):g} puts R^2 or 512 n / R^2 "
                    "outside the positive floats\n")
+
+
+# -- exit codes that name the fault --------------------------------------------
+
+#: custom tables with domain caps 2 and 1
+TABLE_TO_2 = '{"kind": "custom", "table": [[0, 0, 0], [1, 0.5, 1], [2, 2, 2]]}'
+TABLE_TO_1 = '{"kind": "custom", "table": [[0, 0, 0], [0.5, 0.125, 0.5], [1, 0.5, 1]]}'
+Z4 = '{"type": "Zn", "n": 4}'
+#: runs whose value leaves a table's domain: a scope error, not a failed check
+CAP_RUNS = {
+    "norm-modular-Z4-past-the-cap": ("norm", "modular", "--group", Z4, "--nfunction", TABLE_TO_2,
+                                     "--function", "[[0, 5, 0]]"),
+    "norm-charfn-Z4-past-the-cap": ("norm", "charfn", "--group", Z4, "--nfunction", TABLE_TO_2,
+                                    "--subset", "[0]"),
+    "aphi-submult-Z4-past-the-cap": ("aphi", "submult", "--group", Z4, "--nfunction", TABLE_TO_1,
+                                     "--left", "[[0, 1, 0]]", "--right", "[[1, 1, 0]]"),
+    "unit-check-Z4-past-the-cap": ("unit", "check", "--group", Z4, "--nfunction", TABLE_TO_1),
+}
+
+
+@pytest.mark.parametrize("argv, message", [
+    (CAP_RUNS["norm-modular-Z4-past-the-cap"], "|f(0)| = 5 exceeds the domain cap"),
+    (CAP_RUNS["norm-charfn-Z4-past-the-cap"], "t = 4 above Phi(domain cap) = 2"),
+    (CAP_RUNS["aphi-submult-Z4-past-the-cap"], "t = 1 above Phi(domain cap) = 0.5"),
+    (CAP_RUNS["unit-check-Z4-past-the-cap"], "t = 1 above Phi(domain cap) = 0.5"),
+], ids=list(CAP_RUNS))
+def test_a_value_past_the_domain_cap_exits_3(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (3, "")
+    assert err == f"scope error: tabulated: {message}\n"
+
+
+def test_zero_slack_tolerance_leaves_the_character_search_alone(capsys):
+    # the search's spot-check of the pairing on Z12 meets rounding of about
+    # 1e-18, which a zero --tol-slack once turned into an error (exit 1)
+    code, out, err = run_cli(capsys, "characters", "brute", "--group",
+                             '{"type": "Zn", "n": 12}', "--tol-slack", "0")
+    assert (code, err) == (0, "")
+    assert "count=12\n" in out and out.endswith("passed=true\n")
+
+
+def test_suite_at_zero_slack_tolerance_reports_every_entry(capsys):
+    # unlike the negative control on an empty battery, Z6 reaches the search
+    code, out, err = run_cli(capsys, "suite", "--groups", "Z6", "--pairs", "power-2",
+                             "--tol-slack", "0")
+    assert (code, err) == (1, "")
+    entries = [line for line in out.splitlines() if line.startswith("check.")]
+    assert len(entries) == 8 and "checks-total=8\n" in out
+    assert [line for line in entries if "=FAIL " in line] == [
+        next(line for line in entries if line.startswith("check.inverse-product.power-2="))]
+
+
+@pytest.mark.parametrize("config, message", [
+    ('{"seed": [1]}', "config file: seed must be an integer, got [1]"),
+    ('{"seed": "abc"}', "config file: seed must be an integer, got 'abc'"),
+    ('{"seed": 1.5}', "config file: seed must be an integer, got 1.5"),
+    ('{"seed": true}', "config file: seed must be an integer, got True"),
+    ('{"output": 5}', "config file: output must be a string, got 5"),
+    ('{"output": null}', "config file: output must be a string, got None"),
+], ids=["seed-list", "seed-string", "seed-float", "seed-bool", "output-number", "output-null"])
+def test_config_value_of_the_wrong_type_exits_2(capsys, monkeypatch, tmp_path, config, message):
+    path = tmp_path / "config.json"
+    path.write_text(config, encoding="utf-8")
+    monkeypatch.setenv(cli.CONFIG_ENV, str(path))
+    code, out, err = run_cli(capsys, "group", "check", "--group", Z8)
+    assert (code, out, err) == (2, "", f"parse error: {message}\n")
+
+
+def test_config_values_of_their_types_are_echoed_as_set(capsys, monkeypatch, tmp_path):
+    path = tmp_path / "config.json"
+    path.write_text('{"seed": 5, "tol_slack": 0, "tol_value": 1e-10, "output": "'
+                    + str(tmp_path / "report.txt") + '"}', encoding="utf-8")
+    monkeypatch.setenv(cli.CONFIG_ENV, str(path))
+    code, out, err = run_cli(capsys, "group", "check", "--group", Z8)
+    assert (code, out, err) == (0, "", "")
+    report = (tmp_path / "report.txt").read_text(encoding="utf-8")
+    assert "config.seed=5 (set)\n" in report and "config.tol_slack=0.0 (set)\n" in report
+
+
+@pytest.mark.parametrize("config, message", [
+    ("5", "config file: expected an object, got int"),
+    ("[1]", "config file: expected an object, got list"),
+    ('{"sede": 77}', "config file: unknown keys ['sede'] (strict parsing)"),
+], ids=["number", "list", "unknown-key"])
+def test_config_file_that_is_not_an_object_of_known_keys_exits_2(capsys, monkeypatch, tmp_path,
+                                                                config, message):
+    path = tmp_path / "config.json"
+    path.write_text(config, encoding="utf-8")
+    monkeypatch.setenv(cli.CONFIG_ENV, str(path))
+    code, out, err = run_cli(capsys, "group", "check", "--group", Z8)
+    assert (code, out, err) == (2, "", f"parse error: {message}\n")
+
+
+@pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+                    reason="int() parses any number of digits here")
+def test_json_integer_past_the_digit_limit_exits_2(capsys):
+    # json.loads raises a plain ValueError, not a JSONDecodeError, for an
+    # integer literal of more than sys.get_int_max_str_digits() digits
+    digits = "1" + "0" * max(5000, sys.get_int_max_str_digits())
+    code, out, err = run_cli(capsys, "nfunc", "check", "--nfunction",
+                             '{"kind": "power", "p": ' + digits + "}")
+    assert (code, out) == (2, "")
+    assert err.startswith("parse error: <inline>: Exceeds the limit")

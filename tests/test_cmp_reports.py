@@ -7,7 +7,7 @@ from contextlib import redirect_stdout
 from pathlib import Path
 
 import orliczalg.cli as cli
-from test_cli import Z16_RELABELLED
+from test_cli import CAP_RUNS, Z16_RELABELLED
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
@@ -121,6 +121,16 @@ def test_edge_runs_exit_as_named(monkeypatch, capsys):
     assert out.count("count=16\n") == 2 and "count=24\n" in out
     assert err == "scope error: Zwindow16: Leptin set for eps=0.5 needs radius 30\n"
 
+
+def test_cap_and_input_runs_exit_as_named(monkeypatch, capsys):
+    cmp_reports = _load(monkeypatch)
+    assert {name: tuple(argv) for name, argv in cmp_reports.CAP_RUNS.items()} == CAP_RUNS
+    runs = {**cmp_reports.CAP_RUNS, **cmp_reports.INPUT_RUNS}
+    codes = {name: cli.main(list(argv)) for name, argv in runs.items()}
+    assert codes == {**dict.fromkeys(CAP_RUNS, 3), "characters-brute-Z12-tol-slack0": 0,
+                     "norm-luxemburg-Z4-power-p-string": 2}
+    err = capsys.readouterr().err.splitlines()
+    assert [line.split(":")[0] for line in err] == ["scope error"] * 4 + ["parse error"]
 
 def test_parse_error_runs_exit_2(monkeypatch, capsys):
     cmp_reports = _load(monkeypatch)

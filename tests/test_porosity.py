@@ -235,6 +235,32 @@ def test_witness_probes_equal_fresh_bump_path(window, box, fresh_bumps, monkeypa
     assert moved.probes == fresh.probes
 
 
+@pytest.mark.parametrize("name", CATALOG)
+def test_plateau_summands_at_the_extreme_probe_positions_equal_the_moved_bump(monkeypatch,
+                                                                             name):
+    # Zwindow10 is the smallest window on which the default witness builds;
+    # its probes sit in [-4, 4], and the summands at +-4 are drawn with no
+    # check of their own that the window holds them
+    space = integer_window(10)
+    box10 = GroupFunction.indicator(space, range(-5, 6))
+    inst = make_instance(box10, box10, 11, 32.0, 1)
+    hw = porosity._probe_half_width(space.window_radius)
+    real, positions = porosity._draw_perturbation, set()
+
+    def draw(space, bump, bump_cert, *args, **kwargs):
+        delta, pairs = real(space, bump, bump_cert, *args, **kwargs)
+        if delta.kind == "plateau":
+            moved = translate_left(delta.position, bump)
+            assert not moved.truncated
+            assert pairs == tuple(moved.scale(delta.amplitude).items())
+            positions.add(delta.position)
+        return delta, pairs
+
+    monkeypatch.setattr(porosity, "_draw_perturbation", draw)
+    build_witness(inst, pair_from_name(name), probe_count=100, seed=17)
+    assert hw == 4 and {-hw, hw} <= positions
+
+
 # -- the probe path against GroupFunction sums -----------------------------------
 
 def _reference_neighborhood(space, k, K, R, r):

@@ -26,7 +26,6 @@ from orliczalg.specio import group_from_name, pair_from_name
 from orliczalg.structure import (
     Character,
     CharacterSet,
-    _greedy_generators,
     _verify_homomorphism,
     convolution_unit,
     enumerate_characters,
@@ -63,12 +62,34 @@ def product_reference(space) -> frozenset[tuple[int, ...]]:
     return frozenset(found)
 
 
+def greedy_generators(space) -> list:
+    """Generators in carrier order: each element outside the span of the
+    earlier ones joins, so together they generate G. The span is closed
+    here on its own, apart from the enumeration's extension loop."""
+    generators: list = []
+    span = {space.identity}
+    for x in space.elements:
+        if x in span:
+            continue
+        generators.append(x)
+        new = set(span)
+        acc = x
+        while True:
+            frontier = {space.mul(y, acc) for y in span}
+            if frontier <= new:
+                break
+            new |= frontier
+            acc = space.mul(acc, x)
+        span = new
+    return generators
+
+
 def clash_reference(space) -> CharacterSet:
     """Reference for the enumeration: every combination of images of the
     greedy generators (the product of their orders, which can far outnumber
     |G|), expanded over the group and dropped on a clash."""
     L, orders = group_exponent(space)
-    generators = _greedy_generators(space)
+    generators = greedy_generators(space)
     found = []
     for ks in itertools.product(*(range(orders[g]) for g in generators)):
         expo = _expand_or_clash(space, generators, ks, L, orders)
@@ -326,7 +347,7 @@ def full_table_accepts(space, expo, L) -> bool:
 def test_generator_check_accepts_exactly_the_homomorphisms(space):
     # every exponent vector, w(e) included: 6^6 = 46,656 on Z6
     L, _ = group_exponent(space)
-    generators = _greedy_generators(space)
+    generators = greedy_generators(space)
     accepted = set()
     for expo in itertools.product(range(L), repeat=space.size):
         try:
@@ -355,12 +376,24 @@ REFERENCE_GROUPS = [f"Z{n}" for n in range(1, 17)] + ["Z2xZ2", "Z2xZ4", "Z3xZ3",
     lambda name: st.tuples(st.just(name),
                            st.permutations(range(group_from_name(name).size)))))
 def test_enumeration_matches_the_clash_reference_on_a_random_relabelling(name_and_perm):
+    import orliczalg.structure as structure
     name, perm = name_and_perm
     table = relabelled(group_from_name(name), perm)
-    enumerated, reference = enumerate_characters(table), clash_reference(table)
+    checked = []  # the generators each character is checked on
+
+    def verify(space, c, generators):
+        checked.append(list(generators))
+        return _verify_homomorphism(space, c, generators)
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(structure, "_verify_homomorphism", verify)
+        enumerated = enumerate_characters(table)
+    reference = clash_reference(table)
     assert enumerated.order == reference.order
     assert [c.exponents for c in enumerated.characters] == \
         [c.exponents for c in reference.characters]
+    # the extension loop's generators are the reference's, which closes each span on its own
+    assert checked == [greedy_generators(table)] * table.size
 
 
 def test_enumeration_of_z64_by_element_order_builds_only_its_characters():
