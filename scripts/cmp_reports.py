@@ -37,11 +37,22 @@ WITNESS_SEEDS = (3, 13)
 COMPLEX_F = json.dumps([[x, 0.3, 0.4] if x % 2 == 0 else [x, -0.4, 0.3] for x in range(-5, 6)])
 COMPLEX_G = json.dumps([[x, 0.6, -0.8] if x % 2 == 0 else [x, -0.8, -0.6]
                         for x in range(-5, 6)])
+#: -1 + 0.5i on all of Zwindow17: the quadrant (-1, 1) wins, and the
+#: translates of V = [-1, 1] cover [-16, 16], leaving the support at +-17 out
+EDGE_F = json.dumps([[x, -1, 0.5] for x in range(-17, 18)])
+#: f and g on different supports, overlapping on [-1, 1]
+SHIFTED_F = json.dumps([[x, 0.5, 0] for x in range(-12, 2)])
+SHIFTED_G = json.dumps([[x, 0.25, -0.5] for x in range(-1, 15)])
 WITNESS_RUNS = {
     "witness-complex-probes100": ["porosity", "witness", "--probes", "100",
                                   "--f", COMPLEX_F, "--g", COMPLEX_G],
     "witness-vradius2-window64-probes100": ["porosity", "witness", "--probes", "100",
                                             "--v-radius", "2", "--window", "64"],
+    "witness-window17-quadrant-m1p1-probes50": ["porosity", "witness", "--window", "17",
+                                                "--f", EDGE_F, "--n", "60", "--R", "64",
+                                                "--probes", "50"],
+    "witness-shifted-supports-probes100": ["porosity", "witness", "--probes", "100",
+                                           "--f", SHIFTED_F, "--g", SHIFTED_G],
 }
 #: the default f and g, the indicator of [-5, 5], on a window too small to hold them
 SMALL_WINDOW_RUNS = {

@@ -11,7 +11,9 @@ bound. The steps are concrete on a window:
 
 1. pick the sign quadrant (s1, s2) maximizing the measure available in
    {s1 Re f >= 0} cap {s2 Re g >= 0} over disjoint translates of V
-   (ties prefer (1, 1), then (1, -1), (-1, 1), (-1, -1)),
+   (ties prefer (1, 1), then (1, -1), (-1, 1), (-1, -1)); a point off
+   supp f and supp g lies in (1, 1), so the quadrant is counted over the
+   support points the translates cover, (1, 1) taking the rest of them,
 2. greedily accumulate disjoint translates a_m + V inside that region
    until the collected set K satisfies lam(K) > 512 n / R^2 strictly
    and (R^2/512) lam(K) > n (the same inequality, computed as the
@@ -34,10 +36,15 @@ bound. The steps are concrete on a window:
    y -> |k(y)| on the supports, made from the values of f~ and g~ and
    those pairs with the same complex additions ``GroupFunction.__add__``
    makes, in carrier order. The points of K + [-rho, rho] in the window,
-   where |k| is checked, are listed once per witness,
+   where |k| is checked, are listed once per witness. The centre (f~, g~)
+   is read once, as the probe with empty summands; a probe whose summands
+   reach no point its readings depend on (``_reaches``) takes the
+   centre's readings, which are its own bit for bit,
 6. for each probe, find x in V with sum_y |h(y)| |k(y - x)| > n. The max
    over V is one kernel, ``_level_max``, which ``level_membership`` (the
-   membership test of ``make_instance``) calls as well.
+   membership test of ``make_instance``) calls as well. Its sum starts at
+   +0.0 and its terms are >= 0, so the terms a summand cannot reach keep
+   their values and order, and a term that is not made adds nothing.
 
 ``PorosityWitness.checks`` is the one definition of the witness's clauses:
 ``build_witness`` raises the failing ones as a contradiction of a proved
@@ -275,13 +282,17 @@ def _collect_translates(inst: PorosityInstance) -> tuple[tuple[int, int], tuple,
     space, r, threshold = inst.f.space, inst.v_radius, inst.threshold
     candidates = _translate_candidates(space, r)
 
-    # 1. quadrant: (sign Re f(x), sign Re g(x)) at each candidate-translate
-    # point, a real part >= 0 counting as +1; the most frequent one wins
+    # 1. quadrant: (sign Re f(x), sign Re g(x)) at each point of the span
+    # [-ks - r, ks + r] the candidate translates cover, a real part >= 0
+    # counting as +1; the most frequent one wins. Off supp f and supp g it
+    # reads (1, 1), so only the support points are read one by one
+    lo, hi = min(candidates) - r, max(candidates) + r
     fv, gv = dict(inst.f.items()), dict(inst.g.items())
     quadrant_of = {x: (1 if fv.get(x, 0j).real >= 0.0 else -1,
                        1 if gv.get(x, 0j).real >= 0.0 else -1)
-                   for a in candidates for x in range(a - r, a + r + 1)}
+                   for x in (*fv, *gv) if lo <= x <= hi}
     counts = Counter(quadrant_of.values())
+    counts[1, 1] += hi - lo + 1 - len(quadrant_of)
     quadrant = max(QUADRANT_ORDER, key=lambda q: counts[q])  # ties: the first in order
 
     # 2. greedy disjoint translates until both mass clauses hold: lam(K)
@@ -290,7 +301,8 @@ def _collect_translates(inst: PorosityInstance) -> tuple[tuple[int, int], tuple,
     base_points: list[int] = []
     for a in candidates:
         base_points.append(a)
-        collected.extend(x for x in range(a - r, a + r + 1) if quadrant_of[x] == quadrant)
+        collected.extend(x for x in range(a - r, a + r + 1)
+                         if quadrant_of.get(x, (1, 1)) == quadrant)
         mass = _mass_checks(float(len(collected)), threshold, inst.radius, inst.n)
         if all(c.passed for c in mass):
             return quadrant, tuple(base_points), tuple(sorted(collected))
@@ -332,24 +344,30 @@ def build_witness(inst: PorosityInstance, pair: ComplementaryPair, *,
     f_values, g_values = dict(f_tilde.items()), dict(g_tilde.items())
     f_abs, g_abs = _abs_values(f_tilde), _abs_values(g_tilde)
     neighborhoods = _neighborhoods(space, K, r)
+
+    def read(df_pairs: tuple, dg_pairs: tuple) -> tuple:
+        """(h_min_on_k, k_min_on_k, certified_u_radius, violating_x,
+        integral_value) of the probe (f~ + delta f, g~ + delta g)."""
+        h = _perturbed_abs(f_values, f_abs, df_pairs)
+        k = _perturbed_abs(g_values, g_abs, dg_pairs)
+        best_val, best_x = _level_max(h, k, space.haar_weight, r)
+        return (min(h.get(x, 0.0) for x in K), min(k.get(x, 0.0) for x in K),
+                _certified_neighborhood(k, neighborhoods, R), best_x, best_val)
+
+    # the points where a summand can change a reading of the centre
+    centre = read((), ())
+    f_read = {*K, *(y + j for y in g_abs for j in range(-r, r + 1))}
+    g_read = {*neighborhoods[0][1], *(y + j for y in f_abs for j in range(-r, r + 1))}
     probes = []
     for idx in range(probe_count):
         delta_f, df_pairs = _draw_perturbation(space, *bump, rng, R, kappa_phi, kappa_psi,
                                                intersection=False)
         delta_g, dg_pairs = _draw_perturbation(space, *bump, rng, R, kappa_phi, kappa_psi,
                                                intersection=True)
-        h = _perturbed_abs(f_values, f_abs, df_pairs)
-        k = _perturbed_abs(g_values, g_abs, dg_pairs)
-        h_min = min(h.get(x, 0.0) for x in K)
-        k_min = min(k.get(x, 0.0) for x in K)
-        u_rad = _certified_neighborhood(k, neighborhoods, R)
-        best_val, best_x = _level_max(h, k, space.haar_weight, r)
-        probes.append(ProbeRecord(index=idx, delta_f=delta_f, delta_g=delta_g,
-                                  budget_f=delta_f.cost_phi,
-                                  budget_g=delta_g.cost_phi + delta_g.cost_psi,
-                                  h_min_on_k=h_min, k_min_on_k=k_min,
-                                  certified_u_radius=u_rad,
-                                  violating_x=best_x, integral_value=best_val))
+        readings = read(df_pairs, dg_pairs) \
+            if _reaches(df_pairs, dg_pairs, f_read, g_read, r) else centre
+        probes.append(ProbeRecord(idx, delta_f, delta_g, delta_f.cost_phi,
+                                  delta_g.cost_phi + delta_g.cost_psi, *readings))
 
     witness = PorosityWitness(
         instance=inst, quadrant=(s1, s2), m0=len(base_points), base_points=base_points,
@@ -462,6 +480,24 @@ def _perturbed_abs(values: dict, values_abs: dict, pairs: tuple) -> dict:
     for item in added:
         items.insert(bisect.bisect(items, item), item)
     return dict(items)
+
+
+def _reaches(df_pairs: tuple, dg_pairs: tuple, f_read: set, g_read: set, r: int) -> bool:
+    """Can the summands delta f and delta g, given as (point, value) pairs,
+    change a reading of the centre (f~, g~)?
+
+    The readings look at |h| on K and, through the terms |h(y)| |k(y - x)|,
+    |x| <= r, of the level integral, on supp k + [-r, r]; and at |k| on
+    K + [-r, r] and on supp h + [-r, r]. A summand changes |h| or |k| only
+    at its own points, so it reaches where one of them lies in f_read =
+    K | (supp g~ + [-r, r]) or g_read = (K + [-r, r]) | (supp f~ + [-r, r]),
+    or where a point of delta f and one of delta g lie within r, the terms
+    the two summands make together. Where this answers no, every term of
+    every reading keeps its value and its carrier order: the readings are
+    the centre's, bit for bit.
+    """
+    return (any(y in f_read for y, _ in df_pairs) or any(z in g_read for z, _ in dg_pairs)
+            or any(abs(y - z) <= r for y, _ in df_pairs for z, _ in dg_pairs))
 
 
 def _neighborhoods(space: GroupSpace, K: tuple, r: int) -> tuple[tuple[int, tuple], ...]:

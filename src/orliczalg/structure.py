@@ -23,8 +23,9 @@ the group exponent; complex values appear only in reports. The search
 assigns exponents depth-first in closure order and cuts a branch as soon as
 an assigned table triple breaks multiplicativity; it stops with a
 ScopeError after SEARCH_NODE_LIMIT exponent trials, or before it builds its
-table when (|G| - 1) L trials, its least count, already pass that cap. Its
-float spot-check of the pairing holds to PAIRING_TOL, not to a run's flags.
+table when its least count (``search_node_floor``) already passes that cap.
+Its float spot-check of the pairing holds to PAIRING_TOL, not to a run's
+flags.
 """
 
 from __future__ import annotations
@@ -325,6 +326,21 @@ def _closure_order(n: int, e_idx: int, products: dict) -> list[int]:
     return order
 
 
+def search_node_floor(n: int, L: int) -> int:
+    """A least count of the exponent trials of the search on an abelian group
+    of order n and exponent L: the larger of two bounds.
+
+    The all-zero vector passes every triple, so the search tries all L
+    exponents at each of the n - 1 depths under it: (n - 1) L. And the
+    trials at depth d extend prefixes that fix w on d + 1 points, e
+    included. Two characters that agree there agree on the subgroup those
+    points span, which holds all of G once d + 1 > n/2; so the n characters
+    leave n distinct prefixes, each of which tries all L exponents: n L
+    trials at each depth d = floor(n/2), ..., n - 2, which are (n - 1) // 2.
+    """
+    return max((n - 1) * L, n * L * ((n - 1) // 2))
+
+
 def multiplicative_functional_search(space: GroupSpace) -> CharacterSet:
     """Independent oracle: exhaustive root-of-unity weight search, pruned.
 
@@ -342,19 +358,16 @@ def multiplicative_functional_search(space: GroupSpace) -> CharacterSet:
     whole table and every vector that is cut breaks it.
     A float spot-check of the convolution identity holds to PAIRING_TOL.
     Raises ScopeError after SEARCH_NODE_LIMIT exponent trials, and before
-    building the table when (|G| - 1) L trials pass it: the all-zero vector
-    passes every triple, so the search tries all L exponents at each of
-    the |G| - 1 depths under it.
+    building the table when ``search_node_floor`` trials pass it.
     """
     _require_finite_abelian(space, "multiplicative functional search")
     L, _ = group_exponent(space)
     e_idx = space.index(space.identity)
     n = space.size
-    if (n - 1) * L > SEARCH_NODE_LIMIT:
+    if (floor := search_node_floor(n, L)) > SEARCH_NODE_LIMIT:
         raise ScopeError(
             f"multiplicative functional search on {space.name} needs at least "
-            f"(|G| - 1) L = {(n - 1) * L} nodes (exponent trials), past the cap of "
-            f"{SEARCH_NODE_LIMIT}")
+            f"{floor} nodes (exponent trials), past the cap of {SEARCH_NODE_LIMIT}")
     # abelian: (a, b) and (b, a) give one product and one constraint
     products = {(ia, ib): space.index(space.mul(a, space.elements[ib]))
                 for ia, a in enumerate(space.elements) for ib in range(ia, n)}

@@ -651,8 +651,9 @@ def test_sample_count_below_one_exits_2_at_parse_time(capsys, verb, samples):
 
 
 # Z10's character search makes 810 exponent trials and Z2xZ2xZ3's 528, so
-# both pass this cap; Z2's 2 trials stay under it
-LOW_NODE_CAP = 100
+# both pass this cap; Z2's 2 trials stay under it. Their least counts, 400
+# and 360, stay under it too, so both searches start and stop at the cap
+LOW_NODE_CAP = 500
 
 
 def test_characters_brute_beyond_search_limit_exits_3_before_enumerating(capsys, monkeypatch):
@@ -663,7 +664,20 @@ def test_characters_brute_beyond_search_limit_exits_3_before_enumerating(capsys,
     assert time.monotonic() - started < 1.0
     assert code == 3
     assert out == ""
-    assert "search on Z10 passed the cap of 100 nodes" in err
+    assert "search on Z10 passed the cap of 500 nodes" in err
+
+
+def test_characters_brute_on_z1000_exits_3_before_its_search_table(capsys, monkeypatch):
+    # the enumeration's 10^6 exponents (about 0.6 s) run first; the search's
+    # floor, 499000000 trials, refuses before its product table is built,
+    # where a search to the cap took 2.6 s or more
+    monkeypatch.setattr(structure, "_closure_order", None)  # a search past its refusal calls None
+    started = time.monotonic()
+    code, out, err = run_cli(capsys, "characters", "brute", "--group",
+                             '{"type": "Zn", "n": 1000}')
+    assert time.monotonic() - started < 2.0
+    assert (code, out) == (3, "")
+    assert "search on Z1000 needs at least 499000000 nodes (exponent trials)" in err
 
 
 def test_suite_with_a_group_beyond_the_search_limit_exits_3(capsys, monkeypatch):
@@ -672,7 +686,7 @@ def test_suite_with_a_group_beyond_the_search_limit_exits_3(capsys, monkeypatch)
     code, out, err = run_cli(capsys, "suite", "--groups", "Z10", "--pairs", "")
     assert time.monotonic() - started < 1.0
     assert code == 3
-    assert "search on Z10 passed the cap of 100 nodes" in err
+    assert "search on Z10 passed the cap of 500 nodes" in err
 
 
 @pytest.mark.parametrize("norm_verb", ["modular", "luxemburg", "orlicz"])
@@ -759,7 +773,7 @@ def test_suite_reports_an_out_of_scope_entry_and_runs_the_rest(capsys, monkeypat
     assert code == 3
     lines = out.splitlines()
     assert any(line.startswith("out-of-scope.characters.Z2xZ2xZ3=")
-               and "cap of 100 nodes" in line for line in lines)
+               and "cap of 500 nodes" in line for line in lines)
     assert not any(line.startswith("check.characters.") for line in lines)
     checks = [line for line in lines if line.startswith("check.")]
     assert len(checks) == 7 and all("=pass " in line for line in checks)

@@ -122,6 +122,24 @@ def test_edge_runs_exit_as_named(monkeypatch, capsys):
     assert err == "scope error: Zwindow16: Leptin set for eps=0.5 needs radius 30\n"
 
 
+def test_witness_runs_pass_and_reach_the_new_edges(monkeypatch, capsys):
+    cmp_reports = _load(monkeypatch)
+    assert len(cmp_reports.WITNESS_RUNS) == 4
+    outs = {}
+    for name, argv in cmp_reports.WITNESS_RUNS.items():
+        assert cli.main(list(argv)) == 0, name
+        outs[name] = capsys.readouterr().out
+        assert outs[name].endswith("passed=true\n"), name
+    # the translates of [-1, 1] cover [-16, 16], so f's support at +-17 is
+    # left out of the count that (-1, 1) wins
+    edge = outs["witness-window17-quadrant-m1p1-probes50"].splitlines()
+    assert "quadrant=(-1,1)" in edge and "base-points=[0, 3, -3]" in edge
+    # f and g both given, on supports that overlap
+    shifted = outs["witness-shifted-supports-probes100"].splitlines()
+    assert not any(line.startswith(("f=", "g=")) for line in shifted)
+    assert "membership-max-integral=0.0" not in shifted
+
+
 def test_cap_and_input_runs_exit_as_named(monkeypatch, capsys):
     cmp_reports = _load(monkeypatch)
     assert {name: tuple(argv) for name, argv in cmp_reports.CAP_RUNS.items()} == CAP_RUNS

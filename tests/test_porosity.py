@@ -3,9 +3,12 @@
 import cmath
 import dataclasses
 import math
+from collections import Counter
 from random import Random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import orliczalg.porosity as porosity
 from orliczalg.algebra import build_plateau
@@ -647,3 +650,160 @@ def test_quadrant_tie_goes_to_the_first_in_order():
     inst = _instance(f, g, 11, 32.0, 1)
     assert reference_collection(inst)[0] == (1, -1)
     assert_collection_equals_reference(inst)
+
+
+# -- the reach rule against reading every probe in full -----------------------
+
+#: the phases of the report runs' complex data: |f| = 0.5, |g| = 1 on [-5, 5]
+COMPLEX_F = {x: complex(0.3, 0.4) if x % 2 == 0 else complex(-0.4, 0.3) for x in range(-5, 6)}
+COMPLEX_G = {x: complex(0.6, -0.8) if x % 2 == 0 else complex(-0.8, -0.6)
+             for x in range(-5, 6)}
+
+
+def _witness_read_in_full(monkeypatch, inst, pair, probe_count, seed):
+    """The witness with every probe read in full, none taking the centre's readings."""
+    with monkeypatch.context() as m:
+        m.setattr(porosity, "_reaches", lambda *args: True)
+        return build_witness(inst, pair, probe_count=probe_count, seed=seed)
+
+
+def _reach_case(values, radius):
+    """(f, g) on Zwindow<radius>: the indicator of [-5, 5] twice, the complex
+    pair on [-5, 5], or -1 + 0.5i on the whole window against the indicator."""
+    space = integer_window(radius)
+    box = GroupFunction.indicator(space, range(-5, 6))
+    if values == "box":
+        return box, box
+    if values == "complex":
+        return GroupFunction(space, COMPLEX_F), GroupFunction(space, COMPLEX_G)
+    return GroupFunction(space, dict.fromkeys(space.elements, complex(-1.0, 0.5))), box
+
+
+#: (values, window radius, v-radius, n, R): each builds for every catalog pair;
+#: the last has quadrant (-1, 1) and support on the edge the translates leave out
+REACH_CASES = [("box", 256, 1, 11, 32.0), ("box", 256, 2, 11, 32.0), ("box", 256, 3, 11, 32.0),
+               ("box", 10, 1, 11, 32.0), ("box", 10, 3, 11, 32.0), ("box", 12, 1, 11, 32.0),
+               ("box", 12, 3, 11, 32.0), ("complex", 256, 1, 11, 32.0),
+               ("complex", 256, 2, 11, 32.0), ("complex", 256, 3, 11, 32.0),
+               ("complex", 20, 1, 11, 32.0), ("complex", 24, 3, 11, 32.0),
+               ("edge", 17, 1, 60, 64.0)]
+
+
+@pytest.mark.parametrize("values, radius, v_radius, n, R", REACH_CASES)
+@pytest.mark.parametrize("name", CATALOG)
+def test_probes_taking_the_centre_readings_equal_probes_read_in_full(monkeypatch, name, values,
+                                                                     radius, v_radius, n, R):
+    inst = make_instance(*_reach_case(values, radius), n, R, v_radius)
+    pair = pair_from_name(name)
+    for seed in (1, 21, 901):
+        full = _witness_read_in_full(monkeypatch, inst, pair, 100, seed)
+        assert repr(build_witness(inst, pair, probe_count=100, seed=seed).probes) == \
+            repr(full.probes)
+
+
+def test_default_witness_reads_some_probes_in_full_and_some_as_the_centre(window, box,
+                                                                          monkeypatch):
+    inst = make_instance(box, box, 11, 32.0, 1)
+    real, answers = porosity._reaches, []
+    monkeypatch.setattr(porosity, "_reaches",
+                        lambda *args: answers.append(real(*args)) or answers[-1])
+    build_witness(inst, pair_power(2.0), probe_count=100, seed=0)
+    assert len(answers) == 100 and 0 < sum(answers) < 100
+
+
+def test_summands_that_reach_only_each_other_are_read_in_full(window, box, monkeypatch):
+    # atoms at 100 and 101, far from f~, g~ and K + V, which the level
+    # integral pairs at x = -1 in V
+    inst = make_instance(box, box, 11, 32.0, 1)
+    real = porosity._draw_perturbation
+
+    def far(space, *args, intersection):
+        delta, _ = real(space, *args, intersection=intersection)
+        pos = 101 if intersection else 100
+        return delta._replace(kind="atom", position=pos, amplitude=100j), ((pos, 100j),)
+
+    monkeypatch.setattr(porosity, "_draw_perturbation", far)
+    probe, = build_witness(inst, pair_power(2.0), probe_count=1, seed=0).probes
+    assert probe.violating_x == -1 and probe.integral_value >= 1e4
+    assert probe == _witness_read_in_full(monkeypatch, inst, pair_power(2.0), 1, 0).probes[0]
+    assert not porosity._reaches(((100, 1j),), ((102, 1j),), set(), set(), 1)
+
+
+# -- step 1 counted over the supports against every covered point -------------
+
+def every_point_collection(inst):
+    """(quadrant, base points, K) of steps 1 and 2 with the quadrant read at
+    every point the candidate translates cover, not only at the support
+    points; InfeasibleWindowError where the window holds too little mass."""
+    space, r, threshold = inst.f.space, inst.v_radius, inst.threshold
+    candidates = porosity._translate_candidates(space, r)
+    fv, gv = dict(inst.f.items()), dict(inst.g.items())
+    quadrant_of = {x: (1 if fv.get(x, 0j).real >= 0.0 else -1,
+                       1 if gv.get(x, 0j).real >= 0.0 else -1)
+                   for a in candidates for x in range(a - r, a + r + 1)}
+    counts = Counter(quadrant_of.values())
+    quadrant = max(porosity.QUADRANT_ORDER, key=lambda q: counts[q])
+    collected, base_points = [], []
+    for a in candidates:
+        base_points.append(a)
+        collected.extend(x for x in range(a - r, a + r + 1) if quadrant_of[x] == quadrant)
+        mass = porosity._mass_checks(float(len(collected)), threshold, inst.radius, inst.n)
+        if all(c.passed for c in mass):
+            return quadrant, tuple(base_points), tuple(sorted(collected))
+    raise InfeasibleWindowError("too little translate mass")
+
+
+#: real parts of either sign and both zeros, imaginary parts of either sign
+_PARTS = st.sampled_from((-1.0, -0.5, -0.0, 0.0, 0.25, 1.0))
+
+
+@st.composite
+def collection_instances(draw):
+    """An instance on a small window whose f and g take drawn values on drawn
+    points, the window's edges among them; the level-set test is skipped."""
+    radius = draw(st.integers(4, 40))
+    v_radius = draw(st.integers(1, 3).filter(lambda r: r <= radius))
+    points = st.integers(-radius, radius)
+    space = integer_window(radius)
+
+    def function():
+        values = draw(st.dictionaries(points, st.builds(complex, _PARTS, _PARTS), max_size=60))
+        if draw(st.booleans()):     # a block of one value, which can outweigh (1, 1)
+            lo = draw(points)
+            block = complex(draw(_PARTS), draw(_PARTS))
+            values.update(dict.fromkeys(range(lo, radius + 1), block))
+        return GroupFunction(space, values)
+
+    R = draw(st.sampled_from((16.0, 24.0, 32.0, 64.0)))
+    return _instance(function(), function(), draw(st.integers(1, 11)), R, v_radius)
+
+
+def assert_collection_equals_every_point(inst):
+    try:
+        want = every_point_collection(inst)
+    except InfeasibleWindowError:
+        with pytest.raises(InfeasibleWindowError):
+            porosity._collect_translates(inst)
+    else:
+        assert porosity._collect_translates(inst) == want
+
+
+@settings(max_examples=300, deadline=None)
+@example(_instance(GroupFunction(integer_window(17), {x: complex(-1.0, 0.5) for x in (-17, 17)}),
+                   GroupFunction.zero(integer_window(17)), 1, 32.0, 1))
+@given(collection_instances())
+def test_quadrant_over_the_supports_equals_every_covered_point(inst):
+    assert_collection_equals_every_point(inst)
+
+
+def test_quadrant_counts_no_support_on_the_uncovered_edge():
+    # on Zwindow17 the translates of [-1, 1] cover [-16, 16]: f = -1 + 0.5i
+    # everywhere gives (-1, 1), and only on +-17 leaves (1, 1) the winner
+    space = integer_window(17)
+    box = GroupFunction.indicator(space, range(-5, 6))
+    everywhere = GroupFunction(space, dict.fromkeys(space.elements, complex(-1.0, 0.5)))
+    edges = GroupFunction(space, {-17: complex(-1.0, 0.5), 17: complex(-1.0, 0.5)})
+    for f, quadrant in ((everywhere, (-1, 1)), (edges, (1, 1))):
+        inst = _instance(f, box, 60, 64.0, 1)
+        assert every_point_collection(inst)[0] == quadrant
+        assert_collection_equals_every_point(inst)

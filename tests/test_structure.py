@@ -31,6 +31,7 @@ from orliczalg.structure import (
     enumerate_characters,
     group_exponent,
     multiplicative_functional_search,
+    search_node_floor,
     segal_report,
 )
 
@@ -432,18 +433,35 @@ def test_search_runs_at_the_limit_and_refuses_one_above(monkeypatch):
         multiplicative_functional_search(z4)
 
 
-def test_search_refuses_before_its_table_when_it_must_pass_the_cap(monkeypatch):
-    # Z1449: 1448 depths under the all-zero vector, 1449 trials at each
+@pytest.mark.parametrize("n, floor", [(1449, 1520111124), (1000, 499000000),
+                                      (162, 2099520)])
+def test_search_refuses_before_its_table_when_it_must_pass_the_cap(monkeypatch, n, floor):
+    # Zn: n trials at each of the (n - 1) // 2 depths past n/2 points; Z162
+    # is the first cyclic group whose floor passes the cap (Z161: 2073680)
     import orliczalg.structure as structure
 
     def unreachable(*args):
         raise AssertionError("the table was built")
 
+    assert search_node_floor(161, 161) < structure.SEARCH_NODE_LIMIT
     monkeypatch.setattr(structure, "_closure_order", unreachable)
-    with pytest.raises(ScopeError, match=r"search on Z1449 needs at least \(\|G\| - 1\) L = "
-                                         r"2098152 nodes \(exponent trials\), past the cap of "
-                                         r"2097152"):
-        multiplicative_functional_search(cyclic(1449))
+    with pytest.raises(ScopeError, match=rf"search on Z{n} needs at least {floor} nodes "
+                                         r"\(exponent trials\), past the cap of 2097152$"):
+        multiplicative_functional_search(cyclic(n))
+
+
+@pytest.mark.parametrize("name", [f"Z{n}" for n in (*range(2, 41), 64, 100)] + [
+    "Z2xZ4", "Z3xZ3", "Z4xZ4", "Z2xZ2xZ3", "Z2xZ2xZ2xZ2"])
+def test_search_node_floor_is_at_most_the_trials_made(monkeypatch, name):
+    # with its early refusal off, the search under a cap one below the floor
+    # must pass that cap: it makes at least floor trials
+    import orliczalg.structure as structure
+    space = group_from_name(name)
+    floor = search_node_floor(space.size, group_exponent(space)[0])
+    monkeypatch.setattr(structure, "search_node_floor", lambda n, L: 0)
+    monkeypatch.setattr(structure, "SEARCH_NODE_LIMIT", floor - 1)
+    with pytest.raises(ScopeError, match=f"passed the cap of {floor - 1} nodes"):
+        multiplicative_functional_search(space)
 
 
 def test_density_spanning_fails_on_a_plateau_off_its_point(monkeypatch):
